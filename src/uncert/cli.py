@@ -164,7 +164,7 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
     c = _require_keys(obj, where, {"delta_ladder": None},
                       {"probe_centers": [0.0], "probe_kind": "box"})
     ladder = tuple(float(d) for d in c["delta_ladder"])
-    if any(d < 2 * grid.dx for d in ladder):
+    if any(d / grid.dx < 2.0 - 1e-9 for d in ladder):
         raise ConfigError(f"{where}.delta_ladder: entries must be >= 2*dx = {2 * grid.dx}")
     try:
         return CalibrationConfig(ladder, tuple(float(x) for x in c["probe_centers"]),

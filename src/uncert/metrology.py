@@ -6,8 +6,12 @@ Calibration follows the bench procedure: feed the kernel states localized
 within a shrinking interval ladder, record the smallest output window that
 keeps confidence 1 - eps for every probe, and report the value at the
 smallest rung.  The sup over localized states is estimated from sharply
-localized probes (point and box states, optionally truncated Gaussians),
-which are the extreme cases for interval masses of shift-covariant kernels.
+localized probes (point and box distributions, optionally truncated
+Gaussians), which are the extreme cases for interval masses of
+shift-covariant kernels.  A kernel's outcome depends on a state only
+through the state's sharp distribution along the kernel axis, so probes
+are built directly as GridMeasures on the axis grid and fed to
+``kernel.smear``; no probe state is ever constructed.
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ import numpy as np
 
 from .grids import GridMeasure, GridSpec, centered_width, overall_width
 from .observables import ObservableKernel
-from .states import (
-    MixedState,
-    box_state,
-    gaussian_state,
-    momentum_box_state,
-    momentum_grid,
-    momentum_point_state,
-    point_state,
-)
+from .states import MixedState, momentum_grid
 
 
 class LadderInconsistencyError(ValueError):
@@ -150,64 +146,67 @@ def bound_uffink(eps: ConfidencePair, hbar: float) -> float:
 # Probe families
 # ---------------------------------------------------------------------------
 
+def _axis_grid(axis: str, grid: GridSpec, hbar: float) -> GridSpec:
+    return grid if axis == "q" else momentum_grid(grid, hbar)
+
+
+def _cells_within(axis_grid: GridSpec, center: float, width: float) -> np.ndarray:
+    """Indices of the axis-grid points in [center - width/2, center + width/2]."""
+    x = axis_grid.points()
+    tol = 1e-9 * axis_grid.dx
+    cells = np.flatnonzero((x >= center - 0.5 * width - tol) &
+                           (x <= center + 0.5 * width + tol))
+    if cells.size == 0:
+        raise ValueError(f"interval {center} +- {0.5 * width} contains no grid point")
+    return cells
+
+
+def _measure_on(axis_grid: GridSpec, cells, weights=1.0) -> GridMeasure:
+    w = np.zeros(axis_grid.n)
+    w[cells] = weights
+    return GridMeasure(axis_grid, w / w.sum())
+
+
 def localized_probes(axis: str, center: float, delta: float, grid: GridSpec,
                      hbar: float, kind: str = "box") -> list:
-    """States with the axis distribution supported inside [center +- delta/2].
+    """Axis distributions of probe states supported inside [center +- delta/2].
 
-    Point states at the interval edges and a few interior translates
-    approach the sup over localized states; the full-width box (or a
-    truncated Gaussian) is kept as a spread-out representative.
+    A kernel's outcome depends on a state only through the state's sharp
+    distribution along the kernel axis, so each probe is that distribution:
+    a GridMeasure on the axis grid (the momentum grid for axis "p").  Point
+    masses at the interval edges and a few interior cells approach the sup
+    over localized states; the uniform measure on the inside cells (or a
+    truncated Gaussian, sigma = delta/6) is kept as a spread-out
+    representative.
     """
-    if axis == "q":
-        axis_grid = grid
-        point = lambda c: point_state(c, grid, hbar)
-        box = lambda c, w: box_state(c, w, grid, hbar)
-    else:
-        axis_grid = momentum_grid(grid, hbar)
-        point = lambda c: momentum_point_state(c, grid, hbar)
-        box = lambda c, w: momentum_box_state(c, w, grid, hbar)
-    step = axis_grid.dx
-    if delta < 2 * step:
-        raise ValueError(f"delta {delta} below the 2-cell minimum {2 * step}")
-    # edge probes: outermost axis-grid points still inside the closed interval
-    pts = axis_grid.points()
-    tol = 1e-9 * step
-    inside = pts[(pts >= center - delta / 2 - tol) & (pts <= center + delta / 2 + tol)]
-    if inside.size == 0:
-        raise ValueError("localization interval contains no grid point")
-    lo, hi = float(inside[0]), float(inside[-1])
-    centers = sorted({lo, hi, float(inside[inside.size // 2]),
-                      float(inside[inside.size // 4])})
-    probes = [MixedState.pure(point(c)) for c in centers]
-    if kind == "box" and hi - lo >= 2 * step:
-        probes.append(MixedState.pure(box((lo + hi) / 2, hi - lo)))
+    axis_grid = _axis_grid(axis, grid, hbar)
+    if delta / axis_grid.dx < 2.0 - 1e-9:
+        raise ValueError(f"delta {delta} below the 2-cell minimum {2 * axis_grid.dx}")
+    inside = _cells_within(axis_grid, center, delta)
+    lo, hi = inside[0], inside[-1]
+    cells = sorted({lo, hi, inside[inside.size // 2], inside[inside.size // 4]})
+    probes = [_measure_on(axis_grid, [c]) for c in cells]
+    if kind == "box" and hi - lo >= 2:
+        probes.append(_measure_on(axis_grid, inside))
     elif kind == "truncated_gaussian":
-        probes.append(_truncated_gaussian_probe(axis, center, delta, grid, hbar))
+        sigma = delta / 6.0
+        x = axis_grid.points()[inside]
+        probes.append(_measure_on(axis_grid, inside,
+                                  np.exp(-((x - center) ** 2) / (2.0 * sigma**2))))
     return probes
-
-
-def _truncated_gaussian_probe(axis, center, delta, grid, hbar) -> MixedState:
-    if axis != "q":
-        raise ValueError("truncated Gaussian probes are position-axis only")
-    x = grid.points()
-    sigma = delta / 6.0
-    a = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)).astype(complex)
-    a[np.abs(x - center) > delta / 2.0 + 1e-9 * grid.dx] = 0.0
-    a /= math.sqrt(float(np.sum(np.abs(a) ** 2) * grid.dx))
-    from .states import WaveFunction
-    return MixedState.pure(WaveFunction(grid, a, hbar))
 
 
 def resolution_probes(kernel: ObservableKernel, grid: GridSpec, hbar: float,
                       centers=(0.0,)) -> list:
-    """Sharply localized probes used to approach the resolution infimum."""
+    """Axis distributions of the sharply localized probes used to approach
+    the resolution infimum: a point mass per center, plus a 2-cell box on
+    the position axis."""
+    axis_grid = _axis_grid(kernel.axis, grid, hbar)
     probes = []
     for c in centers:
+        probes.append(_measure_on(axis_grid, [axis_grid.nearest_index(c)]))
         if kernel.axis == "q":
-            probes.append(MixedState.pure(point_state(c, grid, hbar)))
-            probes.append(MixedState.pure(box_state(c, 2 * grid.dx, grid, hbar)))
-        else:
-            probes.append(MixedState.pure(momentum_point_state(c, grid, hbar)))
+            probes.append(_measure_on(axis_grid, _cells_within(axis_grid, c, 2 * grid.dx)))
     return probes
 
 
@@ -229,11 +228,10 @@ def resolution_width(kernel: ObservableKernel, eps: float, probe_search,
     if not probes:
         raise ValueError("probe family is empty")
     if kernel.covariant or centers is None:
-        return min(overall_width(kernel.outcome_distribution(rho), eps) for rho in probes)
+        return min(overall_width(kernel.smear(P), eps) for P in probes)
     worst = 0.0
     for x in centers:
-        best = min(centered_width(kernel.outcome_distribution(rho), x, eps)
-                   for rho in probes)
+        best = min(centered_width(kernel.smear(P), x, eps) for P in probes)
         worst = max(worst, best)
     return worst
 
@@ -251,9 +249,9 @@ def calibration_error(kernel: ObservableKernel, eps: float, delta: float,
     centers = (0.0,) if kernel.covariant else cfg.probe_centers
     worst = 0.0
     for x in centers:
-        for rho in localized_probes(kernel.axis, x, delta, cfg.grid, cfg.hbar,
-                                    cfg.probe_kind):
-            w = centered_width(kernel.outcome_distribution(rho), x, eps)
+        for P in localized_probes(kernel.axis, x, delta, cfg.grid, cfg.hbar,
+                                  cfg.probe_kind):
+            w = centered_width(kernel.smear(P), x, eps)
             worst = max(worst, w)
     return worst
 
@@ -267,7 +265,7 @@ def error_bar_width(kernel: ObservableKernel, eps: float,
     with the ladder spread as the numerical uncertainty.
     """
     ladder = []
-    step = cfg.grid.dx if kernel.axis == "q" else momentum_grid(cfg.grid, cfg.hbar).dx
+    step = _axis_grid(kernel.axis, cfg.grid, cfg.hbar).dx
     for delta in cfg.delta_ladder:
         ladder.append((delta, calibration_error(kernel, eps, delta, cfg)))
     vals = [w for _, w in ladder]
@@ -341,7 +339,7 @@ def check_distance_error_inequality(kernel: ObservableKernel, eps: float,
         raise ValueError("closed-form distance needs a covariant smeared kernel")
     dist = werner_distance_covariant(mu)
     eb = error_bar_width(kernel, eps, cfg).value
-    step = cfg.grid.dx if kernel.axis == "q" else momentum_grid(cfg.grid, cfg.hbar).dx
+    step = _axis_grid(kernel.axis, cfg.grid, cfg.hbar).dx
     tol = 2.0 * step
     rhs = (2.0 / eps) * dist + tol
     report = DistanceErrorReport(eb, dist, rhs, tol, eb <= rhs)

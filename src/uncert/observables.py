@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridMeasure, GridSpec, convolve, reflect
+from .grids import GridMeasure, GridSpec, convolve, convolve_localized, reflect
 from .states import (
     MixedState,
     displace_mixed,
@@ -129,35 +129,49 @@ def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
 # ---------------------------------------------------------------------------
 
 class ObservableKernel:
-    """Base: maps a MixedState to a normalized GridMeasure of outcomes."""
+    """Base: maps a MixedState to a normalized GridMeasure of outcomes.
+
+    Every kernel is the sharp distribution along `axis`, convolved with the
+    reflected smearing measure (none for sharp kernels) and pushed through a
+    warp map (none for unwarped kernels).  Subclasses only supply the axis,
+    the measure and the map; translation covariance follows from the map.
+    """
 
     axis: str          # "q" or "p" -- which sharp observable this approximates
-    covariant: bool    # translation covariance along its axis
+    gmap = None        # PiecewiseLinearMap applied to the outcomes, or None
 
-    def outcome_distribution(self, rho: MixedState) -> GridMeasure:
-        raise NotImplementedError
+    @property
+    def covariant(self) -> bool:
+        return self.gmap is None or self.gmap.is_affine
 
-    def smearing_measure(self, rho_grid: GridSpec, hbar: float):
+    def smearing_measure(self, rho_grid: GridSpec = None, hbar: float = None):
         """Confidence measure of the kernel, or None for sharp kernels."""
         return None
+
+    def smear(self, P: GridMeasure, conv=None) -> GridMeasure:
+        """Outcome distribution of any state whose sharp `axis` distribution is P.
+
+        The convolution `conv` defaults to grids.convolve_localized, which
+        works on the cells where P is nonzero and suits localized P such as
+        calibration probes; pass grids.convolve for a spread-out P.
+        """
+        mu = self.smearing_measure()
+        out = P if mu is None else (conv or convolve_localized)(P, reflect(mu))
+        return out if self.gmap is None else pushforward(out, self.gmap)
+
+    def outcome_distribution(self, rho: MixedState) -> GridMeasure:
+        sharp = position_distribution(rho) if self.axis == "q" else momentum_distribution(rho)
+        return self.smear(sharp, convolve)
 
 
 @dataclass(frozen=True)
 class SharpPosition(ObservableKernel):
     axis: str = field(default="q", init=False)
-    covariant: bool = field(default=True, init=False)
-
-    def outcome_distribution(self, rho):
-        return position_distribution(rho)
 
 
 @dataclass(frozen=True)
 class SharpMomentum(ObservableKernel):
     axis: str = field(default="p", init=False)
-    covariant: bool = field(default=True, init=False)
-
-    def outcome_distribution(self, rho):
-        return momentum_distribution(rho)
 
 
 @dataclass(frozen=True)
@@ -166,10 +180,6 @@ class SmearedPosition(ObservableKernel):
 
     mu: GridMeasure
     axis: str = field(default="q", init=False)
-    covariant: bool = field(default=True, init=False)
-
-    def outcome_distribution(self, rho):
-        return convolve(position_distribution(rho), reflect(self.mu))
 
     def smearing_measure(self, rho_grid=None, hbar=None):
         return self.mu
@@ -181,10 +191,6 @@ class SmearedMomentum(ObservableKernel):
 
     nu: GridMeasure
     axis: str = field(default="p", init=False)
-    covariant: bool = field(default=True, init=False)
-
-    def outcome_distribution(self, rho):
-        return convolve(momentum_distribution(rho), reflect(self.nu))
 
     def smearing_measure(self, rho_grid=None, hbar=None):
         return self.nu
@@ -213,35 +219,20 @@ class PhaseMarginal(ObservableKernel):
             raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
         self.gen = gen
         self.axis = axis
-        self.covariant = True
         mu_m, nu_m = marginal_measures(gen)
         self._measure = mu_m if axis == "q" else nu_m
-
-    def outcome_distribution(self, rho):
-        sharp = position_distribution(rho) if self.axis == "q" else momentum_distribution(rho)
-        return convolve(sharp, reflect(self._measure))
 
     def smearing_measure(self, rho_grid=None, hbar=None):
         return self._measure
 
 
-class WarpedMarginal(ObservableKernel):
+class WarpedMarginal(PhaseMarginal):
     """Phase-space marginal pushed through a warp map (possibly non-covariant)."""
 
     def __init__(self, gen: MixedState, axis: str, warp: WarpMap):
-        self.base = PhaseMarginal(gen, axis)
-        self.gen = gen
-        self.axis = axis
+        super().__init__(gen, axis)
         self.warp = warp
-        gmap = warp.gamma_q if axis == "q" else warp.gamma_p
-        self.gmap = gmap
-        self.covariant = gmap.is_affine
-
-    def outcome_distribution(self, rho):
-        return pushforward(self.base.outcome_distribution(rho), self.gmap)
-
-    def smearing_measure(self, rho_grid=None, hbar=None):
-        return self.base.smearing_measure()
+        self.gmap = warp.gamma_q if axis == "q" else warp.gamma_p
 
 
 def outcome_distribution(kernel: ObservableKernel, rho: MixedState) -> GridMeasure:
@@ -304,7 +295,7 @@ def aligned_window(grid: GridSpec, half_width: float, stride: int = 1) -> GridSp
     return GridSpec(grid.points()[lo], grid.dx * stride, 2 * k + 1)
 
 
-def _component_overlap_sq(psi_amps, phi_amps, grid: GridSpec, q_shifts, hbar):
+def _component_overlap_sq(psi_amps, phi_amps, grid: GridSpec, q_shifts):
     """|<psi| W(q, p) |phi>|^2 on the full conjugate p grid, one row per q."""
     n = grid.n
     idx = (np.arange(n)[None, :] - q_shifts[:, None]) % n
@@ -343,7 +334,7 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
     dens = np.zeros((G.q_grid.n, G.p_grid.n))
     for wa, psi in rho.components:
         for vb, phi in G.gen.components:
-            full = _component_overlap_sq(psi.amps, phi.amps, grid, q_shifts, hbar)
+            full = _component_overlap_sq(psi.amps, phi.amps, grid, q_shifts)
             dens += (wa * vb) * full[:, cols]
     dens /= 2.0 * math.pi * hbar
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uncert
 from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, main
 
 
@@ -76,6 +81,28 @@ class TestVerify:
             "components": [{"weight": 0.5, "sigma": 0.8},
                            {"weight": 0.5, "sigma": 1.2}],
         }])
+        rc = main(["--out", str(tmp_path / "out"), "verify",
+                   write_config(tmp_path, cfg)])
+        assert rc == 0
+
+    def test_truncated_gaussian_probes(self, tmp_path):
+        cfg = verify_config(
+            confidence=[[0.05, 0.05], [0.1, 0.2]],
+            calibration={"delta_ladder": [0.4, 0.2], "probe_kind": "truncated_gaussian"},
+            warps=[{"name": "wiggle",
+                    "q_knots": [[-12.8, -12.8], [-1.0, -0.7], [1.0, 1.3], [12.8, 12.8]]}])
+        rc = main(["--out", str(tmp_path / "out"), "verify",
+                   write_config(tmp_path, cfg)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(payload) == 4
+        assert all(row["passed"] is True for row in payload)
+
+    def test_two_cell_rung_survives_momentum_rescale(self, tmp_path):
+        # 0.2 is exactly 2 position cells; rescaled to the momentum axis it
+        # lands one rounding step below 2 momentum cells
+        cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                            calibration={"delta_ladder": [0.4, 0.2]})
         rc = main(["--out", str(tmp_path / "out"), "verify",
                    write_config(tmp_path, cfg)])
         assert rc == 0
@@ -193,3 +220,11 @@ class TestScan:
         assert rc == 0
         lines = (tmp_path / "out" / "scan.csv").read_text().splitlines()
         assert len(lines) == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(uncert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, uncert.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

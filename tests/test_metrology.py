@@ -21,6 +21,7 @@ from uncert.metrology import (
     check_distance_error_inequality,
     clipped_identity,
     error_bar_width,
+    localized_probes,
     minimize_width_product,
     resolution_probes,
     resolution_width,
@@ -32,10 +33,28 @@ from uncert.metrology import (
 from uncert.observables import (
     ObservableKernel,
     PhaseMarginal,
+    PiecewiseLinearMap,
+    SharpMomentum,
     SharpPosition,
+    SmearedMomentum,
     SmearedPosition,
+    WarpedMarginal,
+    WarpMap,
 )
-from uncert.states import MixedState, gaussian_state, momentum_grid, superpose
+from uncert.states import (
+    MixedState,
+    WaveFunction,
+    _from_momentum_amps,
+    box_state,
+    gaussian_state,
+    momentum_box_state,
+    momentum_distribution,
+    momentum_grid,
+    momentum_point_state,
+    point_state,
+    position_distribution,
+    superpose,
+)
 
 GRID = GridSpec.symmetric(12.8, 1024)  # dx = 0.025
 DX = GRID.dx
@@ -154,7 +173,7 @@ class TestCalibration:
             def __init__(self):
                 self.calls = 0
 
-            def outcome_distribution(self, rho):
+            def smear(self, P, conv=None):
                 self.calls += 1
                 w = 0.5 + 0.05 * self.calls
                 return uniform_measure(-w, w, GRID)
@@ -189,6 +208,89 @@ class TestResolution:
     def test_empty_probe_family_rejected(self):
         with pytest.raises(ValueError):
             resolution_width(SharpPosition(), 0.05, [])
+
+
+# ---------------------------------------------------------------------------
+# Probe measures against probe states
+# ---------------------------------------------------------------------------
+
+PGRID = momentum_grid(GRID, HBAR)
+WIGGLE = PiecewiseLinearMap((-12.8, -1.0, 1.0, 12.8), (-12.8, -0.7, 1.3, 12.8))
+SHIFT = PiecewiseLinearMap.shift(-12.8, 12.8, 0.3)
+IDENT = PiecewiseLinearMap.identity(-12.8, 12.8)
+
+
+def axis_kernels(axis):
+    gen = MixedState([(0.4, gaussian_state(0.2, 0.0, 0.8, GRID, HBAR)),
+                      (0.6, gaussian_state(-0.3, 0.0, 1.1, GRID, HBAR))])
+    if axis == "q":
+        sharp, smeared = SharpPosition(), SmearedPosition(gaussian_measure(0.1, 0.3, GRID))
+        affine, bent = WarpMap(SHIFT, IDENT), WarpMap(WIGGLE, IDENT)
+    else:
+        sharp, smeared = SharpMomentum(), SmearedMomentum(gaussian_measure(0.1, 0.6, PGRID))
+        affine, bent = WarpMap(IDENT, SHIFT), WarpMap(IDENT, WIGGLE)
+    return [sharp, smeared, PhaseMarginal(gen, axis),
+            WarpedMarginal(gen, axis, affine), WarpedMarginal(gen, axis, bent)]
+
+
+def state_with(P, axis):
+    """A pure state whose sharp distribution along `axis` is P."""
+    if axis == "q":
+        return MixedState.pure(WaveFunction(GRID, np.sqrt(P.weights / DX), HBAR))
+    return MixedState.pure(_from_momentum_amps(np.sqrt(P.weights / DP), GRID, HBAR))
+
+
+def axis_probes(axis, kind):
+    step = DX if axis == "q" else DP
+    return localized_probes(axis, 7.5 * step, 8.6 * step, GRID, HBAR, kind)
+
+
+class TestProbeMeasures:
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_probes_are_probe_state_distributions(self, axis):
+        # the cells the point and box probe states occupy
+        if axis == "q":
+            grid, point, box, dist = GRID, point_state, box_state, position_distribution
+        else:
+            grid, point, box, dist = (PGRID, momentum_point_state, momentum_box_state,
+                                      momentum_distribution)
+        probes = axis_probes(axis, "box")
+        assert len(probes) == 5
+        x = grid.points()
+        for P in probes:
+            cells = np.flatnonzero(P.weights)
+            lo, hi = x[cells[0]], x[cells[-1]]
+            psi = point(lo, GRID, HBAR) if lo == hi else box((lo + hi) / 2, hi - lo, GRID, HBAR)
+            want = dist(MixedState.pure(psi))
+            assert np.max(np.abs(want.weights - P.weights)) <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_truncated_gaussian_probe(self, axis):
+        P = axis_probes(axis, "truncated_gaussian")[-1]
+        step = DX if axis == "q" else DP
+        x = P.grid.points()
+        assert np.flatnonzero(P.weights).size == 8
+        assert P.mean() == pytest.approx(7.5 * step, abs=1e-9)
+        assert np.argmax(P.weights) in np.flatnonzero(np.abs(x - 7.5 * step) < step)
+
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    @pytest.mark.parametrize("kind", ["box", "truncated_gaussian"])
+    def test_smear_matches_outcome_distribution(self, axis, kind):
+        for kernel in axis_kernels(axis):
+            for P in axis_probes(axis, kind):
+                direct = kernel.smear(P)
+                via_state = kernel.outcome_distribution(state_with(P, axis))
+                assert direct.grid == via_state.grid
+                assert np.max(np.abs(direct.weights - via_state.weights)) <= 1e-12
+
+    def test_two_cell_minimum_in_cell_units(self):
+        # 2 position cells rescaled to the momentum axis round just below 2 cells
+        grid = GridSpec.symmetric(12.8, 256)
+        delta = CalibrationConfig((0.4, 0.2), (0.0,), grid).for_axis("p").delta_ladder[-1]
+        assert delta < 2 * momentum_grid(grid, HBAR).dx
+        assert len(localized_probes("p", 0.0, delta, grid, HBAR)) == 4
+        with pytest.raises(ValueError):
+            localized_probes("p", 0.0, 0.99 * delta, grid, HBAR)
 
 
 # ---------------------------------------------------------------------------
