@@ -63,7 +63,23 @@ def _fmt(x) -> str:
 # Config parsing (strict: unknown keys are errors)
 # ---------------------------------------------------------------------------
 
+def _number(value, where: str) -> float:
+    """A finite JSON number (booleans excluded), as float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def _require_keys(obj: dict, where: str, required: dict, optional: dict = {}):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {type(obj).__name__}")
     allowed = set(required) | set(optional)
     for k in obj:
         if k not in allowed:
@@ -81,18 +97,19 @@ def _parse_grid(obj, where="grid") -> GridSpec:
     n = g["n"]
     if not isinstance(n, int) or n < 2 or (n & (n - 1)) != 0:
         raise ConfigError(f"{where}.n: must be a power of two >= 2, got {n!r}")
-    if not g["x_max"] > g["x_min"]:
+    x_min = _number(g["x_min"], f"{where}.x_min")
+    x_max = _number(g["x_max"], f"{where}.x_max")
+    if not x_max > x_min:
         raise ConfigError(f"{where}: x_max must exceed x_min")
-    dx = (g["x_max"] - g["x_min"]) / n
-    return GridSpec(float(g["x_min"]), dx, n)
+    return GridSpec(x_min, (x_max - x_min) / n, n)
 
 
 def _parse_confidence(pairs, where="confidence"):
     out = []
-    for i, pr in enumerate(pairs):
+    for i, pr in enumerate(_list(pairs, where)):
         if not (isinstance(pr, (list, tuple)) and len(pr) == 2):
             raise ConfigError(f"{where}[{i}]: expected a pair [eps1, eps2]")
-        e1, e2 = float(pr[0]), float(pr[1])
+        e1, e2 = _number(pr[0], f"{where}[{i}][0]"), _number(pr[1], f"{where}[{i}][1]")
         if not (0 < e1 < 1 and 0 < e2 < 1):
             raise ConfigError(f"{where}[{i}]: eps values must lie in (0, 1)")
         out.append(ConfidencePair(e1, e2))
@@ -103,43 +120,49 @@ def _parse_confidence(pairs, where="confidence"):
 
 def _build_gaussian(spec, grid, hbar, where):
     s = _require_keys(spec, where, {"sigma": None}, {"x0": 0.0, "p0": 0.0})
-    return gaussian_state(float(s["x0"]), float(s["p0"]), float(s["sigma"]), grid, hbar)
+    return gaussian_state(_number(s["x0"], f"{where}.x0"), _number(s["p0"], f"{where}.p0"),
+                          _number(s["sigma"], f"{where}.sigma"), grid, hbar)
+
+
+def _split_kind(spec, where):
+    """The 'kind' of a tagged config object and its other keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {type(spec).__name__}")
+    if "kind" not in spec:
+        raise ConfigError(f"{where}: missing key 'kind'")
+    return spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
 
 
 def _parse_generator(spec, grid, hbar, where) -> MixedState:
-    if "kind" not in spec:
-        raise ConfigError(f"{where}: missing key 'kind'")
-    kind = spec["kind"]
-    body = {k: v for k, v in spec.items() if k != "kind"}
+    kind, body = _split_kind(spec, where)
     if kind == "gaussian":
         return MixedState.pure(_build_gaussian(body, grid, hbar, where))
     if kind == "mixture":
         m = _require_keys(body, where, {"components": None})
         comps = []
-        for i, c in enumerate(m["components"]):
-            cw = _require_keys(c, f"{where}.components[{i}]",
-                               {"weight": None, "sigma": None}, {"x0": 0.0, "p0": 0.0})
-            psi = gaussian_state(float(cw["x0"]), float(cw["p0"]),
-                                 float(cw["sigma"]), grid, hbar)
-            comps.append((float(cw["weight"]), psi))
+        for i, c in enumerate(_list(m["components"], f"{where}.components")):
+            cwhere = f"{where}.components[{i}]"
+            cw = _require_keys(c, cwhere, {"weight": None, "sigma": None},
+                               {"x0": 0.0, "p0": 0.0})
+            weight = _number(cw.pop("weight"), f"{cwhere}.weight")
+            comps.append((weight, _build_gaussian(cw, grid, hbar, cwhere)))
         return MixedState(comps)
     raise ConfigError(f"{where}.kind: unknown generator kind {kind!r}")
 
 
 def _parse_smearing(spec, grid, where):
-    if "kind" not in spec:
-        raise ConfigError(f"{where}: missing key 'kind'")
-    kind = spec["kind"]
-    body = {k: v for k, v in spec.items() if k != "kind"}
+    kind, body = _split_kind(spec, where)
     if kind == "delta":
         s = _require_keys(body, where, {"c": None})
-        return point_mass(float(s["c"]), grid)
+        return point_mass(_number(s["c"], f"{where}.c"), grid)
     if kind == "gaussian":
         s = _require_keys(body, where, {"sigma": None}, {"mean": 0.0})
-        return gaussian_measure(float(s["mean"]), float(s["sigma"]), grid)
+        return gaussian_measure(_number(s["mean"], f"{where}.mean"),
+                                _number(s["sigma"], f"{where}.sigma"), grid)
     if kind == "uniform":
         s = _require_keys(body, where, {"a": None, "b": None})
-        return uniform_measure(float(s["a"]), float(s["b"]), grid)
+        return uniform_measure(_number(s["a"], f"{where}.a"), _number(s["b"], f"{where}.b"),
+                               grid)
     raise ConfigError(f"{where}.kind: unknown smearing kind {kind!r}")
 
 
@@ -163,12 +186,14 @@ def _parse_warp(spec, grid, where) -> WarpMap:
 def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfig:
     c = _require_keys(obj, where, {"delta_ladder": None},
                       {"probe_centers": [0.0], "probe_kind": "box"})
-    ladder = tuple(float(d) for d in c["delta_ladder"])
+    ladder = tuple(_number(d, f"{where}.delta_ladder[{i}]")
+                   for i, d in enumerate(_list(c["delta_ladder"], f"{where}.delta_ladder")))
+    centers = tuple(_number(x, f"{where}.probe_centers[{i}]")
+                    for i, x in enumerate(_list(c["probe_centers"], f"{where}.probe_centers")))
     if any(d / grid.dx < 2.0 - 1e-9 for d in ladder):
         raise ConfigError(f"{where}.delta_ladder: entries must be >= 2*dx = {2 * grid.dx}")
     try:
-        return CalibrationConfig(ladder, tuple(float(x) for x in c["probe_centers"]),
-                                 grid, hbar, c["probe_kind"])
+        return CalibrationConfig(ladder, centers, grid, hbar, c["probe_kind"])
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -218,21 +243,22 @@ def cmd_verify(args) -> int:
                         {"grid": None, "confidence": None, "generators": None,
                          "calibration": None},
                         {"hbar": 1.0, "smearings": [], "warps": []})
-    hbar = float(top["hbar"])
+    hbar = _number(top["hbar"], "hbar")
     if hbar <= 0:
         raise ConfigError("hbar: must be positive")
     grid = _parse_grid(top["grid"])
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
-    for i, sp in enumerate(top["smearings"]):  # validated; consumed by scan/widths flows
+    # validated; consumed by scan/widths flows
+    for i, sp in enumerate(_list(top["smearings"], "smearings")):
         _parse_smearing(sp, grid, f"smearings[{i}]")
     warps = [( _require_keys(w, f"warps[{i}]", {}, {"name": f"warp{i}",
                                                     "q_knots": None, "p_knots": None})["name"],
                _parse_warp(w, grid, f"warps[{i}]"))
-             for i, w in enumerate(top["warps"])]
+             for i, w in enumerate(_list(top["warps"], "warps"))]
 
     rows = []
-    for gi, gspec in enumerate(top["generators"]):
+    for gi, gspec in enumerate(_list(top["generators"], "generators")):
         gen = _parse_generator(gspec, grid, hbar, f"generators[{gi}]")
         for ei, eps in enumerate(eps_pairs):
             rep = verify_joint_ur(gen, eps, calib, scenario_id=f"gen{gi}-eps{ei}")
@@ -317,11 +343,11 @@ def cmd_scan(args) -> int:
     top = _require_keys(cfg, "config",
                         {"grid": None, "eps": None, "family": None, "lattice": None},
                         {"hbar": 1.0, "cap": SCAN_CAP_DEFAULT})
-    hbar = float(top["hbar"])
+    hbar = _number(top["hbar"], "hbar")
     grid = _parse_grid(top["grid"])
     if not (isinstance(top["eps"], (list, tuple)) and len(top["eps"]) == 2):
         raise ConfigError("eps: expected a pair [eps1, eps2]")
-    eps = ConfidencePair(float(top["eps"][0]), float(top["eps"][1]))
+    eps = ConfidencePair(_number(top["eps"][0], "eps[0]"), _number(top["eps"][1], "eps[1]"))
     if top["family"] != "gaussian":
         raise ConfigError(f"family: unknown family {top['family']!r}")
     lattice = top["lattice"]
@@ -334,11 +360,15 @@ def cmd_scan(args) -> int:
             raise ConfigError(f"lattice.{name}: unknown parameter")
     if len(names) > 2:
         raise ConfigError("lattice: at most 2 parameters supported")
-    values = [list(map(float, lattice[n])) for n in names]
+    values = [[_number(v, f"lattice.{n}[{i}]")
+               for i, v in enumerate(_list(lattice[n], f"lattice.{n}"))] for n in names]
+    cap = top["cap"]
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ConfigError(f"cap: expected an integer, got {cap!r}")
     n_points = math.prod(len(v) for v in values)
-    if n_points > int(top["cap"]):
+    if n_points > cap:
         raise ConfigError(
-            f"lattice has {n_points} points, above the cap {top['cap']}; coarsen it")
+            f"lattice has {n_points} points, above the cap {cap}; coarsen it")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -93,6 +93,9 @@ class MixedState:
 def gaussian_state(x0: float, p0: float, sigma: float, grid: GridSpec,
                    hbar: float = 1.0) -> WaveFunction:
     """Minimal-uncertainty Gaussian centered at (x0, p0), position spread sigma."""
+    if not all(math.isfinite(v) for v in (x0, p0, sigma)):
+        raise ValueError(f"Gaussian parameters must be finite, got "
+                         f"x0={x0}, p0={p0}, sigma={sigma}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if grid.x_min > x0 - 8 * sigma or grid.x_max < x0 + 8 * sigma:

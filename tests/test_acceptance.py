@@ -1,6 +1,7 @@
 """Acceptance gate: one test (and one printed pass/fail line) per criterion.
 
-Desk scale throughout: n = 4096, hbar = 1.  Shared state batteries are built
+Desk scale (n = 4096, hbar = 1) except criterion 6's unwarped covariance
+witness, which also runs at n = 65536.  Shared state batteries are built
 once per session; every tolerance is pinned next to the quantity it guards.
 """
 
@@ -39,6 +40,7 @@ from uncert.observables import (
     WarpedMarginal,
     aligned_window,
     covariance_residual,
+    joint_distribution,
     marginal_measures,
 )
 from uncert.states import (
@@ -245,6 +247,22 @@ def test_criterion_6_covariance_and_warp(capsys):
         if not (math.isfinite(ew) and abs(ew - e0) <= bnd + 2 * step):
             ok = False
     _emit(capsys, 6, "covariance and warp witness", ok, str(detail))
+
+
+def test_criterion_6_covariance_large_scale(capsys):
+    # two-Gaussian mixture generator on the large-scale grid (dx = 80/65536);
+    # q stride 32 keeps the q window 409 rows wide
+    grid = GridSpec.symmetric(40.0, 65536)
+    gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid, HBAR)),
+                      (0.5, gaussian_state(0.25, 0.0, 1.0, grid, HBAR))])
+    rho = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR))
+    qw = aligned_window(grid, 8.0, 32)
+    pw = aligned_window(momentum_grid(grid, HBAR), 8.0, 1)
+    G = PhaseSpaceObservable(gen, qw, pw)
+    mass = joint_distribution(G, rho).total_mass
+    r0 = covariance_residual(G, rho, qw.dx, pw.dx)
+    ok = r0 <= 1e-6 and mass >= 1.0 - 1e-3
+    _emit(capsys, 6, "covariance witness at n = 65536", ok, str((r0, mass)))
 
 
 def test_criterion_7_werner_constant(capsys):

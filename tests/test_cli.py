@@ -153,7 +153,46 @@ class TestVerifyConfigErrors:
         assert main(["verify", write_config(tmp_path, cfg)]) == 2
 
 
+def run_cli(*argv):
+    src = str(Path(uncert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "uncert.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+SCAN_CONFIG = {
+    "grid": {"n": 512, "x_min": -12.8, "x_max": 12.8},
+    "eps": [0.05, 0.05],
+    "family": "gaussian",
+    "lattice": {"sigma": [1.0]},
+}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("verify", verify_config(confidence=[[None, 0.1]]), "confidence[0][0]"),
+    ("verify", verify_config(grid={"n": 512, "x_min": "-12.8", "x_max": 12.8}), "grid.x_min"),
+    ("verify", verify_config(generators={"kind": "gaussian", "sigma": 1.0}), "generators"),
+    ("verify", verify_config(generators=[{"kind": "gaussian", "sigma": float("nan")}]),
+     "generators[0].sigma"),
+    ("verify", [verify_config()], "config: must be a JSON object"),
+    ("scan", dict(SCAN_CONFIG, cap=None), "cap"),
+])
+def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
+    proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
+    assert proc.returncode == 2
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 class TestWidths:
+    def test_nan_sigma_is_a_config_error(self, capsys):
+        rc = main(["--grid-n", "1024", "widths",
+                   "--state", "gaussian:sigma=nan", "--eps", "0.05", "--window", "16"])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_gaussian_state_passes(self, capsys):
         rc = main(["--grid-n", "1024", "widths",
                    "--state", "gaussian:sigma=1", "--eps", "0.05", "--window", "16"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from uncert.observables import (
     SmearedPosition,
     WarpMap,
     WarpedMarginal,
+    _component_overlap_sq,
     aligned_window,
     covariance_residual,
     joint_distribution,
@@ -30,6 +32,7 @@ from uncert.states import (
     gaussian_state,
     momentum_grid,
     point_state,
+    superpose,
 )
 
 GRID = GridSpec.symmetric(12.8, 1024)  # dx = 0.025
@@ -240,3 +243,90 @@ class TestCovariance:
         w = WarpMap(gm, gm)
         warped = warp_joint(jd, w)
         assert warped.total_mass == pytest.approx(jd.total_mass, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Column route against the direct sum
+# ---------------------------------------------------------------------------
+
+SMALL = GridSpec.symmetric(12.8, 256)  # dx = 0.1
+SMALL_P = momentum_grid(SMALL, HBAR)
+
+
+def small_state(x0, p0, sigma):
+    return gaussian_state(x0, p0, sigma, SMALL, HBAR)
+
+
+def direct_overlap_sq(psi, phi, q_shifts, p_pts):
+    """|dx * sum_j conj(psi_j) exp(i p x_j / hbar) phi_(j - s)|^2, summed term by term."""
+    j = np.arange(SMALL.n)
+    plane_waves = np.exp(1j * np.outer(p_pts, SMALL.points()) / HBAR)
+    rows = [SMALL.dx * plane_waves @ (np.conj(psi.amps) * phi.amps[(j - s) % SMALL.n])
+            for s in q_shifts]
+    return np.abs(np.array(rows)) ** 2
+
+
+def direct_density(rho, gen, q_grid, p_grid):
+    q_shifts = np.rint(q_grid.points() / SMALL.dx).astype(int)
+    dens = sum(wa * vb * direct_overlap_sq(psi, phi, q_shifts, p_grid.points())
+               for wa, psi in rho.components for vb, phi in gen.components)
+    return dens / (2.0 * math.pi * HBAR)
+
+
+SKEWED = superpose(1.0, small_state(-0.6, 0.7, 0.9), 0.5j, small_state(0.8, -0.4, 0.7))
+
+
+class TestColumnRoute:
+    @pytest.mark.parametrize("q_stride, p_stride", [(1, 1), (3, 1), (4, 1), (4, 2)])
+    def test_density_matches_direct_sum(self, q_stride, p_stride):
+        rho = MixedState.pure(SKEWED)
+        gen = MixedState.pure(small_state(0.2, 0.3, 1.1))
+        qw = aligned_window(SMALL, 6.0, q_stride)
+        pw = aligned_window(SMALL_P, 6.0, p_stride)
+        jd = joint_distribution(PhaseSpaceObservable(gen, qw, pw), rho)
+        ref = direct_density(rho, gen, qw, pw)
+        assert np.max(np.abs(jd.density - ref)) <= 1e-12
+
+    def test_mixture_pair_matches_direct_sum(self):
+        rho = MixedState([(0.3, SKEWED), (0.7, small_state(0.5, -0.2, 1.0))])
+        gen = MixedState([(0.6, small_state(-0.3, 0.0, 0.8)), (0.4, small_state(0.4, 0.5, 1.0))])
+        qw = aligned_window(SMALL, 6.0, 4)
+        pw = aligned_window(SMALL_P, 6.0, 1)
+        jd = joint_distribution(PhaseSpaceObservable(gen, qw, pw), rho)
+        assert np.max(np.abs(jd.density - direct_density(rho, gen, qw, pw))) <= 1e-12
+
+    @pytest.mark.parametrize("q_shifts", [
+        [7],                                  # a single q row
+        list(range(-200, 200, 4)),            # 100 rows wrap the 64 distinct shifts
+    ])
+    def test_overlap_rows_match_direct_sum(self, q_shifts):
+        phi = small_state(0.2, 0.3, 1.1)
+        cols = np.arange(100, 160, 3)
+        out = _component_overlap_sq(SKEWED.amps, phi.amps, SMALL.dx, np.array(q_shifts), cols)
+        ref = direct_overlap_sq(SKEWED, phi, q_shifts, SMALL_P.points()[cols])
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
+    def test_peak_memory_bounded_at_n_16384(self):
+        grid = GridSpec.symmetric(40.0, 16384)
+        gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid)),
+                          (0.5, gaussian_state(0.25, 0.0, 1.0, grid))])
+        rho = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid))
+        G = PhaseSpaceObservable(gen, aligned_window(grid, 8.0, 8),
+                                 aligned_window(momentum_grid(grid, 1.0), 8.0, 1))
+        tracemalloc.start()
+        try:
+            joint_distribution(G, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestAlignedWindow:
+    @pytest.mark.parametrize("grid, half_width, stride, n", [
+        (SMALL, 4.3, 1, 87),  # 4.3 / 0.1 evaluates to 42.999..., still k = 43
+        (GridSpec.symmetric(40.0, 16384), 8.0, 8, 409),
+        (momentum_grid(GridSpec.symmetric(40.0, 16384), 1.0), 8.0, 1, 203),
+    ])
+    def test_window_keeps_edge_points(self, grid, half_width, stride, n):
+        assert aligned_window(grid, half_width, stride).n == n

@@ -52,6 +52,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             gaussian_state(0.0, 0.0, 3.0, GRID)
 
+    @pytest.mark.parametrize("x0, p0, sigma", [
+        (0.0, 0.0, math.nan), (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.inf),
+    ])
+    def test_gaussian_rejects_non_finite_parameters(self, x0, p0, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_state(x0, p0, sigma, GRID, HBAR)
+
     def test_mixture_weights_validated(self):
         psi = gaussian_state(0.0, 0.0, 1.0, GRID)
         with pytest.raises(ValueError):
