@@ -192,6 +192,10 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
                     for i, x in enumerate(_list(c["probe_centers"], f"{where}.probe_centers")))
     if any(d / grid.dx < 2.0 - 1e-9 for d in ladder):
         raise ConfigError(f"{where}.delta_ladder: entries must be >= 2*dx = {2 * grid.dx}")
+    for i, d in enumerate(ladder):
+        if d / grid.dx >= grid.n - 1e-9:
+            raise ConfigError(f"{where}.delta_ladder[{i}]: {d} is not below the grid "
+                              f"length n*dx = {grid.n * grid.dx}")
     try:
         return CalibrationConfig(ladder, centers, grid, hbar, c["probe_kind"])
     except ValueError as exc:
@@ -344,6 +348,8 @@ def cmd_scan(args) -> int:
                         {"grid": None, "eps": None, "family": None, "lattice": None},
                         {"hbar": 1.0, "cap": SCAN_CAP_DEFAULT})
     hbar = _number(top["hbar"], "hbar")
+    if hbar <= 0:
+        raise ConfigError("hbar: must be positive")
     grid = _parse_grid(top["grid"])
     if not (isinstance(top["eps"], (list, tuple)) and len(top["eps"]) == 2):
         raise ConfigError("eps: expected a pair [eps1, eps2]")

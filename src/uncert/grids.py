@@ -205,7 +205,7 @@ def convolve(P: GridMeasure, Q: GridMeasure) -> GridMeasure:
     n_P + n_Q - 1 cells so no wraparound can corrupt tail mass.  The product
     is taken with a real FFT at the next power of two.
     """
-    out = _sum_grid(P, Q)
+    out = _sum_grid(P.grid, Q.grid)
     size = 1 << (out.n - 1).bit_length()
     spec = np.fft.rfft(P.weights, size) * np.fft.rfft(Q.weights, size)
     return GridMeasure(out, np.fft.irfft(spec, size)[:out.n])
@@ -218,18 +218,19 @@ def convolve_localized(P: GridMeasure, Q: GridMeasure) -> GridMeasure:
     k cells, so it suits measures localized on a few cells, such as
     calibration and resolution probes.
     """
-    out = _sum_grid(P, Q)
-    nz = np.flatnonzero(P.weights)
+    out = _sum_grid(P.grid, Q.grid)
+    nz = np.flatnonzero(P.weights > 0)
     lo, hi = int(nz[0]), int(nz[-1]) + 1
     w = np.zeros(out.n)
     w[lo:hi + Q.grid.n - 1] = np.convolve(P.weights[lo:hi], Q.weights)
     return GridMeasure(out, w)
 
 
-def _sum_grid(P: GridMeasure, Q: GridMeasure) -> GridSpec:
-    if abs(P.grid.dx - Q.grid.dx) > 1e-9 * P.grid.dx:
-        raise ValueError(f"grid steps differ: {P.grid.dx} vs {Q.grid.dx}")
-    return GridSpec(P.grid.x_min + Q.grid.x_min, P.grid.dx, P.grid.n + Q.grid.n - 1)
+def _sum_grid(a: GridSpec, b: GridSpec) -> GridSpec:
+    """Grid of the Minkowski sum of grids a and b (which share their step)."""
+    if abs(a.dx - b.dx) > 1e-9 * a.dx:
+        raise ValueError(f"grid steps differ: {a.dx} vs {b.dx}")
+    return GridSpec(a.x_min + b.x_min, a.dx, a.n + b.n - 1)
 
 
 def reflect(P: GridMeasure) -> GridMeasure:

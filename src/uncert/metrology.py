@@ -10,8 +10,10 @@ localized probes (point and box distributions, optionally truncated
 Gaussians), which are the extreme cases for interval masses of
 shift-covariant kernels.  A kernel's outcome depends on a state only
 through the state's sharp distribution along the kernel axis, so probes
-are built directly as GridMeasures on the axis grid and fed to
-``kernel.smear``; no probe state is ever constructed.
+are built directly as GridMeasures on the axis grid; no probe state is
+ever constructed.  Their centered windows are read off prefix sums of the
+kernel's reflected smearing measure (:class:`_CenteredWindows`), so no
+probe outcome distribution is built either.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridMeasure, GridSpec, centered_width, overall_width
-from .observables import ObservableKernel
+from .grids import RENORM_TOL, GridMeasure, GridSpec, _sum_grid, overall_width, reflect
+from .observables import ObservableKernel, _warp_cells
 from .states import MixedState, momentum_grid
 
 
@@ -214,6 +216,85 @@ def resolution_probes(kernel: ObservableKernel, grid: GridSpec, hbar: float,
 # Width functionals
 # ---------------------------------------------------------------------------
 
+class _CenteredWindows:
+    """Centered outcome windows of one kernel about one center x, per probe.
+
+    ``width(P, eps)`` equals ``centered_width(kernel.smear(P), x, eps)``
+    without building the outcome (its masses are summed in another order;
+    the 1e-12 margin on the target absorbs the rounding).  The outcome of
+    a probe P lives on the out grid of n_P + n_R - 1 cells, where R is the
+    reflected smearing measure (delta_0 for a sharp kernel).  Its mass on
+    out cells [L, H) is sum_c P_c (CR[jb - c] - CR[ja - c]): CR holds the
+    prefix sums of R, and [ja, jb) are the cells the warp map sends into
+    [L, H) (ja = L, jb = H unwarped; the warp's cell map is nondecreasing).
+    The cells within D of x form one run [L, H), so the smallest D whose
+    run reaches the target is found by binary search over the distances.
+
+    Cost: O(n_out) time and memory to build; O(m log n_out) per probe
+    spanning m cells.
+    """
+
+    def __init__(self, kernel: ObservableKernel, axis_grid: GridSpec, x: float):
+        mu = kernel.smearing_measure()
+        if mu is None:
+            out, r = axis_grid, np.ones(1)
+        else:
+            R = reflect(mu)
+            out, r = _sum_grid(axis_grid, R.grid), R.weights
+        self.n_out = out.n
+        self.cells = None if kernel.gmap is None else _warp_cells(out, kernel.gmap)
+        # CR[k] for 0 <= k <= n_R; take(mode="clip") extends it with its end values
+        self.cr = np.concatenate(([0.0], np.cumsum(r)))
+        pts = out.points()
+        self.k = int(np.searchsorted(pts, x))        # first out cell at or right of x
+        self.right = pts[self.k:] - x                 # nondecreasing distances
+        self.left = x - pts[self.k - 1::-1] if self.k else np.empty(0)
+
+    def width(self, P: GridMeasure, eps: float) -> float:
+        nz = np.flatnonzero(P.weights > 0)
+        lo, hi = int(nz[0]), int(nz[-1]) + 1
+        rev = P.weights[lo:hi][::-1].copy()
+        back = np.arange(hi - lo) - (hi - 1)          # j + back[i] = j - c, c = hi - 1 - i
+
+        def mass(ja, jb):
+            """Outcome mass on the out cells [ja, jb) before the warp."""
+            cr = self.cr
+            return float(rev @ (cr.take(back + jb, mode="clip") -
+                                cr.take(back + ja, mode="clip")))
+
+        def within(d):
+            """Mass of the outcome cells at distance <= d from x."""
+            L = self.k - int(self.left.searchsorted(d, "right"))
+            H = self.k + int(self.right.searchsorted(d, "right"))
+            if self.cells is not None:
+                L, H = self.cells.searchsorted((L, H))
+            return mass(L, H)
+
+        total = mass(0, self.n_out)
+        if abs(total - 1.0) > RENORM_TOL:
+            raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
+        goal = (1.0 - eps - 1e-12) * total
+
+        def first_reaching(dist, i, j):
+            """First index in [i, j) whose distance window reaches the goal, else j."""
+            while i < j:
+                mid = (i + j) // 2
+                if within(dist[mid]) >= goal:
+                    j = mid
+                else:
+                    i = mid + 1
+            return i
+
+        r = first_reaching(self.right, 0, self.right.size)
+        above = self.right[r] if r < self.right.size else math.inf
+        below = self.right[r - 1] if r else -math.inf
+        # only left distances strictly between the two can beat `above`
+        a = int(self.left.searchsorted(below, "right"))
+        b = int(self.left.searchsorted(above, "left"))
+        i = first_reaching(self.left, a, b)
+        return float(2.0 * (self.left[i] if i < b else above))
+
+
 def resolution_width(kernel: ObservableKernel, eps: float, probe_search,
                      centers=None) -> float:
     """Smallest window some probe state concentrates the outcome into.
@@ -231,8 +312,24 @@ def resolution_width(kernel: ObservableKernel, eps: float, probe_search,
         return min(overall_width(kernel.smear(P), eps) for P in probes)
     worst = 0.0
     for x in centers:
-        best = min(centered_width(kernel.smear(P), x, eps) for P in probes)
-        worst = max(worst, best)
+        windows = _CenteredWindows(kernel, probes[0].grid, x)
+        worst = max(worst, min(windows.width(P, eps) for P in probes))
+    return worst
+
+
+def _calibration_errors(kernel: ObservableKernel, eps: float, deltas,
+                        cfg: CalibrationConfig) -> list:
+    """:func:`calibration_error` at each delta, one window table per center."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
+    worst = [0.0] * len(deltas)
+    for x in ((0.0,) if kernel.covariant else cfg.probe_centers):
+        windows = _CenteredWindows(kernel, axis_grid, x)
+        for i, delta in enumerate(deltas):
+            for P in localized_probes(kernel.axis, x, delta, cfg.grid, cfg.hbar,
+                                      cfg.probe_kind):
+                worst[i] = max(worst[i], windows.width(P, eps))
     return worst
 
 
@@ -243,17 +340,12 @@ def calibration_error(kernel: ObservableKernel, eps: float, delta: float,
 
     Returns inf when no window inside the scenario grid reaches the
     confidence target (infinite error at desk scale).
+
+    Cost: one window table per probe center (O(n_out) time and memory,
+    n_out = n + n_mu - 1 outcome cells), then O(m log n_out) per probe
+    spanning m cells; no probe outcome distribution is built.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    centers = (0.0,) if kernel.covariant else cfg.probe_centers
-    worst = 0.0
-    for x in centers:
-        for P in localized_probes(kernel.axis, x, delta, cfg.grid, cfg.hbar,
-                                  cfg.probe_kind):
-            w = centered_width(kernel.smear(P), x, eps)
-            worst = max(worst, w)
-    return worst
+    return _calibration_errors(kernel, eps, (delta,), cfg)[0]
 
 
 def error_bar_width(kernel: ObservableKernel, eps: float,
@@ -263,12 +355,14 @@ def error_bar_width(kernel: ObservableKernel, eps: float,
     The error must not increase as delta decreases (monotonicity of the
     calibration functional); the value at the smallest rung is reported,
     with the ladder spread as the numerical uncertainty.
+
+    Cost: as one :func:`calibration_error`, with each center's window table
+    built once and reused on every rung: O(n_out) per center plus
+    O(m log n_out) per probe; the tables are dropped when the ladder ends.
     """
-    ladder = []
     step = _axis_grid(kernel.axis, cfg.grid, cfg.hbar).dx
-    for delta in cfg.delta_ladder:
-        ladder.append((delta, calibration_error(kernel, eps, delta, cfg)))
-    vals = [w for _, w in ladder]
+    vals = _calibration_errors(kernel, eps, cfg.delta_ladder, cfg)
+    ladder = list(zip(cfg.delta_ladder, vals))
     for coarse, fine in zip(vals, vals[1:]):
         if fine > coarse + 2 * step + 1e-9:
             raise LadderInconsistencyError(

@@ -117,11 +117,16 @@ def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
     mass is conserved exactly; images beyond the grid pile up at the edges.
     """
     g = P.grid
-    targets = np.rint((gmap(g.points()) - g.x_min) / g.dx).astype(int)
-    targets = np.clip(targets, 0, g.n - 1)
     w = np.zeros(g.n)
-    np.add.at(w, targets, P.weights)
+    np.add.at(w, _warp_cells(g, gmap), P.weights)
     return GridMeasure(g, w)
+
+
+def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
+    """Index of the cell of g nearest to gmap's image of each point of g,
+    clipped to the grid; nondecreasing because gmap is increasing."""
+    cells = np.rint((gmap(g.points()) - g.x_min) / g.dx).astype(int)
+    return np.clip(cells, 0, g.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +224,9 @@ class PhaseMarginal(ObservableKernel):
             raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
         self.gen = gen
         self.axis = axis
-        mu_m, nu_m = marginal_measures(gen)
-        self._measure = mu_m if axis == "q" else nu_m
+        flipped = parity_mixed(gen)
+        self._measure = (position_distribution(flipped) if axis == "q"
+                         else momentum_distribution(flipped))
 
     def smearing_measure(self, rho_grid=None, hbar=None):
         return self._measure
@@ -356,6 +362,9 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
     q_shifts = np.rint(q_shift_f).astype(int)
     if np.max(np.abs(q_shift_f - q_shifts)) > 1e-6:
         raise ValueError("q outcome points must be multiples of the state grid step")
+    if not (grid.contains(G.q_grid.x_min) and grid.contains(G.q_grid.x_max)):
+        # q shifts are circular: a row past the grid would repeat another row
+        raise ValueError("q outcome window exceeds the state grid")
     p_pts = G.p_grid.points()
     col_f = (p_pts - pg.x_min) / pg.dx
     cols = np.rint(col_f).astype(int)
@@ -386,10 +395,8 @@ def warp_joint(jd: JointDistribution, warp_map: WarpMap) -> JointDistribution:
     """Pushforward of a joint distribution through (gamma_q, gamma_p)."""
     masses = jd.density * jd.cell_area
     qg, pg = jd.q_grid, jd.p_grid
-    qi = np.clip(np.rint((warp_map.gamma_q(qg.points()) - qg.x_min) / qg.dx).astype(int),
-                 0, qg.n - 1)
-    pi = np.clip(np.rint((warp_map.gamma_p(pg.points()) - pg.x_min) / pg.dx).astype(int),
-                 0, pg.n - 1)
+    qi = _warp_cells(qg, warp_map.gamma_q)
+    pi = _warp_cells(pg, warp_map.gamma_p)
     out = np.zeros_like(masses)
     np.add.at(out, qi, masses)          # warp rows
     out2 = np.zeros_like(out)

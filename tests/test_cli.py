@@ -107,6 +107,13 @@ class TestVerify:
                    write_config(tmp_path, cfg)])
         assert rc == 0
 
+    def test_rung_just_below_the_grid_length_accepted(self, tmp_path):
+        cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                            calibration={"delta_ladder": [25.5, 0.4]})
+        rc = main(["--out", str(tmp_path / "out"), "verify",
+                   write_config(tmp_path, cfg)])
+        assert rc == 0
+
 
 class TestVerifyConfigErrors:
     def test_unknown_top_level_key(self, tmp_path):
@@ -177,6 +184,12 @@ SCAN_CONFIG = {
      "generators[0].sigma"),
     ("verify", [verify_config()], "config: must be a JSON object"),
     ("scan", dict(SCAN_CONFIG, cap=None), "cap"),
+    ("verify", verify_config(calibration={"delta_ladder": [100, 50]}),
+     "calibration.delta_ladder[0]"),
+    ("verify", verify_config(calibration={"delta_ladder": [25.6, 0.4]}),
+     "calibration.delta_ladder[0]"),
+    ("scan", dict(SCAN_CONFIG, hbar=0), "hbar: must be positive"),
+    ("scan", dict(SCAN_CONFIG, hbar=-1.0), "hbar: must be positive"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -184,6 +197,7 @@ def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 class TestWidths:

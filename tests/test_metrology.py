@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uncert import metrology
 from uncert.grids import (
     GridSpec,
+    centered_width,
     gaussian_measure,
     overall_width,
     point_mass,
@@ -31,7 +34,6 @@ from uncert.metrology import (
     werner_distance_lower_bound,
 )
 from uncert.observables import (
-    ObservableKernel,
     PhaseMarginal,
     PiecewiseLinearMap,
     SharpMomentum,
@@ -165,21 +167,18 @@ class TestCalibration:
         assert res.value == pytest.approx(2 * Z975 * sig, abs=0.15)
         assert res.spread <= 0.35
 
-    def test_ladder_growth_detected(self):
-        class GrowingKernel(ObservableKernel):
-            axis = "q"
-            covariant = True
+    def test_ladder_growth_detected(self, monkeypatch):
+        # every probe's outcome comes out wider than the last one's
+        calls = []
 
-            def __init__(self):
-                self.calls = 0
+        def growing_width(self, P, eps):
+            calls.append(P)
+            w = 0.5 + 0.05 * len(calls)
+            return centered_width(uniform_measure(-w, w, GRID), 0.0, eps)
 
-            def smear(self, P, conv=None):
-                self.calls += 1
-                w = 0.5 + 0.05 * self.calls
-                return uniform_measure(-w, w, GRID)
-
+        monkeypatch.setattr(metrology._CenteredWindows, "width", growing_width)
         with pytest.raises(LadderInconsistencyError):
-            error_bar_width(GrowingKernel(), 0.05, CFG)
+            error_bar_width(SharpPosition(), 0.05, CFG)
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
@@ -291,6 +290,75 @@ class TestProbeMeasures:
         assert len(localized_probes("p", 0.0, delta, grid, HBAR)) == 4
         with pytest.raises(ValueError):
             localized_probes("p", 0.0, 0.99 * delta, grid, HBAR)
+
+
+# ---------------------------------------------------------------------------
+# Centered windows from prefix sums against the built outcome
+# ---------------------------------------------------------------------------
+
+SWEEP_EPS = (1e-6, 1e-3, 0.05, 0.2, 0.5, 0.9)
+
+
+def sweep_kernels(grid, axis):
+    """Sharp, smeared, phase-marginal and warped kernels on one axis; the
+    warp bends q and shifts p."""
+    axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
+    step = axis_grid.dx
+    gen = MixedState([(0.4, gaussian_state(0.2, 0.0, 0.8, grid, HBAR)),
+                      (0.6, gaussian_state(-0.3, 0.0, 1.1, grid, HBAR))])
+    warp_map = WarpMap(WIGGLE, PiecewiseLinearMap.shift(-12.8, 12.8, 0.3))
+    if axis == "q":
+        sharp, smeared = SharpPosition(), SmearedPosition(gaussian_measure(0.1, 0.3, grid))
+    else:
+        sharp = SharpMomentum()
+        smeared = SmearedMomentum(uniform_measure(-2.2 * step, 5.1 * step, axis_grid))
+    return axis_grid, [sharp, smeared, PhaseMarginal(gen, axis),
+                       WarpedMarginal(gen, axis, warp_map)]
+
+
+class TestCenteredWindows:
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_widths_equal_centered_width_of_the_outcome(self, n, axis):
+        grid = GridSpec.symmetric(12.8, n)
+        axis_grid, kernels = sweep_kernels(grid, axis)
+        step = axis_grid.dx
+        cases = 0
+        for kernel in kernels:
+            for x in (0.0, 3.37 * step, -40.61 * step):
+                probes = resolution_probes(kernel, grid, HBAR, (x,))
+                for kind in ("box", "truncated_gaussian"):
+                    for delta in (2.0 * step, 8.6 * step, 31.0 * step):
+                        probes += localized_probes(axis, x, delta, grid, HBAR, kind)
+                windows = metrology._CenteredWindows(kernel, axis_grid, x)
+                for P in probes:
+                    outcome = kernel.smear(P)
+                    for eps in SWEEP_EPS:
+                        assert windows.width(P, eps) == centered_width(outcome, x, eps)
+                        cases += 1
+        assert cases > 1000
+
+    def test_calibration_error_is_the_worst_probe_window(self):
+        kernel = sweep_kernels(GRID, "q")[1][3]
+        for delta in CFG.delta_ladder:
+            want = max(centered_width(kernel.smear(P), 0.0, 0.05)
+                       for P in localized_probes("q", 0.0, delta, GRID, HBAR))
+            assert calibration_error(kernel, 0.05, delta, CFG) == want
+
+    def test_error_bar_peak_memory_at_n_65536(self):
+        grid = GridSpec(-20.0, 40.0 / 65536, 65536)
+        gen = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR))
+        bent = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
+        kernel = WarpedMarginal(gen, "q", WarpMap(bent, PiecewiseLinearMap.identity(-20, 20)))
+        cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), grid, HBAR)
+        tracemalloc.start()
+        try:
+            error_bar_width(kernel, 0.05, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # building each probe's outcome peaked at 8.00e6 bytes here
+        assert peak < 8_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,20 @@ class TestJointDistribution:
             joint_distribution(PhaseSpaceObservable(vacuum(), bad_q, PW), vacuum())
 
 
+    @pytest.mark.parametrize("x_min, n", [(-20.0, 101), (-8.0, 300)])
+    def test_q_window_past_the_state_grid_rejected(self, x_min, n):
+        # q shifts are circular, so rows past the grid would repeat others
+        # and count their mass twice
+        q_grid = GridSpec(x_min, 0.4, n)
+        with pytest.raises(ValueError, match="q outcome window"):
+            joint_distribution(PhaseSpaceObservable(vacuum(), q_grid, PW), vacuum())
+
+    def test_q_window_reaching_both_grid_edges_accepted(self):
+        q_grid = GridSpec(GRID.x_min, 16 * DX, GRID.n // 16)
+        jd = joint_distribution(PhaseSpaceObservable(vacuum(), q_grid, PW), vacuum())
+        assert jd.total_mass == pytest.approx(1.0, abs=1e-3)
+
+
 class TestCovariance:
     def test_residual_small_for_covariant(self):
         G = joint_setup()
