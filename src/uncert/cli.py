@@ -196,6 +196,15 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
         if d / grid.dx >= grid.n - 1e-9:
             raise ConfigError(f"{where}.delta_ladder[{i}]: {d} is not below the grid "
                               f"length n*dx = {grid.n * grid.dx}")
+    # every probe interval is at least 2 cells wide (the resolution box is
+    # exactly 2), so it holds a grid point when its center is within one
+    # cell of the grid; the momentum centers are these rescaled by dp/dx
+    reach = (1.0 + 1e-9) * grid.dx
+    for i, x in enumerate(centers):
+        if not grid.x_min - reach <= x <= grid.x_max + reach:
+            raise ConfigError(f"{where}.probe_centers[{i}]: {x} is more than one cell "
+                              f"(dx = {grid.dx}) outside the grid "
+                              f"[{grid.x_min}, {grid.x_max}]")
     try:
         return CalibrationConfig(ladder, centers, grid, hbar, c["probe_kind"])
     except ValueError as exc:
@@ -298,7 +307,11 @@ def _parse_state_spec(spec: str, grid: GridSpec, hbar: float) -> MixedState:
             k, _, v = item.partition("=")
             if not v:
                 raise ConfigError(f"state spec: malformed parameter {item!r}")
-            params[k.strip()] = float(v)
+            try:
+                params[k.strip()] = float(v)
+            except ValueError:
+                raise ConfigError(f"state spec: {k.strip()}: expected a number, "
+                                  f"got {v!r}") from None
     known = {"gaussian": {"x0", "p0", "sigma"}, "box": {"center", "width"}}
     if head not in known:
         raise ConfigError(f"state spec: unknown state kind {head!r}")
@@ -313,16 +326,24 @@ def _parse_state_spec(spec: str, grid: GridSpec, hbar: float) -> MixedState:
         params.get("center", 0.0), params.get("width", 1.0), grid, hbar))
 
 
+def _parse_eps(text: str) -> ConfidencePair:
+    """``--eps``: one level for both axes, or a pair ``eps1,eps2``."""
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise ConfigError(f"--eps: expected eps or eps1,eps2, got {len(parts)} values")
+    try:
+        return ConfidencePair(float(parts[0]), float(parts[-1]))
+    except ValueError as exc:
+        raise ConfigError(f"--eps: {exc}") from None
+
+
 def cmd_widths(args) -> int:
     n = args.grid_n
     if n < 2 or (n & (n - 1)) != 0:
         raise ConfigError(f"--grid-n must be a power of two, got {n}")
     grid = GridSpec.symmetric(args.window, n)
     rho = _parse_state_spec(args.state, grid, args.hbar)
-    parts = args.eps.split(",")
-    e1 = float(parts[0])
-    e2 = float(parts[1]) if len(parts) > 1 else e1
-    eps = ConfidencePair(e1, e2)
+    eps = _parse_eps(args.eps)
     wq = overall_width(position_distribution(rho), eps.eps1)
     wp = overall_width(momentum_distribution(rho), eps.eps2)
     prod = wq * wp
@@ -376,27 +397,35 @@ def cmd_scan(args) -> int:
         raise ConfigError(
             f"lattice has {n_points} points, above the cap {cap}; coarsen it")
 
+    bs, bu = bound_simple(eps, hbar), bound_uffink(eps, hbar)
+    # every row is computed before the file is opened, so a lattice point
+    # the grid cannot hold leaves no partial scan.csv behind
+    rows = []
+    for combo in iproduct(*values):
+        params = dict(zip(names, combo))
+        try:
+            rho = MixedState.pure(gaussian_state(
+                params.get("x0", 0.0), params.get("p0", 0.0),
+                params.get("sigma", 1.0), grid, hbar))
+        except ValueError as exc:
+            point = ", ".join(f"{k}={v}" for k, v in params.items())
+            raise ConfigError(f"lattice point {point}: {exc}") from exc
+        wq = overall_width(position_distribution(rho), eps.eps1)
+        wp = overall_width(momentum_distribution(rho), eps.eps2)
+        prod = wq * wp
+        rows.append([_fmt(float(v)) for v in combo] +
+                    [_fmt(v) for v in (wq, wp, prod, bs, bu,
+                                       prod / bu if bu > 0 else float("inf"))])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "scan.csv"
     cols = names + ["width_q", "width_p", "product", "bound_simple", "bound_uffink",
                     "ratio_uffink"]
-    bs, bu = bound_simple(eps, hbar), bound_uffink(eps, hbar)
     with open(path, "w", newline="") as fh:
         fh.write(REPORT_VERSION + "\n")
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for combo in iproduct(*values):
-            params = dict(zip(names, combo))
-            rho = MixedState.pure(gaussian_state(
-                params.get("x0", 0.0), params.get("p0", 0.0),
-                params.get("sigma", 1.0), grid, hbar))
-            wq = overall_width(position_distribution(rho), eps.eps1)
-            wp = overall_width(momentum_distribution(rho), eps.eps2)
-            prod = wq * wp
-            writer.writerow([_fmt(float(v)) for v in combo] +
-                            [_fmt(v) for v in (wq, wp, prod, bs, bu,
-                                               prod / bu if bu > 0 else float("inf"))])
+        writer.writerows(rows)
     print(f"{n_points} lattice rows -> {path}")
     return 0
 

@@ -166,19 +166,28 @@ def overall_width(P: GridMeasure, eps: float) -> float:
     """Length of the shortest grid window carrying mass >= 1 - eps.
 
     The window is a run of consecutive grid points; its length is
-    (last - first) * dx, so a single point has width 0.  The minimum over
-    all start positions is found on the cumulative-sum array.
+    (last - first) * dx, so a single point has width 0.  On the prefix sums
+    c (n + 1 entries) a run of k points starting at i carries enough mass
+    when c[i + k] >= c[i] + target.  The weights are nonnegative, so c is
+    nondecreasing and feasibility is monotone in k: the shortest k is
+    bisected over [1, n].  Cost: one O(n) cumsum, then about log2(n)
+    vectorized O(n) comparisons, each allocating two n-element temporaries.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     target = 1.0 - eps - 1e-12
+    n = P.grid.n
     c = np.concatenate(([0.0], np.cumsum(P.weights)))
-    # for each start i, first end index j with mass(i..j-1 inclusive) >= target
-    idx = np.searchsorted(c, c[:-1] + target, side="left")
-    ok = idx <= P.grid.n
-    starts = np.nonzero(ok)[0]
-    widths = (idx[ok] - 1 - starts) * P.grid.dx
-    return float(widths.min())
+    if not c[n] >= c[0] + target:
+        raise ValueError(f"total mass {c[n]} is below the target {target}")
+    lo, hi = 1, n
+    while lo < hi:
+        k = (lo + hi) // 2
+        if (c[k:] >= c[:n + 1 - k] + target).any():
+            hi = k
+        else:
+            lo = k + 1
+    return (lo - 1) * P.grid.dx
 
 
 def centered_width(P: GridMeasure, x: float, eps: float) -> float:

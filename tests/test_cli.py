@@ -190,6 +190,16 @@ SCAN_CONFIG = {
      "calibration.delta_ladder[0]"),
     ("scan", dict(SCAN_CONFIG, hbar=0), "hbar: must be positive"),
     ("scan", dict(SCAN_CONFIG, hbar=-1.0), "hbar: must be positive"),
+    ("verify", verify_config(calibration={"delta_ladder": [0.4, 0.2],
+                                          "probe_centers": [0.0, 100.0]}),
+     "calibration.probe_centers[1]"),
+    ("verify", verify_config(calibration={"delta_ladder": [0.4, 0.2],
+                                          "probe_centers": [-12.91]}),
+     "calibration.probe_centers[0]"),
+    ("scan", dict(SCAN_CONFIG, grid={"n": 1024, "x_min": -40.0, "x_max": 40.0},
+                  lattice={"sigma": [1.0, 2.0, 6.0]}), "lattice point sigma=6.0"),
+    ("scan", dict(SCAN_CONFIG, lattice={"sigma": [1.0], "x0": [0.0, 9.5]}),
+     "lattice point sigma=1.0, x0=9.5"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -225,6 +235,20 @@ class TestWidths:
 
     def test_unknown_state_parameter(self):
         assert main(["widths", "--state", "gaussian:skew=2", "--eps", "0.05"]) == 2
+
+    @pytest.mark.parametrize("state, eps, key", [
+        ("gaussian:sigma=1", "0.05,0.05,0.9", "--eps"),
+        ("gaussian:sigma=1", "0.05,abc", "--eps"),
+        ("gaussian:sigma=1", "0.05,1.5", "--eps"),
+        ("gaussian:sigma=1", "nan", "--eps"),
+        ("gaussian:sigma=abc", "0.05", "state spec: sigma"),
+        ("box:width=2,center=x", "0.05", "state spec: center"),
+    ])
+    def test_bad_input_names_the_argument(self, capsys, state, eps, key):
+        rc = main(["--grid-n", "1024", "widths", "--state", state, "--eps", eps,
+                   "--window", "16"])
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
 
 class TestScan:
@@ -265,6 +289,28 @@ class TestScan:
     def test_unknown_lattice_parameter(self, tmp_path):
         cfg = self.scan_config(lattice={"chirp": [1.0]})
         assert main(["scan", write_config(tmp_path, cfg)]) == 2
+
+    def test_scan_csv_bytes_pinned(self, tmp_path):
+        cfg = self.scan_config(grid={"n": 1024, "x_min": -40.0, "x_max": 40.0},
+                               eps=[0.05, 0.1],
+                               lattice={"sigma": [0.8, 1.7, 3.1], "x0": [-2.5, 1.25]})
+        rc = main(["--out", str(tmp_path / "out"), "scan", write_config(tmp_path, cfg)])
+        assert rc == 0
+        rows = [
+            "8.00000e-01,-2.50000e+00,3.12500e+00,2.04204e+00,6.38136e+00",
+            "8.00000e-01,1.25000e+00,3.12500e+00,2.04204e+00,6.38136e+00",
+            "1.70000e+00,-2.50000e+00,6.64062e+00,9.42478e-01,6.25864e+00",
+            "1.70000e+00,1.25000e+00,6.64062e+00,9.42478e-01,6.25864e+00",
+            "3.10000e+00,-2.50000e+00,1.21094e+01,4.71239e-01,5.70641e+00",
+            "3.10000e+00,1.25000e+00,1.21094e+01,4.71239e-01,5.70641e+00",
+        ]
+        ratios = ["1.39273e+00", "1.39273e+00", "1.36595e+00", "1.36595e+00",
+                  "1.24542e+00", "1.24542e+00"]
+        want = ("# uncert-report v1\n"
+                "sigma,x0,width_q,width_p,product,bound_simple,bound_uffink,ratio_uffink\r\n"
+                + "".join(f"{row},4.53960e+00,4.58191e+00,{r}\r\n"
+                          for row, r in zip(rows, ratios)))
+        assert (tmp_path / "out" / "scan.csv").read_bytes() == want.encode()
 
     def test_empty_lattice_value_list_gives_header_only(self, tmp_path):
         cfg = self.scan_config(lattice={"sigma": []})

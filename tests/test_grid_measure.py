@@ -77,6 +77,46 @@ class TestOverallWidth:
             overall_width(point_mass(0.0, GRID), eps)
 
 
+def _overall_width_searchsorted(P: GridMeasure, eps: float) -> float:
+    """Reference: the shortest window for every start, one searchsorted pass."""
+    target = 1.0 - eps - 1e-12
+    c = np.concatenate(([0.0], np.cumsum(P.weights)))
+    idx = np.searchsorted(c, c[:-1] + target, side="left")
+    ok = idx <= P.grid.n
+    starts = np.nonzero(ok)[0]
+    return float(((idx[ok] - 1 - starts) * P.grid.dx).min())
+
+
+def _random_weights(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "dense":
+        return rng.random(n) ** rng.uniform(0.2, 6.0)
+    w = np.zeros(n)
+    if kind == "sparse":
+        on = rng.random(n) < 0.08
+        w[on] = rng.random(on.sum())
+        w[rng.integers(n)] += rng.uniform(0.01, 1.0)
+        return w
+    cells = rng.choice(n, size=min(3, n), replace=False)
+    w[cells] = rng.uniform(1e-3, 1.0, cells.size)
+    return w
+
+
+EPS_SWEEP = (1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.137, 0.28, 0.5, 0.9, 0.999)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 257, 1024])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "three_atoms"])
+def test_overall_width_equals_searchsorted_formula(kind, n):
+    rng = np.random.default_rng(1000 * n + len(kind))
+    grid = GridSpec(-0.37 * n, 0.0123 * rng.uniform(1.0, 50.0), n)
+    for _ in range(20):
+        w = _random_weights(kind, n, rng)
+        P = GridMeasure(grid, w / w.sum())
+        eps_values = EPS_SWEEP + tuple(10.0 ** rng.uniform(-9.0, np.log10(0.999), 10))
+        for eps in eps_values:
+            assert overall_width(P, eps) == _overall_width_searchsorted(P, eps)
+
+
 class TestCenteredWidth:
     def test_point_mass_offset(self):
         P = point_mass(0.7, GRID)
@@ -197,3 +237,28 @@ def test_width_translation_invariant(P, k, eps):
         GridSpec(small_grid.x_min + k * small_grid.dx, small_grid.dx, small_grid.n),
         P.weights)
     assert overall_width(shifted, eps) == overall_width(P, eps)
+
+
+def _eps_with_target(t: float):
+    """An eps whose target 1 - eps - 1e-12 rounds to exactly t, or None."""
+    e = 1.0 - 1e-12 - t
+    for _ in range(64):
+        got = 1.0 - e - 1e-12
+        if got == t:
+            return e
+        e = float(np.nextafter(e, -1.0 if got < t else 2.0))
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 257])
+def test_overall_width_window_mass_exactly_at_target(n):
+    # dyadic weights make every window mass exact, so some windows carry
+    # exactly the target mass and must count as wide enough
+    rng = np.random.default_rng(n)
+    grid = GridSpec(0.0, 0.5, n)
+    for _ in range(10):
+        P = GridMeasure(grid, rng.multinomial(64, np.full(n, 1.0 / n)) / 64.0)
+        for m in range(1, 64):
+            eps = _eps_with_target(m / 64.0)
+            if eps is not None:
+                assert overall_width(P, eps) == _overall_width_searchsorted(P, eps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uncert.grids import GridSpec, Interval, mass, overall_width
+from uncert.grids import GridMeasure, GridSpec, Interval, mass, overall_width
 from uncert.states import (
     MixedState,
     WaveFunction,
@@ -217,3 +217,63 @@ class TestWidthInvariants:
             wq = overall_width(position_distribution(rho), e1)
             wp = overall_width(momentum_distribution(rho), e2)
             assert wq * wp >= lb - 1e-9
+
+
+def _momentum_distribution_phase_ramp(rho):
+    """Reference: |phi(p)|^2 dp from the momentum amplitudes
+    phi(p) = fft(psi) exp(-i p x_min / hbar) dx / sqrt(2 pi hbar)."""
+    grid, hbar = rho.grid, rho.hbar
+    pg = momentum_grid(grid, hbar)
+    w = np.zeros(pg.n)
+    for wk, psi in rho.components:
+        F = np.fft.fftshift(np.fft.fft(psi.amps))
+        phase = np.exp(-1j * pg.points() * grid.x_min / hbar)
+        w += wk * np.abs(F * phase * grid.dx / math.sqrt(2.0 * math.pi * hbar)) ** 2
+    return GridMeasure(pg, w * pg.dx)
+
+
+SKEWED = GridSpec(-5.3, 0.0275, 2048)  # x_min not a multiple of dx
+
+
+def _phase_ramp_cases():
+    yield "gaussian", pure(gaussian_state(0.0, 0.0, 1.0, GRID))
+    yield "boosted", pure(gaussian_state(1.7, 2.4, 0.7, GRID))
+    yield "box", pure(box_state(0.3, 2.5, GRID))
+    yield "momentum_box", pure(momentum_box_state(0.5, 3.0, GRID))
+    yield "cat", pure(superpose(1, gaussian_state(-3, 1.1, 0.6, GRID),
+                                1j, gaussian_state(3, -0.4, 0.6, GRID)))
+    yield "mixture", MixedState([(0.3, gaussian_state(-2.0, 0.0, 0.8, GRID)),
+                                 (0.7, gaussian_state(1.0, -1.5, 1.3, GRID))])
+    yield "skewed_hbar", MixedState([
+        (0.6, gaussian_state(8.0, 0.9, 1.1, SKEWED, hbar=0.37)),
+        (0.4, gaussian_state(11.0, 0.0, 0.5, SKEWED, hbar=0.37))])
+
+
+@pytest.mark.parametrize("name, rho", list(_phase_ramp_cases()))
+def test_momentum_distribution_matches_phase_ramp_route(name, rho):
+    got = momentum_distribution(rho)
+    want = _momentum_distribution_phase_ramp(rho)
+    assert got.grid == want.grid
+    assert np.max(np.abs(got.weights - want.weights)) <= 1e-15
+    for eps in (1e-6, 0.01, 0.05, 0.137, 0.28, 0.5, 0.9):
+        assert overall_width(got, eps) == overall_width(want, eps)
+
+
+@pytest.mark.parametrize("x0, sigma", [(0.0, 1.0), (2.3, 0.41), (-4.0, 1.5)])
+def test_gaussian_at_zero_momentum_matches_complex_exp(x0, sigma):
+    # the real exp is vectorized; the complex one goes through libm, and the
+    # two may differ in the last bit
+    x = GRID.points()
+    a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * 0.0 * x / HBAR)
+    a /= math.sqrt(float(np.sum(np.abs(a) ** 2) * DX))
+    want = pure(WaveFunction(GRID, a, HBAR))
+    got = pure(gaussian_state(x0, 0.0, sigma, GRID, HBAR))
+    assert not np.any(got.components[0][1].amps.imag)
+    scale = np.abs(want.components[0][1].amps)
+    assert np.all(np.abs(got.components[0][1].amps - want.components[0][1].amps)
+                  <= 4.5e-16 * scale)
+    for eps in (0.01, 0.05, 0.28):
+        assert overall_width(position_distribution(got), eps) == \
+            overall_width(position_distribution(want), eps)
+        assert overall_width(momentum_distribution(got), eps) == \
+            overall_width(momentum_distribution(want), eps)
