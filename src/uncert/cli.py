@@ -5,7 +5,9 @@ Subcommands:
   widths --state <spec>  overall widths of a single state
   scan <config.json>     parameter-lattice sweep of width products
 
-Exit codes: 0 all checks pass, 1 a relation check failed, 2 bad config/IO.
+Exit codes: 0 all checks pass, 1 a relation check failed, 2 bad config/IO,
+3 inconclusive: the calibration ladder did not settle (an error bar grew as
+its localization width shrank), so no verdict is reported.
 Reports are byte-stable: fixed column order, 6 significant digits.
 """
 
@@ -23,6 +25,7 @@ from .grids import GridSpec, gaussian_measure, overall_width, point_mass, unifor
 from .metrology import (
     CalibrationConfig,
     ConfidencePair,
+    LadderInconsistencyError,
     bound_simple,
     bound_uffink,
     verify_joint_ur,
@@ -341,6 +344,8 @@ def cmd_widths(args) -> int:
     n = args.grid_n
     if n < 2 or (n & (n - 1)) != 0:
         raise ConfigError(f"--grid-n must be a power of two, got {n}")
+    if not (math.isfinite(args.window) and args.window > 0):
+        raise ConfigError(f"--window: expected a finite half-length > 0, got {args.window}")
     grid = GridSpec.symmetric(args.window, n)
     rho = _parse_state_spec(args.state, grid, args.hbar)
     eps = _parse_eps(args.eps)
@@ -464,10 +469,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except LadderInconsistencyError as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

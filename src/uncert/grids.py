@@ -92,7 +92,7 @@ class GridMeasure:
             raise ValueError(f"negative weight {w.min():.3e} beyond roundoff")
         w = np.clip(w, 0.0, None)
         total = w.sum()
-        if abs(total - 1.0) > RENORM_TOL:
+        if not abs(total - 1.0) <= RENORM_TOL:  # also rejects NaN
             raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
         w = w / total
         w.flags.writeable = False
@@ -168,22 +168,41 @@ def overall_width(P: GridMeasure, eps: float) -> float:
     The window is a run of consecutive grid points; its length is
     (last - first) * dx, so a single point has width 0.  On the prefix sums
     c (n + 1 entries) a run of k points starting at i carries enough mass
-    when c[i + k] >= c[i] + target.  The weights are nonnegative, so c is
-    nondecreasing and feasibility is monotone in k: the shortest k is
-    bisected over [1, n].  Cost: one O(n) cumsum, then about log2(n)
-    vectorized O(n) comparisons, each allocating two n-element temporaries.
+    when c[i + k] >= t[i], with t = c + target.  The weights are
+    nonnegative, so c is nondecreasing in floating point, and so is t,
+    because rounding x + target is monotone in x; feasibility is therefore
+    monotone in k and the shortest k is bisected.
+
+    Only starts that can pass are compared.  Since c[i + k] <= c[n], a
+    start needs t[i] <= c[n], which holds exactly for i <= i_max; since
+    t[i] >= t[0] = target, an end needs c[j] >= target, which holds
+    exactly for j >= j_min.  Every other start fails the comparison above,
+    so the result is the same as comparing all of them.  A run of k points
+    can pass only when j_min - i_max <= k, and the runs [0, j_min) and
+    [i_max, n) both pass, so k is bisected over
+    [max(1, j_min - i_max), min(n, j_min, n - i_max)]; when that upper end
+    is 0 (target <= 0, or target lost to rounding at c[n]) a single point
+    passes and the lower end, 1, is returned.
+
+    Cost: one O(n) cumsum and one O(n) sum with the target, two O(log n)
+    searches, then about log2(n) comparisons, each over the
+    k - (j_min - i_max) + 1 starts that can pass, at most n.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     target = 1.0 - eps - 1e-12
     n = P.grid.n
     c = np.concatenate(([0.0], np.cumsum(P.weights)))
-    if not c[n] >= c[0] + target:
+    t = c + target
+    if not c[n] >= t[0]:
         raise ValueError(f"total mass {c[n]} is below the target {target}")
-    lo, hi = 1, n
+    i_max = int(np.searchsorted(t, c[n], side="right")) - 1
+    j_min = int(np.searchsorted(c, target, side="left"))
+    lo, hi = max(1, j_min - i_max), min(n, j_min, n - i_max)
     while lo < hi:
         k = (lo + hi) // 2
-        if (c[k:] >= c[:n + 1 - k] + target).any():
+        a, b = max(0, j_min - k), min(i_max, n - k) + 1
+        if (c[a + k:b + k] >= t[a:b]).any():
             hi = k
         else:
             lo = k + 1

@@ -38,7 +38,7 @@ class WaveFunction:
         if a.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} amplitudes, got shape {a.shape}")
         nrm = float(np.sum(np.abs(a) ** 2) * grid.dx)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"state norm {nrm:.9f} deviates from 1 beyond {NORM_TOL}")
         a = a / math.sqrt(nrm)
         a.flags.writeable = False
@@ -62,7 +62,7 @@ class MixedState:
         if any(w < 0 for w, _ in comps):
             raise ValueError("component weights must be nonnegative")
         total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"component weights sum to {total:.9f}, expected 1")
         g0, h0 = comps[0][1].grid, comps[0][1].hbar
         for _, psi in comps:
@@ -202,15 +202,28 @@ def momentum_distribution(rho: MixedState) -> GridMeasure:
 
     |phi(p)|^2 = |F(p)|^2 dx^2 / (2 pi hbar) with F = fft(psi): the phase
     exp(-i p x_min / hbar) that ties F to phi has modulus one, so it is
-    never formed.  Cost per component: one n-point complex FFT and O(n)
-    real arithmetic; the weights are shifted to the centered grid once.
+    never formed.  A component whose amplitudes are real (a Gaussian at
+    p0 = 0, a box, the parity image of either) has F(-k) = conj(F(k)), so
+    the n/2 + 1 bins of its real FFT fill the centered grid: bin k >= 0 is
+    cell n/2 + k, and bin n/2 - j mirrors onto cell j < n/2.  Any other
+    component takes the full complex FFT, shifted to the centered grid.
+
+    Cost per component: one O(n) scan for a nonzero imaginary part, then
+    one n-point real FFT (about half a complex one) or one n-point complex
+    FFT, and O(n) real arithmetic.
     """
     pg = momentum_grid(rho.grid, rho.hbar)
+    h = pg.n // 2
     w = np.zeros(pg.n)
     for wk, psi in rho.components:
-        w += wk * np.abs(np.fft.fft(psi.amps)) ** 2
+        if psi.amps.imag.any():
+            w += wk * np.fft.fftshift(np.abs(np.fft.fft(psi.amps)) ** 2)
+        else:
+            s = np.abs(np.fft.rfft(psi.amps.real)) ** 2
+            w[h:] += wk * s[:h]
+            w[:h] += wk * s[h:0:-1]
     scale = pg.dx * rho.grid.dx ** 2 / (2.0 * math.pi * rho.hbar)
-    return GridMeasure(pg, np.fft.fftshift(w) * scale)
+    return GridMeasure(pg, w * scale)
 
 
 # ---------------------------------------------------------------------------

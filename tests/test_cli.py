@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import uncert
+from uncert import metrology
 from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, main
+from uncert.grids import centered_width, uniform_measure
 
 
 def verify_config(**overrides):
@@ -113,6 +115,24 @@ class TestVerify:
         rc = main(["--out", str(tmp_path / "out"), "verify",
                    write_config(tmp_path, cfg)])
         assert rc == 0
+
+    def test_inconclusive_ladder_exits_3(self, tmp_path, capsys, monkeypatch):
+        # every probe's window comes out wider than the last one's, so the
+        # ladder cannot settle: a numerical finding, not a config error
+        calls = []
+
+        def growing_width(self, P, eps):
+            calls.append(P)
+            w = 0.5 + 0.05 * len(calls)
+            return centered_width(uniform_measure(-w, w, P.grid), 0.0, eps)
+
+        monkeypatch.setattr(metrology._CenteredWindows, "width", growing_width)
+        rc = main(["--out", str(tmp_path / "out"), "verify",
+                   write_config(tmp_path, verify_config())])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "calibration error grew" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyConfigErrors:
@@ -250,6 +270,14 @@ class TestWidths:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["inf", "0", "-16"])
+    def test_bad_window_names_the_argument(self, capsys, recwarn, window):
+        rc = main(["--grid-n", "1024", "widths", "--state", "gaussian:sigma=1",
+                   "--eps", "0.05", "--window", window])
+        assert rc == 2
+        assert "--window:" in capsys.readouterr().err
+        assert not recwarn.list
+
 
 class TestScan:
     def scan_config(self, **overrides):
@@ -310,6 +338,24 @@ class TestScan:
                 "sigma,x0,width_q,width_p,product,bound_simple,bound_uffink,ratio_uffink\r\n"
                 + "".join(f"{row},4.53960e+00,4.58191e+00,{r}\r\n"
                           for row, r in zip(rows, ratios)))
+        assert (tmp_path / "out" / "scan.csv").read_bytes() == want.encode()
+
+    def test_scan_csv_bytes_pinned_with_momentum_boosts(self, tmp_path):
+        # p0 != 0 gives complex amplitudes: those rows take the full complex
+        # FFT, the p0 = 0 rows the real one
+        cfg = self.scan_config(grid={"n": 1024, "x_min": -40.0, "x_max": 40.0},
+                               eps=[0.05, 0.1],
+                               lattice={"sigma": [0.8, 1.7, 3.1], "p0": [-2.25, 0.0, 1.5]})
+        rc = main(["--out", str(tmp_path / "out"), "scan", write_config(tmp_path, cfg)])
+        assert rc == 0
+        widths = [("8.00000e-01", "3.12500e+00,2.04204e+00,6.38136e+00", "1.39273e+00"),
+                  ("1.70000e+00", "6.64062e+00,9.42478e-01,6.25864e+00", "1.36595e+00"),
+                  ("3.10000e+00", "1.21094e+01,4.71239e-01,5.70641e+00", "1.24542e+00")]
+        want = ("# uncert-report v1\n"
+                "p0,sigma,width_q,width_p,product,bound_simple,bound_uffink,ratio_uffink\r\n"
+                + "".join(f"{p0},{sigma},{w},4.53960e+00,4.58191e+00,{r}\r\n"
+                          for p0 in ("-2.25000e+00", "0.00000e+00", "1.50000e+00")
+                          for sigma, w, r in widths))
         assert (tmp_path / "out" / "scan.csv").read_bytes() == want.encode()
 
     def test_empty_lattice_value_list_gives_header_only(self, tmp_path):

@@ -38,6 +38,11 @@ def test_grid_measure_rejects_bad_weights():
         GridMeasure(GRID, np.full(GRID.n, -1.0))
     with pytest.raises(ValueError):
         GridMeasure(GRID, np.full(GRID.n, 1.0))  # mass far from 1
+    small = GridSpec(0.0, 1.0, 4)
+    for bad in ([0.5, math.nan, 0.25, 0.25], [0.5, math.inf, 0.25, 0.25],
+                [math.inf, -math.inf, 0.5, 0.5]):
+        with pytest.raises(ValueError):
+            GridMeasure(small, bad)
 
 
 class TestMass:
@@ -96,6 +101,18 @@ def _random_weights(kind: str, n: int, rng) -> np.ndarray:
         w[on] = rng.random(on.sum())
         w[rng.integers(n)] += rng.uniform(0.01, 1.0)
         return w
+    if kind == "edge_heavy":
+        # zero runs at both ends, and near eps of the mass in the first and
+        # last occupied cells: the shortest window often starts at i_max
+        # (the last start that can pass) or ends at j_min (the first end)
+        lead, trail = rng.integers(min(1, n // 4), n // 4 + 1, size=2)
+        edge = rng.choice(EPS_SWEEP[:8], size=2) * rng.uniform(0.9, 1.1, size=2)
+        inner = w[lead + 1:n - trail - 1]
+        inner[:] = rng.random(inner.size)
+        inner *= (1.0 - edge.sum()) / max(inner.sum(), 1e-300)
+        w[n - trail - 1] += edge[1]
+        w[lead] += edge[0]
+        return w
     cells = rng.choice(n, size=min(3, n), replace=False)
     w[cells] = rng.uniform(1e-3, 1.0, cells.size)
     return w
@@ -105,7 +122,7 @@ EPS_SWEEP = (1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.137, 0.28, 0.5, 0.9, 0.999)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 257, 1024])
-@pytest.mark.parametrize("kind", ["dense", "sparse", "three_atoms"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "three_atoms", "edge_heavy"])
 def test_overall_width_equals_searchsorted_formula(kind, n):
     rng = np.random.default_rng(1000 * n + len(kind))
     grid = GridSpec(-0.37 * n, 0.0123 * rng.uniform(1.0, 50.0), n)

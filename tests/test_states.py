@@ -45,6 +45,10 @@ class TestConstruction:
     def test_wavefunction_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             WaveFunction(GRID, np.ones(GRID.n))
+        a = gaussian_state(0.0, 0.0, 1.0, GRID).amps.copy()
+        a[GRID.n // 2] = math.nan
+        with pytest.raises(ValueError):
+            WaveFunction(GRID, a)
 
     def test_gaussian_needs_eight_sigma(self):
         with pytest.raises(ValueError):
@@ -65,6 +69,8 @@ class TestConstruction:
             MixedState([(0.5, psi), (0.2, psi)])
         with pytest.raises(ValueError):
             MixedState([(-0.1, psi), (1.1, psi)])
+        with pytest.raises(ValueError):
+            MixedState([(math.nan, psi), (1.0, psi)])
 
 
 class TestGaussianMoments:
@@ -235,6 +241,11 @@ def _momentum_distribution_phase_ramp(rho):
 SKEWED = GridSpec(-5.3, 0.0275, 2048)  # x_min not a multiple of dx
 
 
+def _random_real_state(grid, seed):
+    a = np.random.default_rng(seed).standard_normal(grid.n)
+    return WaveFunction(grid, a / math.sqrt(float(np.sum(a**2)) * grid.dx))
+
+
 def _phase_ramp_cases():
     yield "gaussian", pure(gaussian_state(0.0, 0.0, 1.0, GRID))
     yield "boosted", pure(gaussian_state(1.7, 2.4, 0.7, GRID))
@@ -247,6 +258,13 @@ def _phase_ramp_cases():
     yield "skewed_hbar", MixedState([
         (0.6, gaussian_state(8.0, 0.9, 1.1, SKEWED, hbar=0.37)),
         (0.4, gaussian_state(11.0, 0.0, 0.5, SKEWED, hbar=0.37))])
+    # random real amplitudes: every momentum bin differs from its neighbours,
+    # so a shifted mirror of the real FFT's bins shows
+    yield "real_n2", pure(_random_real_state(GridSpec(-0.7, 0.35, 2), 2))
+    yield "real_n4", pure(_random_real_state(GridSpec(-1.3, 0.61, 4), 4))
+    yield "real_n1024", pure(_random_real_state(GRID, 1024))
+    yield "real_and_boosted", MixedState([(0.35, _random_real_state(GRID, 7)),
+                                          (0.65, gaussian_state(0.4, 2.2, 0.9, GRID))])
 
 
 @pytest.mark.parametrize("name, rho", list(_phase_ramp_cases()))
