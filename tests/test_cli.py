@@ -11,6 +11,8 @@ from uncert import metrology
 from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, main
 from uncert.grids import centered_width, uniform_measure
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def verify_config(**overrides):
     cfg = {
@@ -115,6 +117,24 @@ class TestVerify:
         rc = main(["--out", str(tmp_path / "out"), "verify",
                    write_config(tmp_path, cfg)])
         assert rc == 0
+
+    def test_report_bytes_pinned(self, tmp_path):
+        # tests/golden/verify_warped holds the bytes this config has always
+        # written: plain and warped rows of a Gaussian and a mixture generator
+        cfg = verify_config(
+            grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+            confidence=[[0.05, 0.05], [0.1, 0.2]],
+            generators=[{"kind": "gaussian", "sigma": 1.0},
+                        {"kind": "mixture",
+                         "components": [{"weight": 0.3, "sigma": 0.8, "x0": -0.5},
+                                        {"weight": 0.7, "sigma": 1.3, "x0": 0.4}]}],
+            warps=[{"name": "bend", "q_knots": [[-12.8, -12.8], [-1.0, -0.7],
+                                                [1.0, 1.3], [12.8, 12.8]]}])
+        rc = main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)])
+        assert rc == 0
+        for name in ("report.csv", "report.json"):
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (GOLDEN / "verify_warped" / name).read_bytes()
 
     def test_inconclusive_ladder_exits_3(self, tmp_path, capsys, monkeypatch):
         # every probe's window comes out wider than the last one's, so the
