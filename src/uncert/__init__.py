@@ -30,20 +30,14 @@ from .states import (
     weyl_displace,
 )
 from .observables import (
-    PhaseMarginal,
+    Kernel,
     PhaseSpaceObservable,
     PiecewiseLinearMap,
-    SharpMomentum,
-    SharpPosition,
-    SmearedMomentum,
-    SmearedPosition,
     WarpMap,
-    WarpedMarginal,
     covariance_residual,
     joint_distribution,
     marginal_measures,
-    outcome_distribution,
-    warp,
+    phase_marginal,
 )
 from .metrology import (
     CalibrationConfig,

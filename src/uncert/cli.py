@@ -18,11 +18,13 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from itertools import product as iproduct
 from pathlib import Path
 
 from .grids import GridSpec, gaussian_measure, overall_width, point_mass, uniform_measure
 from .metrology import (
+    PROBE_KINDS,
     CalibrationConfig,
     ConfidencePair,
     LadderInconsistencyError,
@@ -30,7 +32,7 @@ from .metrology import (
     bound_uffink,
     verify_joint_ur,
 )
-from .observables import PiecewiseLinearMap, WarpMap, WarpedMarginal
+from .observables import PiecewiseLinearMap, WarpMap, phase_marginal
 from .states import MixedState, box_state, gaussian_state, momentum_distribution, \
     position_distribution
 
@@ -208,6 +210,9 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
             raise ConfigError(f"{where}.probe_centers[{i}]: {x} is more than one cell "
                               f"(dx = {grid.dx}) outside the grid "
                               f"[{grid.x_min}, {grid.x_max}]")
+    if c["probe_kind"] not in PROBE_KINDS:
+        raise ConfigError(f"{where}.probe_kind: unknown probe kind {c['probe_kind']!r}, "
+                          f"expected one of {list(PROBE_KINDS)}")
     try:
         return CalibrationConfig(ladder, centers, grid, hbar, c["probe_kind"])
     except ValueError as exc:
@@ -265,7 +270,8 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(top["grid"])
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
-    # validated; consumed by scan/widths flows
+    # validated but not used by any command until it is decided whether
+    # smearings become report rows or leave the config (ROADMAP item 6)
     for i, sp in enumerate(_list(top["smearings"], "smearings")):
         _parse_smearing(sp, grid, f"smearings[{i}]")
     warps = [( _require_keys(w, f"warps[{i}]", {}, {"name": f"warp{i}",
@@ -276,8 +282,10 @@ def cmd_verify(args) -> int:
     rows = []
     for gi, gspec in enumerate(_list(top["generators"], "generators")):
         gen = _parse_generator(gspec, grid, hbar, f"generators[{gi}]")
+        kq, kp = phase_marginal(gen, "q"), phase_marginal(gen, "p")
         for ei, eps in enumerate(eps_pairs):
-            rep = verify_joint_ur(gen, eps, calib, scenario_id=f"gen{gi}-eps{ei}")
+            rep = verify_joint_ur(gen, eps, calib, scenario_id=f"gen{gi}-eps{ei}",
+                                  kernels=(kq, kp))
             if rep.note:
                 rep_row = _report_row(rep)
                 rep_row["scenario_id"] += f"({rep.note})"
@@ -285,11 +293,10 @@ def cmd_verify(args) -> int:
             else:
                 rows.append(_report_row(rep))
             for wname, wmap in warps:
-                kq = WarpedMarginal(gen, "q", wmap)
-                kp = WarpedMarginal(gen, "p", wmap)
                 wrep = verify_joint_ur(gen, eps, calib,
                                        scenario_id=f"gen{gi}-{wname}-eps{ei}",
-                                       kernels=(kq, kp))
+                                       kernels=(replace(kq, gmap=wmap.gamma_q),
+                                                replace(kp, gmap=wmap.gamma_p)))
                 rows.append(_report_row(wrep))
     csv_path, json_path = _write_reports(rows, Path(args.out))
     all_pass = all(row["passed"] for row in rows)
@@ -346,6 +353,8 @@ def cmd_widths(args) -> int:
         raise ConfigError(f"--grid-n must be a power of two, got {n}")
     if not (math.isfinite(args.window) and args.window > 0):
         raise ConfigError(f"--window: expected a finite half-length > 0, got {args.window}")
+    if not (math.isfinite(args.hbar) and args.hbar > 0):
+        raise ConfigError(f"--hbar: expected a finite value > 0, got {args.hbar}")
     grid = GridSpec.symmetric(args.window, n)
     rho = _parse_state_spec(args.state, grid, args.hbar)
     eps = _parse_eps(args.eps)

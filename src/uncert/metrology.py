@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import RENORM_TOL, GridMeasure, GridSpec, _sum_grid, overall_width, reflect
-from .observables import ObservableKernel, _warp_cells
+from .observables import Kernel, _warp_cells, phase_marginal
 from .states import MixedState, momentum_grid
 
 
@@ -55,6 +55,9 @@ class ConfidencePair:
         return self.eps1 + self.eps2 < 1.0
 
 
+PROBE_KINDS = ("box", "truncated_gaussian")
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
     """Probe schedule for calibration: delta ladder, centers, probe shape.
@@ -67,8 +70,7 @@ class CalibrationConfig:
     probe_centers: tuple
     grid: GridSpec
     hbar: float = 1.0
-    probe_kind: str = "box"   # "box" | "truncated_gaussian"
-    confidence: float = 0.05
+    probe_kind: str = "box"   # one of PROBE_KINDS
 
     def __post_init__(self):
         ladder = tuple(float(d) for d in self.delta_ladder)
@@ -76,7 +78,7 @@ class CalibrationConfig:
             raise ValueError("delta ladder must be a nonempty decreasing sequence")
         if any(d <= 0 for d in ladder):
             raise ValueError("delta ladder entries must be positive")
-        if self.probe_kind not in ("box", "truncated_gaussian"):
+        if self.probe_kind not in PROBE_KINDS:
             raise ValueError(f"unknown probe kind {self.probe_kind!r}")
         object.__setattr__(self, "delta_ladder", ladder)
         object.__setattr__(self, "probe_centers", tuple(float(c) for c in self.probe_centers))
@@ -90,7 +92,7 @@ class CalibrationConfig:
         return CalibrationConfig(
             tuple(d * scale for d in self.delta_ladder),
             tuple(c * scale for c in self.probe_centers),
-            self.grid, self.hbar, self.probe_kind, self.confidence)
+            self.grid, self.hbar, self.probe_kind)
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ def localized_probes(axis: str, center: float, delta: float, grid: GridSpec,
     return probes
 
 
-def resolution_probes(kernel: ObservableKernel, grid: GridSpec, hbar: float,
+def resolution_probes(kernel: Kernel, grid: GridSpec, hbar: float,
                       centers=(0.0,)) -> list:
     """Axis distributions of the sharply localized probes used to approach
     the resolution infimum: a point mass per center, plus a 2-cell box on
@@ -234,8 +236,8 @@ class _CenteredWindows:
     spanning m cells.
     """
 
-    def __init__(self, kernel: ObservableKernel, axis_grid: GridSpec, x: float):
-        mu = kernel.smearing_measure()
+    def __init__(self, kernel: Kernel, axis_grid: GridSpec, x: float):
+        mu = kernel.measure
         if mu is None:
             out, r = axis_grid, np.ones(1)
         else:
@@ -295,7 +297,7 @@ class _CenteredWindows:
         return float(2.0 * (self.left[i] if i < b else above))
 
 
-def resolution_width(kernel: ObservableKernel, eps: float, probe_search,
+def resolution_width(kernel: Kernel, eps: float, probe_search,
                      centers=None) -> float:
     """Smallest window some probe state concentrates the outcome into.
 
@@ -317,7 +319,7 @@ def resolution_width(kernel: ObservableKernel, eps: float, probe_search,
     return worst
 
 
-def _calibration_errors(kernel: ObservableKernel, eps: float, deltas,
+def _calibration_errors(kernel: Kernel, eps: float, deltas,
                         cfg: CalibrationConfig) -> list:
     """:func:`calibration_error` at each delta, one window table per center."""
     if not 0.0 < eps < 1.0:
@@ -333,7 +335,7 @@ def _calibration_errors(kernel: ObservableKernel, eps: float, deltas,
     return worst
 
 
-def calibration_error(kernel: ObservableKernel, eps: float, delta: float,
+def calibration_error(kernel: Kernel, eps: float, delta: float,
                       cfg: CalibrationConfig) -> float:
     """Smallest output window covering, with confidence 1 - eps, every probe
     localized within delta of its nominal value.
@@ -348,7 +350,7 @@ def calibration_error(kernel: ObservableKernel, eps: float, delta: float,
     return _calibration_errors(kernel, eps, (delta,), cfg)[0]
 
 
-def error_bar_width(kernel: ObservableKernel, eps: float,
+def error_bar_width(kernel: Kernel, eps: float,
                     cfg: CalibrationConfig) -> ErrorBarResult:
     """Calibration error along the shrinking delta ladder.
 
@@ -389,7 +391,7 @@ def _check_lipschitz(h, grid: GridSpec):
     return vals
 
 
-def werner_distance_lower_bound(k1: ObservableKernel, k2: ObservableKernel,
+def werner_distance_lower_bound(k1: Kernel, k2: Kernel,
                                 states, hats) -> float:
     """Certified lower bound on the observable distance from finite families
     of states and 1-Lipschitz hat functions."""
@@ -424,11 +426,11 @@ class DistanceErrorReport:
     passed: bool
 
 
-def check_distance_error_inequality(kernel: ObservableKernel, eps: float,
+def check_distance_error_inequality(kernel: Kernel, eps: float,
                                     cfg: CalibrationConfig) -> DistanceErrorReport:
     """Verify error_bar_width <= (2/eps) * distance + grid tolerance for a
     covariant kernel with closed-form distance."""
-    mu = kernel.smearing_measure(cfg.grid, cfg.hbar)
+    mu = kernel.measure
     if mu is None or not kernel.covariant:
         raise ValueError("closed-form distance needs a covariant smeared kernel")
     dist = werner_distance_covariant(mu)
@@ -455,22 +457,16 @@ def verify_joint_ur(gen: MixedState, eps: ConfidencePair, cfg: CalibrationConfig
     Checks that both the error-bar product and the resolution product clear
     the simple lower bound, up to the per-axis one-cell width slack.
     """
-    from .observables import PhaseMarginal
-
     grid, hbar = gen.grid, gen.hbar
     dp = momentum_grid(grid, hbar).dx
-    if kernels is None:
-        kq = PhaseMarginal(gen, "q")
-        kp = PhaseMarginal(gen, "p")
-    else:
-        kq, kp = kernels
+    kq, kp = kernels or (phase_marginal(gen, "q"), phase_marginal(gen, "p"))
 
     def axis_widths(kernel, e, centers):
         probes = resolution_probes(kernel, grid, hbar, centers)
         res = resolution_width(kernel, e, probes,
                                centers=None if kernel.covariant else centers)
         eb = error_bar_width(kernel, e, cfg.for_axis(kernel.axis))
-        mu = kernel.smearing_measure(grid, hbar)
+        mu = kernel.measure
         ow = overall_width(mu, e) if mu is not None else 0.0
         wd = werner_distance_covariant(mu) if mu is not None else 0.0
         return AxisWidths(ow, res, eb.value, eb.spread, wd)

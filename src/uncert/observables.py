@@ -1,15 +1,16 @@
 """Observables as state -> outcome-distribution kernels.
 
-Covers sharp position/momentum, their convolution smearings, the marginals
-of covariant phase-space observables (computed through the parity identity
-with the generator), warped non-covariant variants, and the full 2-D joint
-distribution with its covariance check.
+One :class:`Kernel` type covers sharp position/momentum, their convolution
+smearings, the marginals of covariant phase-space observables (built by
+:func:`phase_marginal` through the parity identity with the generator) and
+their warped, possibly non-covariant variants.  The full 2-D joint
+distribution and its covariance check follow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,25 +134,27 @@ def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
 # Observable kernels
 # ---------------------------------------------------------------------------
 
-class ObservableKernel:
-    """Base: maps a MixedState to a normalized GridMeasure of outcomes.
+@dataclass(frozen=True)
+class Kernel:
+    """Maps a MixedState to a normalized GridMeasure of outcomes.
 
-    Every kernel is the sharp distribution along `axis`, convolved with the
-    reflected smearing measure (none for sharp kernels) and pushed through a
-    warp map (none for unwarped kernels).  Subclasses only supply the axis,
-    the measure and the map; translation covariance follows from the map.
+    The outcome is the sharp distribution along `axis` ("q" or "p"),
+    convolved with the reflected smearing `measure` (None for a sharp
+    kernel) and pushed through the warp map `gmap` (None for an unwarped
+    kernel); translation covariance follows from the map.
     """
 
-    axis: str          # "q" or "p" -- which sharp observable this approximates
-    gmap = None        # PiecewiseLinearMap applied to the outcomes, or None
+    axis: str
+    measure: GridMeasure | None = None
+    gmap: PiecewiseLinearMap | None = None
+
+    def __post_init__(self):
+        if self.axis not in ("q", "p"):
+            raise ValueError(f"axis must be 'q' or 'p', got {self.axis!r}")
 
     @property
     def covariant(self) -> bool:
         return self.gmap is None or self.gmap.is_affine
-
-    def smearing_measure(self, rho_grid: GridSpec = None, hbar: float = None):
-        """Confidence measure of the kernel, or None for sharp kernels."""
-        return None
 
     def smear(self, P: GridMeasure, conv=None) -> GridMeasure:
         """Outcome distribution of any state whose sharp `axis` distribution is P.
@@ -160,45 +163,13 @@ class ObservableKernel:
         works on the cells where P is nonzero and suits localized P such as
         calibration probes; pass grids.convolve for a spread-out P.
         """
-        mu = self.smearing_measure()
+        mu = self.measure
         out = P if mu is None else (conv or convolve_localized)(P, reflect(mu))
         return out if self.gmap is None else pushforward(out, self.gmap)
 
     def outcome_distribution(self, rho: MixedState) -> GridMeasure:
         sharp = position_distribution(rho) if self.axis == "q" else momentum_distribution(rho)
         return self.smear(sharp, convolve)
-
-
-@dataclass(frozen=True)
-class SharpPosition(ObservableKernel):
-    axis: str = field(default="q", init=False)
-
-
-@dataclass(frozen=True)
-class SharpMomentum(ObservableKernel):
-    axis: str = field(default="p", init=False)
-
-
-@dataclass(frozen=True)
-class SmearedPosition(ObservableKernel):
-    """Position convolved with the confidence measure mu."""
-
-    mu: GridMeasure
-    axis: str = field(default="q", init=False)
-
-    def smearing_measure(self, rho_grid=None, hbar=None):
-        return self.mu
-
-
-@dataclass(frozen=True)
-class SmearedMomentum(ObservableKernel):
-    """Momentum convolved with the confidence measure nu."""
-
-    nu: GridMeasure
-    axis: str = field(default="p", init=False)
-
-    def smearing_measure(self, rho_grid=None, hbar=None):
-        return self.nu
 
 
 def marginal_measures(gen: MixedState):
@@ -211,43 +182,19 @@ def marginal_measures(gen: MixedState):
     return position_distribution(flipped), momentum_distribution(flipped)
 
 
-class PhaseMarginal(ObservableKernel):
-    """Marginal of the covariant observable generated by gen, along one axis.
+def phase_marginal(gen: MixedState, axis: str, warp: WarpMap | None = None) -> Kernel:
+    """Marginal along `axis` of the covariant observable generated by gen,
+    pushed through warp's map for that axis when a warp is given (the
+    warped observable may then be non-covariant).
 
     Computed through the convolution identity with the parity marginal
-    measure; the 2-D joint-distribution route is kept as a cross-check in
-    :func:`joint_distribution`.
+    measure, built for this axis only; the 2-D joint-distribution route is
+    kept as a cross-check in :func:`joint_distribution`.
     """
-
-    def __init__(self, gen: MixedState, axis: str):
-        if axis not in ("q", "p"):
-            raise ValueError(f"axis must be 'q' or 'p', got {axis!r}")
-        self.gen = gen
-        self.axis = axis
-        flipped = parity_mixed(gen)
-        self._measure = (position_distribution(flipped) if axis == "q"
-                         else momentum_distribution(flipped))
-
-    def smearing_measure(self, rho_grid=None, hbar=None):
-        return self._measure
-
-
-class WarpedMarginal(PhaseMarginal):
-    """Phase-space marginal pushed through a warp map (possibly non-covariant)."""
-
-    def __init__(self, gen: MixedState, axis: str, warp: WarpMap):
-        super().__init__(gen, axis)
-        self.warp = warp
-        self.gmap = warp.gamma_q if axis == "q" else warp.gamma_p
-
-
-def outcome_distribution(kernel: ObservableKernel, rho: MixedState) -> GridMeasure:
-    return kernel.outcome_distribution(rho)
-
-
-def warp(gen: MixedState, w: WarpMap, axis: str) -> WarpedMarginal:
-    """Kernel for the warped observable G^m composed with the inverse warp."""
-    return WarpedMarginal(gen, axis, w)
+    flipped = parity_mixed(gen)
+    measure = position_distribution(flipped) if axis == "q" else momentum_distribution(flipped)
+    gmap = None if warp is None else (warp.gamma_q if axis == "q" else warp.gamma_p)
+    return Kernel(axis, measure, gmap)
 
 
 # ---------------------------------------------------------------------------

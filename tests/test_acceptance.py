@@ -31,17 +31,15 @@ from uncert.metrology import (
     werner_distance_covariant,
 )
 from uncert.observables import (
-    PhaseMarginal,
+    Kernel,
     PhaseSpaceObservable,
     PiecewiseLinearMap,
-    SmearedMomentum,
-    SmearedPosition,
     WarpMap,
-    WarpedMarginal,
     aligned_window,
     covariance_residual,
     joint_distribution,
     marginal_measures,
+    phase_marginal,
 )
 from uncert.states import (
     MixedState,
@@ -116,13 +114,13 @@ def kernel_battery():
     pg = momentum_grid(KGRID, HBAR)
     gen = MixedState.pure(gaussian_state(0, 0, 1.0, KGRID, HBAR))
     return {
-        "pos_delta0": SmearedPosition(point_mass(0.0, KGRID)),
-        "pos_delta0.7": SmearedPosition(point_mass(0.7, KGRID)),
-        "pos_gauss0.5": SmearedPosition(gaussian_measure(0.0, 0.5, KGRID)),
-        "pos_uniform": SmearedPosition(uniform_measure(-1.0, 1.0, KGRID)),
-        "mom_gauss0.3": SmearedMomentum(gaussian_measure(0.0, 0.3, pg)),
-        "marg_q": PhaseMarginal(gen, "q"),
-        "marg_p": PhaseMarginal(gen, "p"),
+        "pos_delta0": Kernel("q", point_mass(0.0, KGRID)),
+        "pos_delta0.7": Kernel("q", point_mass(0.7, KGRID)),
+        "pos_gauss0.5": Kernel("q", gaussian_measure(0.0, 0.5, KGRID)),
+        "pos_uniform": Kernel("q", uniform_measure(-1.0, 1.0, KGRID)),
+        "mom_gauss0.3": Kernel("p", gaussian_measure(0.0, 0.3, pg)),
+        "marg_q": phase_marginal(gen, "q"),
+        "marg_p": phase_marginal(gen, "p"),
     }
 
 
@@ -168,9 +166,9 @@ def test_criterion_2_uffink_refinement(capsys):
 def test_criterion_3_resolution_equals_smearing_width(capsys):
     failures = []
     for name, kernel in kernel_battery().items():
-        if not isinstance(kernel, SmearedPosition):
+        if not name.startswith("pos_"):   # the smeared position kernels
             continue
-        mu = kernel.smearing_measure()
+        mu = kernel.measure
         probes = resolution_probes(kernel, KGRID, HBAR)
         for eps in (0.05, 0.2):
             res = resolution_width(kernel, eps, probes)
@@ -210,7 +208,7 @@ def test_criterion_5_covariant_error_bar_product(capsys):
         grid = GridSpec.symmetric(2048 * dx, 4096)
         gen = MixedState.pure(gaussian_state(0, 0, sigma, grid, HBAR))
         cfg = CalibrationConfig((20 * dx, 8 * dx, 2 * dx), (0.0,), grid, HBAR)
-        kq, kp = PhaseMarginal(gen, "q"), PhaseMarginal(gen, "p")
+        kq, kp = phase_marginal(gen, "q"), phase_marginal(gen, "p")
         eb = error_bar_width(kq, 0.05, cfg).value * \
             error_bar_width(kp, 0.05, cfg.for_axis("p")).value
         res = resolution_width(kq, 0.05, resolution_probes(kq, grid, HBAR)) * \
@@ -241,8 +239,8 @@ def test_criterion_6_covariance_and_warp(capsys):
     for axis, bnd in (("q", wmap.bound_q), ("p", wmap.bound_p)):
         step = JGRID.dx if axis == "q" else pg.dx
         c = cfg.for_axis(axis)
-        e0 = error_bar_width(PhaseMarginal(gen, axis), 0.05, c).value
-        ew = error_bar_width(WarpedMarginal(gen, axis, wmap), 0.05, c).value
+        e0 = error_bar_width(phase_marginal(gen, axis), 0.05, c).value
+        ew = error_bar_width(phase_marginal(gen, axis, wmap), 0.05, c).value
         detail.append((axis, e0, ew, bnd))
         if not (math.isfinite(ew) and abs(ew - e0) <= bnd + 2 * step):
             ok = False
@@ -281,7 +279,7 @@ def test_criterion_7_werner_constant(capsys):
 def test_criterion_8_error_bar_distance_inequality(capsys):
     failures = []
     for name, kernel in kernel_battery().items():
-        dist = werner_distance_covariant(kernel.smearing_measure(KGRID, HBAR))
+        dist = werner_distance_covariant(kernel.measure)
         step = _axis_step(kernel)
         cfg = KCFG.for_axis(kernel.axis)
         for eps in (0.05, 0.2, 0.5):

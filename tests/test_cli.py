@@ -240,6 +240,8 @@ SCAN_CONFIG = {
                   lattice={"sigma": [1.0, 2.0, 6.0]}), "lattice point sigma=6.0"),
     ("scan", dict(SCAN_CONFIG, lattice={"sigma": [1.0], "x0": [0.0, 9.5]}),
      "lattice point sigma=1.0, x0=9.5"),
+    ("verify", verify_config(calibration={"delta_ladder": [0.4, 0.2], "probe_kind": "spline"}),
+     "calibration.probe_kind"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -296,6 +298,14 @@ class TestWidths:
                    "--eps", "0.05", "--window", window])
         assert rc == 2
         assert "--window:" in capsys.readouterr().err
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0"])
+    def test_bad_hbar_names_the_argument(self, capsys, recwarn, hbar):
+        rc = main(["--grid-n", "1024", "--hbar", hbar, "widths", "--state", "gaussian:sigma=1",
+                   "--eps", "0.05", "--window", "16"])
+        assert rc == 2
+        assert "--hbar:" in capsys.readouterr().err
         assert not recwarn.list
 
 

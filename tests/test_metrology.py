@@ -34,14 +34,10 @@ from uncert.metrology import (
     werner_distance_lower_bound,
 )
 from uncert.observables import (
-    PhaseMarginal,
+    Kernel,
     PiecewiseLinearMap,
-    SharpMomentum,
-    SharpPosition,
-    SmearedMomentum,
-    SmearedPosition,
-    WarpedMarginal,
     WarpMap,
+    phase_marginal,
 )
 from uncert.states import (
     MixedState,
@@ -140,7 +136,7 @@ class TestCalibration:
     def test_sharp_position_error_equals_delta(self):
         # sharp readout of a probe confined to [-delta/2, delta/2]: the
         # worst probe sits at an edge, so the confidence window is delta wide
-        k = SharpPosition()
+        k = Kernel("q")
         for delta in (0.4, 0.2, 0.1):
             assert calibration_error(k, 0.05, delta, CFG) == \
                 pytest.approx(delta, abs=1e-12)
@@ -149,12 +145,12 @@ class TestCalibration:
         # smearing concentrated at c displaces every outcome by -c, so the
         # calibration error is 2c + delta
         c = 0.7
-        k = SmearedPosition(point_mass(c, GRID))
+        k = Kernel("q", point_mass(c, GRID))
         assert calibration_error(k, 0.05, 0.2, CFG) == pytest.approx(2 * c + 0.2, abs=1e-9)
 
     def test_error_bar_offset_delta(self):
         c = 0.7
-        res = error_bar_width(SmearedPosition(point_mass(c, GRID)), 0.05, CFG)
+        res = error_bar_width(Kernel("q", point_mass(c, GRID)), 0.05, CFG)
         assert res.value == pytest.approx(2 * c + 0.1, abs=1e-9)
         deltas = [d for d, _ in res.ladder]
         assert deltas == [0.4, 0.2, 0.1]
@@ -162,7 +158,7 @@ class TestCalibration:
 
     def test_error_bar_gaussian_smearing(self):
         sig = 0.5
-        res = error_bar_width(SmearedPosition(gaussian_measure(0.0, sig, GRID)),
+        res = error_bar_width(Kernel("q", gaussian_measure(0.0, sig, GRID)),
                               0.05, CFG)
         assert res.value == pytest.approx(2 * Z975 * sig, abs=0.15)
         assert res.spread <= 0.35
@@ -178,11 +174,11 @@ class TestCalibration:
 
         monkeypatch.setattr(metrology._CenteredWindows, "width", growing_width)
         with pytest.raises(LadderInconsistencyError):
-            error_bar_width(SharpPosition(), 0.05, CFG)
+            error_bar_width(Kernel("q"), 0.05, CFG)
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
-            calibration_error(SharpPosition(), 0.0, 0.2, CFG)
+            calibration_error(Kernel("q"), 0.0, 0.2, CFG)
 
 
 class TestResolution:
@@ -190,7 +186,7 @@ class TestResolution:
         # the sharpest attainable outcome is the smearing measure itself:
         # a Gaussian of the generator's spread
         sg = 1.0
-        k = PhaseMarginal(vacuum(sg), "q")
+        k = phase_marginal(vacuum(sg), "q")
         probes = resolution_probes(k, GRID, HBAR)
         res = resolution_width(k, 0.05, probes)
         assert res == pytest.approx(2 * Z975 * sg, abs=0.06)
@@ -198,15 +194,15 @@ class TestResolution:
     def test_resolution_bounded_by_smearing_width(self):
         # outcome = state distribution convolved with the smearing measure,
         # so no probe can beat the smearing measure's own overall width
-        k = PhaseMarginal(vacuum(0.7), "q")
+        k = phase_marginal(vacuum(0.7), "q")
         probes = resolution_probes(k, GRID, HBAR)
         res = resolution_width(k, 0.1, probes)
-        mu_width = overall_width(k.smearing_measure(), 0.1)
+        mu_width = overall_width(k.measure, 0.1)
         assert res >= mu_width - 2 * DX
 
     def test_empty_probe_family_rejected(self):
         with pytest.raises(ValueError):
-            resolution_width(SharpPosition(), 0.05, [])
+            resolution_width(Kernel("q"), 0.05, [])
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +219,13 @@ def axis_kernels(axis):
     gen = MixedState([(0.4, gaussian_state(0.2, 0.0, 0.8, GRID, HBAR)),
                       (0.6, gaussian_state(-0.3, 0.0, 1.1, GRID, HBAR))])
     if axis == "q":
-        sharp, smeared = SharpPosition(), SmearedPosition(gaussian_measure(0.1, 0.3, GRID))
+        sharp, smeared = Kernel("q"), Kernel("q", gaussian_measure(0.1, 0.3, GRID))
         affine, bent = WarpMap(SHIFT, IDENT), WarpMap(WIGGLE, IDENT)
     else:
-        sharp, smeared = SharpMomentum(), SmearedMomentum(gaussian_measure(0.1, 0.6, PGRID))
+        sharp, smeared = Kernel("p"), Kernel("p", gaussian_measure(0.1, 0.6, PGRID))
         affine, bent = WarpMap(IDENT, SHIFT), WarpMap(IDENT, WIGGLE)
-    return [sharp, smeared, PhaseMarginal(gen, axis),
-            WarpedMarginal(gen, axis, affine), WarpedMarginal(gen, axis, bent)]
+    return [sharp, smeared, phase_marginal(gen, axis),
+            phase_marginal(gen, axis, affine), phase_marginal(gen, axis, bent)]
 
 
 def state_with(P, axis):
@@ -308,12 +304,12 @@ def sweep_kernels(grid, axis):
                       (0.6, gaussian_state(-0.3, 0.0, 1.1, grid, HBAR))])
     warp_map = WarpMap(WIGGLE, PiecewiseLinearMap.shift(-12.8, 12.8, 0.3))
     if axis == "q":
-        sharp, smeared = SharpPosition(), SmearedPosition(gaussian_measure(0.1, 0.3, grid))
+        sharp, smeared = Kernel("q"), Kernel("q", gaussian_measure(0.1, 0.3, grid))
     else:
-        sharp = SharpMomentum()
-        smeared = SmearedMomentum(uniform_measure(-2.2 * step, 5.1 * step, axis_grid))
-    return axis_grid, [sharp, smeared, PhaseMarginal(gen, axis),
-                       WarpedMarginal(gen, axis, warp_map)]
+        sharp = Kernel("p")
+        smeared = Kernel("p", uniform_measure(-2.2 * step, 5.1 * step, axis_grid))
+    return axis_grid, [sharp, smeared, phase_marginal(gen, axis),
+                       phase_marginal(gen, axis, warp_map)]
 
 
 class TestCenteredWindows:
@@ -349,7 +345,7 @@ class TestCenteredWindows:
         grid = GridSpec(-20.0, 40.0 / 65536, 65536)
         gen = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR))
         bent = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
-        kernel = WarpedMarginal(gen, "q", WarpMap(bent, PiecewiseLinearMap.identity(-20, 20)))
+        kernel = phase_marginal(gen, "q", WarpMap(bent, PiecewiseLinearMap.identity(-20, 20)))
         cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), grid, HBAR)
         tracemalloc.start()
         try:
@@ -379,8 +375,8 @@ class TestWernerDistance:
         # probe at the origin plus a tent hat peaked there recovers the
         # first absolute moment of the smearing measure exactly
         mu = gaussian_measure(0.0, 0.8, GRID)
-        k1 = SharpPosition()
-        k2 = SmearedPosition(mu)
+        k1 = Kernel("q")
+        k2 = Kernel("q", mu)
         states = [MixedState.pure(gaussian_state(0.0, 0.0, 0.5, GRID, HBAR))]
         from uncert.states import point_state
         states.append(MixedState.pure(point_state(0.0, GRID)))
@@ -393,11 +389,11 @@ class TestWernerDistance:
     def test_non_lipschitz_hat_rejected(self):
         with pytest.raises(ValueError):
             werner_distance_lower_bound(
-                SharpPosition(), SmearedPosition(point_mass(0.3, GRID)),
+                Kernel("q"), Kernel("q", point_mass(0.3, GRID)),
                 [vacuum()], [lambda x: 5.0 * np.asarray(x)])
 
     def test_distance_error_inequality(self):
-        k = SmearedPosition(gaussian_measure(0.0, 0.5, GRID))
+        k = Kernel("q", gaussian_measure(0.0, 0.5, GRID))
         rep = check_distance_error_inequality(k, 0.05, CFG)
         assert rep.passed
         assert rep.error_bar <= rep.rhs

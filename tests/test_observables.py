@@ -6,24 +6,18 @@ import pytest
 
 from uncert.grids import GridSpec, gaussian_measure, overall_width, point_mass, uniform_measure
 from uncert.observables import (
+    Kernel,
     MassDeficitError,
-    PhaseMarginal,
     PhaseSpaceObservable,
     PiecewiseLinearMap,
-    SharpMomentum,
-    SharpPosition,
-    SmearedMomentum,
-    SmearedPosition,
     WarpMap,
-    WarpedMarginal,
     _component_overlap_sq,
     aligned_window,
     covariance_residual,
     joint_distribution,
     marginal_measures,
-    outcome_distribution,
+    phase_marginal,
     pushforward,
-    warp,
     warp_joint,
 )
 from uncert.states import (
@@ -53,35 +47,28 @@ def vacuum(x0=0.0, p0=0.0, sigma=1.0):
 class TestSmearedKernels:
     def test_delta_smearing_is_sharp(self):
         rho = vacuum(1.0)
-        sharp = SharpPosition().outcome_distribution(rho)
-        smeared = SmearedPosition(point_mass(0.0, GRID)).outcome_distribution(rho)
+        sharp = Kernel("q").outcome_distribution(rho)
+        smeared = Kernel("q", point_mass(0.0, GRID)).outcome_distribution(rho)
         assert smeared.mean() == pytest.approx(sharp.mean(), abs=1e-12)
         assert smeared.variance() == pytest.approx(sharp.variance(), rel=1e-9)
 
     def test_offset_delta_shifts_outcome(self):
         rho = vacuum(0.0)
         mu = point_mass(0.5, GRID)
-        out = SmearedPosition(mu).outcome_distribution(rho)
+        out = Kernel("q", mu).outcome_distribution(rho)
         assert out.mean() == pytest.approx(-0.5, abs=DX)
 
     def test_variance_additivity(self):
         rho = vacuum(sigma=0.9)
         mu = gaussian_measure(0.0, 0.4, GRID)
-        out = SmearedPosition(mu).outcome_distribution(rho)
+        out = Kernel("q", mu).outcome_distribution(rho)
         assert out.variance() == pytest.approx(0.81 + 0.16, rel=1e-4)
 
     def test_momentum_smearing_additivity(self):
         rho = vacuum(sigma=1.0)
         nu = gaussian_measure(0.0, 0.3, PGRID)
-        out = SmearedMomentum(nu).outcome_distribution(rho)
+        out = Kernel("p", nu).outcome_distribution(rho)
         assert out.variance() == pytest.approx(0.25 + 0.09, rel=1e-4)
-
-    def test_outcome_distribution_helper(self):
-        rho = vacuum()
-        k = SharpMomentum()
-        a = outcome_distribution(k, rho)
-        b = k.outcome_distribution(rho)
-        assert np.max(np.abs(a.weights - b.weights)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +93,15 @@ class TestMarginalMeasures:
         sg, ss = 0.8, 1.2
         gen = vacuum(sigma=sg)
         rho = vacuum(sigma=ss)
-        q_out = PhaseMarginal(gen, "q").outcome_distribution(rho)
-        p_out = PhaseMarginal(gen, "p").outcome_distribution(rho)
+        q_out = phase_marginal(gen, "q").outcome_distribution(rho)
+        p_out = phase_marginal(gen, "p").outcome_distribution(rho)
         assert q_out.variance() == pytest.approx(ss**2 + sg**2, rel=1e-5)
         assert p_out.variance() == pytest.approx(
             (HBAR / (2 * ss)) ** 2 + (HBAR / (2 * sg)) ** 2, rel=1e-5)
 
     def test_axis_validated(self):
         with pytest.raises(ValueError):
-            PhaseMarginal(vacuum(), "x")
+            phase_marginal(vacuum(), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +143,22 @@ class TestPiecewiseLinearMap:
         assert out.mean() == pytest.approx(0.5, abs=DX)
 
 
-class TestWarpedMarginal:
+class TestWarpedKernel:
     def test_identity_warp_matches_base(self):
         gen = vacuum()
         w = WarpMap.identity(-12.8, 12.8)
-        k = warp(gen, w, "q")
+        k = phase_marginal(gen, "q", w)
         assert k.covariant
         rho = vacuum(x0=1.0)
         a = k.outcome_distribution(rho)
-        b = PhaseMarginal(gen, "q").outcome_distribution(rho)
+        b = phase_marginal(gen, "q").outcome_distribution(rho)
         assert np.max(np.abs(a.weights - b.weights)) < 1e-12
 
     def test_nonaffine_warp_not_covariant(self):
         gm = PiecewiseLinearMap((-12.8, -1.0, 1.0, 12.8), (-12.8, -0.3, 1.3, 12.8))
         w = WarpMap(gm, PiecewiseLinearMap.identity(-12.8, 12.8))
-        assert not warp(vacuum(), w, "q").covariant
-        assert warp(vacuum(), w, "p").covariant
+        assert not phase_marginal(vacuum(), "q", w).covariant
+        assert phase_marginal(vacuum(), "p", w).covariant
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +189,8 @@ class TestJointDistribution:
         gen = vacuum(sigma=0.9)
         rho = vacuum(x0=1.0, p0=-0.5)
         jd = joint_distribution(PhaseSpaceObservable(gen, QW, PW), rho)
-        mq = PhaseMarginal(gen, "q").outcome_distribution(rho)
-        mp = PhaseMarginal(gen, "p").outcome_distribution(rho)
+        mq = phase_marginal(gen, "q").outcome_distribution(rho)
+        mp = phase_marginal(gen, "p").outcome_distribution(rho)
         # per-cell masses on the joint windows; a q cell spans stride=4 state
         # cells, so it carries 4x the per-dx mass of the matching mq point
         idx_q = [mq.grid.nearest_index(x) for x in QW.points()]
