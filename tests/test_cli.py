@@ -119,8 +119,8 @@ class TestVerify:
         assert rc == 0
 
     def test_report_bytes_pinned(self, tmp_path):
-        # tests/golden/verify_warped holds the bytes this config has always
-        # written: plain and warped rows of a Gaussian and a mixture generator
+        # tests/golden/verify_warped holds the report bytes this config must
+        # keep writing: plain and warped rows of a Gaussian and a mixture generator
         cfg = verify_config(
             grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
             confidence=[[0.05, 0.05], [0.1, 0.2]],
