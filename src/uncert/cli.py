@@ -24,7 +24,6 @@ from pathlib import Path
 
 from .grids import GridSpec, gaussian_measure, overall_width, point_mass, uniform_measure
 from .metrology import (
-    PROBE_KINDS,
     CalibrationConfig,
     ConfidencePair,
     LadderInconsistencyError,
@@ -38,6 +37,11 @@ from .states import MixedState, box_state, gaussian_state, momentum_distribution
 
 REPORT_VERSION = "# uncert-report v1"
 SCAN_CAP_DEFAULT = 10_000
+WIDTHS_HBAR_DEFAULT = 1.0
+WIDTHS_GRID_N_DEFAULT = 4096
+# accepted and validated so v1 configs keep running; calibration takes the
+# exact sup over point masses, which no box or truncated Gaussian can raise
+PROBE_KINDS = ("box", "truncated_gaussian")
 
 REPORT_COLUMNS = [
     "scenario_id", "eps1", "eps2",
@@ -214,7 +218,7 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
         raise ConfigError(f"{where}.probe_kind: unknown probe kind {c['probe_kind']!r}, "
                           f"expected one of {list(PROBE_KINDS)}")
     try:
-        return CalibrationConfig(ladder, centers, grid, hbar, c["probe_kind"])
+        return CalibrationConfig(ladder, centers, grid, hbar)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -258,7 +262,17 @@ def _write_reports(rows, out_dir: Path):
     return csv_path, json_path
 
 
+def _reject_global_options(args):
+    """verify and scan take hbar and the grid from their config only."""
+    for flag, value, key in (("--hbar", args.hbar, "hbar"),
+                             ("--grid-n", args.grid_n, "grid.n")):
+        if value is not None:
+            raise ConfigError(f"{flag}: not accepted by {args.command}; "
+                              f"the config supplies {key}")
+
+
 def cmd_verify(args) -> int:
+    _reject_global_options(args)
     cfg = json.loads(Path(args.config).read_text())
     top = _require_keys(cfg, "config",
                         {"grid": None, "confidence": None, "generators": None,
@@ -348,21 +362,22 @@ def _parse_eps(text: str) -> ConfidencePair:
 
 
 def cmd_widths(args) -> int:
-    n = args.grid_n
+    n = WIDTHS_GRID_N_DEFAULT if args.grid_n is None else args.grid_n
+    hbar = WIDTHS_HBAR_DEFAULT if args.hbar is None else args.hbar
     if n < 2 or (n & (n - 1)) != 0:
         raise ConfigError(f"--grid-n must be a power of two, got {n}")
     if not (math.isfinite(args.window) and args.window > 0):
         raise ConfigError(f"--window: expected a finite half-length > 0, got {args.window}")
-    if not (math.isfinite(args.hbar) and args.hbar > 0):
-        raise ConfigError(f"--hbar: expected a finite value > 0, got {args.hbar}")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ConfigError(f"--hbar: expected a finite value > 0, got {hbar}")
     grid = GridSpec.symmetric(args.window, n)
-    rho = _parse_state_spec(args.state, grid, args.hbar)
+    rho = _parse_state_spec(args.state, grid, hbar)
     eps = _parse_eps(args.eps)
     wq = overall_width(position_distribution(rho), eps.eps1)
     wp = overall_width(momentum_distribution(rho), eps.eps2)
     prod = wq * wp
-    bs = bound_simple(eps, args.hbar)
-    bu = bound_uffink(eps, args.hbar)
+    bs = bound_simple(eps, hbar)
+    bu = bound_uffink(eps, hbar)
     slack = 4.0 * grid.dx * max(wq, wp)
     passed = prod >= bu - slack
     for label, val in [("width_q", wq), ("width_p", wp), ("product", prod),
@@ -378,6 +393,7 @@ def cmd_widths(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
+    _reject_global_options(args)
     cfg = json.loads(Path(args.config).read_text())
     top = _require_keys(cfg, "config",
                         {"grid": None, "eps": None, "family": None, "lattice": None},
@@ -451,9 +467,13 @@ def cmd_scan(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="uncert",
                                  description="Joint-measurement uncertainty checks")
-    ap.add_argument("--hbar", type=float, default=1.0)
+    ap.add_argument("--hbar", type=float,
+                    help=f"widths only (default {WIDTHS_HBAR_DEFAULT}); "
+                         "verify and scan read hbar from the config")
     ap.add_argument("--out", default="./reports")
-    ap.add_argument("--grid-n", type=int, default=4096)
+    ap.add_argument("--grid-n", type=int,
+                    help=f"widths only (default {WIDTHS_GRID_N_DEFAULT}); "
+                         "verify and scan read the grid from the config")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run joint-UR checks from a JSON config")

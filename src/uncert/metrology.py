@@ -4,16 +4,21 @@ verification / optimization drivers.
 
 Calibration follows the bench procedure: feed the kernel states localized
 within a shrinking interval ladder, record the smallest output window that
-keeps confidence 1 - eps for every probe, and report the value at the
-smallest rung.  The sup over localized states is estimated from sharply
-localized probes (point and box distributions, optionally truncated
-Gaussians), which are the extreme cases for interval masses of
-shift-covariant kernels.  A kernel's outcome depends on a state only
-through the state's sharp distribution along the kernel axis, so probes
-are built directly as GridMeasures on the axis grid; no probe state is
-ever constructed.  Their centered windows are read off prefix sums of the
-kernel's reflected smearing measure (:class:`_CenteredWindows`), so no
-probe outcome distribution is built either.
+keeps confidence 1 - eps for every such state, and report the value at the
+smallest rung.  A kernel's outcome depends on a state only through the
+state's sharp distribution P along the kernel axis, and the outcome mass
+of any window is linear in P.  Over all P supported on a rung's cells the
+sup is therefore attained at a vertex of that simplex, a point mass, so
+the calibration error is exactly the largest point-mass width over the
+rung's cells; no box or truncated Gaussian can raise it.  The point-mass
+windows are read off prefix sums of the kernel's reflected smearing
+measure (:class:`_CenteredWindows`), all cells of a rung in one vectorized
+bisection, so no probe measure, probe state or outcome is built.
+
+Cost per (kernel, center): O(n_out) time and memory for the window table,
+n_out = n + n_mu - 1 outcome cells, then O(m log n_out) vectorized for the
+m cells of the widest rung; the narrower rungs are nested in it and reuse
+its point widths.
 """
 
 from __future__ import annotations
@@ -55,12 +60,9 @@ class ConfidencePair:
         return self.eps1 + self.eps2 < 1.0
 
 
-PROBE_KINDS = ("box", "truncated_gaussian")
-
-
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Probe schedule for calibration: delta ladder, centers, probe shape.
+    """Probe schedule for calibration: delta ladder and probe centers.
 
     delta_ladder is strictly decreasing; probe widths are interpreted in
     the outcome units of the kernel axis (position or momentum).
@@ -70,7 +72,6 @@ class CalibrationConfig:
     probe_centers: tuple
     grid: GridSpec
     hbar: float = 1.0
-    probe_kind: str = "box"   # one of PROBE_KINDS
 
     def __post_init__(self):
         ladder = tuple(float(d) for d in self.delta_ladder)
@@ -78,8 +79,6 @@ class CalibrationConfig:
             raise ValueError("delta ladder must be a nonempty decreasing sequence")
         if any(d <= 0 for d in ladder):
             raise ValueError("delta ladder entries must be positive")
-        if self.probe_kind not in PROBE_KINDS:
-            raise ValueError(f"unknown probe kind {self.probe_kind!r}")
         object.__setattr__(self, "delta_ladder", ladder)
         object.__setattr__(self, "probe_centers", tuple(float(c) for c in self.probe_centers))
 
@@ -92,7 +91,7 @@ class CalibrationConfig:
         return CalibrationConfig(
             tuple(d * scale for d in self.delta_ladder),
             tuple(c * scale for c in self.probe_centers),
-            self.grid, self.hbar, self.probe_kind)
+            self.grid, self.hbar)
 
 
 @dataclass(frozen=True)
@@ -165,39 +164,19 @@ def _cells_within(axis_grid: GridSpec, center: float, width: float) -> np.ndarra
     return cells
 
 
-def _measure_on(axis_grid: GridSpec, cells, weights=1.0) -> GridMeasure:
+def _measure_on(axis_grid: GridSpec, cells) -> GridMeasure:
+    """Uniform measure on the given axis-grid cells."""
     w = np.zeros(axis_grid.n)
-    w[cells] = weights
+    w[cells] = 1.0
     return GridMeasure(axis_grid, w / w.sum())
 
 
-def localized_probes(axis: str, center: float, delta: float, grid: GridSpec,
-                     hbar: float, kind: str = "box") -> list:
-    """Axis distributions of probe states supported inside [center +- delta/2].
-
-    A kernel's outcome depends on a state only through the state's sharp
-    distribution along the kernel axis, so each probe is that distribution:
-    a GridMeasure on the axis grid (the momentum grid for axis "p").  Point
-    masses at the interval edges and a few interior cells approach the sup
-    over localized states; the uniform measure on the inside cells (or a
-    truncated Gaussian, sigma = delta/6) is kept as a spread-out
-    representative.
-    """
-    axis_grid = _axis_grid(axis, grid, hbar)
+def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
+    """First and last axis-grid cell of the calibration rung [center +- delta/2]."""
     if delta / axis_grid.dx < 2.0 - 1e-9:
         raise ValueError(f"delta {delta} below the 2-cell minimum {2 * axis_grid.dx}")
     inside = _cells_within(axis_grid, center, delta)
-    lo, hi = inside[0], inside[-1]
-    cells = sorted({lo, hi, inside[inside.size // 2], inside[inside.size // 4]})
-    probes = [_measure_on(axis_grid, [c]) for c in cells]
-    if kind == "box" and hi - lo >= 2:
-        probes.append(_measure_on(axis_grid, inside))
-    elif kind == "truncated_gaussian":
-        sigma = delta / 6.0
-        x = axis_grid.points()[inside]
-        probes.append(_measure_on(axis_grid, inside,
-                                  np.exp(-((x - center) ** 2) / (2.0 * sigma**2))))
-    return probes
+    return int(inside[0]), int(inside[-1])
 
 
 def resolution_probes(kernel: Kernel, grid: GridSpec, hbar: float,
@@ -232,8 +211,11 @@ class _CenteredWindows:
     The cells within D of x form one run [L, H), so the smallest D whose
     run reaches the target is found by binary search over the distances.
 
+    ``point_widths(cells, eps)`` is ``width`` of the point mass at each of
+    the given axis cells, for all of them in one vectorized bisection.
+
     Cost: O(n_out) time and memory to build; O(m log n_out) per probe
-    spanning m cells.
+    spanning m cells, and O(m log n_out) for m point masses at once.
     """
 
     def __init__(self, kernel: Kernel, axis_grid: GridSpec, x: float):
@@ -252,6 +234,15 @@ class _CenteredWindows:
         self.right = pts[self.k:] - x                 # nondecreasing distances
         self.left = x - pts[self.k - 1::-1] if self.k else np.empty(0)
 
+    def _run(self, d):
+        """Bounds [ja, jb) of the out cells, before the warp, that the warp
+        sends within distance d of x (elementwise for an array d)."""
+        L = self.k - self.left.searchsorted(d, "right")
+        H = self.k + self.right.searchsorted(d, "right")
+        if self.cells is None:
+            return L, H
+        return self.cells.searchsorted(L), self.cells.searchsorted(H)
+
     def width(self, P: GridMeasure, eps: float) -> float:
         nz = np.flatnonzero(P.weights > 0)
         lo, hi = int(nz[0]), int(nz[-1]) + 1
@@ -266,11 +257,7 @@ class _CenteredWindows:
 
         def within(d):
             """Mass of the outcome cells at distance <= d from x."""
-            L = self.k - int(self.left.searchsorted(d, "right"))
-            H = self.k + int(self.right.searchsorted(d, "right"))
-            if self.cells is not None:
-                L, H = self.cells.searchsorted((L, H))
-            return mass(L, H)
+            return mass(*self._run(d))
 
         total = mass(0, self.n_out)
         if abs(total - 1.0) > RENORM_TOL:
@@ -295,6 +282,47 @@ class _CenteredWindows:
         b = int(self.left.searchsorted(above, "left"))
         i = first_reaching(self.left, a, b)
         return float(2.0 * (self.left[i] if i < b else above))
+
+    def point_widths(self, cells: np.ndarray, eps: float) -> np.ndarray:
+        """``width`` of the point mass at each axis cell c in `cells`.
+
+        A point mass at c puts CR[jb - c] - CR[ja - c] on the out cells
+        [ja, jb), and its total is CR[n_R] for every axis cell.  All cells
+        are bisected at once, as ``width`` bisects one probe: first over the
+        right distances, then over the left distances strictly between the
+        two right distances that bracket the cell's answer.  The window mass
+        is nondecreasing in the distance (CR is nondecreasing in floating
+        point), so each bisection lands on the same index as ``width``'s and
+        every entry equals ``width`` of that point mass.
+        """
+        cr = self.cr
+        total = float(cr[-1])
+        if abs(total - 1.0) > RENORM_TOL:
+            raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
+        goal = (1.0 - eps - 1e-12) * total
+
+        def first_reaching(dist, i, j):
+            """Per cell, the first index in [i, j) whose window reaches the goal, else j."""
+            todo = np.flatnonzero(i < j)
+            while todo.size:
+                mid = (i[todo] + j[todo]) // 2
+                ja, jb = self._run(dist[mid])
+                c = cells[todo]
+                ok = cr.take(jb - c, mode="clip") - cr.take(ja - c, mode="clip") >= goal
+                j[todo[ok]] = mid[ok]
+                i[todo[~ok]] = mid[~ok] + 1
+                todo = todo[i[todo] < j[todo]]
+            return i
+
+        m = len(cells)
+        r = first_reaching(self.right, np.zeros(m, int), np.full(m, self.right.size))
+        bracket = np.concatenate(([-math.inf], self.right, [math.inf]))
+        below, above = bracket[r], bracket[r + 1]
+        # only left distances strictly between the two can beat `above`
+        a = self.left.searchsorted(below, "right")
+        b = self.left.searchsorted(above, "left")
+        i = first_reaching(self.left, a, b.copy())
+        return 2.0 * np.where(i < b, np.append(self.left, math.inf)[i], above)
 
 
 def resolution_width(kernel: Kernel, eps: float, probe_search,
@@ -321,31 +349,46 @@ def resolution_width(kernel: Kernel, eps: float, probe_search,
 
 def _calibration_errors(kernel: Kernel, eps: float, deltas,
                         cfg: CalibrationConfig) -> list:
-    """:func:`calibration_error` at each delta, one window table per center."""
+    """:func:`calibration_error` at each delta, from one window table and one
+    vectorized bisection per center.
+
+    The rungs about one center are nested runs of axis cells, so the point
+    widths are taken once, over the cells of the widest rung, and each
+    rung's value is the largest of them over its own cells.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
     worst = [0.0] * len(deltas)
     for x in ((0.0,) if kernel.covariant else cfg.probe_centers):
         windows = _CenteredWindows(kernel, axis_grid, x)
-        for i, delta in enumerate(deltas):
-            for P in localized_probes(kernel.axis, x, delta, cfg.grid, cfg.hbar,
-                                      cfg.probe_kind):
-                worst[i] = max(worst[i], windows.width(P, eps))
+        rungs = [_rung(axis_grid, x, delta) for delta in deltas]
+        lo, hi = min(r[0] for r in rungs), max(r[1] for r in rungs)
+        w = windows.point_widths(np.arange(lo, hi + 1), eps)
+        for i, (first, last) in enumerate(rungs):
+            worst[i] = max(worst[i], float(w[first - lo:last - lo + 1].max()))
     return worst
 
 
 def calibration_error(kernel: Kernel, eps: float, delta: float,
                       cfg: CalibrationConfig) -> float:
-    """Smallest output window covering, with confidence 1 - eps, every probe
-    localized within delta of its nominal value.
+    """Smallest output window, centered on the nominal value x, that holds
+    the outcome with confidence 1 - eps for every state localized within
+    the rung [x - delta/2, x + delta/2]; x = 0 for a covariant kernel, and
+    the worst over the probe centers otherwise.
+
+    A window's outcome mass is linear in the state's axis distribution P,
+    so over all P supported on the rung's cells the sup is attained at a
+    vertex of that simplex, a point mass.  The value is therefore exactly
+    the largest point-mass width over the rung's cells; box or truncated
+    Gaussian probes are convex mixtures of point masses and never raise it.
 
     Returns inf when no window inside the scenario grid reaches the
     confidence target (infinite error at desk scale).
 
-    Cost: one window table per probe center (O(n_out) time and memory,
-    n_out = n + n_mu - 1 outcome cells), then O(m log n_out) per probe
-    spanning m cells; no probe outcome distribution is built.
+    Cost: per center, one window table (O(n_out) time and memory,
+    n_out = n + n_mu - 1 outcome cells), then O(m log n_out) vectorized
+    for the m cells of the rung; no probe measure or outcome is built.
     """
     return _calibration_errors(kernel, eps, (delta,), cfg)[0]
 
@@ -356,11 +399,14 @@ def error_bar_width(kernel: Kernel, eps: float,
 
     The error must not increase as delta decreases (monotonicity of the
     calibration functional); the value at the smallest rung is reported,
-    with the ladder spread as the numerical uncertainty.
+    with the ladder spread as the numerical uncertainty.  Every rung is the
+    exact sup over its point masses (:func:`calibration_error`) and the
+    rungs are nested, so the ladder is nonincreasing by construction; the
+    check stays as a guard.
 
-    Cost: as one :func:`calibration_error`, with each center's window table
-    built once and reused on every rung: O(n_out) per center plus
-    O(m log n_out) per probe; the tables are dropped when the ladder ends.
+    Cost: as one :func:`calibration_error` on the widest rung, whose point
+    widths every rung reuses: O(n_out) per center for its window table,
+    then O(m log n_out) vectorized for the widest rung's m cells.
     """
     step = _axis_grid(kernel.axis, cfg.grid, cfg.hbar).dx
     vals = _calibration_errors(kernel, eps, cfg.delta_ladder, cfg)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import uncert
 from uncert import metrology
@@ -137,16 +141,13 @@ class TestVerify:
                 (GOLDEN / "verify_warped" / name).read_bytes()
 
     def test_inconclusive_ladder_exits_3(self, tmp_path, capsys, monkeypatch):
-        # every probe's window comes out wider than the last one's, so the
+        # every rung's window comes out wider than the last one's, so the
         # ladder cannot settle: a numerical finding, not a config error
-        calls = []
+        def growing_ladder(kernel, eps, deltas, cfg):
+            widths = [0.5 + 0.25 * (i + 1) for i in range(len(deltas))]
+            return [centered_width(uniform_measure(-w, w, cfg.grid), 0.0, eps) for w in widths]
 
-        def growing_width(self, P, eps):
-            calls.append(P)
-            w = 0.5 + 0.05 * len(calls)
-            return centered_width(uniform_measure(-w, w, P.grid), 0.0, eps)
-
-        monkeypatch.setattr(metrology._CenteredWindows, "width", growing_width)
+        monkeypatch.setattr(metrology, "_calibration_errors", growing_ladder)
         rc = main(["--out", str(tmp_path / "out"), "verify",
                    write_config(tmp_path, verify_config())])
         assert rc == 3
@@ -252,7 +253,68 @@ def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, options, flag", [
+    ("verify", ["--hbar", "nan", "--grid-n", "3"], "--hbar"),
+    ("verify", ["--grid-n", "4096"], "--grid-n"),
+    ("scan", ["--hbar", "2"], "--hbar"),
+    ("scan", ["--grid-n", "512"], "--grid-n"),
+])
+def test_global_hbar_and_grid_n_rejected(tmp_path, capsys, command, options, flag):
+    # verify and scan read hbar and the grid from the config alone
+    cfg = verify_config() if command == "verify" else SCAN_CONFIG
+    rc = main(["--out", str(tmp_path / "out"), *options, command, write_config(tmp_path, cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{flag}:" in err and "the config supplies" in err
+    assert not (tmp_path / "out").exists()
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+                         st.floats(), st.text(max_size=3))
+RUNGS = st.floats(0.2, 25.6)
+LADDERS = st.one_of(
+    st.permutations([0.8, 0.4, 0.2]),
+    st.lists(RUNGS, min_size=1, max_size=4, unique=True).map(lambda d: sorted(d, reverse=True)),
+    st.lists(st.one_of(RUNGS, JSON_SCALARS), max_size=4),
+    JSON_SCALARS)
+CENTERS = st.one_of(st.lists(st.floats(-13.0, 13.0), max_size=3),
+                    st.lists(JSON_SCALARS, max_size=2), JSON_SCALARS)
+KINDS = st.one_of(st.sampled_from(["box", "truncated_gaussian", "spline"]), JSON_SCALARS)
+CALIBRATION_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("delta_ladder"), LADDERS),
+    st.tuples(st.just("probe_centers"), CENTERS),
+    st.tuples(st.just("probe_kind"), KINDS),
+    st.tuples(st.sampled_from(["probe_width", "delta"]), JSON_SCALARS)), max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=CALIBRATION_EDITS,
+       drop=st.sampled_from([None] * 4 + ["delta_ladder", "probe_centers", "probe_kind"]))
+def test_calibration_fuzz_exits_with_a_documented_code(edits, drop):
+    block = {"delta_ladder": [0.8, 0.4, 0.2], "probe_centers": [0.0], "probe_kind": "box"}
+    block.update(edits)
+    block.pop(drop, None)
+    cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8}, calibration=block,
+                        warps=[{"name": "bend", "q_knots": [[-12.8, -12.8], [-1.0, -0.7],
+                                                            [1.0, 1.3], [12.8, 12.8]]}])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["--out", str(Path(tmp) / "out"), "verify", path])
+    # an exception escaping main() would reach the user as a traceback and fails here
+    assert rc in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+
+
 class TestWidths:
+    def test_defaults_are_hbar_1_and_4096_points(self, capsys):
+        argv = ["widths", "--state", "gaussian:sigma=1", "--eps", "0.05", "--window", "16"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(["--hbar", "1", "--grid-n", "4096", *argv]) == 0
+        assert capsys.readouterr().out == default
+
     def test_nan_sigma_is_a_config_error(self, capsys):
         rc = main(["--grid-n", "1024", "widths",
                    "--state", "gaussian:sigma=nan", "--eps", "0.05", "--window", "16"])

@@ -6,6 +6,7 @@ import pytest
 
 from uncert import metrology
 from uncert.grids import (
+    GridMeasure,
     GridSpec,
     centered_width,
     gaussian_measure,
@@ -24,7 +25,6 @@ from uncert.metrology import (
     check_distance_error_inequality,
     clipped_identity,
     error_bar_width,
-    localized_probes,
     minimize_width_product,
     resolution_probes,
     resolution_width,
@@ -118,10 +118,6 @@ class TestCalibrationConfig:
         with pytest.raises(ValueError):
             CalibrationConfig((), (0.0,), GRID)
 
-    def test_probe_kind_validated(self):
-        with pytest.raises(ValueError):
-            CalibrationConfig((0.2, 0.1), (0.0,), GRID, probe_kind="spline")
-
     def test_for_axis_rescales_by_step_ratio(self):
         scaled = CFG.for_axis("p")
         assert scaled.delta_ladder[0] == pytest.approx(0.4 * DP / DX)
@@ -164,15 +160,14 @@ class TestCalibration:
         assert res.spread <= 0.35
 
     def test_ladder_growth_detected(self, monkeypatch):
-        # every probe's outcome comes out wider than the last one's
-        calls = []
+        # every rung's calibration error comes out wider than the last one's;
+        # nested rungs of exact point-mass sups cannot do this, so the stub
+        # replaces the whole ladder
+        def growing_ladder(kernel, eps, deltas, cfg):
+            widths = [0.5 + 0.25 * (i + 1) for i in range(len(deltas))]
+            return [centered_width(uniform_measure(-w, w, GRID), 0.0, eps) for w in widths]
 
-        def growing_width(self, P, eps):
-            calls.append(P)
-            w = 0.5 + 0.05 * len(calls)
-            return centered_width(uniform_measure(-w, w, GRID), 0.0, eps)
-
-        monkeypatch.setattr(metrology._CenteredWindows, "width", growing_width)
+        monkeypatch.setattr(metrology, "_calibration_errors", growing_ladder)
         with pytest.raises(LadderInconsistencyError):
             error_bar_width(Kernel("q"), 0.05, CFG)
 
@@ -235,9 +230,35 @@ def state_with(P, axis):
     return MixedState.pure(_from_momentum_amps(np.sqrt(P.weights / DP), GRID, HBAR))
 
 
+def rung_probes(axis, center, delta, grid, kind="box"):
+    """Axis distributions supported on the rung [center +- delta/2]: point
+    masses at its end, middle and quarter cells, plus the uniform measure
+    on its cells (when they span at least 3) or a truncated Gaussian of
+    sigma = delta/6."""
+    axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
+    x = axis_grid.points()
+    tol = 1e-9 * axis_grid.dx
+    inside = np.flatnonzero((x >= center - 0.5 * delta - tol) & (x <= center + 0.5 * delta + tol))
+
+    def measure(cells, weights=1.0):
+        w = np.zeros(axis_grid.n)
+        w[cells] = weights
+        return GridMeasure(axis_grid, w / w.sum())
+
+    lo, hi = inside[0], inside[-1]
+    probes = [measure([c]) for c in
+              sorted({lo, hi, inside[inside.size // 2], inside[inside.size // 4]})]
+    if kind == "box" and hi - lo >= 2:
+        probes.append(measure(inside))
+    elif kind == "truncated_gaussian":
+        sigma = delta / 6.0
+        probes.append(measure(inside, np.exp(-((x[inside] - center) ** 2) / (2.0 * sigma**2))))
+    return probes
+
+
 def axis_probes(axis, kind):
     step = DX if axis == "q" else DP
-    return localized_probes(axis, 7.5 * step, 8.6 * step, GRID, HBAR, kind)
+    return rung_probes(axis, 7.5 * step, 8.6 * step, GRID, kind)
 
 
 class TestProbeMeasures:
@@ -281,11 +302,14 @@ class TestProbeMeasures:
     def test_two_cell_minimum_in_cell_units(self):
         # 2 position cells rescaled to the momentum axis round just below 2 cells
         grid = GridSpec.symmetric(12.8, 256)
-        delta = CalibrationConfig((0.4, 0.2), (0.0,), grid).for_axis("p").delta_ladder[-1]
-        assert delta < 2 * momentum_grid(grid, HBAR).dx
-        assert len(localized_probes("p", 0.0, delta, grid, HBAR)) == 4
-        with pytest.raises(ValueError):
-            localized_probes("p", 0.0, 0.99 * delta, grid, HBAR)
+        cfg = CalibrationConfig((0.4, 0.2), (0.0,), grid).for_axis("p")
+        delta = cfg.delta_ladder[-1]
+        dp = momentum_grid(grid, HBAR).dx
+        assert delta < 2 * dp
+        # the rung keeps its cells at -dp, 0 and dp; the edge ones set the error
+        assert calibration_error(Kernel("p"), 0.05, delta, cfg) == pytest.approx(2 * dp)
+        with pytest.raises(ValueError, match="2-cell minimum"):
+            calibration_error(Kernel("p"), 0.05, 0.99 * delta, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +349,7 @@ class TestCenteredWindows:
                 probes = resolution_probes(kernel, grid, HBAR, (x,))
                 for kind in ("box", "truncated_gaussian"):
                     for delta in (2.0 * step, 8.6 * step, 31.0 * step):
-                        probes += localized_probes(axis, x, delta, grid, HBAR, kind)
+                        probes += rung_probes(axis, x, delta, grid, kind)
                 windows = metrology._CenteredWindows(kernel, axis_grid, x)
                 for P in probes:
                     outcome = kernel.smear(P)
@@ -338,7 +362,7 @@ class TestCenteredWindows:
         kernel = sweep_kernels(GRID, "q")[1][3]
         for delta in CFG.delta_ladder:
             want = max(centered_width(kernel.smear(P), 0.0, 0.05)
-                       for P in localized_probes("q", 0.0, delta, GRID, HBAR))
+                       for P in rung_probes("q", 0.0, delta, GRID))
             assert calibration_error(kernel, 0.05, delta, CFG) == want
 
     def test_error_bar_peak_memory_at_n_65536(self):
@@ -355,6 +379,104 @@ class TestCenteredWindows:
             tracemalloc.stop()
         # building each probe's outcome peaked at 8.00e6 bytes here
         assert peak < 8_000_000
+
+
+# ---------------------------------------------------------------------------
+# Calibration as the exact sup over the rung's point masses
+# ---------------------------------------------------------------------------
+
+def cell_mass(axis_grid, c):
+    w = np.zeros(axis_grid.n)
+    w[c] = 1.0
+    return GridMeasure(axis_grid, w)
+
+
+def random_atoms(axis_grid, rng, reach):
+    """2-5 atoms of random weight within `reach` cells of the grid's middle."""
+    k = int(rng.integers(2, 6))
+    cells = axis_grid.n // 2 + rng.choice(np.arange(-reach, reach + 1), size=k, replace=False)
+    w = np.zeros(axis_grid.n)
+    w[cells] = rng.random(k)
+    return GridMeasure(axis_grid, w / w.sum())
+
+
+def at_goal(axis_grid, eps):
+    """Two atoms; the right one carries exactly the goal 1 - eps - 1e-12, so
+    some windows hold exactly the goal mass."""
+    w = np.zeros(axis_grid.n)
+    w[axis_grid.n // 2 + 3] = 1.0 - eps - 1e-12
+    w[axis_grid.n // 2 - 5] = 1.0 - w[axis_grid.n // 2 + 3]
+    return GridMeasure(axis_grid, w)
+
+
+def bend(axis_grid):
+    """An increasing, non-affine warp of the axis that moves its middle."""
+    s = axis_grid.dx
+    return PiecewiseLinearMap((axis_grid.x_min, -10 * s, 10 * s, axis_grid.x_max),
+                              (axis_grid.x_min, -7 * s, 19 * s, axis_grid.x_max))
+
+
+def point_mass_widths(kernel, axis_grid, x, cells, eps):
+    """Brute force: smear each point mass and measure its centered window."""
+    return [centered_width(kernel.smear(cell_mass(axis_grid, c)), x, eps) for c in cells]
+
+
+class TestExactCalibration:
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_point_widths_equal_brute_force(self, n, axis):
+        grid = GridSpec.symmetric(12.8, n)
+        axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
+        step = axis_grid.dx
+        delta = 30 * step
+        cases = 0
+        for mu in (random_atoms(axis_grid, np.random.default_rng(0), 30),
+                   random_atoms(axis_grid, np.random.default_rng(1), 30), at_goal(axis_grid, 0.2)):
+            for kernel in (Kernel(axis, mu), Kernel(axis, mu, bend(axis_grid)),
+                           Kernel(axis, None, bend(axis_grid))):
+                for x in (0.0, 3.37 * step, -10.5 * step):
+                    windows = metrology._CenteredWindows(kernel, axis_grid, x)
+                    first, last = metrology._rung(axis_grid, x, delta)
+                    cells = np.arange(first, last + 1)
+                    cfg = CalibrationConfig((delta,), (x,), grid, HBAR)
+                    for eps in (0.05, 0.2, 0.5):
+                        want = point_mass_widths(kernel, axis_grid, x, cells, eps)
+                        assert windows.point_widths(cells, eps).tolist() == want
+                        if x == 0.0 or not kernel.covariant:
+                            assert calibration_error(kernel, eps, delta, cfg) == max(want)
+                        cases += cells.size
+        assert cases > 1000
+
+    def test_sample_of_five_probes_underestimates(self):
+        # three atoms at -20, -1 and +40 cells: at eps = 0.3 the worst point
+        # mass of the 40-cell rung is none of its end, middle or quarter cells
+        grid = GridSpec.symmetric(12.8, 512)
+        dx = grid.dx
+        w = np.zeros(grid.n)
+        w[[256 - 20, 256 - 1, 256 + 40]] = (0.372, 0.853, 0.346)
+        kernel = Kernel("q", GridMeasure(grid, w / w.sum()))
+        cfg = CalibrationConfig((80 * dx, 40 * dx, 20 * dx), (0.0,), grid)
+        delta = 40 * dx
+        first, last = metrology._rung(grid, 0.0, delta)
+        exact = max(point_mass_widths(kernel, grid, 0.0, range(first, last + 1), 0.3))
+        sample = max(centered_width(kernel.smear(P), 0.0, 0.3)
+                     for P in rung_probes("q", 0.0, delta, grid))
+        assert calibration_error(kernel, 0.3, delta, cfg) == exact
+        assert sample < exact - 10 * dx
+
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_ladder_is_nonincreasing(self, axis):
+        grid = GridSpec.symmetric(12.8, 512)
+        cfg = CalibrationConfig((4.0, 2.0, 1.0, 0.5, 0.25, 0.1), (0.0, 0.33, -1.07),
+                                grid).for_axis(axis)
+        axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            mu = random_atoms(axis_grid, rng, 40)
+            for kernel in (Kernel(axis, mu), Kernel(axis, mu, bend(axis_grid))):
+                for eps in (0.05, 0.1, 0.2, 0.3):
+                    vals = [v for _, v in error_bar_width(kernel, eps, cfg).ladder]
+                    assert all(fine <= coarse for coarse, fine in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
