@@ -22,7 +22,7 @@ from dataclasses import replace
 from itertools import product as iproduct
 from pathlib import Path
 
-from .grids import GridSpec, gaussian_measure, overall_width, point_mass, uniform_measure
+from .grids import GridSpec, overall_width
 from .metrology import (
     CalibrationConfig,
     ConfidencePair,
@@ -31,7 +31,7 @@ from .metrology import (
     bound_uffink,
     verify_joint_ur,
 )
-from .observables import PiecewiseLinearMap, WarpMap, phase_marginal
+from .observables import Kernel, PiecewiseLinearMap, WarpMap, marginal_measures
 from .states import MixedState, box_state, gaussian_state, momentum_distribution, \
     position_distribution
 
@@ -159,22 +159,6 @@ def _parse_generator(spec, grid, hbar, where) -> MixedState:
     raise ConfigError(f"{where}.kind: unknown generator kind {kind!r}")
 
 
-def _parse_smearing(spec, grid, where):
-    kind, body = _split_kind(spec, where)
-    if kind == "delta":
-        s = _require_keys(body, where, {"c": None})
-        return point_mass(_number(s["c"], f"{where}.c"), grid)
-    if kind == "gaussian":
-        s = _require_keys(body, where, {"sigma": None}, {"mean": 0.0})
-        return gaussian_measure(_number(s["mean"], f"{where}.mean"),
-                                _number(s["sigma"], f"{where}.sigma"), grid)
-    if kind == "uniform":
-        s = _require_keys(body, where, {"a": None, "b": None})
-        return uniform_measure(_number(s["a"], f"{where}.a"), _number(s["b"], f"{where}.b"),
-                               grid)
-    raise ConfigError(f"{where}.kind: unknown smearing kind {kind!r}")
-
-
 def _parse_warp(spec, grid, where) -> WarpMap:
     w = _require_keys(spec, where, {}, {"name": "warp", "q_knots": None, "p_knots": None})
     lo, hi = grid.x_min, grid.x_max
@@ -199,6 +183,8 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
                    for i, d in enumerate(_list(c["delta_ladder"], f"{where}.delta_ladder")))
     centers = tuple(_number(x, f"{where}.probe_centers[{i}]")
                     for i, x in enumerate(_list(c["probe_centers"], f"{where}.probe_centers")))
+    if not centers:
+        raise ConfigError(f"{where}.probe_centers: must name at least one center")
     if any(d / grid.dx < 2.0 - 1e-9 for d in ladder):
         raise ConfigError(f"{where}.delta_ladder: entries must be >= 2*dx = {2 * grid.dx}")
     for i, d in enumerate(ladder):
@@ -277,17 +263,13 @@ def cmd_verify(args) -> int:
     top = _require_keys(cfg, "config",
                         {"grid": None, "confidence": None, "generators": None,
                          "calibration": None},
-                        {"hbar": 1.0, "smearings": [], "warps": []})
+                        {"hbar": 1.0, "warps": []})
     hbar = _number(top["hbar"], "hbar")
     if hbar <= 0:
         raise ConfigError("hbar: must be positive")
     grid = _parse_grid(top["grid"])
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
-    # validated but not used by any command until it is decided whether
-    # smearings become report rows or leave the config (ROADMAP item 6)
-    for i, sp in enumerate(_list(top["smearings"], "smearings")):
-        _parse_smearing(sp, grid, f"smearings[{i}]")
     warps = [( _require_keys(w, f"warps[{i}]", {}, {"name": f"warp{i}",
                                                     "q_knots": None, "p_knots": None})["name"],
                _parse_warp(w, grid, f"warps[{i}]"))
@@ -296,7 +278,8 @@ def cmd_verify(args) -> int:
     rows = []
     for gi, gspec in enumerate(_list(top["generators"], "generators")):
         gen = _parse_generator(gspec, grid, hbar, f"generators[{gi}]")
-        kq, kp = phase_marginal(gen, "q"), phase_marginal(gen, "p")
+        mu, nu = marginal_measures(gen)
+        kq, kp = Kernel("q", mu), Kernel("p", nu)
         for ei, eps in enumerate(eps_pairs):
             rep = verify_joint_ur(gen, eps, calib, scenario_id=f"gen{gi}-eps{ei}",
                                   kernels=(kq, kp))

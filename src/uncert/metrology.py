@@ -2,34 +2,45 @@
 width, Werner-style distances, the lower-bound formulas, and the joint
 verification / optimization drivers.
 
-Calibration follows the bench procedure: feed the kernel states localized
-within a shrinking interval ladder, record the smallest output window that
-keeps confidence 1 - eps for every such state, and report the value at the
-smallest rung.  A kernel's outcome depends on a state only through the
-state's sharp distribution P along the kernel axis, and the outcome mass
-of any window is linear in P.  Over all P supported on a rung's cells the
-sup is therefore attained at a vertex of that simplex, a point mass, so
-the calibration error is exactly the largest point-mass width over the
-rung's cells; no box or truncated Gaussian can raise it.  The point-mass
-windows are read off prefix sums of the kernel's reflected smearing
-measure (:class:`_CenteredWindows`), all cells of a rung in one vectorized
-bisection, so no probe measure, probe state or outcome is built.
+Both per-axis widths come from the outcome windows of sharply localized
+probe states.  Calibration follows the bench procedure: feed the kernel
+states localized within a shrinking interval ladder, record the smallest
+output window that keeps confidence 1 - eps for every such state, and
+report the value at the smallest rung.  A kernel's outcome depends on a
+state only through the state's sharp distribution P along the kernel axis,
+and the outcome mass of any window is linear in P.  Over all P supported
+on a rung's cells the sup is therefore attained at a vertex of that
+simplex, a point mass, so the calibration error is exactly the largest
+point-mass width over the rung's cells; no box or truncated Gaussian can
+raise it.  The resolution is the narrowest window of a fixed probe family:
+the point mass at the cell nearest to every probe center and, on the
+position axis, the uniform mass on the cells within one step of every
+center.
+
+Both are read off one table of prefix sums of the kernel's reflected
+smearing measure per (kernel, center) (:class:`_CenteredWindows`), in one
+vectorized bisection over all probes, so no probe measure, probe state or
+outcome is built; only a covariant kernel's resolution builds the outcome
+of one point mass per center.  :func:`_axis_pass` makes that pass once per
+axis, and :func:`resolution_width`, :func:`calibration_error` and
+:func:`error_bar_width` are views of it.
 
 Cost per (kernel, center): O(n_out) time and memory for the window table,
 n_out = n + n_mu - 1 outcome cells, then O(m log n_out) vectorized for the
-m cells of the widest rung; the narrower rungs are nested in it and reuse
-its point widths.
+m cells of the widest rung and the resolution probes; the narrower rungs
+are nested in the widest and reuse its point widths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import RENORM_TOL, GridMeasure, GridSpec, _sum_grid, overall_width, reflect
-from .observables import Kernel, _warp_cells, phase_marginal
+from .grids import RENORM_TOL, GridMeasure, GridSpec, _sum_grid, overall_width, point_mass, \
+    reflect
+from .observables import Kernel, _warp_cells, marginal_measures
 from .states import MixedState, momentum_grid
 
 
@@ -79,8 +90,11 @@ class CalibrationConfig:
             raise ValueError("delta ladder must be a nonempty decreasing sequence")
         if any(d <= 0 for d in ladder):
             raise ValueError("delta ladder entries must be positive")
+        centers = tuple(float(c) for c in self.probe_centers)
+        if not centers:
+            raise ValueError("probe centers must be a nonempty sequence")
         object.__setattr__(self, "delta_ladder", ladder)
-        object.__setattr__(self, "probe_centers", tuple(float(c) for c in self.probe_centers))
+        object.__setattr__(self, "probe_centers", centers)
 
     def for_axis(self, axis: str) -> "CalibrationConfig":
         """Rescale the ladder (given in grid-step units of the q axis) to an axis."""
@@ -146,7 +160,7 @@ def bound_uffink(eps: ConfidencePair, hbar: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Probe families
+# Width functionals
 # ---------------------------------------------------------------------------
 
 def _axis_grid(axis: str, grid: GridSpec, hbar: float) -> GridSpec:
@@ -164,13 +178,6 @@ def _cells_within(axis_grid: GridSpec, center: float, width: float) -> np.ndarra
     return cells
 
 
-def _measure_on(axis_grid: GridSpec, cells) -> GridMeasure:
-    """Uniform measure on the given axis-grid cells."""
-    w = np.zeros(axis_grid.n)
-    w[cells] = 1.0
-    return GridMeasure(axis_grid, w / w.sum())
-
-
 def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
     """First and last axis-grid cell of the calibration rung [center +- delta/2]."""
     if delta / axis_grid.dx < 2.0 - 1e-9:
@@ -179,43 +186,26 @@ def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
     return int(inside[0]), int(inside[-1])
 
 
-def resolution_probes(kernel: Kernel, grid: GridSpec, hbar: float,
-                      centers=(0.0,)) -> list:
-    """Axis distributions of the sharply localized probes used to approach
-    the resolution infimum: a point mass per center, plus a 2-cell box on
-    the position axis."""
-    axis_grid = _axis_grid(kernel.axis, grid, hbar)
-    probes = []
-    for c in centers:
-        probes.append(_measure_on(axis_grid, [axis_grid.nearest_index(c)]))
-        if kernel.axis == "q":
-            probes.append(_measure_on(axis_grid, _cells_within(axis_grid, c, 2 * grid.dx)))
-    return probes
-
-
-# ---------------------------------------------------------------------------
-# Width functionals
-# ---------------------------------------------------------------------------
-
 class _CenteredWindows:
-    """Centered outcome windows of one kernel about one center x, per probe.
+    """Centered outcome windows of one kernel about one center x.
 
-    ``width(P, eps)`` equals ``centered_width(kernel.smear(P), x, eps)``
-    without building the outcome (its masses are summed in another order;
-    the 1e-12 margin on the target absorbs the rounding).  The outcome of
-    a probe P lives on the out grid of n_P + n_R - 1 cells, where R is the
+    ``widths(cells, weights, eps)[i]`` equals
+    ``centered_width(kernel.smear(P_i), x, eps)`` for the probe P_i that puts
+    ``weights`` on the axis cells ``cells[i]`` (a point mass is a row of one
+    cell with weight 1), without building the probe or its outcome.  The
+    outcome lives on the out grid of n + n_R - 1 cells, where R is the
     reflected smearing measure (delta_0 for a sharp kernel).  Its mass on
     out cells [L, H) is sum_c P_c (CR[jb - c] - CR[ja - c]): CR holds the
     prefix sums of R, and [ja, jb) are the cells the warp map sends into
     [L, H) (ja = L, jb = H unwarped; the warp's cell map is nondecreasing).
-    The cells within D of x form one run [L, H), so the smallest D whose
-    run reaches the target is found by binary search over the distances.
+    The cells within D of x form one run [L, H), so the smallest D whose run
+    reaches the target is found by binary search over the distances, for
+    all probes at once.  A point mass's masses are exact differences of CR;
+    a spread probe's are summed in another order than the outcome's, and
+    the 1e-12 margin on the target absorbs the rounding.
 
-    ``point_widths(cells, eps)`` is ``width`` of the point mass at each of
-    the given axis cells, for all of them in one vectorized bisection.
-
-    Cost: O(n_out) time and memory to build; O(m log n_out) per probe
-    spanning m cells, and O(m log n_out) for m point masses at once.
+    Cost: O(n_out) time and memory to build; O(m k log n_out) vectorized
+    for m probes of k cells each.
     """
 
     def __init__(self, kernel: Kernel, axis_grid: GridSpec, x: float):
@@ -243,78 +233,40 @@ class _CenteredWindows:
             return L, H
         return self.cells.searchsorted(L), self.cells.searchsorted(H)
 
-    def width(self, P: GridMeasure, eps: float) -> float:
-        nz = np.flatnonzero(P.weights > 0)
-        lo, hi = int(nz[0]), int(nz[-1]) + 1
-        rev = P.weights[lo:hi][::-1].copy()
-        back = np.arange(hi - lo) - (hi - 1)          # j + back[i] = j - c, c = hi - 1 - i
-
-        def mass(ja, jb):
-            """Outcome mass on the out cells [ja, jb) before the warp."""
-            cr = self.cr
-            return float(rev @ (cr.take(back + jb, mode="clip") -
-                                cr.take(back + ja, mode="clip")))
-
-        def within(d):
-            """Mass of the outcome cells at distance <= d from x."""
-            return mass(*self._run(d))
-
-        total = mass(0, self.n_out)
-        if abs(total - 1.0) > RENORM_TOL:
-            raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
-        goal = (1.0 - eps - 1e-12) * total
-
-        def first_reaching(dist, i, j):
-            """First index in [i, j) whose distance window reaches the goal, else j."""
-            while i < j:
-                mid = (i + j) // 2
-                if within(dist[mid]) >= goal:
-                    j = mid
-                else:
-                    i = mid + 1
-            return i
-
-        r = first_reaching(self.right, 0, self.right.size)
-        above = self.right[r] if r < self.right.size else math.inf
-        below = self.right[r - 1] if r else -math.inf
-        # only left distances strictly between the two can beat `above`
-        a = int(self.left.searchsorted(below, "right"))
-        b = int(self.left.searchsorted(above, "left"))
-        i = first_reaching(self.left, a, b)
-        return float(2.0 * (self.left[i] if i < b else above))
-
-    def point_widths(self, cells: np.ndarray, eps: float) -> np.ndarray:
-        """``width`` of the point mass at each axis cell c in `cells`.
-
-        A point mass at c puts CR[jb - c] - CR[ja - c] on the out cells
-        [ja, jb), and its total is CR[n_R] for every axis cell.  All cells
-        are bisected at once, as ``width`` bisects one probe: first over the
-        right distances, then over the left distances strictly between the
-        two right distances that bracket the cell's answer.  The window mass
-        is nondecreasing in the distance (CR is nondecreasing in floating
-        point), so each bisection lands on the same index as ``width``'s and
-        every entry equals ``width`` of that point mass.
-        """
+    def widths(self, cells, weights, eps: float) -> np.ndarray:
+        """Centered width of each probe: first a bisection over the right
+        distances, then over the left distances strictly between the two
+        right distances that bracket the probe's answer.  The window mass
+        is nondecreasing in the distance, so each bisection lands on the
+        first distance whose window reaches the target."""
+        cells = np.asarray(cells)
+        weights = np.asarray(weights, dtype=float)
         cr = self.cr
-        total = float(cr[-1])
-        if abs(total - 1.0) > RENORM_TOL:
-            raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
+
+        def mass(rows, ja, jb):
+            """Outcome mass of probes `rows` on the out cells [ja, jb) before the warp."""
+            c = cells[rows]
+            return (cr.take(jb[:, None] - c, mode="clip") -
+                    cr.take(ja[:, None] - c, mode="clip")) @ weights
+
+        m = len(cells)
+        total = mass(np.arange(m), np.zeros(m, int), np.full(m, self.n_out))
+        off = np.abs(total - 1.0) > RENORM_TOL
+        if off.any():
+            raise ValueError(f"total mass {total[off][0]:.9f} deviates from 1 beyond {RENORM_TOL}")
         goal = (1.0 - eps - 1e-12) * total
 
         def first_reaching(dist, i, j):
-            """Per cell, the first index in [i, j) whose window reaches the goal, else j."""
+            """Per probe, the first index in [i, j) whose window reaches the goal, else j."""
             todo = np.flatnonzero(i < j)
             while todo.size:
                 mid = (i[todo] + j[todo]) // 2
-                ja, jb = self._run(dist[mid])
-                c = cells[todo]
-                ok = cr.take(jb - c, mode="clip") - cr.take(ja - c, mode="clip") >= goal
+                ok = mass(todo, *self._run(dist[mid])) >= goal[todo]
                 j[todo[ok]] = mid[ok]
                 i[todo[~ok]] = mid[~ok] + 1
                 todo = todo[i[todo] < j[todo]]
             return i
 
-        m = len(cells)
         r = first_reaching(self.right, np.zeros(m, int), np.full(m, self.right.size))
         bracket = np.concatenate(([-math.inf], self.right, [math.inf]))
         below, above = bracket[r], bracket[r + 1]
@@ -325,49 +277,75 @@ class _CenteredWindows:
         return 2.0 * np.where(i < b, np.append(self.left, math.inf)[i], above)
 
 
-def resolution_width(kernel: Kernel, eps: float, probe_search,
-                     centers=None) -> float:
-    """Smallest window some probe state concentrates the outcome into.
+def _axis_pass(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> tuple:
+    """Resolution width and the calibration error at each rung of the
+    ladder, for `cfg` given in the units of the kernel axis.
 
-    For translation-covariant kernels all window centers are equivalent and
-    the optimum over the family is returned; otherwise the worst case over
-    the supplied window centers is taken.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    probes = list(probe_search)
-    if not probes:
-        raise ValueError("probe family is empty")
-    if kernel.covariant or centers is None:
-        return min(overall_width(kernel.smear(P), eps) for P in probes)
-    worst = 0.0
-    for x in centers:
-        windows = _CenteredWindows(kernel, probes[0].grid, x)
-        worst = max(worst, min(windows.width(P, eps) for P in probes))
-    return worst
+    The ladder is taken about x = 0 for a covariant kernel and about every
+    probe center otherwise, from one window table per center: the rungs
+    about x are nested runs of axis cells, so the point widths are taken
+    once, over the cells of the widest rung, and each rung's value is the
+    largest of them over its own cells.  The worst center gives the value.
 
-
-def _calibration_errors(kernel: Kernel, eps: float, deltas,
-                        cfg: CalibrationConfig) -> list:
-    """:func:`calibration_error` at each delta, from one window table and one
-    vectorized bisection per center.
-
-    The rungs about one center are nested runs of axis cells, so the point
-    widths are taken once, over the cells of the widest rung, and each
-    rung's value is the largest of them over its own cells.
+    The resolution probes are the point mass at the cell nearest to every
+    probe center and, on the position axis, the uniform mass on the cells
+    within one step of every center.  For a non-covariant kernel they are
+    bisected on the same tables; the resolution at x is the narrowest of
+    their windows and the worst x gives the value.  For a covariant kernel
+    every window center is equivalent, so the resolution is the narrowest
+    overall width of a point mass's outcome (a box's outcome mixes shifted
+    copies of it and is never narrower); the outcome is built, so an
+    affine warp keeps its exact clipping at the grid edges.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
-    worst = [0.0] * len(deltas)
-    for x in ((0.0,) if kernel.covariant else cfg.probe_centers):
+    ladder = [0.0] * len(cfg.delta_ladder)
+    if kernel.covariant:
+        resolution = min(overall_width(kernel.smear(point_mass(c, axis_grid)), eps)
+                         for c in cfg.probe_centers)
+        centers, points = (0.0,), []
+    else:
+        resolution, centers = 0.0, cfg.probe_centers
+        points = [axis_grid.nearest_index(c) for c in centers]
+        boxes = [_cells_within(axis_grid, c, 2 * axis_grid.dx)
+                 for c in centers] if kernel.axis == "q" else []
+    for x in centers:
         windows = _CenteredWindows(kernel, axis_grid, x)
-        rungs = [_rung(axis_grid, x, delta) for delta in deltas]
+        rungs = [_rung(axis_grid, x, delta) for delta in cfg.delta_ladder]
         lo, hi = min(r[0] for r in rungs), max(r[1] for r in rungs)
-        w = windows.point_widths(np.arange(lo, hi + 1), eps)
+        cells = np.concatenate((np.arange(lo, hi + 1), np.array(points, dtype=int)))
+        w = windows.widths(cells[:, None], (1.0,), eps)
         for i, (first, last) in enumerate(rungs):
-            worst[i] = max(worst[i], float(w[first - lo:last - lo + 1].max()))
-    return worst
+            ladder[i] = max(ladder[i], float(w[first - lo:last - lo + 1].max()))
+        if points:
+            best = w[hi - lo + 1:].min()
+            for box in boxes:
+                best = min(best, windows.widths(box[None], np.full(box.size, 1.0 / box.size),
+                                                eps)[0])
+            resolution = max(resolution, float(best))
+    return resolution, ladder
+
+
+def _error_bar(axis: str, cfg: CalibrationConfig, vals) -> ErrorBarResult:
+    """The ladder's value at its smallest rung, with its spread; an error
+    that grew by more than two cells as delta shrank is inconclusive."""
+    step = _axis_grid(axis, cfg.grid, cfg.hbar).dx
+    for coarse, fine in zip(vals, vals[1:]):
+        if fine > coarse + 2 * step + 1e-9:
+            raise LadderInconsistencyError(
+                f"calibration error grew from {coarse} to {fine} as delta shrank")
+    finite = [v for v in vals if math.isfinite(v)]
+    spread = (max(finite) - min(finite)) if finite else float("inf")
+    return ErrorBarResult(vals[-1], tuple(zip(cfg.delta_ladder, vals)), spread)
+
+
+def resolution_width(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> float:
+    """Smallest window some sharply localized probe state concentrates the
+    outcome into: the worst over the probe centers of the narrowest probe
+    window for a non-covariant kernel, the narrowest overall width for a
+    covariant one (:func:`_axis_pass`; `cfg` in the kernel axis' units)."""
+    return _axis_pass(kernel, eps, cfg)[0]
 
 
 def calibration_error(kernel: Kernel, eps: float, delta: float,
@@ -385,12 +363,8 @@ def calibration_error(kernel: Kernel, eps: float, delta: float,
 
     Returns inf when no window inside the scenario grid reaches the
     confidence target (infinite error at desk scale).
-
-    Cost: per center, one window table (O(n_out) time and memory,
-    n_out = n + n_mu - 1 outcome cells), then O(m log n_out) vectorized
-    for the m cells of the rung; no probe measure or outcome is built.
     """
-    return _calibration_errors(kernel, eps, (delta,), cfg)[0]
+    return _axis_pass(kernel, eps, replace(cfg, delta_ladder=(delta,)))[1][0]
 
 
 def error_bar_width(kernel: Kernel, eps: float,
@@ -403,21 +377,8 @@ def error_bar_width(kernel: Kernel, eps: float,
     exact sup over its point masses (:func:`calibration_error`) and the
     rungs are nested, so the ladder is nonincreasing by construction; the
     check stays as a guard.
-
-    Cost: as one :func:`calibration_error` on the widest rung, whose point
-    widths every rung reuses: O(n_out) per center for its window table,
-    then O(m log n_out) vectorized for the widest rung's m cells.
     """
-    step = _axis_grid(kernel.axis, cfg.grid, cfg.hbar).dx
-    vals = _calibration_errors(kernel, eps, cfg.delta_ladder, cfg)
-    ladder = list(zip(cfg.delta_ladder, vals))
-    for coarse, fine in zip(vals, vals[1:]):
-        if fine > coarse + 2 * step + 1e-9:
-            raise LadderInconsistencyError(
-                f"calibration error grew from {coarse} to {fine} as delta shrank")
-    finite = [v for v in vals if math.isfinite(v)]
-    spread = (max(finite) - min(finite)) if finite else float("inf")
-    return ErrorBarResult(vals[-1], tuple(ladder), spread)
+    return _error_bar(kernel.axis, cfg, _axis_pass(kernel, eps, cfg)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -505,22 +466,22 @@ def verify_joint_ur(gen: MixedState, eps: ConfidencePair, cfg: CalibrationConfig
     """
     grid, hbar = gen.grid, gen.hbar
     dp = momentum_grid(grid, hbar).dx
-    kq, kp = kernels or (phase_marginal(gen, "q"), phase_marginal(gen, "p"))
+    if kernels is None:
+        mu, nu = marginal_measures(gen)
+        kernels = Kernel("q", mu), Kernel("p", nu)
+    kq, kp = kernels
 
-    def axis_widths(kernel, e, centers):
-        probes = resolution_probes(kernel, grid, hbar, centers)
-        res = resolution_width(kernel, e, probes,
-                               centers=None if kernel.covariant else centers)
-        eb = error_bar_width(kernel, e, cfg.for_axis(kernel.axis))
+    def axis_widths(kernel, e):
+        axis_cfg = cfg.for_axis(kernel.axis)
+        res, vals = _axis_pass(kernel, e, axis_cfg)
+        eb = _error_bar(kernel.axis, axis_cfg, vals)
         mu = kernel.measure
         ow = overall_width(mu, e) if mu is not None else 0.0
         wd = werner_distance_covariant(mu) if mu is not None else 0.0
         return AxisWidths(ow, res, eb.value, eb.spread, wd)
 
-    centers_q = cfg.probe_centers or (0.0,)
-    centers_p = cfg.for_axis("p").probe_centers or (0.0,)
-    aq = axis_widths(kq, eps.eps1, centers_q)
-    ap = axis_widths(kp, eps.eps2, centers_p)
+    aq = axis_widths(kq, eps.eps1)
+    ap = axis_widths(kp, eps.eps2)
 
     prod_eb = aq.error_bar * ap.error_bar
     prod_res = aq.resolution * ap.resolution

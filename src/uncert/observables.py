@@ -160,8 +160,12 @@ class Kernel:
         """Outcome distribution of any state whose sharp `axis` distribution is P.
 
         The convolution `conv` defaults to grids.convolve_localized, which
-        works on the cells where P is nonzero and suits localized P such as
-        calibration probes; pass grids.convolve for a spread-out P.
+        works on the cells where P is nonzero and suits a localized P such
+        as the point mass whose outcome gives a covariant kernel's
+        resolution (O(n_mu) for one cell); pass grids.convolve for a
+        spread-out P.  Calibration and a non-covariant kernel's resolution
+        never build an outcome: they read the windows of every probe off
+        prefix sums of the smearing measure (metrology._CenteredWindows).
         """
         mu = self.measure
         out = P if mu is None else (conv or convolve_localized)(P, reflect(mu))

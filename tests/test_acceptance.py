@@ -26,7 +26,6 @@ from uncert.metrology import (
     bound_simple,
     bound_uffink,
     error_bar_width,
-    resolution_probes,
     resolution_width,
     werner_distance_covariant,
 )
@@ -169,9 +168,8 @@ def test_criterion_3_resolution_equals_smearing_width(capsys):
         if not name.startswith("pos_"):   # the smeared position kernels
             continue
         mu = kernel.measure
-        probes = resolution_probes(kernel, KGRID, HBAR)
         for eps in (0.05, 0.2):
-            res = resolution_width(kernel, eps, probes)
+            res = resolution_width(kernel, eps, KCFG)
             ow = overall_width(mu, eps)
             if abs(res - ow) > 2 * KDX + 1e-9:
                 failures.append((name, eps, res, ow))
@@ -183,11 +181,10 @@ def test_criterion_4_error_bar_dominates_resolution(capsys):
     gap_ok = True
     for name, kernel in kernel_battery().items():
         step = _axis_step(kernel)
-        probes = resolution_probes(kernel, KGRID, HBAR)
         cfg = KCFG.for_axis(kernel.axis)
         for eps in (0.05, 0.2):
             eb = error_bar_width(kernel, eps, cfg).value
-            res = resolution_width(kernel, eps, probes)
+            res = resolution_width(kernel, eps, cfg)
             if eb < res - 2 * step - 1e-9:
                 failures.append((name, eps, eb, res))
             if name == "pos_delta0.7":
@@ -211,8 +208,8 @@ def test_criterion_5_covariant_error_bar_product(capsys):
         kq, kp = phase_marginal(gen, "q"), phase_marginal(gen, "p")
         eb = error_bar_width(kq, 0.05, cfg).value * \
             error_bar_width(kp, 0.05, cfg.for_axis("p")).value
-        res = resolution_width(kq, 0.05, resolution_probes(kq, grid, HBAR)) * \
-            resolution_width(kp, 0.05, resolution_probes(kp, grid, HBAR))
+        res = resolution_width(kq, 0.05, cfg) * \
+            resolution_width(kp, 0.05, cfg.for_axis("p"))
         detail.append((sigma, eb, res))
         if abs(eb - target) > 0.02 * target or eb < floor or res < floor:
             ok = False

@@ -16,6 +16,7 @@ from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, main
 from uncert.grids import centered_width, uniform_measure
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def verify_config(**overrides):
@@ -140,14 +141,37 @@ class TestVerify:
             assert (tmp_path / "out" / name).read_bytes() == \
                 (GOLDEN / "verify_warped" / name).read_bytes()
 
+    def test_desk_report_matches_the_benchmark_reference(self, tmp_path):
+        # the seed-0 verify-desk benchmark config: n = 4096, 2 generators x
+        # 3 eps pairs x (plain, warped) = 12 rows; the stored report is only read
+        half = 20.0
+        cfg = {
+            "grid": {"n": 4096, "x_min": -half, "x_max": half},
+            "hbar": 1.0,
+            "confidence": [[0.05, 0.05], [0.1, 0.2], [0.2, 0.1]],
+            "generators": [{"kind": "gaussian", "sigma": 1.0},
+                           {"kind": "mixture",
+                            "components": [{"weight": 0.5, "sigma": 0.8},
+                                           {"weight": 0.5, "sigma": 1.2, "x0": 0.5}]}],
+            "calibration": {"delta_ladder": [0.4, 0.2, 0.1], "probe_centers": [0.0],
+                            "probe_kind": "box"},
+            "warps": [{"name": "wiggle",
+                       "q_knots": [[-half, -half], [-1, -0.7], [1, 1.3], [half, half]]}],
+        }
+        rc = main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)])
+        assert rc == 0
+        assert (tmp_path / "out" / "report.csv").read_text() == \
+            (REFERENCE / "verify-desk.csv").read_text()
+
     def test_inconclusive_ladder_exits_3(self, tmp_path, capsys, monkeypatch):
         # every rung's window comes out wider than the last one's, so the
         # ladder cannot settle: a numerical finding, not a config error
-        def growing_ladder(kernel, eps, deltas, cfg):
-            widths = [0.5 + 0.25 * (i + 1) for i in range(len(deltas))]
-            return [centered_width(uniform_measure(-w, w, cfg.grid), 0.0, eps) for w in widths]
+        def growing_ladder(kernel, eps, cfg):
+            widths = [0.5 + 0.25 * (i + 1) for i in range(len(cfg.delta_ladder))]
+            return 0.0, [centered_width(uniform_measure(-w, w, cfg.grid), 0.0, eps)
+                         for w in widths]
 
-        monkeypatch.setattr(metrology, "_calibration_errors", growing_ladder)
+        monkeypatch.setattr(metrology, "_axis_pass", growing_ladder)
         rc = main(["--out", str(tmp_path / "out"), "verify",
                    write_config(tmp_path, verify_config())])
         assert rc == 3
@@ -196,9 +220,10 @@ class TestVerifyConfigErrors:
         path.write_text("{not json")
         assert main(["verify", str(path)]) == 2
 
-    def test_smearings_validated_even_if_unused(self, tmp_path):
-        cfg = verify_config(smearings=[{"kind": "delta"}])  # missing "c"
+    def test_smearings_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = verify_config(smearings=[{"kind": "delta", "c": 0.0}])
         assert main(["verify", write_config(tmp_path, cfg)]) == 2
+        assert "unknown key 'smearings'" in capsys.readouterr().err
 
 
 def run_cli(*argv):
@@ -243,6 +268,10 @@ SCAN_CONFIG = {
      "lattice point sigma=1.0, x0=9.5"),
     ("verify", verify_config(calibration={"delta_ladder": [0.4, 0.2], "probe_kind": "spline"}),
      "calibration.probe_kind"),
+    ("verify", verify_config(calibration={"delta_ladder": [0.4, 0.2], "probe_centers": []},
+                             warps=[{"name": "bend", "q_knots": [[-12.8, -12.8], [-1.0, -0.7],
+                                                                 [1.0, 1.3], [12.8, 12.8]]}]),
+     "calibration.probe_centers"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))

@@ -26,7 +26,6 @@ from uncert.metrology import (
     clipped_identity,
     error_bar_width,
     minimize_width_product,
-    resolution_probes,
     resolution_width,
     tent,
     verify_joint_ur,
@@ -163,11 +162,11 @@ class TestCalibration:
         # every rung's calibration error comes out wider than the last one's;
         # nested rungs of exact point-mass sups cannot do this, so the stub
         # replaces the whole ladder
-        def growing_ladder(kernel, eps, deltas, cfg):
-            widths = [0.5 + 0.25 * (i + 1) for i in range(len(deltas))]
-            return [centered_width(uniform_measure(-w, w, GRID), 0.0, eps) for w in widths]
+        def growing_ladder(kernel, eps, cfg):
+            widths = [0.5 + 0.25 * (i + 1) for i in range(len(cfg.delta_ladder))]
+            return 0.0, [centered_width(uniform_measure(-w, w, GRID), 0.0, eps) for w in widths]
 
-        monkeypatch.setattr(metrology, "_calibration_errors", growing_ladder)
+        monkeypatch.setattr(metrology, "_axis_pass", growing_ladder)
         with pytest.raises(LadderInconsistencyError):
             error_bar_width(Kernel("q"), 0.05, CFG)
 
@@ -182,22 +181,41 @@ class TestResolution:
         # a Gaussian of the generator's spread
         sg = 1.0
         k = phase_marginal(vacuum(sg), "q")
-        probes = resolution_probes(k, GRID, HBAR)
-        res = resolution_width(k, 0.05, probes)
+        res = resolution_width(k, 0.05, CFG)
         assert res == pytest.approx(2 * Z975 * sg, abs=0.06)
 
     def test_resolution_bounded_by_smearing_width(self):
         # outcome = state distribution convolved with the smearing measure,
         # so no probe can beat the smearing measure's own overall width
         k = phase_marginal(vacuum(0.7), "q")
-        probes = resolution_probes(k, GRID, HBAR)
-        res = resolution_width(k, 0.1, probes)
+        res = resolution_width(k, 0.1, CFG)
         mu_width = overall_width(k.measure, 0.1)
         assert res >= mu_width - 2 * DX
 
     def test_empty_probe_family_rejected(self):
-        with pytest.raises(ValueError):
-            resolution_width(Kernel("q"), 0.05, [])
+        # the resolution probes sit at the probe centers, so there must be one
+        with pytest.raises(ValueError, match="probe centers"):
+            CalibrationConfig((0.4, 0.2), (), GRID)
+
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_error_bar_dominates_resolution_when_warped(self, axis):
+        # the rung about each center holds the point mass at the center's
+        # nearest cell, one of the resolution probes
+        grid = GridSpec.symmetric(12.8, 512)
+        axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
+        gen = MixedState([(0.4, gaussian_state(0.2, 0.0, 0.8, grid, HBAR)),
+                          (0.6, gaussian_state(-0.3, 0.0, 1.1, grid, HBAR))])
+        shift = PiecewiseLinearMap.shift(-50.0, 50.0, 0.3)
+        for gmap in (bend(axis_grid), shift):
+            # centers in q cells: on the grid, off it, and pairs of both
+            for cells in ((0.0,), (2.37,), (0.0, -5.5), (-3.0, 4.81)):
+                cfg = CalibrationConfig((8 * grid.dx, 4 * grid.dx, 2 * grid.dx),
+                                        tuple(c * grid.dx for c in cells), grid, HBAR)
+                for kernel in (phase_marginal(gen, axis, WarpMap(gmap, gmap)),
+                               Kernel(axis, None, gmap)):
+                    for eps in (0.05, 0.2, 0.5):
+                        res = resolution_width(kernel, eps, cfg.for_axis(axis))
+                        assert error_bar_width(kernel, eps, cfg.for_axis(axis)).value >= res
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +354,16 @@ def sweep_kernels(grid, axis):
                        phase_marginal(gen, axis, warp_map)]
 
 
+def resolution_family(axis, axis_grid, x):
+    """The resolution probes about x: the point mass at the nearest cell
+    and, on the position axis, the uniform mass on the cells within one step."""
+    probes = [point_mass(x, axis_grid)]
+    if axis == "q":
+        inside = np.abs(axis_grid.points() - x) <= axis_grid.dx * (1 + 1e-9)
+        probes.append(GridMeasure(axis_grid, inside / inside.sum()))
+    return probes
+
+
 class TestCenteredWindows:
     @pytest.mark.parametrize("n", [256, 512, 1024])
     @pytest.mark.parametrize("axis", ["q", "p"])
@@ -346,17 +374,57 @@ class TestCenteredWindows:
         cases = 0
         for kernel in kernels:
             for x in (0.0, 3.37 * step, -40.61 * step):
-                probes = resolution_probes(kernel, grid, HBAR, (x,))
+                probes = resolution_family(axis, axis_grid, x)
                 for kind in ("box", "truncated_gaussian"):
                     for delta in (2.0 * step, 8.6 * step, 31.0 * step):
                         probes += rung_probes(axis, x, delta, grid, kind)
                 windows = metrology._CenteredWindows(kernel, axis_grid, x)
                 for P in probes:
                     outcome = kernel.smear(P)
+                    cells = np.flatnonzero(P.weights)
                     for eps in SWEEP_EPS:
-                        assert windows.width(P, eps) == centered_width(outcome, x, eps)
+                        got = windows.widths(cells[None], P.weights[cells], eps)
+                        assert got.tolist() == [centered_width(outcome, x, eps)]
                         cases += 1
         assert cases > 1000
+
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_resolution_from_the_built_outcomes(self, axis):
+        # brute force: every center's probes smeared and measured; the worst
+        # center of the narrowest centered window, or for a covariant kernel
+        # the narrowest overall width of a center's point mass
+        grid = GridSpec.symmetric(12.8, 512)
+        axis_grid, kernels = sweep_kernels(grid, axis)
+        cfg = CalibrationConfig((0.4, 0.2), (0.0, -7.37 * grid.dx), grid, HBAR).for_axis(axis)
+        family = [P for c in cfg.probe_centers for P in resolution_family(axis, axis_grid, c)]
+        for kernel in (*kernels, Kernel(axis, kernels[2].measure, bend(axis_grid))):
+            for eps in (0.05, 0.3):
+                if kernel.covariant:
+                    want = min(overall_width(kernel.smear(point_mass(c, axis_grid)), eps)
+                               for c in cfg.probe_centers)
+                else:
+                    want = max(min(centered_width(kernel.smear(P), x, eps) for P in family)
+                               for x in cfg.probe_centers)
+                assert resolution_width(kernel, eps, cfg) == want
+
+    def test_one_window_table_per_center(self, monkeypatch):
+        # a bend-warped q kernel is calibrated about both centers, the
+        # covariant p kernel about 0 only; resolution and error bar share them
+        built = []
+
+        class Counted(metrology._CenteredWindows):
+            def __init__(self, kernel, axis_grid, x):
+                built.append((kernel.axis, x))
+                super().__init__(kernel, axis_grid, x)
+
+        monkeypatch.setattr(metrology, "_CenteredWindows", Counted)
+        gen = vacuum()
+        cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0, 3.37 * DX), GRID, HBAR)
+        kq = phase_marginal(gen, "q", WarpMap(WIGGLE, IDENT))
+        rep = verify_joint_ur(gen, ConfidencePair(0.05, 0.05), cfg,
+                              kernels=(kq, phase_marginal(gen, "p")))
+        assert rep.passed
+        assert sorted(built) == [("p", 0.0), ("q", 0.0), ("q", 3.37 * DX)]
 
     def test_calibration_error_is_the_worst_probe_window(self):
         kernel = sweep_kernels(GRID, "q")[1][3]
@@ -441,7 +509,7 @@ class TestExactCalibration:
                     cfg = CalibrationConfig((delta,), (x,), grid, HBAR)
                     for eps in (0.05, 0.2, 0.5):
                         want = point_mass_widths(kernel, axis_grid, x, cells, eps)
-                        assert windows.point_widths(cells, eps).tolist() == want
+                        assert windows.widths(cells[:, None], (1.0,), eps).tolist() == want
                         if x == 0.0 or not kernel.covariant:
                             assert calibration_error(kernel, eps, delta, cfg) == max(want)
                         cases += cells.size
