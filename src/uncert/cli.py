@@ -31,7 +31,7 @@ from .metrology import (
     bound_uffink,
     verify_joint_ur,
 )
-from .observables import Kernel, PiecewiseLinearMap, WarpMap, marginal_measures
+from .observables import Kernel, PiecewiseLinearMap, marginal_measures
 from .states import MixedState, box_state, gaussian_state, momentum_distribution, \
     position_distribution
 
@@ -113,15 +113,18 @@ def _parse_grid(obj, where="grid") -> GridSpec:
     return GridSpec(x_min, (x_max - x_min) / n, n)
 
 
+def _eps_pair(pair, where) -> ConfidencePair:
+    """A pair [eps1, eps2] of confidence levels, each in (0, 1)."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ConfigError(f"{where}: expected a pair [eps1, eps2]")
+    for k, e in enumerate(pair):
+        if not 0 < _number(e, f"{where}[{k}]") < 1:
+            raise ConfigError(f"{where}[{k}]: eps values must lie in (0, 1), got {e}")
+    return ConfidencePair(float(pair[0]), float(pair[1]))
+
+
 def _parse_confidence(pairs, where="confidence"):
-    out = []
-    for i, pr in enumerate(_list(pairs, where)):
-        if not (isinstance(pr, (list, tuple)) and len(pr) == 2):
-            raise ConfigError(f"{where}[{i}]: expected a pair [eps1, eps2]")
-        e1, e2 = _number(pr[0], f"{where}[{i}][0]"), _number(pr[1], f"{where}[{i}][1]")
-        if not (0 < e1 < 1 and 0 < e2 < 1):
-            raise ConfigError(f"{where}[{i}]: eps values must lie in (0, 1)")
-        out.append(ConfidencePair(e1, e2))
+    out = [_eps_pair(pr, f"{where}[{i}]") for i, pr in enumerate(_list(pairs, where))]
     if not out:
         raise ConfigError(f"{where}: at least one pair required")
     return out
@@ -129,8 +132,11 @@ def _parse_confidence(pairs, where="confidence"):
 
 def _build_gaussian(spec, grid, hbar, where):
     s = _require_keys(spec, where, {"sigma": None}, {"x0": 0.0, "p0": 0.0})
-    return gaussian_state(_number(s["x0"], f"{where}.x0"), _number(s["p0"], f"{where}.p0"),
-                          _number(s["sigma"], f"{where}.sigma"), grid, hbar)
+    x0, p0, sigma = (_number(s[k], f"{where}.{k}") for k in ("x0", "p0", "sigma"))
+    try:
+        return gaussian_state(x0, p0, sigma, grid, hbar)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _split_kind(spec, where):
@@ -155,25 +161,33 @@ def _parse_generator(spec, grid, hbar, where) -> MixedState:
                                {"x0": 0.0, "p0": 0.0})
             weight = _number(cw.pop("weight"), f"{cwhere}.weight")
             comps.append((weight, _build_gaussian(cw, grid, hbar, cwhere)))
-        return MixedState(comps)
+        try:
+            return MixedState(comps)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.components: {exc}") from exc
     raise ConfigError(f"{where}.kind: unknown generator kind {kind!r}")
 
 
-def _parse_warp(spec, grid, where) -> WarpMap:
-    w = _require_keys(spec, where, {}, {"name": "warp", "q_knots": None, "p_knots": None})
-    lo, hi = grid.x_min, grid.x_max
+def _parse_warp(spec, where) -> tuple:
+    """A warp's (name, gamma_q, gamma_p); the name is None when omitted, and
+    a map is None when its knot list is omitted: that axis stays unwarped."""
+    w = _require_keys(spec, where, {}, {"name": None, "q_knots": None, "p_knots": None})
 
-    def plm(knots, label):
-        if knots is None:
-            return PiecewiseLinearMap.identity(lo, hi)
+    def plm(label):
+        if w[label] is None:
+            return None
+        xs, ys = [], []
+        for j, k in enumerate(_list(w[label], f"{where}.{label}")):
+            if not (isinstance(k, list) and len(k) == 2):
+                raise ConfigError(f"{where}.{label}[{j}]: expected a pair [x, y]")
+            xs.append(_number(k[0], f"{where}.{label}[{j}][0]"))
+            ys.append(_number(k[1], f"{where}.{label}[{j}][1]"))
         try:
-            xs = [float(k[0]) for k in knots]
-            ys = [float(k[1]) for k in knots]
             return PiecewiseLinearMap(tuple(xs), tuple(ys))
-        except (TypeError, IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{where}.{label}: {exc}") from exc
 
-    return WarpMap(plm(w["q_knots"], "q_knots"), plm(w["p_knots"], "p_knots"))
+    return w["name"], plm("q_knots"), plm("p_knots")
 
 
 def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfig:
@@ -270,10 +284,7 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(top["grid"])
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
-    warps = [( _require_keys(w, f"warps[{i}]", {}, {"name": f"warp{i}",
-                                                    "q_knots": None, "p_knots": None})["name"],
-               _parse_warp(w, grid, f"warps[{i}]"))
-             for i, w in enumerate(_list(top["warps"], "warps"))]
+    warps = [_parse_warp(w, f"warps[{i}]") for i, w in enumerate(_list(top["warps"], "warps"))]
 
     rows = []
     for gi, gspec in enumerate(_list(top["generators"], "generators")):
@@ -283,17 +294,16 @@ def cmd_verify(args) -> int:
         for ei, eps in enumerate(eps_pairs):
             rep = verify_joint_ur(gen, eps, calib, scenario_id=f"gen{gi}-eps{ei}",
                                   kernels=(kq, kp))
+            row = _report_row(rep)
             if rep.note:
-                rep_row = _report_row(rep)
-                rep_row["scenario_id"] += f"({rep.note})"
-                rows.append(rep_row)
-            else:
-                rows.append(_report_row(rep))
-            for wname, wmap in warps:
+                row["scenario_id"] += f"({rep.note})"
+            rows.append(row)
+            for wi, (wname, gamma_q, gamma_p) in enumerate(warps):
+                wname = f"warp{wi}" if wname is None else wname
                 wrep = verify_joint_ur(gen, eps, calib,
                                        scenario_id=f"gen{gi}-{wname}-eps{ei}",
-                                       kernels=(replace(kq, gmap=wmap.gamma_q),
-                                                replace(kp, gmap=wmap.gamma_p)))
+                                       kernels=(replace(kq, gmap=gamma_q),
+                                                replace(kp, gmap=gamma_p)))
                 rows.append(_report_row(wrep))
     csv_path, json_path = _write_reports(rows, Path(args.out))
     all_pass = all(row["passed"] for row in rows)
@@ -385,9 +395,7 @@ def cmd_scan(args) -> int:
     if hbar <= 0:
         raise ConfigError("hbar: must be positive")
     grid = _parse_grid(top["grid"])
-    if not (isinstance(top["eps"], (list, tuple)) and len(top["eps"]) == 2):
-        raise ConfigError("eps: expected a pair [eps1, eps2]")
-    eps = ConfidencePair(_number(top["eps"][0], "eps[0]"), _number(top["eps"][1], "eps[1]"))
+    eps = _eps_pair(top["eps"], "eps")
     if top["family"] != "gaussian":
         raise ConfigError(f"family: unknown family {top['family']!r}")
     lattice = top["lattice"]

@@ -17,13 +17,15 @@ the point mass at the cell nearest to every probe center and, on the
 position axis, the uniform mass on the cells within one step of every
 center.
 
-Both are read off one table of prefix sums of the kernel's reflected
-smearing measure per (kernel, center) (:class:`_CenteredWindows`), in one
-vectorized bisection over all probes, so no probe measure, probe state or
-outcome is built; only a covariant kernel's resolution builds the outcome
-of one point mass per center.  :func:`_axis_pass` makes that pass once per
-axis, and :func:`resolution_width`, :func:`calibration_error` and
-:func:`error_bar_width` are views of it.
+The ladder and a non-covariant kernel's resolution are read off one table
+of prefix sums of the kernel's reflected smearing measure per (kernel,
+center) (:class:`_CenteredWindows`), in one vectorized bisection over all
+probes, so no probe measure, probe state or outcome is built.  An unwarped
+kernel's resolution is the overall width of its smearing measure, as every
+point mass's outcome is that measure reflected and moved; only a shift
+warp's point-mass outcome is built, once per center.  :func:`_axis_pass`
+makes that pass once per axis, and :func:`resolution_width`,
+:func:`calibration_error` and :func:`error_bar_width` are views of it.
 
 Cost per (kernel, center): O(n_out) time and memory for the window table,
 n_out = n + n_mu - 1 outcome cells, then O(m log n_out) vectorized for the
@@ -294,17 +296,20 @@ def _axis_pass(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> tuple:
     their windows and the worst x gives the value.  For a covariant kernel
     every window center is equivalent, so the resolution is the narrowest
     overall width of a point mass's outcome (a box's outcome mixes shifted
-    copies of it and is never narrower); the outcome is built, so an
-    affine warp keeps its exact clipping at the grid edges.
+    copies of it and is never narrower): unwarped, the smearing measure's
+    own, and with a shift warp that of the built outcome, which keeps its
+    exact clipping at the grid edges.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
     ladder = [0.0] * len(cfg.delta_ladder)
-    if kernel.covariant:
+    centers, points = (0.0,), []
+    if kernel.gmap is None:
+        resolution = 0.0 if kernel.measure is None else overall_width(kernel.measure, eps)
+    elif kernel.covariant:
         resolution = min(overall_width(kernel.smear(point_mass(c, axis_grid)), eps)
                          for c in cfg.probe_centers)
-        centers, points = (0.0,), []
     else:
         resolution, centers = 0.0, cfg.probe_centers
         points = [axis_grid.nearest_index(c) for c in centers]

@@ -48,8 +48,14 @@ class PiecewiseLinearMap:
         ys = np.asarray(self.ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("need matching 1-D knot arrays with >= 2 entries")
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
-            raise ValueError("knots must be strictly increasing in both coordinates")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("knots must be finite")
+        with np.errstate(all="ignore"):  # an overflowing rise or run reads inf
+            runs = np.diff(xs)
+            slopes = np.diff(ys) / runs
+        if not ((runs > 0).all() and (slopes > 0).all() and np.isfinite(slopes).all()):
+            raise ValueError("knots must be strictly increasing in both coordinates, "
+                             "with finite slopes")
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "ys", tuple(ys))
 
@@ -75,11 +81,10 @@ class PiecewiseLinearMap:
         return float(np.max(np.abs(ys - xs)))
 
     @property
-    def is_affine(self) -> bool:
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        slopes = np.diff(ys) / np.diff(xs)
-        return bool(np.all(np.abs(slopes - slopes[0]) < 1e-12))
+    def is_shift(self) -> bool:
+        """Every slope is 1 to within 1e-12: the map is x -> x + c."""
+        slopes = np.diff(self.ys) / np.diff(self.xs)
+        return bool((np.abs(slopes - 1.0) <= 1e-12).all())
 
     @classmethod
     def identity(cls, lo: float, hi: float) -> "PiecewiseLinearMap":
@@ -105,11 +110,6 @@ class WarpMap:
     def bound_p(self) -> float:
         return self.gamma_p.displacement_bound
 
-    @classmethod
-    def identity(cls, lo: float, hi: float) -> "WarpMap":
-        ident = PiecewiseLinearMap.identity(lo, hi)
-        return cls(ident, ident)
-
 
 def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
     """Image measure of P under gmap, re-binned onto the same grid.
@@ -125,9 +125,12 @@ def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
 
 def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
     """Index of the cell of g nearest to gmap's image of each point of g,
-    clipped to the grid; nondecreasing because gmap is increasing."""
-    cells = np.rint((gmap(g.points()) - g.x_min) / g.dx).astype(int)
-    return np.clip(cells, 0, g.n - 1)
+    clipped to the grid before the integer cast, so an image far past the
+    grid, even an overflowing one, lands on the edge cell; nondecreasing
+    because gmap is increasing."""
+    with np.errstate(over="ignore"):
+        cells = np.rint((gmap(g.points()) - g.x_min) / g.dx)
+    return np.clip(cells, 0, g.n - 1).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +157,18 @@ class Kernel:
 
     @property
     def covariant(self) -> bool:
-        return self.gmap is None or self.gmap.is_affine
+        return self.gmap is None or self.gmap.is_shift
 
     def smear(self, P: GridMeasure, conv=None) -> GridMeasure:
         """Outcome distribution of any state whose sharp `axis` distribution is P.
 
         The convolution `conv` defaults to grids.convolve_localized, which
         works on the cells where P is nonzero and suits a localized P such
-        as the point mass whose outcome gives a covariant kernel's
-        resolution (O(n_mu) for one cell); pass grids.convolve for a
-        spread-out P.  Calibration and a non-covariant kernel's resolution
-        never build an outcome: they read the windows of every probe off
-        prefix sums of the smearing measure (metrology._CenteredWindows).
+        as a point mass (O(n_mu) for one cell); pass grids.convolve for a
+        spread-out P.  Verification builds one kind of outcome only, a point
+        mass's for a shift-warped kernel's resolution: calibration and the
+        other resolutions read prefix sums of the smearing measure
+        (metrology._CenteredWindows) or, unwarped, its overall width.
         """
         mu = self.measure
         out = P if mu is None else (conv or convolve_localized)(P, reflect(mu))

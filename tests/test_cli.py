@@ -5,15 +5,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import uncert
-from uncert import metrology
+from uncert import metrology, observables
 from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, main
 from uncert.grids import centered_width, uniform_measure
+from uncert.observables import Kernel, PiecewiseLinearMap
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -34,6 +36,11 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+P_BEND = [[-40.0, -40.0], [-1.0, -0.6], [1.0, 1.4], [40.0, 40.0]]
+Q_SHIFT = [[-12.8, -12.5], [12.8, 13.1]]
+P_SHIFT = [[-40.0, -40.4], [40.0, 39.6]]
 
 
 class TestVerify:
@@ -140,6 +147,53 @@ class TestVerify:
         for name in ("report.csv", "report.json"):
             assert (tmp_path / "out" / name).read_bytes() == \
                 (GOLDEN / "verify_warped" / name).read_bytes()
+
+    def test_report_bytes_pinned_with_shift_and_momentum_warps(self, tmp_path):
+        # tests/golden/verify_shift_pwarp: two probe centers, a mixture with
+        # a momentum boost, a p_knots-only bend (its q axis unwarped) and a
+        # two-knot shift of both axes, which keeps its edge clipping
+        cfg = verify_config(
+            grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+            confidence=[[0.05, 0.05], [0.1, 0.2]],
+            generators=[{"kind": "gaussian", "sigma": 1.0},
+                        {"kind": "mixture",
+                         "components": [{"weight": 0.4, "sigma": 0.9, "x0": -0.6, "p0": 0.8},
+                                        {"weight": 0.6, "sigma": 1.2, "x0": 0.3}]}],
+            calibration={"delta_ladder": [0.8, 0.4, 0.2], "probe_centers": [0.0, 1.5]},
+            warps=[{"name": "pbend", "p_knots": P_BEND},
+                   {"name": "shift", "q_knots": Q_SHIFT, "p_knots": P_SHIFT}])
+        rc = main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)])
+        assert rc == 0
+        for name in ("report.csv", "report.json"):
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (GOLDEN / "verify_shift_pwarp" / name).read_bytes()
+
+    def test_unwarped_axis_builds_no_warp_or_outcome(self, tmp_path, monkeypatch):
+        # an omitted knot list leaves its axis unwarped (gmap None): every
+        # _warp_cells or Kernel.smear call carries one of the given maps, and
+        # only the covariant shift builds a point mass's outcome
+        seen = []
+        warp_cells, smear = observables._warp_cells, Kernel.smear
+
+        def counted_warp_cells(g, gmap):
+            seen.append(("warp_cells", gmap))
+            return warp_cells(g, gmap)
+
+        def counted_smear(self, P, conv=None):
+            seen.append(("smear", self.gmap))
+            return smear(self, P, conv)
+
+        monkeypatch.setattr(metrology, "_warp_cells", counted_warp_cells)
+        monkeypatch.setattr(observables, "_warp_cells", counted_warp_cells)
+        monkeypatch.setattr(Kernel, "smear", counted_smear)
+        cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                            calibration={"delta_ladder": [0.4, 0.2],
+                                         "probe_centers": [0.0, 1.5]},
+                            warps=[{"name": "pbend", "p_knots": P_BEND},
+                                   {"name": "qshift", "q_knots": Q_SHIFT}])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+        bend, shift = (PiecewiseLinearMap(*zip(*knots)) for knots in (P_BEND, Q_SHIFT))
+        assert set(seen) == {("warp_cells", bend), ("warp_cells", shift), ("smear", shift)}
 
     def test_desk_report_matches_the_benchmark_reference(self, tmp_path):
         # the seed-0 verify-desk benchmark config: n = 4096, 2 generators x
@@ -272,6 +326,22 @@ SCAN_CONFIG = {
                              warps=[{"name": "bend", "q_knots": [[-12.8, -12.8], [-1.0, -0.7],
                                                                  [1.0, 1.3], [12.8, 12.8]]}]),
      "calibration.probe_centers"),
+    ("verify", verify_config(generators=[{"kind": "mixture", "components": [
+        {"weight": -0.2, "sigma": 1.0}, {"weight": 1.2, "sigma": 1.0}]}]),
+     "generators[0].components: component weights must be nonnegative"),
+    ("verify", verify_config(generators=[{"kind": "gaussian", "sigma": 1.0},
+                                         {"kind": "mixture", "components": []}]),
+     "generators[1].components"),
+    ("verify", verify_config(generators=[{"kind": "gaussian", "sigma": 3.0}]),
+     "generators[0]: grid"),
+    ("scan", dict(SCAN_CONFIG, eps=[0.05, 1.5]), "eps[1]: eps values must lie in (0, 1)"),
+    ("verify", verify_config(confidence=[[0.05, 0.1], [0.05, 1.0]]), "confidence[1][1]"),
+    ("verify", verify_config(warps=[{"q_knots": [[-12.8, "nan"], [12.8, 1]]}]),
+     "warps[0].q_knots[0][1]"),
+    ("verify", verify_config(warps=[{}, {"p_knots": [[-12.8, -1e308], [12.8, 1e308]]}]),
+     "warps[1].p_knots: knots must be strictly increasing in both coordinates, with finite"),
+    ("verify", verify_config(warps=[{"q_knots": [[-12.8, -12.8, 0.0], [12.8, 12.8]]}]),
+     "warps[0].q_knots[0]: expected a pair"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -334,6 +404,66 @@ def test_calibration_fuzz_exits_with_a_documented_code(edits, drop):
     # an exception escaping main() would reach the user as a traceback and fails here
     assert rc in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
+
+
+def test_knots_far_past_the_grid_pile_the_outcome_at_its_edges(tmp_path):
+    # y = 7.8e298 x sends each side of x = 0 to an edge of the 2n - 1 cell
+    # outcome grid, so every centered window that holds 1 - eps of a probe's
+    # outcome spans the whole grid: 51.0 at n = 256 on +-12.8
+    cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                        warps=[{"q_knots": [[-12.8, -1e300], [12.8, 1e300]]}])
+    assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+    row = (tmp_path / "out" / "report.csv").read_text().splitlines()[-1].split(",")
+    warped = dict(zip(REPORT_COLUMNS, row))
+    assert warped["scenario_id"] == "gen0-warp0-eps0"
+    assert float(warped["resolution_q"]) == float(warped["errorbar_q"]) == 51.0
+
+
+KNOT_VALUES = st.one_of(st.floats(-14.0, 14.0), st.floats(),
+                        st.sampled_from([1e300, -1e300, 1e308, "nan"]), JSON_SCALARS)
+# increasing knots over either axis' range; slope 1 is a covariant shift
+MONOTONE = st.builds(lambda xs, slope, shift: [[x, slope * x + shift] for x in sorted(xs)],
+                     st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=4, unique=True),
+                     st.sampled_from([1.0, 1.1, 0.5, 1e300]), st.floats(-2.0, 2.0))
+
+
+def _replace_knot_value(knots, edit):
+    if edit is not None:
+        j, c, value = edit
+        knots[j % len(knots)][c] = value
+    return knots
+
+
+# one_of flattens nested one_of branches, so a few fixed values stand for
+# the wrong JSON types and the increasing knot lists keep most examples
+NOT_A_LIST = st.sampled_from([None, True, 3, 0.5, "q", {"x": 1.0}])
+KNOTS = st.one_of(
+    MONOTONE, MONOTONE,
+    st.builds(_replace_knot_value, MONOTONE,
+              st.tuples(st.integers(0, 3), st.integers(0, 1), KNOT_VALUES)),
+    st.lists(st.lists(KNOT_VALUES, max_size=3), max_size=3),
+    NOT_A_LIST)
+WARP = st.fixed_dictionaries({}, optional={"name": st.one_of(st.text(max_size=3), NOT_A_LIST),
+                                           "q_knots": KNOTS, "p_knots": KNOTS})
+WARPS = st.one_of(st.lists(WARP, min_size=1, max_size=2), NOT_A_LIST)
+
+
+@settings(max_examples=60, deadline=None)
+@given(warps=WARPS)
+def test_warps_fuzz_exits_with_a_documented_code(warps):
+    cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                        calibration={"delta_ladder": [0.4, 0.2], "probe_centers": [0.0, 1.5]},
+                        warps=warps)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["--out", str(Path(tmp) / "out"), "verify", path])
+    # an exception or warning escaping main() fails here
+    assert rc in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
 
 
 class TestWidths:

@@ -158,6 +158,22 @@ class TestCalibration:
         assert res.value == pytest.approx(2 * Z975 * sig, abs=0.15)
         assert res.spread <= 0.35
 
+    def test_scaled_map_is_calibrated_about_every_center(self):
+        # y = 1.1 x is affine, but it moves each point by a different amount,
+        # so it is not covariant and is calibrated about both centers: a
+        # 1e-7 bend at x = 0 leaves its error bar where it was
+        grid = GridSpec.symmetric(12.8, 512)
+        mu = phase_marginal(MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR)),
+                            "q").measure
+        cfg = CalibrationConfig((0.4, 0.2), (0.0, 5.0), grid, HBAR)
+        scaled, bent = (Kernel("q", mu, PiecewiseLinearMap((-12.8, 0.0, 12.8),
+                                                           (-14.08, y0, 14.08)))
+                        for y0 in (0.0, 1e-7))
+        assert not scaled.covariant
+        # calibrated about x = 0 alone, the scaled map read 4.30
+        assert error_bar_width(scaled, 0.05, cfg).value == \
+            error_bar_width(bent, 0.05, cfg).value == pytest.approx(4.9)
+
     def test_ladder_growth_detected(self, monkeypatch):
         # every rung's calibration error comes out wider than the last one's;
         # nested rungs of exact point-mass sups cannot do this, so the stub

@@ -12,6 +12,7 @@ from uncert.observables import (
     PiecewiseLinearMap,
     WarpMap,
     _component_overlap_sq,
+    _warp_cells,
     aligned_window,
     covariance_residual,
     joint_distribution,
@@ -120,16 +121,43 @@ class TestPiecewiseLinearMap:
         x = np.linspace(-4, 5, 101)
         assert np.max(np.abs(m.inverse(m(x)) - x)) < 1e-12
 
-    def test_displacement_bound_and_affine_flag(self):
+    def test_displacement_bound_and_shift_flag(self):
         ident = PiecewiseLinearMap.identity(-5.0, 5.0)
         assert ident.displacement_bound == 0.0
-        assert ident.is_affine
+        assert ident.is_shift
         shift = PiecewiseLinearMap.shift(-5.0, 5.0, 0.3)
         assert shift.displacement_bound == pytest.approx(0.3)
-        assert shift.is_affine
+        assert shift.is_shift
+        assert PiecewiseLinearMap((-5.0, 1.0, 5.0), (-4.7, 1.3, 5.3)).is_shift
         wiggle = PiecewiseLinearMap((-5.0, 0.0, 5.0), (-5.0, 0.7, 5.0))
-        assert not wiggle.is_affine
+        assert not wiggle.is_shift
         assert wiggle.displacement_bound == pytest.approx(0.7)
+        # affine but not a shift: y = 1.1 x moves points by different amounts
+        assert not PiecewiseLinearMap((-5.0, 5.0), (-5.5, 5.5)).is_shift
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ((-12.8, 12.8), (math.nan, 1.0), "finite"),
+        ((-12.8, 0.0, 12.8), (-1.0, math.inf, 1.0), "finite"),
+        ((-math.inf, 12.8), (-1.0, 1.0), "finite"),
+        ((-12.8, 12.8), (-1e308, 1e308), "finite slopes"),      # the rise overflows
+        ((-1e308, 1e308), (-1.0, 1.0), "finite slopes"),        # the run overflows
+        ((-1e-300, 1e-300), (-1e300, 1e300), "finite slopes"),  # the slope overflows
+        ((-12.8, -12.8), (-1.0, 1.0), "strictly increasing"),
+        ((-12.8, 0.0, 12.8), (1.0, 0.0, -1.0), "strictly increasing"),
+    ])
+    def test_non_finite_knots_and_slopes_rejected(self, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            PiecewiseLinearMap(xs, ys)
+
+    def test_warp_cells_clip_images_far_past_the_grid(self):
+        # the images reach +-1e300 and, past the knots, overflow to +-inf;
+        # each lands on an edge cell (the tier-1 run turns a RuntimeWarning
+        # from an overflowing integer cast into an error)
+        steep = PiecewiseLinearMap((-0.5, 0.5), (-5e307, 5e307))
+        cells = _warp_cells(GRID, steep)
+        mid = GRID.nearest_index(0.0)
+        assert (cells[:mid] == 0).all() and (cells[mid + 1:] == GRID.n - 1).all()
+        assert cells[mid] == mid
 
     def test_pushforward_conserves_mass(self):
         P = gaussian_measure(0.0, 1.0, GRID)
@@ -146,7 +174,8 @@ class TestPiecewiseLinearMap:
 class TestWarpedKernel:
     def test_identity_warp_matches_base(self):
         gen = vacuum()
-        w = WarpMap.identity(-12.8, 12.8)
+        ident = PiecewiseLinearMap.identity(-12.8, 12.8)
+        w = WarpMap(ident, ident)
         k = phase_marginal(gen, "q", w)
         assert k.covariant
         rho = vacuum(x0=1.0)
