@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from itertools import product as iproduct
@@ -42,6 +43,8 @@ WIDTHS_GRID_N_DEFAULT = 4096
 # accepted and validated so v1 configs keep running; calibration takes the
 # exact sup over point masses, which no box or truncated Gaussian can raise
 PROBE_KINDS = ("box", "truncated_gaussian")
+# a warp name goes into scenario_id unquoted
+WARP_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 REPORT_COLUMNS = [
     "scenario_id", "eps1", "eps2",
@@ -168,10 +171,16 @@ def _parse_generator(spec, grid, hbar, where) -> MixedState:
     raise ConfigError(f"{where}.kind: unknown generator kind {kind!r}")
 
 
-def _parse_warp(spec, where) -> tuple:
-    """A warp's (name, gamma_q, gamma_p); the name is None when omitted, and
+def _parse_warp(spec, i) -> tuple:
+    """Warp i's (name, gamma_q, gamma_p).  The name is a nonempty string of
+    ASCII letters, digits and underscores, `warp<i>` when omitted or null;
     a map is None when its knot list is omitted: that axis stays unwarped."""
+    where = f"warps[{i}]"
     w = _require_keys(spec, where, {}, {"name": None, "q_knots": None, "p_knots": None})
+    name = f"warp{i}" if w["name"] is None else w["name"]
+    if not (isinstance(name, str) and WARP_NAME.fullmatch(name)):
+        raise ConfigError(f"{where}.name: expected a nonempty string of letters, digits "
+                          f"and underscores, got {name!r}")
 
     def plm(label):
         if w[label] is None:
@@ -187,7 +196,18 @@ def _parse_warp(spec, where) -> tuple:
         except ValueError as exc:
             raise ConfigError(f"{where}.{label}: {exc}") from exc
 
-    return w["name"], plm("q_knots"), plm("p_knots")
+    return name, plm("q_knots"), plm("p_knots")
+
+
+def _parse_warps(specs) -> list:
+    """The warps of a verify config; their names label rows, so they must differ."""
+    warps = [_parse_warp(w, i) for i, w in enumerate(_list(specs, "warps"))]
+    names = [name for name, _, _ in warps]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"warps[{i}].name: {name!r} is already the name of "
+                              f"warps[{names.index(name)}]")
+    return warps
 
 
 def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfig:
@@ -284,7 +304,7 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(top["grid"])
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
-    warps = [_parse_warp(w, f"warps[{i}]") for i, w in enumerate(_list(top["warps"], "warps"))]
+    warps = _parse_warps(top["warps"])
 
     rows = []
     for gi, gspec in enumerate(_list(top["generators"], "generators")):
@@ -298,8 +318,7 @@ def cmd_verify(args) -> int:
             if rep.note:
                 row["scenario_id"] += f"({rep.note})"
             rows.append(row)
-            for wi, (wname, gamma_q, gamma_p) in enumerate(warps):
-                wname = f"warp{wi}" if wname is None else wname
+            for wname, gamma_q, gamma_p in warps:
                 wrep = verify_joint_ur(gen, eps, calib,
                                        scenario_id=f"gen{gi}-{wname}-eps{ei}",
                                        kernels=(replace(kq, gmap=gamma_q),

@@ -94,7 +94,7 @@ class GridMeasure:
         total = w.sum()
         if not abs(total - 1.0) <= RENORM_TOL:  # also rejects NaN
             raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
-        w = w / total
+        w /= total
         w.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", w)
@@ -184,21 +184,36 @@ def overall_width(P: GridMeasure, eps: float) -> float:
     is 0 (target <= 0, or target lost to rounding at c[n]) a single point
     passes and the lower end, 1, is returned.
 
-    Cost: one O(n) cumsum and one O(n) sum with the target, two O(log n)
-    searches, then about log2(n) comparisons, each over the
+    The upper end is then lowered to the central run, which leaves at most
+    eps/2 of the mass on either side: from the last start i_a with
+    c[i_a] <= eps/2 to the first end j_b with c[j_b] >= c[n] - eps/2.  It
+    usually carries the target and is seldom much longer than the shortest
+    run; it is taken only when it passes the same exact comparison,
+    c[j_b] >= t[i_a], so the upper end stays a length that passes and the
+    result is unchanged.  For a Gaussian at n = 16384 it starts the
+    bisection near the answer instead of about eight times above it.
+
+    Cost: one O(n) cumsum and one O(n) sum with the target, four O(log n)
+    searches, then about log2(hi - lo) comparisons, each over the
     k - (j_min - i_max) + 1 starts that can pass, at most n.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     target = 1.0 - eps - 1e-12
     n = P.grid.n
-    c = np.concatenate(([0.0], np.cumsum(P.weights)))
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.cumsum(P.weights, out=c[1:])
     t = c + target
     if not c[n] >= t[0]:
         raise ValueError(f"total mass {c[n]} is below the target {target}")
     i_max = int(np.searchsorted(t, c[n], side="right")) - 1
     j_min = int(np.searchsorted(c, target, side="left"))
     lo, hi = max(1, j_min - i_max), min(n, j_min, n - i_max)
+    i_a = int(np.searchsorted(c, 0.5 * eps, side="right")) - 1
+    j_b = int(np.searchsorted(c, c[n] - 0.5 * eps, side="left"))
+    if c[j_b] >= t[i_a]:
+        hi = min(hi, j_b - i_a)
     while lo < hi:
         k = (lo + hi) // 2
         a, b = max(0, j_min - k), min(i_max, n - k) + 1

@@ -481,7 +481,10 @@ def verify_joint_ur(gen: MixedState, eps: ConfidencePair, cfg: CalibrationConfig
         res, vals = _axis_pass(kernel, e, axis_cfg)
         eb = _error_bar(kernel.axis, axis_cfg, vals)
         mu = kernel.measure
-        ow = overall_width(mu, e) if mu is not None else 0.0
+        if kernel.gmap is None:
+            ow = res        # _axis_pass took the overall width as the resolution
+        else:
+            ow = overall_width(mu, e) if mu is not None else 0.0
         wd = werner_distance_covariant(mu) if mu is not None else 0.0
         return AxisWidths(ow, res, eb.value, eb.spread, wd)
 

@@ -278,6 +278,9 @@ def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols):
     memory, so this route wins whenever the p window is narrow (n_p << n),
     as in every caller.
     """
+    # numpy's complex FFT of a float64 array gives the same bits as of its
+    # complex128 copy but takes about 1.5x as long at n = 16384
+    psi_amps, phi_amps = (np.asarray(a, dtype=complex) for a in (psi_amps, phi_amps))
     n = psi_amps.size
     stride = int(q_shifts[1] - q_shifts[0]) if q_shifts.size > 1 else 1
     g = math.gcd(stride, n)

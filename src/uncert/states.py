@@ -27,20 +27,30 @@ def momentum_grid(grid: GridSpec, hbar: float) -> GridSpec:
 
 
 class WaveFunction:
-    """Complex amplitudes psi(x_j) with L2 normalization sum |psi|^2 dx = 1."""
+    """Amplitudes psi(x_j) with L2 normalization sum |psi|^2 dx = 1.
+
+    Real amplitudes are kept as float64 and all others as complex128, so a
+    real state (a Gaussian at p0 = 0, a box, a point, the parity image of
+    any of them) never pays for complex arithmetic.  The copy is scaled by
+    the reciprocal of the norm's square root: numpy divides a complex array
+    by a real scalar as x * (1/s), so a real array scaled that way holds
+    the real parts its complex128 form would hold, bit for bit, where x / s
+    differs in the last bit on many of them.
+    """
 
     __slots__ = ("grid", "amps", "hbar")
 
     def __init__(self, grid: GridSpec, amps, hbar: float = 1.0):
         if hbar <= 0:
             raise ValueError(f"hbar must be positive, got {hbar}")
-        a = np.asarray(amps, dtype=complex)
+        a = np.asarray(amps)
+        a = a.astype(complex if np.iscomplexobj(a) else float)
         if a.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} amplitudes, got shape {a.shape}")
         nrm = float(np.sum(np.abs(a) ** 2) * grid.dx)
         if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"state norm {nrm:.9f} deviates from 1 beyond {NORM_TOL}")
-        a = a / math.sqrt(nrm)
+        a *= 1.0 / math.sqrt(nrm)
         a.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amps", a)
@@ -107,8 +117,13 @@ def gaussian_state(x0: float, p0: float, sigma: float, grid: GridSpec,
         a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
     else:
         # a real exp costs 1/20 of exp(a + 0j); the two differ at most in
-        # the last bit (numpy's vectorized exp against libm's)
-        a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2))
+        # the last bit (numpy's vectorized exp against libm's).  The
+        # exponent is built in place, in the same operations and order.
+        a = np.subtract(x, x0, out=x)
+        np.square(a, out=a)
+        np.negative(a, out=a)
+        a /= 4.0 * sigma**2
+        np.exp(a, out=a)
     a /= math.sqrt(float(np.sum(np.abs(a) ** 2) * grid.dx))
     return WaveFunction(grid, a, hbar)
 
@@ -123,14 +138,14 @@ def box_state(center: float, width: float, grid: GridSpec,
     inside = (x >= center - 0.5 * width - tol) & (x <= center + 0.5 * width + tol)
     if not inside.any():
         raise ValueError("box has no support on the grid")
-    a = inside.astype(complex)
+    a = inside.astype(float)
     a /= math.sqrt(float(np.sum(np.abs(a) ** 2) * grid.dx))
     return WaveFunction(grid, a, hbar)
 
 
 def point_state(x: float, grid: GridSpec, hbar: float = 1.0) -> WaveFunction:
     """All mass on the single grid point nearest x (sharpest state the grid holds)."""
-    a = np.zeros(grid.n, dtype=complex)
+    a = np.zeros(grid.n)
     a[grid.nearest_index(x)] = 1.0 / math.sqrt(grid.dx)
     return WaveFunction(grid, a, hbar)
 
@@ -168,7 +183,8 @@ def superpose(c1: complex, psi1: WaveFunction, c2: complex,
     nrm = float(np.sum(np.abs(a) ** 2) * psi1.grid.dx)
     if nrm <= 0:
         raise ValueError("superposition vanishes")
-    return WaveFunction(psi1.grid, a / math.sqrt(nrm), psi1.hbar)
+    # scaled as WaveFunction scales, so a real sum keeps its complex form's bits
+    return WaveFunction(psi1.grid, a * (1.0 / math.sqrt(nrm)), psi1.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +218,24 @@ def momentum_distribution(rho: MixedState) -> GridMeasure:
 
     |phi(p)|^2 = |F(p)|^2 dx^2 / (2 pi hbar) with F = fft(psi): the phase
     exp(-i p x_min / hbar) that ties F to phi has modulus one, so it is
-    never formed.  A component whose amplitudes are real (a Gaussian at
-    p0 = 0, a box, the parity image of either) has F(-k) = conj(F(k)), so
-    the n/2 + 1 bins of its real FFT fill the centered grid: bin k >= 0 is
-    cell n/2 + k, and bin n/2 - j mirrors onto cell j < n/2.  Any other
-    component takes the full complex FFT, shifted to the centered grid.
+    never formed.  A component whose amplitudes are real has
+    F(-k) = conj(F(k)), so the n/2 + 1 bins of its real FFT fill the
+    centered grid: bin k >= 0 is cell n/2 + k, and bin n/2 - j mirrors onto
+    cell j < n/2.  The route follows the dtype: float64 amplitudes (a
+    Gaussian at p0 = 0, a box, a point, the parity image of any of them)
+    take the real FFT at once; complex128 ones are scanned for a nonzero
+    imaginary part and take the full complex FFT, shifted to the centered
+    grid, if they have one, else the real FFT of their real part.
 
-    Cost per component: one O(n) scan for a nonzero imaginary part, then
-    one n-point real FFT (about half a complex one) or one n-point complex
-    FFT, and O(n) real arithmetic.
+    Cost per component: one n-point real FFT (about half a complex one),
+    or an O(n) scan and then one n-point complex FFT, and O(n) real
+    arithmetic.
     """
     pg = momentum_grid(rho.grid, rho.hbar)
     h = pg.n // 2
     w = np.zeros(pg.n)
     for wk, psi in rho.components:
-        if psi.amps.imag.any():
+        if np.iscomplexobj(psi.amps) and psi.amps.imag.any():
             w += wk * np.fft.fftshift(np.abs(np.fft.fft(psi.amps)) ** 2)
         else:
             s = np.abs(np.fft.rfft(psi.amps.real)) ** 2

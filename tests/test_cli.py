@@ -195,6 +195,24 @@ class TestVerify:
         bend, shift = (PiecewiseLinearMap(*zip(*knots)) for knots in (P_BEND, Q_SHIFT))
         assert set(seen) == {("warp_cells", bend), ("warp_cells", shift), ("smear", shift)}
 
+    def test_one_overall_width_per_axis_and_row(self, tmp_path, monkeypatch):
+        # an unwarped axis reads its overall width off _axis_pass's
+        # resolution; a warped (here non-covariant) axis takes it once in
+        # verify_joint_ur.  2 eps pairs x (plain, p-bent) rows, 2 axes each
+        calls = []
+        overall_width = metrology.overall_width
+
+        def counted(P, eps):
+            calls.append(eps)
+            return overall_width(P, eps)
+
+        monkeypatch.setattr(metrology, "overall_width", counted)
+        cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                            confidence=[[0.05, 0.05], [0.1, 0.2]],
+                            warps=[{"name": "pbend", "p_knots": P_BEND}])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+        assert len(calls) == 2 * 2 * 2
+
     def test_desk_report_matches_the_benchmark_reference(self, tmp_path):
         # the seed-0 verify-desk benchmark config: n = 4096, 2 generators x
         # 3 eps pairs x (plain, warped) = 12 rows; the stored report is only read
@@ -342,6 +360,14 @@ SCAN_CONFIG = {
      "warps[1].p_knots: knots must be strictly increasing in both coordinates, with finite"),
     ("verify", verify_config(warps=[{"q_knots": [[-12.8, -12.8, 0.0], [12.8, 12.8]]}]),
      "warps[0].q_knots[0]: expected a pair"),
+    ("verify", verify_config(warps=[{"name": [1]}]), "warps[0].name:"),
+    ("verify", verify_config(warps=[{"name": "ok"}, {"name": ""}]), "warps[1].name:"),
+    ("verify", verify_config(warps=[{"name": "a,b"}]), "warps[0].name:"),
+    ("verify", verify_config(warps=[{"name": "a\nb"}]), "warps[0].name:"),
+    ("verify", verify_config(warps=[{"name": "bend", "p_knots": P_BEND}, {"name": "bend"}]),
+     "warps[1].name: 'bend' is already the name of warps[0]"),
+    ("verify", verify_config(warps=[{"name": "warp1"}, {}]),
+     "warps[1].name: 'warp1' is already the name of warps[0]"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -366,6 +392,20 @@ def test_global_hbar_and_grid_n_rejected(tmp_path, capsys, command, options, fla
     err = capsys.readouterr().err
     assert f"{flag}:" in err and "the config supplies" in err
     assert not (tmp_path / "out").exists()
+
+
+def _run_verify_quietly(cfg) -> int:
+    """Exit code of `verify` on cfg.  An exception or RuntimeWarning escaping
+    main() would reach the user as a traceback, and fails here."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["--out", str(Path(tmp) / "out"), "verify", path])
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    return rc
 
 
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
@@ -396,14 +436,7 @@ def test_calibration_fuzz_exits_with_a_documented_code(edits, drop):
     cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8}, calibration=block,
                         warps=[{"name": "bend", "q_knots": [[-12.8, -12.8], [-1.0, -0.7],
                                                             [1.0, 1.3], [12.8, 12.8]]}])
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp), cfg)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["--out", str(Path(tmp) / "out"), "verify", path])
-    # an exception escaping main() would reach the user as a traceback and fails here
-    assert rc in {0, 1, 2, 3}
-    assert "Traceback" not in err.getvalue()
+    assert _run_verify_quietly(cfg) in {0, 1, 2, 3}
 
 
 def test_knots_far_past_the_grid_pile_the_outcome_at_its_edges(tmp_path):
@@ -454,16 +487,82 @@ def test_warps_fuzz_exits_with_a_documented_code(warps):
     cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
                         calibration={"delta_ladder": [0.4, 0.2], "probe_centers": [0.0, 1.5]},
                         warps=warps)
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp), cfg)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["--out", str(Path(tmp) / "out"), "verify", path])
-    # an exception or warning escaping main() fails here
-    assert rc in {0, 1, 2, 3}
-    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert _run_verify_quietly(cfg) in {0, 1, 2, 3}
+
+
+def _mostly(valid, odd):
+    """Mostly `valid`, so most examples get past the parser; `odd` when a
+    drawn integer in [0, 3] is 0."""
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 0 else valid)
+
+
+def _normalized(components):
+    total = sum(c["weight"] for c in components)
+    return [dict(c, weight=c["weight"] / total) for c in components] if total > 0 \
+        else components
+
+
+GAUSSIAN_KEYS = {"sigma": st.floats(0.05, 2.0), "x0": st.floats(-5.0, 5.0),
+                 "p0": st.floats(-40.0, 40.0)}
+GAUSSIAN = st.fixed_dictionaries({"kind": st.just("gaussian"), "sigma": GAUSSIAN_KEYS["sigma"]},
+                                 optional={k: GAUSSIAN_KEYS[k] for k in ("x0", "p0")})
+COMPONENT = st.fixed_dictionaries(
+    {"weight": st.one_of(st.sampled_from([0.5, 0.25, 0.0, 1.0]), st.floats(-0.2, 1.2)),
+     "sigma": GAUSSIAN_KEYS["sigma"]},
+    optional={k: GAUSSIAN_KEYS[k] for k in ("x0", "p0")})
+COMPONENTS = st.lists(COMPONENT, min_size=1, max_size=3)
+MIXTURE = st.fixed_dictionaries({"kind": st.just("mixture"), "components": st.one_of(
+    COMPONENTS.map(_normalized), COMPONENTS.map(_normalized), COMPONENTS)})
+# wrong types, kinds, missing or extra keys
+ODD_GENERATOR = st.one_of(NOT_A_LIST, st.fixed_dictionaries(
+    {}, optional={"kind": st.one_of(st.sampled_from(["gaussian", "mixture"]), JSON_SCALARS),
+                  "components": st.one_of(st.lists(COMPONENT, max_size=1), JSON_SCALARS),
+                  "weight": JSON_SCALARS, "sigma": JSON_SCALARS, "x0": JSON_SCALARS,
+                  "p0": st.one_of(st.floats(), JSON_SCALARS)}))
+GENERATORS = _mostly(st.lists(st.one_of(GAUSSIAN, MIXTURE), min_size=1, max_size=2),
+                     st.one_of(st.lists(st.one_of(GAUSSIAN, MIXTURE, ODD_GENERATOR), max_size=2),
+                               NOT_A_LIST))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators=GENERATORS)
+def test_generators_fuzz_exits_with_a_documented_code(generators):
+    cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                        generators=generators,
+                        warps=[{"name": "bend", "p_knots": P_BEND}])
+    assert _run_verify_quietly(cfg) in {0, 1, 2, 3}
+
+
+# n stays small: a power of two up to 1024; verify needs a grid symmetric about 0
+GRID_BLOCK = st.builds(lambda n, x_min, x_max: {"n": n, "x_min": x_min,
+                                                "x_max": -x_min if x_max is None else x_max},
+                       st.sampled_from([2, 4, 8, 64, 256, 1024]), st.floats(-40.0, -1.0),
+                       st.one_of(st.none(), st.none(), st.floats(1.0, 40.0)))
+# wrong types and values, missing or extra keys
+ODD_GRID = st.fixed_dictionaries({}, optional={
+    "n": st.one_of(st.sampled_from([256, 3, 0, -4, 2.0, 1e300, True, "256"]), st.none()),
+    "x_min": st.one_of(st.floats(), JSON_SCALARS), "x_max": st.one_of(st.floats(), JSON_SCALARS),
+    "dx": JSON_SCALARS})
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_mostly(GRID_BLOCK, st.one_of(ODD_GRID, NOT_A_LIST)))
+def test_grid_fuzz_exits_with_a_documented_code(grid):
+    # the ladder is three and two cells of a grid that parses, so most
+    # examples get past the calibration block to the states
+    ladder = [3.0, 2.0]
+    try:
+        ladder = [k * (grid["x_max"] - grid["x_min"]) / grid["n"] for k in ladder]
+    except (KeyError, TypeError, ZeroDivisionError):
+        pass
+    cfg = verify_config(grid=grid, calibration={"delta_ladder": ladder,
+                                                "probe_centers": [0.0, 1.5]},
+                        generators=[{"kind": "gaussian", "sigma": 0.5},
+                                    {"kind": "mixture", "components": [
+                                        {"weight": 0.5, "sigma": 0.4, "x0": -0.3, "p0": 0.7},
+                                        {"weight": 0.5, "sigma": 0.6, "x0": 0.2}]}],
+                        warps=[{"name": "bend", "q_knots": [[-1.0, -0.8], [1.0, 1.3]]}])
+    assert _run_verify_quietly(cfg) in {0, 1, 2, 3}
 
 
 class TestWidths:

@@ -113,6 +113,18 @@ def _random_weights(kind: str, n: int, rng) -> np.ndarray:
         w[n - trail - 1] += edge[1]
         w[lead] += edge[0]
         return w
+    if kind == "bimodal":
+        # two separated bumps: the central run spans the gap between them
+        x = np.arange(n)
+        for c, s, m in zip(rng.uniform(0, n, 2), rng.uniform(0.5, n / 8 + 1, 2),
+                           rng.uniform(0.05, 1.0, 2)):
+            w += m * np.exp(-0.5 * ((x - c) / s) ** 2)
+        return w
+    if kind == "one_sided":
+        # a sharp edge with a long tail: the shortest run hugs the edge, not the center
+        x = np.arange(n, dtype=float)
+        w[:] = np.exp(-x / rng.uniform(0.3, n / 4 + 1)) ** rng.uniform(0.5, 3.0)
+        return w[::-1] if rng.random() < 0.5 else w
     cells = rng.choice(n, size=min(3, n), replace=False)
     w[cells] = rng.uniform(1e-3, 1.0, cells.size)
     return w
@@ -122,7 +134,8 @@ EPS_SWEEP = (1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.137, 0.28, 0.5, 0.9, 0.999)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 257, 1024])
-@pytest.mark.parametrize("kind", ["dense", "sparse", "three_atoms", "edge_heavy"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "three_atoms", "edge_heavy", "bimodal",
+                                  "one_sided"])
 def test_overall_width_equals_searchsorted_formula(kind, n):
     rng = np.random.default_rng(1000 * n + len(kind))
     grid = GridSpec(-0.37 * n, 0.0123 * rng.uniform(1.0, 50.0), n)
@@ -132,6 +145,29 @@ def test_overall_width_equals_searchsorted_formula(kind, n):
         eps_values = EPS_SWEEP + tuple(10.0 ** rng.uniform(-9.0, np.log10(0.999), 10))
         for eps in eps_values:
             assert overall_width(P, eps) == _overall_width_searchsorted(P, eps)
+
+
+@pytest.mark.parametrize("kind", ["dense", "bimodal", "one_sided"])
+def test_overall_width_when_the_central_run_falls_short(kind):
+    # the central run leaves at most eps/2 on either side, so it carries
+    # c[n] - eps or a little more; with eps/2 of the mass missing (set past
+    # the constructor, which renormalizes) that is mostly below the target
+    # 1 - eps - 1e-12, and then the bisection must not start from it
+    n = 1024
+    rng = np.random.default_rng(len(kind))
+    P = GridMeasure(GridSpec(-5.0, 0.01, n), np.full(n, 1.0 / n))
+    short = 0
+    for _ in range(10):
+        w0 = _random_weights(kind, n, rng)
+        for eps in EPS_SWEEP:
+            w = w0 * ((1.0 - 0.5 * eps) / w0.sum())
+            object.__setattr__(P, "weights", w)
+            c = np.concatenate(([0.0], np.cumsum(w)))
+            i_a = np.searchsorted(c, 0.5 * eps, side="right") - 1
+            j_b = np.searchsorted(c, c[n] - 0.5 * eps, side="left")
+            short += c[j_b] < c[i_a] + (1.0 - eps - 1e-12)
+            assert overall_width(P, eps) == _overall_width_searchsorted(P, eps)
+    assert short >= 50
 
 
 class TestCenteredWidth:

@@ -336,6 +336,18 @@ class TestColumnRoute:
         ref = direct_overlap_sq(SKEWED, phi, q_shifts, SMALL_P.points()[cols])
         assert np.max(np.abs(out - ref)) <= 1e-12
 
+    def test_overlap_of_real_amplitudes_equals_their_complex_form(self):
+        # real amplitudes are cast to complex before the FFTs, so the dtype
+        # a state was built with leaves every bit of the overlap in place
+        psi, phi = small_state(0.3, 0.0, 0.9), small_state(-0.2, 0.0, 1.1)
+        assert psi.amps.dtype == phi.amps.dtype == np.float64
+        q_shifts, cols = np.arange(-60, 60, 4), np.arange(100, 160, 3)
+        for a, b in ((psi, phi), (psi, SKEWED), (SKEWED, phi)):
+            got = _component_overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
+            want = _component_overlap_sq(a.amps.astype(complex), b.amps.astype(complex),
+                                         SMALL.dx, q_shifts, cols)
+            assert np.array_equal(got, want)
+
     def test_peak_memory_bounded_at_n_16384(self):
         grid = GridSpec.symmetric(40.0, 16384)
         gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid)),

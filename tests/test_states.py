@@ -8,6 +8,7 @@ from uncert.grids import GridMeasure, GridSpec, Interval, mass, overall_width
 from uncert.states import (
     MixedState,
     WaveFunction,
+    _from_momentum_amps,
     box_state,
     gaussian_state,
     momentum_box_state,
@@ -295,3 +296,63 @@ def test_gaussian_at_zero_momentum_matches_complex_exp(x0, sigma):
             overall_width(position_distribution(want), eps)
         assert overall_width(momentum_distribution(got), eps) == \
             overall_width(momentum_distribution(want), eps)
+
+
+# ---------------------------------------------------------------------------
+# Real amplitudes stay float64
+# ---------------------------------------------------------------------------
+
+def _real_states():
+    yield "gaussian", gaussian_state(0.4, 0.0, 0.9, GRID)
+    yield "box", box_state(0.3, 2.5, GRID)
+    yield "point", point_state(-1.2, GRID)
+    yield "real_cat", superpose(1, gaussian_state(-3, 0, 0.5, GRID),
+                                -1.0, gaussian_state(3, 0, 0.5, GRID))
+
+
+@pytest.mark.parametrize("name, psi", list(_real_states()))
+def test_real_states_keep_float64_amplitudes(name, psi):
+    assert psi.amps.dtype == np.float64
+    assert parity(psi).amps.dtype == np.float64
+
+
+@pytest.mark.parametrize("psi", [
+    gaussian_state(0.4, 1.3, 0.9, GRID),
+    gaussian_state(0.0, -0.2, 1.1, GRID),
+    momentum_box_state(0.5, 3.0, GRID),
+    momentum_point_state(1.0, GRID),
+    _from_momentum_amps(np.full(GRID.n, 1.0 / math.sqrt(GRID.n * DP)), GRID, HBAR),
+    parity(gaussian_state(0.4, 1.3, 0.9, GRID)),
+], ids=["boosted", "slow", "momentum_box", "momentum_point", "from_momentum", "parity"])
+def test_complex_states_keep_complex128_amplitudes(psi):
+    assert psi.amps.dtype == np.complex128
+
+
+def _marginal_cases():
+    yield "gaussian", pure(gaussian_state(0.4, 0.0, 0.9, GRID))
+    yield "boosted", pure(gaussian_state(-1.1, 2.3, 0.7, GRID))
+    yield "box", pure(box_state(0.3, 2.5, GRID))
+    yield "mixture", MixedState([(0.25, gaussian_state(-2.0, 0.0, 0.8, GRID)),
+                                 (0.35, box_state(1.0, 1.7, GRID)),
+                                 (0.4, gaussian_state(1.0, -1.5, 1.3, GRID))])
+
+
+def _rewrapped(rho, cast):
+    # scaled off norm 1 (within NORM_TOL), so WaveFunction's own normalization acts
+    return MixedState([(w, WaveFunction(psi.grid, cast(psi.amps * (1.0 + 3e-7)), psi.hbar))
+                       for w, psi in rho.components])
+
+
+@pytest.mark.parametrize("name, rho", [(n, r) for n, r in _marginal_cases()] +
+                         [(f"parity_{n}", parity_mixed(r)) for n, r in _marginal_cases()])
+def test_marginals_of_real_amplitudes_equal_their_complex_form(name, rho):
+    # WaveFunction scales by the reciprocal of the norm's root, as numpy's
+    # complex / real division does, so the dtype leaves every bit in place
+    real = _rewrapped(rho, np.asarray)
+    cplx = _rewrapped(rho, lambda a: a.astype(complex))
+    for (_, a), (_, b) in zip(real.components, cplx.components):
+        assert np.array_equal(a.amps, b.amps)
+    assert np.array_equal(position_distribution(real).weights,
+                          position_distribution(cplx).weights)
+    assert np.array_equal(momentum_distribution(real).weights,
+                          momentum_distribution(cplx).weights)
