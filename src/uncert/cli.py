@@ -19,7 +19,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .metrology import (
 )
 from .observables import Kernel, PiecewiseLinearMap, marginal_measures
 from .states import MixedState, box_state, gaussian_state, momentum_distribution, \
-    position_distribution
+    parity_offset, position_distribution
 
 REPORT_VERSION = "# uncert-report v1"
 SCAN_CAP_DEFAULT = 10_000
@@ -249,7 +248,7 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
 
 def _report_row(rep) -> dict:
     return {
-        "scenario_id": rep.scenario_id,
+        "scenario_id": rep.scenario_id + (f"({rep.note})" if rep.note else ""),
         "eps1": rep.eps.eps1, "eps2": rep.eps.eps2,
         "overall_q": rep.axis_q.overall, "overall_p": rep.axis_p.overall,
         "resolution_q": rep.axis_q.resolution, "resolution_p": rep.axis_p.resolution,
@@ -302,6 +301,10 @@ def cmd_verify(args) -> int:
     if hbar <= 0:
         raise ConfigError("hbar: must be positive")
     grid = _parse_grid(top["grid"])
+    try:
+        parity_offset(grid)     # the smearing measures come from the parity image
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
     warps = _parse_warps(top["warps"])
@@ -310,20 +313,13 @@ def cmd_verify(args) -> int:
     for gi, gspec in enumerate(_list(top["generators"], "generators")):
         gen = _parse_generator(gspec, grid, hbar, f"generators[{gi}]")
         mu, nu = marginal_measures(gen)
-        kq, kp = Kernel("q", mu), Kernel("p", nu)
         for ei, eps in enumerate(eps_pairs):
-            rep = verify_joint_ur(gen, eps, calib, scenario_id=f"gen{gi}-eps{ei}",
-                                  kernels=(kq, kp))
-            row = _report_row(rep)
-            if rep.note:
-                row["scenario_id"] += f"({rep.note})"
-            rows.append(row)
-            for wname, gamma_q, gamma_p in warps:
-                wrep = verify_joint_ur(gen, eps, calib,
-                                       scenario_id=f"gen{gi}-{wname}-eps{ei}",
-                                       kernels=(replace(kq, gmap=gamma_q),
-                                                replace(kp, gmap=gamma_p)))
-                rows.append(_report_row(wrep))
+            # the plain row is the warp with no maps
+            for wname, gamma_q, gamma_p in [(None, None, None)] + warps:
+                label = f"gen{gi}-eps{ei}" if wname is None else f"gen{gi}-{wname}-eps{ei}"
+                rep = verify_joint_ur(gen, eps, calib, scenario_id=label,
+                                      kernels=(Kernel("q", mu, gamma_q), Kernel("p", nu, gamma_p)))
+                rows.append(_report_row(rep))
     csv_path, json_path = _write_reports(rows, Path(args.out))
     all_pass = all(row["passed"] for row in rows)
     print(f"{len(rows)} scenario rows -> {csv_path}, {json_path}; "

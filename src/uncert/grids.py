@@ -8,14 +8,13 @@ comparison downstream carries a one-to-two-cell tolerance.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-# Total mass must sit within MASS_TOL of 1 after construction.  Transforms
-# (FFT convolution, pushforward) may drift by up to RENORM_TOL before we
-# treat the deviation as a bug rather than roundoff.
-MASS_TOL = 1e-9
+# Weights may miss total mass 1 by up to RENORM_TOL (roundoff of FFT convolution,
+# pushforward) before construction renormalizes them; more is treated as a bug.
 RENORM_TOL = 1e-6
 
 
@@ -43,6 +42,18 @@ class GridSpec:
     def nearest_index(self, x: float) -> int:
         j = int(round((x - self.x_min) / self.dx))
         return min(max(j, 0), self.n - 1)
+
+    def cells_within(self, lo: float, hi: float) -> range:
+        """Indices j with lo - 1e-9*dx <= x_j <= hi + 1e-9*dx: the cells of the
+        closed interval [lo, hi], each end widened by 1e-9 of a step.  x_j rises
+        with j, so both ends are bisected on x_min + dx*j, the float expression
+        :meth:`points` evaluates: exact and O(log n), with no array built.
+        """
+        x0, dx = self.x_min, self.dx
+        lo, hi = lo - 1e-9 * dx, hi + 1e-9 * dx
+        start = bisect.bisect_left(range(self.n), True, key=lambda j: x0 + dx * j >= lo)
+        stop = bisect.bisect_left(range(self.n), True, start, key=lambda j: not x0 + dx * j <= hi)
+        return range(start, stop)
 
     def contains(self, x: float) -> bool:
         return self.x_min - 1e-9 * self.dx <= x <= self.x_max + 1e-9 * self.dx
@@ -130,12 +141,12 @@ def uniform_measure(a: float, b: float, grid: GridSpec) -> GridMeasure:
     """Equal weights on all grid points inside the closed interval [a, b]."""
     if b <= a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    x = grid.points()
-    inside = (x >= a - 1e-9 * grid.dx) & (x <= b + 1e-9 * grid.dx)
-    if not inside.any():
+    cells = grid.cells_within(a, b)
+    if not cells:
         raise ValueError(f"interval [{a}, {b}] contains no grid point")
-    w = inside.astype(float)
-    return GridMeasure(grid, w / w.sum())
+    w = np.zeros(grid.n)
+    w[cells.start:cells.stop] = 1.0 / len(cells)
+    return GridMeasure(grid, w)
 
 
 def gaussian_measure(mean: float, sigma: float, grid: GridSpec) -> GridMeasure:
@@ -156,10 +167,8 @@ def gaussian_measure(mean: float, sigma: float, grid: GridSpec) -> GridMeasure:
 
 def mass(P: GridMeasure, J: Interval) -> float:
     """Total weight at grid points lying in the closed interval J."""
-    x = P.grid.points()
-    tol = 1e-9 * P.grid.dx
-    inside = (x >= J.lo - tol) & (x <= J.hi + tol)
-    return float(P.weights[inside].sum())
+    cells = P.grid.cells_within(J.lo, J.hi)
+    return float(P.weights[cells.start:cells.stop].sum())
 
 
 def overall_width(P: GridMeasure, eps: float) -> float:

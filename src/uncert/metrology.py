@@ -169,23 +169,14 @@ def _axis_grid(axis: str, grid: GridSpec, hbar: float) -> GridSpec:
     return grid if axis == "q" else momentum_grid(grid, hbar)
 
 
-def _cells_within(axis_grid: GridSpec, center: float, width: float) -> np.ndarray:
-    """Indices of the axis-grid points in [center - width/2, center + width/2]."""
-    x = axis_grid.points()
-    tol = 1e-9 * axis_grid.dx
-    cells = np.flatnonzero((x >= center - 0.5 * width - tol) &
-                           (x <= center + 0.5 * width + tol))
-    if cells.size == 0:
-        raise ValueError(f"interval {center} +- {0.5 * width} contains no grid point")
-    return cells
-
-
 def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
     """First and last axis-grid cell of the calibration rung [center +- delta/2]."""
     if delta / axis_grid.dx < 2.0 - 1e-9:
         raise ValueError(f"delta {delta} below the 2-cell minimum {2 * axis_grid.dx}")
-    inside = _cells_within(axis_grid, center, delta)
-    return int(inside[0]), int(inside[-1])
+    cells = axis_grid.cells_within(center - 0.5 * delta, center + 0.5 * delta)
+    if not cells:
+        raise ValueError(f"interval {center} +- {0.5 * delta} contains no grid point")
+    return cells[0], cells[-1]
 
 
 class _CenteredWindows:
@@ -313,8 +304,10 @@ def _axis_pass(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> tuple:
     else:
         resolution, centers = 0.0, cfg.probe_centers
         points = [axis_grid.nearest_index(c) for c in centers]
-        boxes = [_cells_within(axis_grid, c, 2 * axis_grid.dx)
-                 for c in centers] if kernel.axis == "q" else []
+        # a box, the cells within one step of c, is the rung of delta = 2 dx about c
+        boxes = [] if kernel.axis == "p" else [
+            np.arange(first, last + 1)
+            for first, last in (_rung(axis_grid, c, 2 * axis_grid.dx) for c in centers)]
     for x in centers:
         windows = _CenteredWindows(kernel, axis_grid, x)
         rungs = [_rung(axis_grid, x, delta) for delta in cfg.delta_ladder]

@@ -256,7 +256,7 @@ def aligned_window(grid: GridSpec, half_width: float, stride: int = 1) -> GridSp
     hi = center + k * stride
     if lo < 0 or hi >= grid.n:
         raise ValueError(f"window half-width {half_width} exceeds the grid")
-    return GridSpec(grid.points()[lo], grid.dx * stride, 2 * k + 1)
+    return GridSpec(grid.x_min + grid.dx * lo, grid.dx * stride, 2 * k + 1)
 
 
 def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols):

@@ -133,13 +133,11 @@ def box_state(center: float, width: float, grid: GridSpec,
     """Constant amplitude on the closed interval [center - width/2, center + width/2]."""
     if width < 2 * grid.dx:
         raise ValueError(f"box width {width} below the 2*dx minimum {2 * grid.dx}")
-    x = grid.points()
-    tol = 1e-9 * grid.dx
-    inside = (x >= center - 0.5 * width - tol) & (x <= center + 0.5 * width + tol)
-    if not inside.any():
+    cells = grid.cells_within(center - 0.5 * width, center + 0.5 * width)
+    if not cells:
         raise ValueError("box has no support on the grid")
-    a = inside.astype(float)
-    a /= math.sqrt(float(np.sum(np.abs(a) ** 2) * grid.dx))
+    a = np.zeros(grid.n)
+    a[cells.start:cells.stop] = 1.0 / math.sqrt(len(cells) * grid.dx)
     return WaveFunction(grid, a, hbar)
 
 
@@ -156,13 +154,11 @@ def momentum_box_state(center: float, width: float, grid: GridSpec,
     pg = momentum_grid(grid, hbar)
     if width < 2 * pg.dx:
         raise ValueError(f"momentum box width {width} below the 2*dp minimum {2 * pg.dx}")
-    p = pg.points()
-    tol = 1e-9 * pg.dx
-    inside = (p >= center - 0.5 * width - tol) & (p <= center + 0.5 * width + tol)
-    if not inside.any():
+    cells = pg.cells_within(center - 0.5 * width, center + 0.5 * width)
+    if not cells:
         raise ValueError("momentum box has no support on the conjugate grid")
-    phi = inside.astype(complex)
-    phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2) * pg.dx))
+    phi = np.zeros(grid.n, dtype=complex)
+    phi[cells.start:cells.stop] = 1.0 / math.sqrt(len(cells) * pg.dx)
     return _from_momentum_amps(phi, grid, hbar)
 
 
@@ -265,18 +261,22 @@ def weyl_displace(psi: WaveFunction, q: float, p: float) -> WaveFunction:
     return WaveFunction(grid, a, hbar)
 
 
-def parity(psi: WaveFunction) -> WaveFunction:
-    """Reflection (amps at x move to -x); requires a grid symmetric about 0."""
-    grid = psi.grid
+def parity_offset(grid: GridSpec) -> int:
+    """The m with -x_j = x_{(m - j) mod n}; raises ValueError unless the grid
+    is symmetric about 0 to within a step and -x_j lands on the grid."""
     if abs(grid.x_min + grid.x_max) > grid.dx * (1 + 1e-9):
-        raise ValueError(
-            f"grid [{grid.x_min}, {grid.x_max}] is not symmetric about 0")
+        raise ValueError(f"points [{grid.x_min}, {grid.x_max}] are not symmetric about 0")
     mf = -2.0 * grid.x_min / grid.dx
     m = int(round(mf))
     if abs(mf - m) > 1e-6:
-        raise ValueError("reflected grid points do not land on the grid")
-    idx = (m - np.arange(grid.n)) % grid.n
-    return WaveFunction(grid, psi.amps[idx], psi.hbar)
+        raise ValueError("reflected points -x_j do not land on the grid")
+    return m
+
+
+def parity(psi: WaveFunction) -> WaveFunction:
+    """Reflection (amps at x move to -x); requires a grid symmetric about 0."""
+    idx = (parity_offset(psi.grid) - np.arange(psi.grid.n)) % psi.grid.n
+    return WaveFunction(psi.grid, psi.amps[idx], psi.hbar)
 
 
 def displace_mixed(rho: MixedState, q: float, p: float) -> MixedState:

@@ -38,6 +38,24 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def bench_verify_config(n, confidence):
+    """The seed-0 config of the verify-* benchmark workloads at n points."""
+    half = 20.0
+    return {
+        "grid": {"n": n, "x_min": -half, "x_max": half},
+        "hbar": 1.0,
+        "confidence": confidence,
+        "generators": [{"kind": "gaussian", "sigma": 1.0},
+                       {"kind": "mixture",
+                        "components": [{"weight": 0.5, "sigma": 0.8},
+                                       {"weight": 0.5, "sigma": 1.2, "x0": 0.5}]}],
+        "calibration": {"delta_ladder": [0.4, 0.2, 0.1], "probe_centers": [0.0],
+                        "probe_kind": "box"},
+        "warps": [{"name": "wiggle",
+                   "q_knots": [[-half, -half], [-1, -0.7], [1, 1.3], [half, half]]}],
+    }
+
+
 P_BEND = [[-40.0, -40.0], [-1.0, -0.6], [1.0, 1.4], [40.0, 40.0]]
 Q_SHIFT = [[-12.8, -12.5], [12.8, 13.1]]
 P_SHIFT = [[-40.0, -40.4], [40.0, 39.6]]
@@ -216,24 +234,33 @@ class TestVerify:
     def test_desk_report_matches_the_benchmark_reference(self, tmp_path):
         # the seed-0 verify-desk benchmark config: n = 4096, 2 generators x
         # 3 eps pairs x (plain, warped) = 12 rows; the stored report is only read
-        half = 20.0
-        cfg = {
-            "grid": {"n": 4096, "x_min": -half, "x_max": half},
-            "hbar": 1.0,
-            "confidence": [[0.05, 0.05], [0.1, 0.2], [0.2, 0.1]],
-            "generators": [{"kind": "gaussian", "sigma": 1.0},
-                           {"kind": "mixture",
-                            "components": [{"weight": 0.5, "sigma": 0.8},
-                                           {"weight": 0.5, "sigma": 1.2, "x0": 0.5}]}],
-            "calibration": {"delta_ladder": [0.4, 0.2, 0.1], "probe_centers": [0.0],
-                            "probe_kind": "box"},
-            "warps": [{"name": "wiggle",
-                       "q_knots": [[-half, -half], [-1, -0.7], [1, 1.3], [half, half]]}],
-        }
+        cfg = bench_verify_config(4096, [[0.05, 0.05], [0.1, 0.2], [0.2, 0.1]])
         rc = main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)])
         assert rc == 0
         assert (tmp_path / "out" / "report.csv").read_text() == \
             (REFERENCE / "verify-desk.csv").read_text()
+
+    def test_large_report_matches_the_benchmark_reference(self, tmp_path):
+        # the seed-0 verify-large benchmark config: n = 65536, 2 generators x
+        # 1 eps pair x (plain, warped) = 4 rows; the stored report is only read
+        cfg = bench_verify_config(65536, [[0.05, 0.05]])
+        rc = main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)])
+        assert rc == 0
+        assert (tmp_path / "out" / "report.csv").read_text() == \
+            (REFERENCE / "verify-large.csv").read_text()
+
+    def test_rows_without_a_positive_bound_are_annotated(self, tmp_path):
+        # eps1 + eps2 >= 1: the plain row and the warped row both say so
+        cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                            confidence=[[0.6, 0.6]],
+                            warps=[{"name": "w", "p_knots": P_BEND}])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+        lines = (tmp_path / "out" / "report.csv").read_text().splitlines()[2:]
+        assert [line.split(",")[0] for line in lines] == \
+            ["gen0-eps0(no positive bound)", "gen0-w-eps0(no positive bound)"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [row["scenario_id"] for row in report] == \
+            ["gen0-eps0(no positive bound)", "gen0-w-eps0(no positive bound)"]
 
     def test_inconclusive_ladder_exits_3(self, tmp_path, capsys, monkeypatch):
         # every rung's window comes out wider than the last one's, so the
@@ -291,6 +318,16 @@ class TestVerifyConfigErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("grid, ladder", [
+        ({"n": 64, "x_min": -12.8, "x_max": 12.9}, [1.6, 0.9]),      # -x_j off the grid
+        ({"n": 256, "x_min": -29.4, "x_max": 12.0}, [0.8, 0.4]),    # not symmetric about 0
+    ])
+    def test_grid_not_symmetric_about_0_names_grid(self, tmp_path, capsys, grid, ladder):
+        cfg = verify_config(grid=grid, calibration={"delta_ladder": ladder})
+        assert main(["verify", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: ") and "Traceback" not in err
 
     def test_smearings_is_an_unknown_key(self, tmp_path, capsys):
         cfg = verify_config(smearings=[{"kind": "delta", "c": 0.0}])

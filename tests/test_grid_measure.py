@@ -18,6 +18,8 @@ from uncert.grids import (
     reflect,
     uniform_measure,
 )
+from uncert.states import WaveFunction, _from_momentum_amps, box_state, momentum_box_state, \
+    momentum_grid
 
 GRID = GridSpec.symmetric(8.0, 2048)  # dx = 0.0078125
 DX = GRID.dx
@@ -315,3 +317,99 @@ def test_overall_width_window_mass_exactly_at_target(n):
             eps = _eps_with_target(m / 64.0)
             if eps is not None:
                 assert overall_width(P, eps) == _overall_width_searchsorted(P, eps)
+
+
+# ---------------------------------------------------------------------------
+# Cells of a closed interval
+# ---------------------------------------------------------------------------
+
+def _mask(grid: GridSpec, lo: float, hi: float) -> np.ndarray:
+    """The reference rule: grid points in [lo, hi], each end widened by 1e-9 dx."""
+    x = grid.points()
+    tol = 1e-9 * grid.dx
+    return (x >= lo - tol) & (x <= hi + tol)
+
+
+@st.composite
+def grid_intervals(draw):
+    """A grid, sometimes far from 0 so that its points are quantized to many
+    ulps per cell, and an interval whose ends sit on, 1e-9 dx beside, or a
+    few ulps around a grid point, past either end of the grid, or anywhere;
+    the ends come in either order, so some intervals are empty."""
+    n = draw(st.integers(2, 3000))
+    dx = draw(st.floats(1e-3, 10.0))
+    x_min = draw(st.one_of(st.floats(-100.0, 100.0),
+                           st.sampled_from([-1e15, 1e15, -3e13, 7.25e14])))
+    grid = GridSpec(x_min, dx, n)
+
+    def end():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.floats(x_min - 3 * n * dx, x_min + 4 * n * dx))
+        x = x_min + dx * draw(st.integers(-3, n + 2))
+        x += dx * draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.5, -0.5]))
+        for _ in range(draw(st.integers(0, 3))):
+            x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+        return x
+
+    return grid, end(), end()
+
+
+@settings(max_examples=1500, deadline=None)
+@given(grid_intervals())
+def test_cells_within_equals_the_mask(case):
+    grid, lo, hi = case
+    cells = grid.cells_within(lo, hi)
+    assert isinstance(cells, range) and cells.step == 1
+    assert list(cells) == np.flatnonzero(_mask(grid, lo, hi)).tolist()
+
+
+def test_cells_within_edges():
+    grid = GridSpec(-1.0, 0.25, 9)
+    tol = 1e-9 * grid.dx
+    assert grid.cells_within(-0.5, 0.5) == range(2, 7)
+    assert grid.cells_within(-0.5 + tol, 0.5 - tol) == range(2, 7)
+    assert grid.cells_within(-0.5 + 2 * tol, 0.5 - 2 * tol) == range(3, 6)
+    assert len(grid.cells_within(0.6, 0.4)) == 0              # empty interval
+    assert len(grid.cells_within(1.5, 2.0)) == 0              # past the right end
+    assert len(grid.cells_within(-3.0, -1.5)) == 0            # past the left end
+    assert grid.cells_within(-9.0, 9.0) == range(9)
+    assert len(grid.cells_within(math.nan, 1.0)) == 0
+    assert len(grid.cells_within(-1.0, math.nan)) == 0
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return a.dtype.str.encode() + a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10), st.floats(1.0, 30.0), st.integers(0, 2**32 - 1),
+       st.floats(-0.6, 0.6), st.floats(0.0, 0.5))
+def test_interval_cells_are_bitwise_the_mask_formulas(log_n, half, seed, c, w):
+    # each function against its formula on the full-grid mask
+    grid = GridSpec.symmetric(half, 2 ** log_n)
+    rng = np.random.default_rng(seed)
+    w_P = rng.random(grid.n) * (rng.random(grid.n) < 0.7) + 1e-3
+    P = GridMeasure(grid, w_P / w_P.sum())
+    center, width = c * grid.n * grid.dx, w * grid.n * grid.dx
+    J = Interval(center, width)
+    assert _bits(mass(P, J)) == _bits(float(P.weights[_mask(grid, J.lo, J.hi)].sum()))
+
+    inside = _mask(grid, J.lo, J.hi)
+    if J.lo < J.hi and inside.any():
+        w_ref = inside.astype(float)
+        assert _bits(uniform_measure(J.lo, J.hi, grid).weights) == \
+            _bits(GridMeasure(grid, w_ref / w_ref.sum()).weights)
+    if width >= 2 * grid.dx and inside.any():
+        a = inside.astype(float)
+        a /= math.sqrt(float(np.sum(np.abs(a) ** 2) * grid.dx))
+        assert _bits(box_state(center, width, grid).amps) == _bits(WaveFunction(grid, a).amps)
+
+    pg = momentum_grid(grid, 1.0)
+    p_center, p_width = c * pg.n * pg.dx, w * pg.n * pg.dx
+    inside = _mask(pg, p_center - 0.5 * p_width, p_center + 0.5 * p_width)
+    if p_width >= 2 * pg.dx and inside.any():
+        phi = inside.astype(complex)
+        phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2) * pg.dx))
+        assert _bits(momentum_box_state(p_center, p_width, grid).amps) == \
+            _bits(_from_momentum_amps(phi, grid, 1.0).amps)
