@@ -22,7 +22,9 @@ import sys
 from itertools import product as iproduct
 from pathlib import Path
 
-from .grids import GridSpec, overall_width
+import numpy as np
+
+from .grids import GridSpec, _normalize_weights, _shortest_run, overall_width
 from .metrology import (
     CalibrationConfig,
     ConfidencePair,
@@ -32,7 +34,8 @@ from .metrology import (
     verify_joint_ur,
 )
 from .observables import Kernel, PiecewiseLinearMap, marginal_measures
-from .states import MixedState, box_state, gaussian_state, momentum_distribution, \
+from .states import MixedState, _gaussian_amps, _momentum_weights, _position_weights, \
+    _unit_norm, box_state, gaussian_state, momentum_distribution, momentum_grid, \
     parity_offset, position_distribution
 
 REPORT_VERSION = "# uncert-report v1"
@@ -350,12 +353,15 @@ def _parse_state_spec(spec: str, grid: GridSpec, hbar: float) -> MixedState:
     extra = set(params) - known[head]
     if extra:
         raise ConfigError(f"state spec: unknown parameters {sorted(extra)}")
-    if head == "gaussian":
-        return MixedState.pure(gaussian_state(
-            params.get("x0", 0.0), params.get("p0", 0.0),
-            params.get("sigma", 1.0), grid, hbar))
-    return MixedState.pure(box_state(
-        params.get("center", 0.0), params.get("width", 1.0), grid, hbar))
+    try:
+        if head == "gaussian":
+            return MixedState.pure(gaussian_state(
+                params.get("x0", 0.0), params.get("p0", 0.0),
+                params.get("sigma", 1.0), grid, hbar))
+        return MixedState.pure(box_state(
+            params.get("center", 0.0), params.get("width", 1.0), grid, hbar))
+    except ValueError as exc:
+        raise ConfigError(f"state spec: {exc}") from exc
 
 
 def _parse_eps(text: str) -> ConfidencePair:
@@ -400,6 +406,54 @@ def cmd_widths(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+class _ScanWorkspace:
+    """The four arrays a scan writes every lattice point into, so that a
+    point allocates no n-length array.
+
+    A point at p0 = 0 runs the steps of gaussian_state, WaveFunction,
+    position_distribution, momentum_distribution, GridMeasure and
+    overall_width, through the same kernels, on these arrays: the position
+    points x; the amplitudes, which take the squared FFT moduli once the
+    FFT has read them; the prefix sums, n + 1 entries whose tail holds a
+    marginal's weights before the in-place cumsum (and |a|^2 for the
+    norms); and the real FFT.  A point at p0 != 0 has complex amplitudes
+    and takes the public, allocating route.
+    """
+
+    def __init__(self, grid: GridSpec, hbar: float):
+        n = grid.n
+        self.grid, self.hbar = grid, hbar
+        self.dp = momentum_grid(grid, hbar).dx
+        self.x = grid.points()
+        self.amps = np.empty(n)
+        self.prefix = np.zeros(n + 1)
+        self.spectrum = np.empty(n // 2 + 1, dtype=complex)
+
+    def widths(self, x0: float, p0: float, sigma: float, eps: ConfidencePair) -> tuple:
+        """(width_q, width_p) of the Gaussian at (x0, p0, sigma)."""
+        grid, hbar = self.grid, self.hbar
+        if p0 != 0:
+            rho = MixedState.pure(gaussian_state(x0, p0, sigma, grid, hbar))
+            return (overall_width(position_distribution(rho), eps.eps1),
+                    overall_width(momentum_distribution(rho), eps.eps2))
+        w = self.prefix[1:]
+        a = _gaussian_amps(x0, p0, sigma, grid, hbar, self.x, self.amps, w)
+        _unit_norm(a, grid.dx, w)
+        _position_weights([(1.0, a)], grid.dx, w)
+        wq = (self._marginal_run(eps.eps1) - 1) * grid.dx
+        _momentum_weights([(1.0, a)], grid, hbar, w, self.spectrum, a)
+        wp = (self._marginal_run(eps.eps2) - 1) * self.dp
+        return wq, wp
+
+    def _marginal_run(self, eps: float) -> int:
+        """Normalizes the weights in the prefix tail, sums them in place, and
+        bisects the shortest run on the prefix sums."""
+        w = self.prefix[1:]
+        _normalize_weights(w)
+        np.cumsum(w, out=w)
+        return _shortest_run(self.prefix, eps)
+
+
 def cmd_scan(args) -> int:
     _reject_global_options(args)
     cfg = json.loads(Path(args.config).read_text())
@@ -437,21 +491,20 @@ def cmd_scan(args) -> int:
     # every row is computed before the file is opened, so a lattice point
     # the grid cannot hold leaves no partial scan.csv behind
     rows = []
+    ws = _ScanWorkspace(grid, hbar)
     for combo in iproduct(*values):
         params = dict(zip(names, combo))
         try:
-            rho = MixedState.pure(gaussian_state(
-                params.get("x0", 0.0), params.get("p0", 0.0),
-                params.get("sigma", 1.0), grid, hbar))
+            wq, wp = ws.widths(params.get("x0", 0.0), params.get("p0", 0.0),
+                               params.get("sigma", 1.0), eps)
         except ValueError as exc:
             point = ", ".join(f"{k}={v}" for k, v in params.items())
             raise ConfigError(f"lattice point {point}: {exc}") from exc
-        wq = overall_width(position_distribution(rho), eps.eps1)
-        wp = overall_width(momentum_distribution(rho), eps.eps2)
         prod = wq * wp
         rows.append([_fmt(float(v)) for v in combo] +
                     [_fmt(v) for v in (wq, wp, prod, bs, bu,
                                        prod / bu if bu > 0 else float("inf"))])
+    del ws  # its arrays are not held while the file is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "scan.csv"

@@ -96,16 +96,10 @@ class GridMeasure:
     __slots__ = ("grid", "weights")
 
     def __init__(self, grid: GridSpec, weights):
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         if w.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} weights, got shape {w.shape}")
-        if w.min() < -1e-9:
-            raise ValueError(f"negative weight {w.min():.3e} beyond roundoff")
-        w = np.clip(w, 0.0, None)
-        total = w.sum()
-        if not abs(total - 1.0) <= RENORM_TOL:  # also rejects NaN
-            raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
-        w /= total
+        _normalize_weights(w)
         w.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", w)
@@ -124,6 +118,24 @@ class GridMeasure:
         x = self.grid.points()
         m = self.mean()
         return float(np.dot((x - m) ** 2, self.weights))
+
+
+def _normalize_weights(w: np.ndarray) -> None:
+    """:class:`GridMeasure`'s check and normalization, in place on float64 w.
+
+    Clips negative roundoff (below 1e-9 in magnitude) to zero, and only when
+    there is some, then divides by the total mass, which must lie within
+    RENORM_TOL of 1; anything else raises.
+    """
+    low = w.min()
+    if low < -1e-9:
+        raise ValueError(f"negative weight {low:.3e} beyond roundoff")
+    if low < 0:
+        np.clip(w, 0.0, None, out=w)
+    total = w.sum()
+    if not abs(total - 1.0) <= RENORM_TOL:  # also rejects NaN
+        raise ValueError(f"total mass {total:.9f} deviates from 1 beyond {RENORM_TOL}")
+    w /= total
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +187,30 @@ def overall_width(P: GridMeasure, eps: float) -> float:
     """Length of the shortest grid window carrying mass >= 1 - eps.
 
     The window is a run of consecutive grid points; its length is
-    (last - first) * dx, so a single point has width 0.  On the prefix sums
-    c (n + 1 entries) a run of k points starting at i carries enough mass
-    when c[i + k] >= t[i], with t = c + target.  The weights are
-    nonnegative, so c is nondecreasing in floating point, and so is t,
-    because rounding x + target is monotone in x; feasibility is therefore
-    monotone in k and the shortest k is bisected.
+    (last - first) * dx, so a single point has width 0.  One O(n) cumsum
+    gives the prefix sums (n + 1 entries, the only array built) and
+    :func:`_shortest_run` bisects the run on them.
+    """
+    c = np.empty(P.grid.n + 1)
+    c[0] = 0.0
+    np.cumsum(P.weights, out=c[1:])
+    return (_shortest_run(c, eps) - 1) * P.grid.dx
+
+
+def _shortest_run(c: np.ndarray, eps: float) -> int:
+    """The number of points in the shortest run carrying mass >= 1 - eps,
+    on the prefix sums c (c[0] = 0, c[j] the mass of the first j points).
+
+    A run of k points starting at i carries enough mass when
+    c[i + k] >= c[i] + target, the sum rounded once as a float.  The
+    weights are nonnegative, so c is nondecreasing in floating point, and
+    so is c[i] + target, because rounding x + target is monotone in x;
+    feasibility is therefore monotone in k and the shortest k is bisected.
 
     Only starts that can pass are compared.  Since c[i + k] <= c[n], a
-    start needs t[i] <= c[n], which holds exactly for i <= i_max; since
-    t[i] >= t[0] = target, an end needs c[j] >= target, which holds
+    start needs c[i] + target <= c[n], which holds exactly for
+    i <= i_max, found by bisection on c[i] + target; since
+    c[i] + target >= target, an end needs c[j] >= target, which holds
     exactly for j >= j_min.  Every other start fails the comparison above,
     so the result is the same as comparing all of them.  A run of k points
     can pass only when j_min - i_max <= k, and the runs [0, j_min) and
@@ -197,40 +223,38 @@ def overall_width(P: GridMeasure, eps: float) -> float:
     eps/2 of the mass on either side: from the last start i_a with
     c[i_a] <= eps/2 to the first end j_b with c[j_b] >= c[n] - eps/2.  It
     usually carries the target and is seldom much longer than the shortest
-    run; it is taken only when it passes the same exact comparison,
-    c[j_b] >= t[i_a], so the upper end stays a length that passes and the
-    result is unchanged.  For a Gaussian at n = 16384 it starts the
-    bisection near the answer instead of about eight times above it.
+    run; it is taken only when it passes the same exact comparison, so the
+    upper end stays a length that passes and the result is unchanged.  For
+    a Gaussian at n = 16384 it starts the bisection near the answer
+    instead of about eight times above it.
 
-    Cost: one O(n) cumsum and one O(n) sum with the target, four O(log n)
-    searches, then about log2(hi - lo) comparisons, each over the
-    k - (j_min - i_max) + 1 starts that can pass, at most n.
+    Cost: five O(log n) searches, then about log2(hi - lo) comparisons,
+    each over the k - (j_min - i_max) + 1 starts that can pass, at most n;
+    the only arrays built are those comparisons' operands.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     target = 1.0 - eps - 1e-12
-    n = P.grid.n
-    c = np.empty(n + 1)
-    c[0] = 0.0
-    np.cumsum(P.weights, out=c[1:])
-    t = c + target
-    if not c[n] >= t[0]:
-        raise ValueError(f"total mass {c[n]} is below the target {target}")
-    i_max = int(np.searchsorted(t, c[n], side="right")) - 1
+    n = len(c) - 1
+    total = float(c[n])
+    if not total >= target:
+        raise ValueError(f"total mass {total} is below the target {target}")
+    i_max = bisect.bisect_left(range(n + 1), True,
+                               key=lambda i: float(c[i]) + target > total) - 1
     j_min = int(np.searchsorted(c, target, side="left"))
     lo, hi = max(1, j_min - i_max), min(n, j_min, n - i_max)
     i_a = int(np.searchsorted(c, 0.5 * eps, side="right")) - 1
-    j_b = int(np.searchsorted(c, c[n] - 0.5 * eps, side="left"))
-    if c[j_b] >= t[i_a]:
+    j_b = int(np.searchsorted(c, total - 0.5 * eps, side="left"))
+    if c[j_b] >= c[i_a] + target:
         hi = min(hi, j_b - i_a)
     while lo < hi:
         k = (lo + hi) // 2
         a, b = max(0, j_min - k), min(i_max, n - k) + 1
-        if (c[a + k:b + k] >= t[a:b]).any():
+        if (c[a + k:b + k] >= c[a:b] + target).any():
             hi = k
         else:
             lo = k + 1
-    return (lo - 1) * P.grid.dx
+    return lo
 
 
 def centered_width(P: GridMeasure, x: float, eps: float) -> float:

@@ -35,7 +35,8 @@ class WaveFunction:
     the reciprocal of the norm's square root: numpy divides a complex array
     by a real scalar as x * (1/s), so a real array scaled that way holds
     the real parts its complex128 form would hold, bit for bit, where x / s
-    differs in the last bit on many of them.
+    differs in the last bit on many of them.  :func:`_unit_norm` is that
+    step.
     """
 
     __slots__ = ("grid", "amps", "hbar")
@@ -47,10 +48,7 @@ class WaveFunction:
         a = a.astype(complex if np.iscomplexobj(a) else float)
         if a.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} amplitudes, got shape {a.shape}")
-        nrm = float(np.sum(np.abs(a) ** 2) * grid.dx)
-        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise ValueError(f"state norm {nrm:.9f} deviates from 1 beyond {NORM_TOL}")
-        a *= 1.0 / math.sqrt(nrm)
+        _unit_norm(a, grid.dx, np.empty(grid.n))
         a.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amps", a)
@@ -58,6 +56,22 @@ class WaveFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("WaveFunction is immutable")
+
+
+def _norm_sq(a: np.ndarray, dx: float, scratch: np.ndarray) -> float:
+    """sum |a|^2 dx, with |a|^2 formed in scratch (n floats) as np.abs(a) ** 2 forms it."""
+    np.abs(a, out=scratch)
+    np.square(scratch, out=scratch)
+    return float(np.sum(scratch) * dx)
+
+
+def _unit_norm(a: np.ndarray, dx: float, scratch: np.ndarray) -> None:
+    """:class:`WaveFunction`'s normalization, in place on a: raises unless its
+    norm is within NORM_TOL of 1, then scales it by the norm's reciprocal root."""
+    nrm = _norm_sq(a, dx, scratch)
+    if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects NaN
+        raise ValueError(f"state norm {nrm:.9f} deviates from 1 beyond {NORM_TOL}")
+    a *= 1.0 / math.sqrt(nrm)
 
 
 class MixedState:
@@ -103,29 +117,53 @@ class MixedState:
 def gaussian_state(x0: float, p0: float, sigma: float, grid: GridSpec,
                    hbar: float = 1.0) -> WaveFunction:
     """Minimal-uncertainty Gaussian centered at (x0, p0), position spread sigma."""
+    x = grid.points()
+    return WaveFunction(grid, _gaussian_amps(x0, p0, sigma, grid, hbar, x, x,
+                                             np.empty(grid.n)), hbar)
+
+
+def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: float,
+                   x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The Gaussian's parameter checks, then its amplitudes on the points x,
+    divided by the root of their norm.
+
+    8 sigma around x0 must lie on the grid, and 8 sigma_p around p0, with
+    sigma_p = hbar / (2 sigma), within the momentum grid's +-pi hbar / dx:
+    a wider momentum spread wraps around it.  At p0 = 0 the amplitudes are
+    real and are built in place in out, which may be x; at p0 != 0 they are
+    complex, in a new array.  scratch (n floats) holds |a|^2 for the norm.
+    """
     if not all(math.isfinite(v) for v in (x0, p0, sigma)):
         raise ValueError(f"Gaussian parameters must be finite, got "
                          f"x0={x0}, p0={p0}, sigma={sigma}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if not hbar > 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
     if grid.x_min > x0 - 8 * sigma or grid.x_max < x0 + 8 * sigma:
         raise ValueError(
             f"grid [{grid.x_min}, {grid.x_max}] does not cover "
             f"[{x0 - 8 * sigma}, {x0 + 8 * sigma}] (8 sigma around x0)")
-    x = grid.points()
+    # Python floats: a tiny sigma gives sigma_p = inf, not an overflow warning
+    p_max = math.pi * float(hbar) / grid.dx
+    sigma_p = float(hbar) / (2.0 * float(sigma))
+    if not (-p_max <= p0 - 8 * sigma_p and p0 + 8 * sigma_p <= p_max):
+        raise ValueError(
+            f"momentum grid [{-p_max}, {p_max}] does not cover "
+            f"[{p0 - 8 * sigma_p}, {p0 + 8 * sigma_p}] "
+            f"(8 sigma_p around p0, sigma_p = hbar / (2 sigma))")
     if p0 != 0:
         a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
     else:
         # a real exp costs 1/20 of exp(a + 0j); the two differ at most in
-        # the last bit (numpy's vectorized exp against libm's).  The
-        # exponent is built in place, in the same operations and order.
-        a = np.subtract(x, x0, out=x)
+        # the last bit (numpy's vectorized exp against libm's)
+        a = np.subtract(x, x0, out=out)
         np.square(a, out=a)
         np.negative(a, out=a)
         a /= 4.0 * sigma**2
         np.exp(a, out=a)
-    a /= math.sqrt(float(np.sum(np.abs(a) ** 2) * grid.dx))
-    return WaveFunction(grid, a, hbar)
+    a /= math.sqrt(_norm_sq(a, grid.dx, scratch))
+    return a
 
 
 def box_state(center: float, width: float, grid: GridSpec,
@@ -203,10 +241,24 @@ def _from_momentum_amps(phi: np.ndarray, grid: GridSpec, hbar: float) -> WaveFun
 
 def position_distribution(rho: MixedState) -> GridMeasure:
     """rho^Q: mixture-weighted |psi|^2 dx per grid cell."""
-    w = np.zeros(rho.grid.n)
-    for wk, psi in rho.components:
-        w += wk * np.abs(psi.amps) ** 2
-    return GridMeasure(rho.grid, w * rho.grid.dx)
+    w = np.empty(rho.grid.n)
+    _position_weights([(wk, psi.amps) for wk, psi in rho.components], rho.grid.dx, w)
+    return GridMeasure(rho.grid, w)
+
+
+def _position_weights(components, dx: float, out: np.ndarray) -> None:
+    """rho^Q's weights, written to out, from (weight, amplitudes) pairs.
+
+    The first component's wk |psi|^2 is formed in out itself, which equals
+    0 + wk |psi|^2; each further one is added from a new array.
+    """
+    (w0, a0), rest = components[0], components[1:]
+    np.abs(a0, out=out)
+    np.square(out, out=out)
+    out *= w0
+    for wk, a in rest:
+        out += wk * np.abs(a) ** 2
+    out *= dx
 
 
 def momentum_distribution(rho: MixedState) -> GridMeasure:
@@ -214,31 +266,48 @@ def momentum_distribution(rho: MixedState) -> GridMeasure:
 
     |phi(p)|^2 = |F(p)|^2 dx^2 / (2 pi hbar) with F = fft(psi): the phase
     exp(-i p x_min / hbar) that ties F to phi has modulus one, so it is
-    never formed.  A component whose amplitudes are real has
-    F(-k) = conj(F(k)), so the n/2 + 1 bins of its real FFT fill the
-    centered grid: bin k >= 0 is cell n/2 + k, and bin n/2 - j mirrors onto
-    cell j < n/2.  The route follows the dtype: float64 amplitudes (a
-    Gaussian at p0 = 0, a box, a point, the parity image of any of them)
-    take the real FFT at once; complex128 ones are scanned for a nonzero
-    imaginary part and take the full complex FFT, shifted to the centered
-    grid, if they have one, else the real FFT of their real part.
+    never formed.  :func:`_momentum_weights` computes the weights.
+    """
+    h = rho.grid.n // 2
+    w = np.empty(rho.grid.n)
+    _momentum_weights([(wk, psi.amps) for wk, psi in rho.components], rho.grid, rho.hbar,
+                      w, np.empty(h + 1, dtype=complex), np.empty(h + 1))
+    return GridMeasure(momentum_grid(rho.grid, rho.hbar), w)
+
+
+def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
+                      spectrum: np.ndarray, scratch: np.ndarray) -> None:
+    """rho^P's weights on the centered conjugate grid, written to out, from
+    (weight, amplitudes) pairs.
+
+    A component whose amplitudes are real has F(-k) = conj(F(k)), so the
+    n/2 + 1 bins of its real FFT fill the centered grid: bin k >= 0 is cell
+    n/2 + k, and bin n/2 - j mirrors onto cell j < n/2.  The route follows
+    the dtype: float64 amplitudes (a Gaussian at p0 = 0, a box, a point,
+    the parity image of any of them) take the real FFT at once; complex128
+    ones are scanned for a nonzero imaginary part and take the full complex
+    FFT, shifted to the centered grid, in new arrays, if they have one,
+    else the real FFT of their real part.  The real FFT goes to spectrum
+    (n/2 + 1 complex) and its squared moduli to scratch (n/2 + 1 floats or
+    more), which may hold the amplitudes of the last component.
 
     Cost per component: one n-point real FFT (about half a complex one),
     or an O(n) scan and then one n-point complex FFT, and O(n) real
     arithmetic.
     """
-    pg = momentum_grid(rho.grid, rho.hbar)
-    h = pg.n // 2
-    w = np.zeros(pg.n)
-    for wk, psi in rho.components:
-        if np.iscomplexobj(psi.amps) and psi.amps.imag.any():
-            w += wk * np.fft.fftshift(np.abs(np.fft.fft(psi.amps)) ** 2)
+    h = grid.n // 2
+    out.fill(0.0)
+    for wk, a in components:
+        if np.iscomplexobj(a) and a.imag.any():
+            out += wk * np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
         else:
-            s = np.abs(np.fft.rfft(psi.amps.real)) ** 2
-            w[h:] += wk * s[:h]
-            w[:h] += wk * s[h:0:-1]
-    scale = pg.dx * rho.grid.dx ** 2 / (2.0 * math.pi * rho.hbar)
-    return GridMeasure(pg, w * scale)
+            np.fft.rfft(a.real, out=spectrum)
+            s = np.abs(spectrum, out=scratch[:h + 1])
+            np.square(s, out=s)
+            s *= wk
+            out[h:] += s[:h]
+            out[:h] += s[h:0:-1]
+    out *= momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
 
 
 # ---------------------------------------------------------------------------

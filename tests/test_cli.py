@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,9 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 import uncert
 from uncert import metrology, observables
-from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, main
-from uncert.grids import centered_width, uniform_measure
+from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, _ScanWorkspace, main
+from uncert.grids import GridSpec, centered_width, overall_width, uniform_measure
+from uncert.metrology import ConfidencePair
 from uncert.observables import Kernel, PiecewiseLinearMap
+from uncert.states import MixedState, gaussian_state, momentum_distribution, \
+    position_distribution
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -666,6 +671,48 @@ class TestWidths:
         assert not recwarn.list
 
 
+class TestMomentumCoverage:
+    """A Gaussian whose 8 sigma_p momentum spread leaves the +-pi hbar / dx
+    momentum grid would wrap around it; each command rejects it, names its
+    input, and warns nothing."""
+
+    @pytest.mark.parametrize("lattice, point", [
+        ({"p0": [1e6]}, "lattice point p0=1000000.0: momentum grid"),
+        ({"sigma": [1e-300]}, "lattice point sigma=1e-300: momentum grid"),
+        ({"sigma": [1.0, 0.01], "x0": [0.0]}, "lattice point sigma=0.01, x0=0.0: momentum grid"),
+    ])
+    def test_scan_names_the_lattice_point(self, tmp_path, capsys, recwarn, lattice, point):
+        cfg = {"grid": {"n": 1024, "x_min": -40.0, "x_max": 40.0}, "eps": [0.05, 0.05],
+               "family": "gaussian", "lattice": lattice}
+        rc = main(["--out", str(tmp_path / "out"), "scan", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert point in capsys.readouterr().err
+        assert not (tmp_path / "out" / "scan.csv").exists()
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("generator, where", [
+        ({"kind": "gaussian", "sigma": 0.01}, "generators[0]: momentum grid"),
+        ({"kind": "gaussian", "sigma": 1.0, "p0": 60.0}, "generators[0]: momentum grid"),
+        ({"kind": "mixture", "components": [{"weight": 0.5, "sigma": 1.0},
+                                            {"weight": 0.5, "sigma": 1e-300}]},
+         "generators[0].components[1]: momentum grid"),
+    ])
+    def test_verify_names_the_generator(self, tmp_path, capsys, recwarn, generator, where):
+        cfg = verify_config(generators=[generator])  # n = 512 over +-12.8: p_max = 62.8
+        rc = main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert where in capsys.readouterr().err
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("state", ["gaussian:sigma=0.01", "gaussian:sigma=1e-300",
+                                       "gaussian:sigma=1,p0=1e6"])
+    def test_widths_names_the_state_spec(self, capsys, recwarn, state):
+        rc = main(["widths", "--state", state, "--eps", "0.05"])  # p_max = 160.8
+        assert rc == 2
+        assert "state spec: momentum grid" in capsys.readouterr().err
+        assert not recwarn.list
+
+
 class TestScan:
     def scan_config(self, **overrides):
         cfg = {
@@ -745,6 +792,15 @@ class TestScan:
                           for sigma, w, r in widths))
         assert (tmp_path / "out" / "scan.csv").read_bytes() == want.encode()
 
+    def test_workload_scale_scan_csv_pinned(self, tmp_path):
+        # tests/golden/scan_lattice: the seed-0 scan-lattice benchmark config,
+        # a 26 x 10 sigma x x0 lattice at n = 16384, and the scan.csv it writes
+        golden = GOLDEN / "scan_lattice"
+        rc = main(["--out", str(tmp_path / "out"), "scan", str(golden / "config.json")])
+        assert rc == 0
+        assert (tmp_path / "out" / "scan.csv").read_bytes() == \
+            (golden / "scan.csv").read_bytes()
+
     def test_empty_lattice_value_list_gives_header_only(self, tmp_path):
         cfg = self.scan_config(lattice={"sigma": []})
         path = write_config(tmp_path, cfg)
@@ -752,6 +808,79 @@ class TestScan:
         assert rc == 0
         lines = (tmp_path / "out" / "scan.csv").read_text().splitlines()
         assert len(lines) == 2
+
+
+def _public_widths(x0, p0, sigma, grid, eps):
+    rho = MixedState.pure(gaussian_state(x0, p0, sigma, grid, 1.0))
+    return (overall_width(position_distribution(rho), eps.eps1),
+            overall_width(momentum_distribution(rho), eps.eps2))
+
+
+@st.composite
+def scan_points(draw):
+    """A grid and two Gaussians on it, each with 8 sigma around x0 on the grid
+    and 8 sigma_p around p0 within the momentum grid's +-pi / dx."""
+    n = draw(st.sampled_from([256, 1024, 4096, 16384]))
+    half = draw(st.sampled_from([10.0, 40.0]))
+    grid = GridSpec(-half, 2 * half / n, n)
+    p_max = math.pi / grid.dx
+
+    def point():
+        x0 = draw(st.floats(-0.4, 0.4)) * half
+        p0 = draw(st.sampled_from([0.0, 0.0, draw(st.floats(-0.4, 0.4)) * p_max]))
+        lo, hi = 4.0 / (p_max - abs(p0)), (half - abs(x0)) / 8.0
+        sigma = lo * (hi / lo) ** draw(st.floats(0.001, 0.999))
+        return x0, p0, sigma
+
+    eps = ConfidencePair(draw(st.floats(0.01, 0.3)), draw(st.floats(0.01, 0.3)))
+    return grid, point(), point(), eps
+
+
+class TestScanWorkspace:
+    """The scan's reused arrays carry nothing from one lattice point to the next."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_points())
+    def test_widths_equal_the_public_functions(self, case):
+        grid, before, point, eps = case
+        ws = _ScanWorkspace(grid, 1.0)
+        ws.widths(*before, eps)
+        assert ws.widths(*point, eps) == _public_widths(*point, grid, eps)
+
+    def test_reversed_lattice_gives_the_same_rows(self, tmp_path):
+        lattice = {"sigma": [0.6, 1.1, 2.3, 3.4], "x0": [-3.0, 0.0, 2.5]}
+        rows = {}
+        for order in ("forward", "reversed"):
+            lat = {k: (v if order == "forward" else v[::-1]) for k, v in lattice.items()}
+            cfg = {"grid": {"n": 4096, "x_min": -40.0, "x_max": 40.0}, "eps": [0.05, 0.1],
+                   "family": "gaussian", "lattice": lat}
+            out = tmp_path / order
+            assert main(["--out", str(out), "scan", write_config(tmp_path, cfg)]) == 0
+            rows[order] = sorted((out / "scan.csv").read_text().splitlines()[2:])
+        assert rows["forward"] == rows["reversed"]
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.0, 1e-300), (0.0, 1e6, 1.0), (39.0, 0.0, 1.0)])
+    def test_a_failed_point_leaves_no_trace(self, bad):
+        grid, eps = GridSpec(-40.0, 80.0 / 4096, 4096), ConfidencePair(0.05, 0.05)
+        ws = _ScanWorkspace(grid, 1.0)
+        ws.widths(1.0, 0.0, 0.7, eps)
+        with pytest.raises(ValueError):
+            ws.widths(*bad, eps)
+        assert ws.widths(-2.0, 0.0, 2.9, eps) == _public_widths(-2.0, 0.0, 2.9, grid, eps)
+
+    def test_a_point_allocates_no_grid_length_array(self):
+        grid, eps = GridSpec(-40.0, 80.0 / 16384, 16384), ConfidencePair(0.05, 0.05)
+        ws = _ScanWorkspace(grid, 1.0)
+        ws.widths(0.0, 0.0, 1.0, eps)
+        tracemalloc.start()
+        try:
+            for x0, sigma in [(-4.5, 0.5), (0.0, 1.7), (3.5, 3.0)]:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                ws.widths(x0, 0.0, sigma, eps)
+                assert tracemalloc.get_traced_memory()[1] - base < grid.n  # bytes
+        finally:
+            tracemalloc.stop()
 
 
 def test_cli_import_does_not_load_scipy():

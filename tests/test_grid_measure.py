@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def test_grid_measure_rejects_bad_weights():
             GridMeasure(small, bad)
 
 
+def test_grid_measure_normalizes_a_copy():
+    small = GridSpec(0.0, 1.0, 4)
+    w = np.array([0.5, -1e-12, 0.25, 0.25 + 1e-9])
+    kept = w.copy()
+    P = GridMeasure(small, w)
+    assert np.array_equal(w, kept)
+    assert P.weights[1] == 0.0 and P.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(P.weights, np.clip(kept, 0.0, None) / np.clip(kept, 0.0, None).sum())
+
+
 class TestMass:
     def test_point_mass_inside_window(self):
         P = point_mass(3.0, GRID)
@@ -77,6 +88,19 @@ class TestOverallWidth:
     def test_gaussian_quantile_width(self):
         P = gaussian_measure(0.0, 1.0, GRID)
         assert overall_width(P, 0.05) == pytest.approx(2 * Z975, abs=2 * DX)
+
+    def test_memory_is_the_prefix_sums(self):
+        # the n + 1 prefix sums are the only array of grid length it builds
+        n = 65536
+        P = gaussian_measure(1.3, 2.0, GridSpec.symmetric(40.0, n))
+        overall_width(P, 0.05)
+        tracemalloc.start()
+        try:
+            overall_width(P, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * (n + 1)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.2, 1.5])
     def test_rejects_eps_outside_open_unit_interval(self, eps):

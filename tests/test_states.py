@@ -58,6 +58,27 @@ class TestConstruction:
             gaussian_state(0.0, 0.0, 3.0, GRID)
 
     @pytest.mark.parametrize("x0, p0, sigma", [
+        (0.0, 100.0, 1.0),      # 8 sigma_p = 4: [96, 104] passes p_max = 100.53
+        (0.0, -97.0, 1.0),
+        (0.0, 1e6, 1.0),
+        (0.0, 0.0, 0.01),       # 8 sigma_p = 400
+        (0.0, 0.0, 1e-300),     # sigma_p = 5e299
+        (0.0, 0.0, 1e-310),     # sigma_p overflows to inf
+    ])
+    def test_gaussian_needs_eight_sigma_p_on_the_momentum_grid(self, recwarn, x0, p0, sigma):
+        # sigma_p = hbar / (2 sigma); the momentum grid spans +-pi hbar / dx,
+        # and a wider spread would wrap around it
+        with pytest.raises(ValueError, match="momentum grid"):
+            gaussian_state(x0, p0, sigma, GRID, HBAR)
+        assert not recwarn.list
+
+    def test_gaussian_momentum_spread_inside_the_grid_accepted(self):
+        p_max = math.pi * HBAR / DX
+        for p0, sigma in [(p_max - 4.5, 1.0), (-p_max + 4.5, 1.0), (0.0, 4.0 / p_max * 1.01)]:
+            psi = gaussian_state(0.0, p0, sigma, GRID, HBAR)
+            assert momentum_distribution(pure(psi)).total_mass == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("x0, p0, sigma", [
         (0.0, 0.0, math.nan), (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.inf),
     ])
     def test_gaussian_rejects_non_finite_parameters(self, x0, p0, sigma):
