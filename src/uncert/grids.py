@@ -37,7 +37,12 @@ class GridSpec:
         return self.x_min + (self.n - 1) * self.dx
 
     def points(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        """x_min + dx * j for j = 0..n-1, the same floats as that expression on
+        an integer arange, built in place in one float array."""
+        x = np.arange(self.n, dtype=float)
+        x *= self.dx
+        x += self.x_min
+        return x
 
     def nearest_index(self, x: float) -> int:
         j = int(round((x - self.x_min) / self.dx))

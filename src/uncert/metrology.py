@@ -24,13 +24,16 @@ probes, so no probe measure, probe state or outcome is built.  An unwarped
 kernel's resolution is the overall width of its smearing measure, as every
 point mass's outcome is that measure reflected and moved; only a shift
 warp's point-mass outcome is built, once per center.  :func:`_axis_pass`
-makes that pass once per axis, and :func:`resolution_width`,
-:func:`calibration_error` and :func:`error_bar_width` are views of it.
+makes that pass once per kernel for any number of eps values, and
+:func:`resolution_width`, :func:`calibration_error` and
+:func:`error_bar_width` are views of it.  :func:`verify_scenarios` runs it
+once per distinct kernel of a generator's rows.
 
 Cost per (kernel, center): O(n_out) time and memory for the window table,
-n_out = n + n_mu - 1 outcome cells, then O(m log n_out) vectorized for the
-m cells of the widest rung and the resolution probes; the narrower rungs
-are nested in the widest and reuse its point widths.
+n_out = n + n_mu - 1 outcome cells, built once whatever the eps values,
+then O(e m log n_out) vectorized in one bisection for the m cells of the
+widest rung and the resolution points under each of e eps values; the
+narrower rungs are nested in the widest and reuse its point widths.
 """
 
 from __future__ import annotations
@@ -198,7 +201,9 @@ class _CenteredWindows:
     the 1e-12 margin on the target absorbs the rounding.
 
     Cost: O(n_out) time and memory to build; O(m k log n_out) vectorized
-    for m probes of k cells each.
+    for m probes of k cells each.  A table depends on the kernel and x
+    alone, so :func:`_axis_pass` builds one per (kernel, center) and
+    bisects the probes of every eps in one call.
     """
 
     def __init__(self, kernel: Kernel, axis_grid: GridSpec, x: float):
@@ -226,12 +231,18 @@ class _CenteredWindows:
             return L, H
         return self.cells.searchsorted(L), self.cells.searchsorted(H)
 
-    def widths(self, cells, weights, eps: float) -> np.ndarray:
+    def widths(self, cells, weights, eps) -> np.ndarray:
         """Centered width of each probe: first a bisection over the right
         distances, then over the left distances strictly between the two
         right distances that bracket the probe's answer.  The window mass
         is nondecreasing in the distance, so each bisection lands on the
-        first distance whose window reaches the target."""
+        first distance whose window reaches the target.
+
+        `eps` is one confidence level for every probe or an array of one
+        per probe; a probe's target (1 - eps - 1e-12) * total is the same
+        float either way, so the probes of several eps share one bisection
+        (O(log n_out) steps for all of them) and each gets the width a call
+        with its eps alone gives."""
         cells = np.asarray(cells)
         weights = np.asarray(weights, dtype=float)
         cr = self.cr
@@ -270,9 +281,10 @@ class _CenteredWindows:
         return 2.0 * np.where(i < b, np.append(self.left, math.inf)[i], above)
 
 
-def _axis_pass(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> tuple:
-    """Resolution width and the calibration error at each rung of the
-    ladder, for `cfg` given in the units of the kernel axis.
+def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
+    """Per eps in `eps_values`, the pair (resolution width, calibration
+    error at each rung of the ladder), for `cfg` given in the units of the
+    kernel axis.
 
     The ladder is taken about x = 0 for a covariant kernel and about every
     probe center otherwise, from one window table per center: the rungs
@@ -290,39 +302,54 @@ def _axis_pass(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> tuple:
     copies of it and is never narrower): unwarped, the smearing measure's
     own, and with a shift warp that of the built outcome, which keeps its
     exact clipping at the grid edges.
+
+    Cost: one window table per center, whatever the number of eps values,
+    and one bisection per table for the point masses of every eps (the
+    widest rung's cells and the resolution points, one row per eps and
+    cell), plus one per box; a covariant kernel's resolution takes one
+    overall width per eps, and a shift warp builds each center's outcome
+    once.  Each eps gets the numbers a pass over that eps alone gives.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    eps_values = tuple(eps_values)
+    for eps in eps_values:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
     axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
-    ladder = [0.0] * len(cfg.delta_ladder)
+    ladders = [[0.0] * len(cfg.delta_ladder) for _ in eps_values]
     centers, points = (0.0,), []
     if kernel.gmap is None:
-        resolution = 0.0 if kernel.measure is None else overall_width(kernel.measure, eps)
+        resolutions = [0.0 if kernel.measure is None else overall_width(kernel.measure, eps)
+                       for eps in eps_values]
     elif kernel.covariant:
-        resolution = min(overall_width(kernel.smear(point_mass(c, axis_grid)), eps)
-                         for c in cfg.probe_centers)
+        outcomes = [kernel.smear(point_mass(c, axis_grid)) for c in cfg.probe_centers]
+        resolutions = [min(overall_width(out, eps) for out in outcomes) for eps in eps_values]
     else:
-        resolution, centers = 0.0, cfg.probe_centers
+        resolutions, centers = [0.0] * len(eps_values), cfg.probe_centers
         points = [axis_grid.nearest_index(c) for c in centers]
         # a box, the cells within one step of c, is the rung of delta = 2 dx about c
         boxes = [] if kernel.axis == "p" else [
             np.arange(first, last + 1)
             for first, last in (_rung(axis_grid, c, 2 * axis_grid.dx) for c in centers)]
+    eps_rows = np.array(eps_values)
     for x in centers:
         windows = _CenteredWindows(kernel, axis_grid, x)
         rungs = [_rung(axis_grid, x, delta) for delta in cfg.delta_ladder]
         lo, hi = min(r[0] for r in rungs), max(r[1] for r in rungs)
         cells = np.concatenate((np.arange(lo, hi + 1), np.array(points, dtype=int)))
-        w = windows.widths(cells[:, None], (1.0,), eps)
-        for i, (first, last) in enumerate(rungs):
-            ladder[i] = max(ladder[i], float(w[first - lo:last - lo + 1].max()))
+        # row e * cells.size + i is the point mass at cells[i] under eps_values[e]
+        w = windows.widths(np.tile(cells, len(eps_values))[:, None], (1.0,),
+                           eps_rows.repeat(cells.size)).reshape(len(eps_values), cells.size)
+        for ladder, we in zip(ladders, w):
+            for i, (first, last) in enumerate(rungs):
+                ladder[i] = max(ladder[i], float(we[first - lo:last - lo + 1].max()))
         if points:
-            best = w[hi - lo + 1:].min()
+            best = w[:, hi - lo + 1:].min(axis=1)
             for box in boxes:
-                best = min(best, windows.widths(box[None], np.full(box.size, 1.0 / box.size),
-                                                eps)[0])
-            resolution = max(resolution, float(best))
-    return resolution, ladder
+                rows = np.broadcast_to(box, (len(eps_values), box.size))
+                best = np.minimum(best, windows.widths(rows, np.full(box.size, 1.0 / box.size),
+                                                       eps_rows))
+            resolutions = [max(r, float(b)) for r, b in zip(resolutions, best)]
+    return list(zip(resolutions, ladders))
 
 
 def _error_bar(axis: str, cfg: CalibrationConfig, vals) -> ErrorBarResult:
@@ -343,7 +370,7 @@ def resolution_width(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> floa
     outcome into: the worst over the probe centers of the narrowest probe
     window for a non-covariant kernel, the narrowest overall width for a
     covariant one (:func:`_axis_pass`; `cfg` in the kernel axis' units)."""
-    return _axis_pass(kernel, eps, cfg)[0]
+    return _axis_pass(kernel, (eps,), cfg)[0][0]
 
 
 def calibration_error(kernel: Kernel, eps: float, delta: float,
@@ -362,7 +389,7 @@ def calibration_error(kernel: Kernel, eps: float, delta: float,
     Returns inf when no window inside the scenario grid reaches the
     confidence target (infinite error at desk scale).
     """
-    return _axis_pass(kernel, eps, replace(cfg, delta_ladder=(delta,)))[1][0]
+    return _axis_pass(kernel, (eps,), replace(cfg, delta_ladder=(delta,)))[0][1][0]
 
 
 def error_bar_width(kernel: Kernel, eps: float,
@@ -376,7 +403,7 @@ def error_bar_width(kernel: Kernel, eps: float,
     rungs are nested, so the ladder is nonincreasing by construction; the
     check stays as a guard.
     """
-    return _error_bar(kernel.axis, cfg, _axis_pass(kernel, eps, cfg)[1])
+    return _error_bar(kernel.axis, cfg, _axis_pass(kernel, (eps,), cfg)[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -457,46 +484,70 @@ def check_distance_error_inequality(kernel: Kernel, eps: float,
 def verify_joint_ur(gen: MixedState, eps: ConfidencePair, cfg: CalibrationConfig,
                     scenario_id: str = "scenario", kernels=None) -> WidthReport:
     """Width report for the joint observable generated by gen (or for an
-    explicitly supplied kernel pair, e.g. warped marginals).
-
-    Checks that both the error-bar product and the resolution product clear
-    the simple lower bound, up to the per-axis one-cell width slack.
+    explicitly supplied kernel pair, e.g. warped marginals): the one-row
+    case of :func:`verify_scenarios`.
     """
-    grid, hbar = gen.grid, gen.hbar
-    dp = momentum_grid(grid, hbar).dx
     if kernels is None:
         mu, nu = marginal_measures(gen)
         kernels = Kernel("q", mu), Kernel("p", nu)
-    kq, kp = kernels
+    return verify_scenarios(gen, cfg, [(scenario_id, eps, kernels)])[0]
+
+
+def verify_scenarios(gen: MixedState, cfg: CalibrationConfig, scenarios) -> list:
+    """Width reports of `scenarios`, (scenario_id, eps, (kq, kp)) triples of
+    kernel pairs observed with gen's grid and hbar, in their order.
+
+    Each row checks that both the error-bar product and the resolution
+    product clear the simple lower bound, up to the per-axis one-cell width
+    slack.  Every distinct kernel (kernels compare by axis, measure object
+    and map) gets one :func:`_axis_pass`, at the first row that uses it,
+    over every eps the scenarios need on its axis, so a warp that leaves an
+    axis unwarped reuses the plain kernel's pass.  The overall width of a
+    measure at eps is read off its unwarped kernel's pass when that has run
+    and taken once otherwise; the Werner distance is taken once per
+    measure.  Each row checks its own ladder, so an inconclusive ladder
+    raises at the first row that reads it.
+    """
+    grid, hbar = gen.grid, gen.hbar
+    dp = momentum_grid(grid, hbar).dx
+    axis_cfgs = {"q": cfg.for_axis("q"), "p": cfg.for_axis("p")}
+    eps_of = {}      # kernel -> {eps: None}, the eps values it needs in order
+    for _, eps, (kq, kp) in scenarios:
+        eps_of.setdefault(kq, {})[eps.eps1] = None
+        eps_of.setdefault(kp, {})[eps.eps2] = None
+    passes, overall, werner = {}, {}, {}
 
     def axis_widths(kernel, e):
-        axis_cfg = cfg.for_axis(kernel.axis)
-        res, vals = _axis_pass(kernel, e, axis_cfg)
+        axis_cfg, mu = axis_cfgs[kernel.axis], kernel.measure
+        if kernel not in passes:
+            passes[kernel] = dict(zip(eps_of[kernel],
+                                      _axis_pass(kernel, eps_of[kernel], axis_cfg)))
+            if kernel.gmap is None:     # its resolution is the measure's overall width
+                overall.update(((mu, x), res) for x, (res, _) in passes[kernel].items())
+        res, vals = passes[kernel][e]
         eb = _error_bar(kernel.axis, axis_cfg, vals)
-        mu = kernel.measure
-        if kernel.gmap is None:
-            ow = res        # _axis_pass took the overall width as the resolution
-        else:
-            ow = overall_width(mu, e) if mu is not None else 0.0
-        wd = werner_distance_covariant(mu) if mu is not None else 0.0
-        return AxisWidths(ow, res, eb.value, eb.spread, wd)
+        if (mu, e) not in overall:
+            overall[mu, e] = 0.0 if mu is None else overall_width(mu, e)
+        if mu not in werner:
+            werner[mu] = 0.0 if mu is None else werner_distance_covariant(mu)
+        return AxisWidths(overall[mu, e], res, eb.value, eb.spread, werner[mu])
 
-    aq = axis_widths(kq, eps.eps1)
-    ap = axis_widths(kp, eps.eps2)
-
-    prod_eb = aq.error_bar * ap.error_bar
-    prod_res = aq.resolution * ap.resolution
-    bs = bound_simple(eps, hbar)
-    bu = bound_uffink(eps, hbar)
-    # one grid cell per interval endpoint, per axis, propagated to the product
-    slack = 2.0 * (grid.dx * ap.error_bar + dp * aq.error_bar) + \
-        2.0 * (grid.dx * ap.resolution + dp * aq.resolution)
-    note = ""
-    if not eps.valid_bound:
-        note = "no positive bound"
-    passed = (prod_eb >= bs - slack) and (prod_res >= bs - slack)
-    return WidthReport(scenario_id, eps, aq, ap, prod_eb, prod_res, bs, bu,
-                       prod_eb - bs, prod_eb - bu, passed, note)
+    reports = []
+    for scenario_id, eps, (kq, kp) in scenarios:
+        aq = axis_widths(kq, eps.eps1)
+        ap = axis_widths(kp, eps.eps2)
+        prod_eb = aq.error_bar * ap.error_bar
+        prod_res = aq.resolution * ap.resolution
+        bs = bound_simple(eps, hbar)
+        bu = bound_uffink(eps, hbar)
+        # one grid cell per interval endpoint, per axis, propagated to the product
+        slack = 2.0 * (grid.dx * ap.error_bar + dp * aq.error_bar) + \
+            2.0 * (grid.dx * ap.resolution + dp * aq.resolution)
+        note = "" if eps.valid_bound else "no positive bound"
+        passed = (prod_eb >= bs - slack) and (prod_res >= bs - slack)
+        reports.append(WidthReport(scenario_id, eps, aq, ap, prod_eb, prod_res, bs, bu,
+                                   prod_eb - bs, prod_eb - bu, passed, note))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import uncert
 from uncert import metrology, observables
 from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, _ScanWorkspace, main
 from uncert.grids import GridSpec, centered_width, overall_width, uniform_measure
-from uncert.metrology import ConfidencePair
+from uncert.metrology import CalibrationConfig, ConfidencePair
 from uncert.observables import Kernel, PiecewiseLinearMap
 from uncert.states import MixedState, gaussian_state, momentum_distribution, \
     position_distribution
@@ -61,6 +61,13 @@ def bench_verify_config(n, confidence):
     }
 
 
+def growing_widths(cfg, eps):
+    """A ladder whose window widens at every rung, 0.5 wider per rung."""
+    return [centered_width(uniform_measure(-w, w, cfg.grid), 0.0, eps)
+            for w in (0.5 + 0.25 * (i + 1) for i in range(len(cfg.delta_ladder)))]
+
+
+GRID_512 = GridSpec(-12.8, 25.6 / 512, 512)  # the grid of verify_config
 P_BEND = [[-40.0, -40.0], [-1.0, -0.6], [1.0, 1.4], [40.0, 40.0]]
 Q_SHIFT = [[-12.8, -12.5], [12.8, 13.1]]
 P_SHIFT = [[-40.0, -40.4], [40.0, 39.6]]
@@ -220,8 +227,8 @@ class TestVerify:
 
     def test_one_overall_width_per_axis_and_row(self, tmp_path, monkeypatch):
         # an unwarped axis reads its overall width off _axis_pass's
-        # resolution; a warped (here non-covariant) axis takes it once in
-        # verify_joint_ur.  2 eps pairs x (plain, p-bent) rows, 2 axes each
+        # resolution, and a warped (here non-covariant) axis reads it off the
+        # plain kernel's pass at the same eps: 2 eps pairs x 2 axes
         calls = []
         overall_width = metrology.overall_width
 
@@ -234,7 +241,57 @@ class TestVerify:
                             confidence=[[0.05, 0.05], [0.1, 0.2]],
                             warps=[{"name": "pbend", "p_knots": P_BEND}])
         assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
-        assert len(calls) == 2 * 2 * 2
+        assert len(calls) == 2 * 2
+
+    def test_desk_config_passes_each_kernel_once(self, tmp_path, monkeypatch):
+        # per generator the rows use three kernels: plain q, wiggle-warped q
+        # and plain p (the wiggle leaves p unwarped), one table each about
+        # the one probe center; the overall widths are the plain kernels'
+        # resolutions at 3 eps each
+        tables, widths = [], []
+        overall_width = metrology.overall_width
+
+        class Counted(metrology._CenteredWindows):
+            def __init__(self, kernel, axis_grid, x):
+                tables.append((kernel, x))
+                super().__init__(kernel, axis_grid, x)
+
+        def counted(P, eps):
+            widths.append((P, eps))
+            return overall_width(P, eps)
+
+        monkeypatch.setattr(metrology, "_CenteredWindows", Counted)
+        monkeypatch.setattr(metrology, "overall_width", counted)
+        cfg = bench_verify_config(4096, [[0.05, 0.05], [0.1, 0.2], [0.2, 0.1]])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+        assert len(tables) == len(set(tables)) == 6
+        assert len(widths) == len(set(widths)) == 12
+
+    def test_warps_with_the_plain_or_equal_maps_share_passes(self, tmp_path, monkeypatch):
+        # a warp with no knot lists is the plain row and a second warp with
+        # the first one's knots is its row: equal numbers, no extra table
+        tables = []
+
+        class Counted(metrology._CenteredWindows):
+            def __init__(self, kernel, axis_grid, x):
+                tables.append((kernel.axis, kernel.gmap))
+                super().__init__(kernel, axis_grid, x)
+
+        monkeypatch.setattr(metrology, "_CenteredWindows", Counted)
+        cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                            confidence=[[0.05, 0.05], [0.1, 0.2]],
+                            warps=[{"name": "none"}, {"name": "b1", "p_knots": P_BEND},
+                                   {"name": "b2", "p_knots": P_BEND}])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+        bend = PiecewiseLinearMap(*zip(*P_BEND))
+        assert sorted(tables, key=str) == sorted([("q", None), ("p", None), ("p", bend)], key=str)
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "report.csv").read_text().splitlines()[2:]]
+        assert [row[0] for row in rows] == [f"gen0-{w}eps{e}" for e in (0, 1)
+                                            for w in ("", "none-", "b1-", "b2-")]
+        for plain, none, b1, b2 in (rows[:4], rows[4:]):
+            assert none[1:] == plain[1:] and b2[1:] == b1[1:]
+            assert b1[1:] != plain[1:]
 
     def test_desk_report_matches_the_benchmark_reference(self, tmp_path):
         # the seed-0 verify-desk benchmark config: n = 4096, 2 generators x
@@ -270,10 +327,8 @@ class TestVerify:
     def test_inconclusive_ladder_exits_3(self, tmp_path, capsys, monkeypatch):
         # every rung's window comes out wider than the last one's, so the
         # ladder cannot settle: a numerical finding, not a config error
-        def growing_ladder(kernel, eps, cfg):
-            widths = [0.5 + 0.25 * (i + 1) for i in range(len(cfg.delta_ladder))]
-            return 0.0, [centered_width(uniform_measure(-w, w, cfg.grid), 0.0, eps)
-                         for w in widths]
+        def growing_ladder(kernel, eps_values, cfg):
+            return [(0.0, growing_widths(cfg, eps)) for eps in eps_values]
 
         monkeypatch.setattr(metrology, "_axis_pass", growing_ladder)
         rc = main(["--out", str(tmp_path / "out"), "verify",
@@ -281,6 +336,24 @@ class TestVerify:
         assert rc == 3
         err = capsys.readouterr().err
         assert "calibration error grew" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_inconclusive_second_eps_pair_exits_3(self, tmp_path, capsys, monkeypatch):
+        # only the q ladder at the second pair's eps1 = 0.1 grows: its pass
+        # runs with the first row, but the ladder is checked, and reported,
+        # by the row that reads it
+        axis_pass = metrology._axis_pass
+
+        def second_pair_grows(kernel, eps_values, cfg):
+            return [(res, growing_widths(cfg, eps) if (kernel.axis, eps) == ("q", 0.1) else vals)
+                    for eps, (res, vals) in zip(eps_values, axis_pass(kernel, eps_values, cfg))]
+
+        monkeypatch.setattr(metrology, "_axis_pass", second_pair_grows)
+        cfg = verify_config(confidence=[[0.05, 0.05], [0.1, 0.2]])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 3
+        coarse, fine = growing_widths(CalibrationConfig((0.4, 0.2), (0.0,), GRID_512), 0.1)
+        assert capsys.readouterr().err == \
+            f"inconclusive: calibration error grew from {coarse} to {fine} as delta shrank\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -828,7 +901,7 @@ def scan_points(draw):
     def point():
         x0 = draw(st.floats(-0.4, 0.4)) * half
         p0 = draw(st.sampled_from([0.0, 0.0, draw(st.floats(-0.4, 0.4)) * p_max]))
-        lo, hi = 4.0 / (p_max - abs(p0)), (half - abs(x0)) / 8.0
+        lo, hi = 4.0 / (p_max - abs(p0)), min(x0 - grid.x_min, grid.x_max - x0) / 8.0
         sigma = lo * (hi / lo) ** draw(st.floats(0.001, 0.999))
         return x0, p0, sigma
 

@@ -406,6 +406,13 @@ def _bits(a) -> bytes:
     return a.dtype.str.encode() + a.tobytes()
 
 
+@pytest.mark.parametrize("x_min, dx, n", [
+    (-20.0, 40.0 / 65536, 65536), (20.0, 40.0 / 65536, 65536), (-12.8, 0.1, 257),
+    (3.7, 0.013, 4097), (-1e15, 0.3, 1000), (7.25e14, 2.5, 999), (-0.0, 1e-3, 2)])
+def test_points_are_bitwise_the_arange_expression(x_min, dx, n):
+    assert _bits(GridSpec(x_min, dx, n).points()) == _bits(x_min + dx * np.arange(n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(3, 10), st.floats(1.0, 30.0), st.integers(0, 2**32 - 1),
        st.floats(-0.6, 0.6), st.floats(0.0, 0.5))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uncert import metrology
 from uncert.grids import (
@@ -178,9 +179,10 @@ class TestCalibration:
         # every rung's calibration error comes out wider than the last one's;
         # nested rungs of exact point-mass sups cannot do this, so the stub
         # replaces the whole ladder
-        def growing_ladder(kernel, eps, cfg):
+        def growing_ladder(kernel, eps_values, cfg):
             widths = [0.5 + 0.25 * (i + 1) for i in range(len(cfg.delta_ladder))]
-            return 0.0, [centered_width(uniform_measure(-w, w, GRID), 0.0, eps) for w in widths]
+            return [(0.0, [centered_width(uniform_measure(-w, w, GRID), 0.0, eps)
+                           for w in widths]) for eps in eps_values]
 
         monkeypatch.setattr(metrology, "_axis_pass", growing_ladder)
         with pytest.raises(LadderInconsistencyError):
@@ -561,6 +563,31 @@ class TestExactCalibration:
                 for eps in (0.05, 0.1, 0.2, 0.3):
                     vals = [v for _, v in error_bar_width(kernel, eps, cfg).ladder]
                     assert all(fine <= coarse for coarse, fine in zip(vals, vals[1:]))
+
+
+PASS_GRID = GridSpec.symmetric(12.8, 256)
+PASS_GEN = MixedState([(0.4, gaussian_state(0.2, 0.0, 0.8, PASS_GRID, HBAR)),
+                       (0.6, gaussian_state(-0.3, 0.0, 1.1, PASS_GRID, HBAR))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["q", "p"]), st.sampled_from(["plain", "shift", "bend"]),
+       st.booleans(), st.one_of(st.none(), st.floats(-5.0, 5.0)),
+       st.lists(st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.3]) | st.floats(0.001, 0.95),
+                min_size=2, max_size=5))
+def test_one_pass_over_several_eps_is_each_eps_alone(axis, warp, sharp, center, eps_values):
+    # one table per center and one bisection for all eps give, bit for bit,
+    # the numbers of a pass over each eps alone
+    axis_grid = PASS_GRID if axis == "q" else momentum_grid(PASS_GRID, HBAR)
+    gmap = {"plain": None,
+            "shift": PiecewiseLinearMap.shift(axis_grid.x_min, axis_grid.x_max,
+                                              3.3 * axis_grid.dx),
+            "bend": bend(axis_grid)}[warp]
+    kernel = Kernel(axis, None if sharp else phase_marginal(PASS_GEN, axis).measure, gmap)
+    centers = (0.0,) if center is None else (0.0, center)
+    cfg = CalibrationConfig((0.8, 0.4, 0.2), centers, PASS_GRID, HBAR).for_axis(axis)
+    assert metrology._axis_pass(kernel, eps_values, cfg) == \
+        [metrology._axis_pass(kernel, (eps,), cfg)[0] for eps in eps_values]
 
 
 # ---------------------------------------------------------------------------
