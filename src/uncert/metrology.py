@@ -240,9 +240,8 @@ class _CenteredWindows:
 
         `eps` is one confidence level for every probe or an array of one
         per probe; a probe's target (1 - eps - 1e-12) * total is the same
-        float either way, so the probes of several eps share one bisection
-        (O(log n_out) steps for all of them) and each gets the width a call
-        with its eps alone gives."""
+        float either way, so the probes of several eps can share one
+        bisection, O(log n_out) steps for all of them."""
         cells = np.asarray(cells)
         weights = np.asarray(weights, dtype=float)
         cr = self.cr
