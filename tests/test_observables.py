@@ -259,6 +259,13 @@ class TestCovariance:
         r = covariance_residual(G, vacuum(), 4 * QW.dx / 4, PW.dx)
         assert r <= 1e-6
 
+    def test_shift_off_the_window_step_within_tolerance_accepted(self):
+        # 3e-8 of a q step passes the 1e-6 check here; the displacement must
+        # use the rounded shift, since weyl_displace allows only 1e-9 of dx
+        G = joint_setup()
+        r = covariance_residual(G, vacuum(), QW.dx * (1 + 3e-8), PW.dx)
+        assert r == covariance_residual(G, vacuum(), QW.dx, PW.dx)
+
     def test_residual_large_for_warped(self):
         G = joint_setup()
         gm = PiecewiseLinearMap((-20.0, -3.0, -1.0, 1.0, 3.0, 20.0),
@@ -306,8 +313,29 @@ def direct_density(rho, gen, q_grid, p_grid):
 SKEWED = superpose(1.0, small_state(-0.6, 0.7, 0.9), 0.5j, small_state(0.8, -0.4, 0.7))
 
 
+def column_loop_overlap_sq(psi_amps, phi_amps, dx, q_shifts, cols):
+    """The column route one kept column at a time, with a lone inverse FFT each."""
+    psi_amps, phi_amps = (np.asarray(a, dtype=complex) for a in (psi_amps, phi_amps))
+    n = psi_amps.size
+    stride = int(q_shifts[1] - q_shifts[0]) if q_shifts.size > 1 else 1
+    g = math.gcd(stride, n)
+    L = n // g
+    take = (stride // g) * np.arange(q_shifts.size) % L
+    A = np.fft.fft(np.conj(psi_amps))
+    AA = np.concatenate([A, A])          # AA[n - k : 2n - k] == roll(A, k)
+    B = np.fft.fft(np.roll(phi_amps[::-1], 1))
+    B *= np.exp(2j * math.pi * (np.arange(n) * int(q_shifts[0]) % n) / n)
+    out = np.empty((q_shifts.size, len(cols)))
+    for i, c in enumerate(cols):
+        k = (int(c) - n // 2) % n
+        folded = (AA[n - k:2 * n - k] * B).reshape(g, L).sum(axis=0)
+        out[:, i] = np.abs(np.fft.ifft(folded)[take]) ** 2
+    return out * ((L / n) * dx) ** 2
+
+
 class TestColumnRoute:
-    @pytest.mark.parametrize("q_stride, p_stride", [(1, 1), (3, 1), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("q_stride, p_stride",
+                             [(1, 1), (3, 1), (4, 1), (4, 2), (8, 1), (1, 2)])
     def test_density_matches_direct_sum(self, q_stride, p_stride):
         rho = MixedState.pure(SKEWED)
         gen = MixedState.pure(small_state(0.2, 0.3, 1.1))
@@ -328,6 +356,9 @@ class TestColumnRoute:
     @pytest.mark.parametrize("q_shifts", [
         [7],                                  # a single q row
         list(range(-200, 200, 4)),            # 100 rows wrap the 64 distinct shifts
+        list(range(-60, 60)),                 # stride 1: blocks of 2 columns
+        list(range(-60, 60, 3)),              # stride 3: g = 1 again
+        list(range(-64, 64, 8)),              # stride 8: blocks of 16 columns
     ])
     def test_overlap_rows_match_direct_sum(self, q_shifts):
         phi = small_state(0.2, 0.3, 1.1)
@@ -335,6 +366,27 @@ class TestColumnRoute:
         out = _component_overlap_sq(SKEWED.amps, phi.amps, SMALL.dx, np.array(q_shifts), cols)
         ref = direct_overlap_sq(SKEWED, phi, q_shifts, SMALL_P.points()[cols])
         assert np.max(np.abs(out - ref)) <= 1e-12
+        loop = column_loop_overlap_sq(SKEWED.amps, phi.amps, SMALL.dx, np.array(q_shifts), cols)
+        assert np.array_equal(out, loop)
+
+    # column 128 is k = 0, the centre of the momentum grid
+    @pytest.mark.parametrize("q_stride, cols", [
+        (1, np.arange(100, 161)),             # 61 columns: odd, across k = 0
+        (3, np.arange(100, 160, 2)),          # p stride 2
+        (4, np.arange(100, 161)),             # 61 columns: not a multiple of 8
+        (8, np.arange(120, 137)),             # 17 columns centred on k = 0
+        (6, np.arange(90, 170, 5)),           # g = 2, every 3rd folded sample
+        (8, np.array([128])),                 # a single column
+        (1, np.array([131])),
+    ], ids=["q1-odd", "q3-p2", "q4-61", "q8-17", "q6-p5", "q8-one", "q1-one"])
+    def test_overlap_bits_equal_the_column_loop(self, q_stride, cols):
+        # batching the inverse FFTs over blocks of 2g columns keeps every bit
+        phi = small_state(0.2, 0.3, 1.1)
+        q_shifts = np.arange(-60, 61, q_stride)
+        for a, b in ((SKEWED, phi), (phi, SKEWED)):
+            got = _component_overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
+            want = column_loop_overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
+            assert np.array_equal(got, want)
 
     def test_overlap_of_real_amplitudes_equals_their_complex_form(self):
         # real amplitudes are cast to complex before the FFTs, so the dtype
@@ -362,6 +414,24 @@ class TestColumnRoute:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_overlap_peak_memory_at_the_joint_witness_shape(self):
+        # n = 16384, q stride 8, 203 columns.  The kept arrays are A, B, the
+        # n-point product, the 2n-value block and the 0.63 MiB output:
+        # 2.04 MiB traced.  A doubled spectrum, the complex copies of the
+        # real inputs and an unscaled second output read 2.80 MiB.
+        grid = GridSpec.symmetric(40.0, 16384)
+        psi = gaussian_state(0.0, 0.0, 1.0, grid).amps
+        phi = gaussian_state(0.25, 0.0, 0.8, grid).amps
+        q_shifts = 8 * np.arange(-204, 205)
+        cols = np.arange(8192 - 101, 8192 + 102)
+        tracemalloc.start()
+        try:
+            _component_overlap_sq(psi, phi, grid.dx, q_shifts, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 class TestAlignedWindow:
