@@ -416,10 +416,10 @@ class TestColumnRoute:
         assert peak < 16 * 2**20
 
     def test_overlap_peak_memory_at_the_joint_witness_shape(self):
-        # n = 16384, q stride 8, 203 columns.  The kept arrays are A, B, the
-        # n-point product, the 2n-value block and the 0.63 MiB output:
-        # 2.04 MiB traced.  A doubled spectrum, the complex copies of the
-        # real inputs and an unscaled second output read 2.80 MiB.
+        # n = 16384, q stride 8, 203 columns.  Kept: A, B, the n-point
+        # product, the 2n-value block and the 0.63 MiB output, 2.04 MiB
+        # traced.  Holding a doubled spectrum, complex copies of the real
+        # inputs or a second, scaled output as well would pass the bound.
         grid = GridSpec.symmetric(40.0, 16384)
         psi = gaussian_state(0.0, 0.0, 1.0, grid).amps
         phi = gaussian_state(0.25, 0.0, 0.8, grid).amps
