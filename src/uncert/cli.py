@@ -250,7 +250,8 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
 # ---------------------------------------------------------------------------
 
 def _report_row(rep) -> dict:
-    return {
+    """A report's cells by column, each value formatted once."""
+    row = {
         "scenario_id": rep.scenario_id + (f"({rep.note})" if rep.note else ""),
         "eps1": rep.eps.eps1, "eps2": rep.eps.eps2,
         "overall_q": rep.axis_q.overall, "overall_p": rep.axis_p.overall,
@@ -264,46 +265,53 @@ def _report_row(rep) -> dict:
         "margin_simple": rep.margin_simple, "margin_uffink": rep.margin_uffink,
         "passed": rep.passed,
     }
+    return {c: _fmt(v) for c, v in row.items()}
 
 
-def _write_reports(rows, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "report.csv"
-    with open(csv_path, "w", newline="") as fh:
+def _write_csv(path: Path, header: list, rows) -> Path:
+    """The version line, then the header and the rows of formatted cells."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
         fh.write(REPORT_VERSION + "\n")
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in REPORT_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_reports(reports, out_dir: Path):
+    rows = [_report_row(rep) for rep in reports]
+    csv_path = _write_csv(out_dir / "report.csv", REPORT_COLUMNS,
+                          ([row[c] for c in REPORT_COLUMNS] for row in rows))
+    # the JSON report holds the same strings, and `passed` as a JSON boolean
+    payload = [{c: rep.passed if c == "passed" else row[c] for c in REPORT_COLUMNS}
+               for rep, row in zip(reports, rows)]
     json_path = out_dir / "report.json"
-    payload = [{c: (_fmt(row[c]) if isinstance(row[c], float) else row[c])
-                for c in REPORT_COLUMNS} for row in rows]
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
     return csv_path, json_path
 
 
-def _reject_global_options(args):
-    """verify and scan take hbar and the grid from their config only."""
+def _read_config(args, required: dict, optional: dict) -> tuple:
+    """The config's top-level object, hbar and grid, which verify and scan
+    take from their config only."""
     for flag, value, key in (("--hbar", args.hbar, "hbar"),
                              ("--grid-n", args.grid_n, "grid.n")):
         if value is not None:
             raise ConfigError(f"{flag}: not accepted by {args.command}; "
                               f"the config supplies {key}")
-
-
-def cmd_verify(args) -> int:
-    _reject_global_options(args)
-    cfg = json.loads(Path(args.config).read_text())
-    top = _require_keys(cfg, "config",
-                        {"grid": None, "confidence": None, "generators": None,
-                         "calibration": None},
-                        {"hbar": 1.0, "warps": []})
+    top = _require_keys(json.loads(Path(args.config).read_text()), "config",
+                        {"grid": None, **required}, {"hbar": 1.0, **optional})
     hbar = _number(top["hbar"], "hbar")
     if hbar <= 0:
         raise ConfigError("hbar: must be positive")
-    grid = _parse_grid(top["grid"])
+    return top, hbar, _parse_grid(top["grid"])
+
+
+def cmd_verify(args) -> int:
+    top, hbar, grid = _read_config(
+        args, {"confidence": None, "generators": None, "calibration": None}, {"warps": []})
     try:
         parity_offset(grid)     # the smearing measures come from the parity image
     except ValueError as exc:
@@ -312,7 +320,7 @@ def cmd_verify(args) -> int:
     calib = _parse_calibration(top["calibration"], grid, hbar)
     warps = _parse_warps(top["warps"])
 
-    rows = []
+    reports = []
     for gi, gspec in enumerate(_list(top["generators"], "generators")):
         gen = _parse_generator(gspec, grid, hbar, f"generators[{gi}]")
         mu, nu = marginal_measures(gen)
@@ -322,10 +330,10 @@ def cmd_verify(args) -> int:
                       eps, (Kernel("q", mu, gamma_q), Kernel("p", nu, gamma_p)))
                      for ei, eps in enumerate(eps_pairs)
                      for wname, gamma_q, gamma_p in [(None, None, None)] + warps]
-        rows += map(_report_row, verify_scenarios(gen, calib, scenarios))
-    csv_path, json_path = _write_reports(rows, Path(args.out))
-    all_pass = all(row["passed"] for row in rows)
-    print(f"{len(rows)} scenario rows -> {csv_path}, {json_path}; "
+        reports += verify_scenarios(gen, calib, scenarios)
+    csv_path, json_path = _write_reports(reports, Path(args.out))
+    all_pass = all(rep.passed for rep in reports)
+    print(f"{len(reports)} scenario rows -> {csv_path}, {json_path}; "
           f"{'all passed' if all_pass else 'FAILURES present'}")
     return 0 if all_pass else 1
 
@@ -407,17 +415,17 @@ def cmd_widths(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _ScanWorkspace:
-    """The four arrays a scan writes every lattice point into, so that a
-    point allocates no n-length array.
+    """The four arrays a scan writes every lattice point into.
 
-    A point at p0 = 0 runs the steps of gaussian_state, WaveFunction,
+    A point runs the steps of gaussian_state, WaveFunction,
     position_distribution, momentum_distribution, GridMeasure and
     overall_width, through the same kernels, on these arrays: the position
     points x; the amplitudes, which take the squared FFT moduli once the
     FFT has read them; the prefix sums, n + 1 entries whose tail holds a
     marginal's weights before the in-place cumsum (and |a|^2 for the
-    norms); and the real FFT.  A point at p0 != 0 has complex amplitudes
-    and takes the public, allocating route.
+    norms); and the real FFT.  A point at p0 = 0 allocates no n-length
+    array; at p0 != 0 the amplitudes are complex, in a new array, and take
+    the complex FFT.
     """
 
     def __init__(self, grid: GridSpec, hbar: float):
@@ -432,16 +440,12 @@ class _ScanWorkspace:
     def widths(self, x0: float, p0: float, sigma: float, eps: ConfidencePair) -> tuple:
         """(width_q, width_p) of the Gaussian at (x0, p0, sigma)."""
         grid, hbar = self.grid, self.hbar
-        if p0 != 0:
-            rho = MixedState.pure(gaussian_state(x0, p0, sigma, grid, hbar))
-            return (overall_width(position_distribution(rho), eps.eps1),
-                    overall_width(momentum_distribution(rho), eps.eps2))
         w = self.prefix[1:]
         a = _gaussian_amps(x0, p0, sigma, grid, hbar, self.x, self.amps, w)
         _unit_norm(a, grid.dx, w)
         _position_weights([(1.0, a)], grid.dx, w)
         wq = (self._marginal_run(eps.eps1) - 1) * grid.dx
-        _momentum_weights([(1.0, a)], grid, hbar, w, self.spectrum, a)
+        _momentum_weights([(1.0, a)], grid, hbar, w, self.spectrum, self.amps)
         wp = (self._marginal_run(eps.eps2) - 1) * self.dp
         return wq, wp
 
@@ -455,15 +459,8 @@ class _ScanWorkspace:
 
 
 def cmd_scan(args) -> int:
-    _reject_global_options(args)
-    cfg = json.loads(Path(args.config).read_text())
-    top = _require_keys(cfg, "config",
-                        {"grid": None, "eps": None, "family": None, "lattice": None},
-                        {"hbar": 1.0, "cap": SCAN_CAP_DEFAULT})
-    hbar = _number(top["hbar"], "hbar")
-    if hbar <= 0:
-        raise ConfigError("hbar: must be positive")
-    grid = _parse_grid(top["grid"])
+    top, hbar, grid = _read_config(
+        args, {"eps": None, "family": None, "lattice": None}, {"cap": SCAN_CAP_DEFAULT})
     eps = _eps_pair(top["eps"], "eps")
     if top["family"] != "gaussian":
         raise ConfigError(f"family: unknown family {top['family']!r}")
@@ -505,16 +502,9 @@ def cmd_scan(args) -> int:
                     [_fmt(v) for v in (wq, wp, prod, bs, bu,
                                        prod / bu if bu > 0 else float("inf"))])
     del ws  # its arrays are not held while the file is written
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "scan.csv"
-    cols = names + ["width_q", "width_p", "product", "bound_simple", "bound_uffink",
-                    "ratio_uffink"]
-    with open(path, "w", newline="") as fh:
-        fh.write(REPORT_VERSION + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        writer.writerows(rows)
+    path = _write_csv(Path(args.out) / "scan.csv",
+                      names + ["width_q", "width_p", "product", "bound_simple",
+                               "bound_uffink", "ratio_uffink"], rows)
     print(f"{n_points} lattice rows -> {path}")
     return 0
 

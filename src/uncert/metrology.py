@@ -505,9 +505,13 @@ def verify_scenarios(gen: MixedState, cfg: CalibrationConfig, scenarios) -> list
     measure at eps is read off its unwarped kernel's pass when that has run
     and taken once otherwise; the Werner distance is taken once per
     measure.  Each row checks its own ladder, so an inconclusive ladder
-    raises at the first row that reads it.
+    raises at the first row that reads it.  cfg must be on gen's grid and
+    hbar: its ladder and probe centers are read in their units.
     """
     grid, hbar = gen.grid, gen.hbar
+    if cfg.grid != grid or cfg.hbar != hbar:
+        raise ValueError(f"calibration grid {cfg.grid} and hbar {cfg.hbar} differ from "
+                         f"the generator's grid {grid} and hbar {hbar}")
     dp = momentum_grid(grid, hbar).dx
     axis_cfgs = {"q": cfg.for_axis("q"), "p": cfg.for_axis("p")}
     eps_of = {}      # kernel -> {eps: None}, the eps values it needs in order

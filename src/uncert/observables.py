@@ -118,9 +118,7 @@ def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
     mass is conserved exactly; images beyond the grid pile up at the edges.
     """
     g = P.grid
-    w = np.zeros(g.n)
-    np.add.at(w, _warp_cells(g, gmap), P.weights)
-    return GridMeasure(g, w)
+    return GridMeasure(g, np.bincount(_warp_cells(g, gmap), P.weights, g.n))
 
 
 def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
@@ -362,16 +360,18 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
 
 
 def warp_joint(jd: JointDistribution, warp_map: WarpMap) -> JointDistribution:
-    """Pushforward of a joint distribution through (gamma_q, gamma_p)."""
-    masses = jd.density * jd.cell_area
+    """Pushforward of a joint distribution through (gamma_q, gamma_p): rows,
+    then columns, are added to their targets in source order, as np.add.at adds."""
     qg, pg = jd.q_grid, jd.p_grid
-    qi = _warp_cells(qg, warp_map.gamma_q)
-    pi = _warp_cells(pg, warp_map.gamma_p)
-    out = np.zeros_like(masses)
-    np.add.at(out, qi, masses)          # warp rows
-    out2 = np.zeros_like(out)
-    np.add.at(out2.T, pi, out.T)        # warp columns
-    return JointDistribution(qg, pg, out2 / jd.cell_area, jd.hbar)
+    masses = jd.density * jd.cell_area
+    rows = np.zeros_like(masses)
+    for i, r in enumerate(_warp_cells(qg, warp_map.gamma_q)):
+        rows[r] += masses[i]
+    masses.fill(0.0)
+    for j, c in enumerate(_warp_cells(pg, warp_map.gamma_p)):
+        masses[:, c] += rows[:, j]
+    masses /= jd.cell_area
+    return JointDistribution(qg, pg, masses, jd.hbar)
 
 
 def covariance_residual(G: PhaseSpaceObservable, rho: MixedState, q: float, p: float,

@@ -874,6 +874,15 @@ class TestScan:
         assert (tmp_path / "out" / "scan.csv").read_bytes() == \
             (golden / "scan.csv").read_bytes()
 
+    def test_momentum_boost_scan_csv_pinned(self, tmp_path):
+        # tests/golden/scan_p0: a sigma x p0 lattice at n = 1024 on +-40; the
+        # p0 != 0 points have complex amplitudes and take the complex FFT
+        golden = GOLDEN / "scan_p0"
+        rc = main(["--out", str(tmp_path / "out"), "scan", str(golden / "config.json")])
+        assert rc == 0
+        assert (tmp_path / "out" / "scan.csv").read_bytes() == \
+            (golden / "scan.csv").read_bytes()
+
     def test_empty_lattice_value_list_gives_header_only(self, tmp_path):
         cfg = self.scan_config(lattice={"sigma": []})
         path = write_config(tmp_path, cfg)

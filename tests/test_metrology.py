@@ -37,6 +37,7 @@ from uncert.observables import (
     Kernel,
     PiecewiseLinearMap,
     WarpMap,
+    marginal_measures,
     phase_marginal,
 )
 from uncert.states import (
@@ -655,6 +656,28 @@ class TestVerifyJointUR:
         assert rep.passed
         assert rep.note == "no positive bound"
         assert rep.bound_simple == 0.0
+
+    @pytest.mark.parametrize("cfg_n, cfg_hbar, kernels", [
+        # sharp kernels read a p ladder rescaled with the wrong hbar: 0.982
+        # for the error bar of 0.491
+        (256, 2.0, "sharp"),
+        # the generator's marginals failed on "grid steps differ" instead
+        (256, 2.0, "marginals"),
+        # the q axis was judged on the calibration grid
+        (512, 1.0, "sharp"),
+    ], ids=["hbar-sharp", "hbar-marginals", "grid"])
+    def test_calibration_on_another_grid_or_hbar_rejected(self, cfg_n, cfg_hbar, kernels):
+        grid = GridSpec.symmetric(12.8, 256)
+        gen = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR))
+        cfg = CalibrationConfig((0.4, 0.2), (0.0,), GridSpec.symmetric(12.8, cfg_n), cfg_hbar)
+        pair = (Kernel("q"), Kernel("p")) if kernels == "sharp" else \
+            tuple(map(Kernel, "qp", marginal_measures(gen)))
+        with pytest.raises(ValueError) as exc:
+            metrology.verify_scenarios(gen, cfg, [("row", ConfidencePair(0.05, 0.05), pair)])
+        assert str(exc.value) == (
+            f"calibration grid GridSpec(x_min=-12.8, dx={25.6 / cfg_n}, n={cfg_n}) and hbar "
+            f"{cfg_hbar} differ from the generator's grid GridSpec(x_min=-12.8, dx=0.1, "
+            f"n=256) and hbar 1.0")
 
 
 # ---------------------------------------------------------------------------
