@@ -30,14 +30,18 @@ makes that pass once per kernel for any number of eps values, and
 once per distinct kernel of a generator's rows.
 
 Cost per (kernel, center): O(n_out) time and memory for the window table,
-n_out = n + n_mu - 1 outcome cells, built once whatever the eps values,
-then O(e m log n_out) vectorized in one bisection for the m cells of the
-widest rung and the resolution points under each of e eps values; the
-narrower rungs are nested in the widest and reuse its point widths.
+n_out = n + n_mu - 1 outcome cells, built once whatever the eps values.
+A table holds n_mu + 1 prefix sums, n_out float distances (split between
+the two sides of the center) and, for a warped kernel, n_out int64 warp
+cells; no other full-length array is made.  Then O(e m log n_out)
+vectorized in one bisection for the m cells of the widest rung and the
+resolution points under each of e eps values; the narrower rungs are
+nested in the widest and reuse its point widths.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -201,7 +205,11 @@ class _CenteredWindows:
     the 1e-12 margin on the target absorbs the rounding.
 
     Cost: O(n_out) time and memory to build; O(m k log n_out) vectorized
-    for m probes of k cells each.  A table depends on the kernel and x
+    for m probes of k cells each.  The table holds ``cr`` (n_R + 1 floats),
+    ``right`` and ``left`` (n_out floats between them) and, for a warped
+    kernel, ``cells`` (n_out int64); the out points are written straight
+    into the two distance arrays and k is bisected on x_min + dx * j, so no
+    full points array is built.  A table depends on the kernel and x
     alone, so :func:`_axis_pass` builds one per (kernel, center) and
     bisects the probes of every eps in one call.
     """
@@ -216,11 +224,22 @@ class _CenteredWindows:
         self.n_out = out.n
         self.cells = None if kernel.gmap is None else _warp_cells(out, kernel.gmap)
         # CR[k] for 0 <= k <= n_R; take(mode="clip") extends it with its end values
-        self.cr = np.concatenate(([0.0], np.cumsum(r)))
-        pts = out.points()
-        self.k = int(np.searchsorted(pts, x))        # first out cell at or right of x
-        self.right = pts[self.k:] - x                 # nondecreasing distances
-        self.left = x - pts[self.k - 1::-1] if self.k else np.empty(0)
+        self.cr = np.empty(r.size + 1)
+        self.cr[0] = 0.0
+        np.cumsum(r, out=self.cr[1:])
+        # the out points x_min + dx * j, evaluated as GridSpec.points() does:
+        # k is the first out cell at or right of x, right holds x_j - x for
+        # j >= k and left x - x_j for j = k - 1 down to 0, both nondecreasing
+        x0, dx = out.x_min, out.dx
+        self.k = k = bisect.bisect_left(range(out.n), True, key=lambda j: x0 + dx * j >= x)
+        self.right = np.arange(k, out.n, dtype=float)
+        self.right *= dx
+        self.right += x0
+        self.right -= x
+        self.left = np.arange(k - 1, -1, -1, dtype=float)
+        self.left *= dx
+        self.left += x0
+        np.subtract(x, self.left, out=self.left)
 
     def _run(self, d):
         """Bounds [ja, jb) of the out cells, before the warp, that the warp

@@ -60,12 +60,18 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "ys", tuple(ys))
 
     def _eval(self, x, xs, ys):
+        """The map through knots (xs, ys) at x, an array of x's shape (0-d for
+        a scalar).  np.interp's result is extrapolated in place, each point
+        outside the knots by its end segment, y0 + (x - x0) * slope; points
+        inside are not touched."""
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, xs, ys)
+        out = np.asarray(np.interp(x, xs, ys))
         lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        out = np.where(x < xs[0], ys[0] + (x - xs[0]) * lo_slope, out)
-        out = np.where(x > xs[-1], ys[-1] + (x - xs[-1]) * hi_slope, out)
+        lo = x < xs[0]
+        out[lo] = ys[0] + (x[lo] - xs[0]) * lo_slope
+        hi = x > xs[-1]
+        out[hi] = ys[-1] + (x[hi] - xs[-1]) * hi_slope
         return out
 
     def __call__(self, x):
@@ -125,10 +131,15 @@ def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
     """Index of the cell of g nearest to gmap's image of each point of g,
     clipped to the grid before the integer cast, so an image far past the
     grid, even an overflowing one, lands on the edge cell; nondecreasing
-    because gmap is increasing."""
+    because gmap is increasing.  The image array is shifted, scaled, rounded
+    and clipped in place, then cast once."""
     with np.errstate(over="ignore"):
-        cells = np.rint((gmap(g.points()) - g.x_min) / g.dx)
-    return np.clip(cells, 0, g.n - 1).astype(int)
+        cells = gmap(g.points())
+        cells -= g.x_min
+        cells /= g.dx
+        np.rint(cells, out=cells)
+    np.clip(cells, 0, g.n - 1, out=cells)
+    return cells.astype(int)
 
 
 # ---------------------------------------------------------------------------

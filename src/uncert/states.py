@@ -344,8 +344,9 @@ def parity_offset(grid: GridSpec) -> int:
 
 def parity(psi: WaveFunction) -> WaveFunction:
     """Reflection (amps at x move to -x); requires a grid symmetric about 0."""
-    idx = (parity_offset(psi.grid) - np.arange(psi.grid.n)) % psi.grid.n
-    return WaveFunction(psi.grid, psi.amps[idx], psi.hbar)
+    # out[j] = amps[(m - j) mod n]: the reversed array rolled by m + 1
+    return WaveFunction(psi.grid, np.roll(psi.amps[::-1], parity_offset(psi.grid) + 1),
+                        psi.hbar)
 
 
 def displace_mixed(rho: MixedState, q: float, p: float) -> MixedState:

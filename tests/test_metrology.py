@@ -12,7 +12,9 @@ from uncert.grids import (
     centered_width,
     gaussian_measure,
     overall_width,
+    _sum_grid,
     point_mass,
+    reflect,
     uniform_measure,
 )
 from uncert.metrology import (
@@ -37,6 +39,7 @@ from uncert.observables import (
     Kernel,
     PiecewiseLinearMap,
     WarpMap,
+    _warp_cells,
     marginal_measures,
     phase_marginal,
 )
@@ -589,6 +592,81 @@ def test_one_pass_over_several_eps_is_each_eps_alone(axis, warp, sharp, center, 
     cfg = CalibrationConfig((0.8, 0.4, 0.2), centers, PASS_GRID, HBAR).for_axis(axis)
     assert metrology._axis_pass(kernel, eps_values, cfg) == \
         [metrology._axis_pass(kernel, (eps,), cfg)[0] for eps in eps_values]
+
+
+# ---------------------------------------------------------------------------
+# Window tables against their points() form
+# ---------------------------------------------------------------------------
+
+def points_tables(kernel, axis_grid, x):
+    """A window table's arrays (k, cr, right, left, cells) built from the
+    out grid's full points() array: searchsorted for k, slices for the
+    distances."""
+    mu = kernel.measure
+    if mu is None:
+        out, r = axis_grid, np.ones(1)
+    else:
+        R = reflect(mu)
+        out, r = _sum_grid(axis_grid, R.grid), R.weights
+    cells = None if kernel.gmap is None else _warp_cells(out, kernel.gmap)
+    cr = np.concatenate(([0.0], np.cumsum(r)))
+    pts = out.points()
+    k = int(np.searchsorted(pts, x))
+    right = pts[k:] - x
+    left = x - pts[k - 1::-1] if k else np.empty(0)
+    return out, (k, cr, right, left, cells)
+
+
+def table_kernels(axis):
+    """Sharp, smeared, phase-marginal, warped phase-marginal and sharp bent
+    kernels on one axis of PASS_GRID."""
+    axis_grid, kernels = sweep_kernels(PASS_GRID, axis)
+    return axis_grid, [*kernels, Kernel(axis, None, bend(axis_grid))]
+
+
+TABLE_KERNELS = {axis: table_kernels(axis) for axis in ("q", "p")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["q", "p"]), st.integers(0, 4),
+       st.integers(-8, 520) | st.sampled_from([-10**6, 10**6]),
+       st.sampled_from([0.0, 1e-9, 0.37, 0.5, 0.999]) | st.floats(-0.5, 0.5))
+def test_window_tables_equal_the_points_form(axis, which, j, frac):
+    # a center on an out point (frac 0, j inside), between two or outside
+    # the out grid (out has 256 cells sharp, 511 smeared)
+    axis_grid, kernels = TABLE_KERNELS[axis]
+    kernel = kernels[which]
+    out, _ = points_tables(kernel, axis_grid, 0.0)
+    x = out.x_min + out.dx * j + frac * out.dx
+    want = points_tables(kernel, axis_grid, x)[1]
+    w = metrology._CenteredWindows(kernel, axis_grid, x)
+    assert type(w.k) is int and w.k == want[0]
+    for got, ref in zip((w.cr, w.right, w.left, w.cells), want[1:]):
+        if ref is None:
+            assert got is None
+        else:
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
+
+
+def test_warped_window_table_peak_memory_at_the_verify_large_shape():
+    # the verify-large wiggle on the q marginal of a two-Gaussian mixture,
+    # n = 65536, 131,071 out cells.  The points() form traced 4.63 MiB,
+    # this one 3.25 MiB: the reflected measure, the cell map's build, then
+    # the map, cr and the two distance arrays.  A full out.points() array
+    # next to them would fail the bound.
+    grid = GridSpec(-20.0, 40.0 / 65536, 65536)
+    gen = MixedState([(0.5, gaussian_state(0.0, 0.0, 0.8, grid, HBAR)),
+                      (0.5, gaussian_state(0.5, 0.0, 1.2, grid, HBAR))])
+    wiggle = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
+    kernel = phase_marginal(gen, "q", WarpMap(wiggle, PiecewiseLinearMap.identity(-20, 20)))
+    tracemalloc.start()
+    try:
+        metrology._CenteredWindows(kernel, grid, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from uncert.grids import GridMeasure, GridSpec, gaussian_measure, overall_width, point_mass, \
     uniform_measure
@@ -352,6 +353,95 @@ class TestWarpScatter:
             tracemalloc.stop()
         assert (qw.n, pw.n) == (409, 203)
         assert peak < 2 * density.nbytes + 64 * 2**10
+
+
+# ---------------------------------------------------------------------------
+# In-place map evaluation against the np.where form
+# ---------------------------------------------------------------------------
+
+def where_eval(m, x, inverse=False):
+    """PiecewiseLinearMap._eval in its np.where form: both end-segment
+    formulas evaluated over every point, then selected."""
+    xs, ys = np.asarray(m.xs), np.asarray(m.ys)
+    if inverse:
+        xs, ys = ys, xs
+    x = np.asarray(x, dtype=float)
+    out = np.interp(x, xs, ys)
+    lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    out = np.where(x < xs[0], ys[0] + (x - xs[0]) * lo_slope, out)
+    out = np.where(x > xs[-1], ys[-1] + (x - xs[-1]) * hi_slope, out)
+    return out
+
+
+def where_warp_cells(g, gmap):
+    """_warp_cells in its out-of-place form over the np.where map."""
+    with np.errstate(over="ignore"):
+        cells = np.rint((where_eval(gmap, g.points()) - g.x_min) / g.dx)
+    return np.clip(cells, 0, g.n - 1).astype(int)
+
+
+# the images of +-1e300 and, past the knots, +-inf
+STEEP = PiecewiseLinearMap((-0.5, 0.5), (-5e307, 5e307))
+
+
+@st.composite
+def knot_maps(draw):
+    """Shifts, bends, the steep map and random knots, inside GRID (+-12.8)
+    and past it."""
+    kind = draw(st.sampled_from(["fixed", "shift", "random"]))
+    if kind == "fixed":
+        return draw(st.sampled_from([BENT, STEEP, PiecewiseLinearMap.identity(-12.8, 12.8),
+                                     PiecewiseLinearMap((-12.8, -1.0, 1.0, 12.8),
+                                                        (-20.0, -1.5, 0.3, 19.0))]))
+    if kind == "shift":
+        lo = draw(st.floats(-30.0, 10.0))
+        return PiecewiseLinearMap.shift(lo, lo + draw(st.floats(0.1, 40.0)),
+                                        draw(st.floats(-5.0, 5.0)))
+    xs = sorted(draw(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=6, unique=True)))
+    slopes = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(xs) - 1, max_size=len(xs) - 1))
+    ys = draw(st.floats(-30.0, 30.0)) + np.concatenate(([0.0], np.cumsum(np.diff(xs) * slopes)))
+    try:
+        return PiecewiseLinearMap(tuple(xs), tuple(ys))
+    except ValueError:  # two knots rounded onto one value
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knot_maps(), st.lists(st.floats(-1e3, 1e3), max_size=20), st.floats(-1e3, 1e3))
+def test_map_bits_equal_the_where_form(m, extra, scalar):
+    # every point, array or scalar, inside or past the knots, on both the
+    # map and its inverse; a scalar gives a 0-d array, as the np.where form did
+    x = np.concatenate((GRID.points(), extra))
+    for f, inverse in ((m, False), (m.inverse, True)):
+        for arg in (x, scalar, np.float64(scalar)):
+            with np.errstate(over="ignore"):
+                got, want = f(arg), where_eval(m, arg, inverse)
+            assert type(got) is type(want) is np.ndarray
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+    for g in (GRID, PGRID, QW, PW):
+        got, want = _warp_cells(g, m), where_warp_cells(g, m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_warp_cells_peak_memory_at_the_verify_large_shape():
+    # the out grid of a smeared q kernel at n = 65536 (131,071 cells) under
+    # the verify-large wiggle; the parent form traced 4.13 MiB, this one
+    # 2.75 MiB: the points, the image written in place, the int cast and
+    # the two end segments' slices.  Computing either end-segment formula
+    # over every point again would fail the bound.
+    n = 65536
+    dx = 40.0 / n
+    out = GridSpec(-40.0 + dx, dx, 2 * n - 1)
+    wiggle = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
+    tracemalloc.start()
+    try:
+        _warp_cells(out, wiggle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 # ---------------------------------------------------------------------------

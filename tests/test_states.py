@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from uncert.grids import GridMeasure, GridSpec, Interval, mass, overall_width
@@ -17,6 +18,7 @@ from uncert.states import (
     momentum_point_state,
     parity,
     parity_mixed,
+    parity_offset,
     point_state,
     position_distribution,
     superpose,
@@ -214,6 +216,25 @@ class TestParity:
         psi = point_state(5.0, g)
         with pytest.raises(ValueError):
             parity(psi)
+
+
+def gather_parity(psi):
+    """parity as a modular index gather: out[j] = amps[(m - j) mod n]."""
+    idx = (parity_offset(psi.grid) - np.arange(psi.grid.n)) % psi.grid.n
+    return WaveFunction(psi.grid, psi.amps[idx], psi.hbar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 300), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_parity_bits_equal_the_index_gather(n, closed, complex_amps, seed):
+    # both symmetric layouts: [-L, L) has m = n, [-L, L] has m = n - 1
+    grid = GridSpec(-3.0, 6.0 / (n - 1), n) if closed else GridSpec.symmetric(3.0, n)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_amps else 0.0)
+    psi = WaveFunction(grid, a / math.sqrt(np.sum(np.abs(a) ** 2) * grid.dx))
+    got, want = parity(psi).amps, gather_parity(psi).amps
+    assert got.dtype == want.dtype == (np.complex128 if complex_amps else np.float64)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestWidthInvariants:
