@@ -33,7 +33,8 @@ Cost per (kernel, center): O(n_out) time and memory for the window table,
 n_out = n + n_mu - 1 outcome cells, built once whatever the eps values.
 A table holds n_mu + 1 prefix sums, n_out float distances (split between
 the two sides of the center) and, for a warped kernel, n_out int64 warp
-cells; no other full-length array is made.  Then O(e m log n_out)
+cells; the build's only other full-length arrays are the warp's points
+and their image, while the cells are made.  Then O(e m log n_out)
 vectorized in one bisection for the m cells of the widest rung and the
 resolution points under each of e eps values; the narrower rungs are
 nested in the widest and reuse its point widths.
