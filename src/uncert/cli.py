@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .metrology import (
     CalibrationConfig,
     ConfidencePair,
     LadderInconsistencyError,
+    WidthReport,
     bound_simple,
     bound_uffink,
     verify_scenarios,
@@ -48,15 +50,10 @@ PROBE_KINDS = ("box", "truncated_gaussian")
 # a warp name goes into scenario_id unquoted
 WARP_NAME = re.compile(r"[A-Za-z0-9_]+")
 
-REPORT_COLUMNS = [
-    "scenario_id", "eps1", "eps2",
-    "overall_q", "overall_p", "resolution_q", "resolution_p",
-    "errorbar_q", "errorbar_q_spread", "errorbar_p", "errorbar_p_spread",
-    "werner_q", "werner_p",
-    "product_errorbar", "product_resolution",
-    "bound_simple", "bound_uffink", "margin_simple", "margin_uffink",
-    "passed",
-]
+REPORT_COLUMNS = [f.name for f in fields(WidthReport)]
+# the cells `widths` prints and `scan` writes for one state
+PRODUCT_COLUMNS = ["width_q", "width_p", "product", "bound_simple", "bound_uffink",
+                   "ratio_uffink"]
 
 
 class ConfigError(ValueError):
@@ -115,6 +112,8 @@ def _parse_grid(obj, where="grid") -> GridSpec:
     x_max = _number(g["x_max"], f"{where}.x_max")
     if not x_max > x_min:
         raise ConfigError(f"{where}: x_max must exceed x_min")
+    if not math.isfinite(x_max - x_min):
+        raise ConfigError(f"{where}: x_max - x_min overflows, got [{x_min}, {x_max}]")
     return GridSpec(x_min, (x_max - x_min) / n, n)
 
 
@@ -249,25 +248,6 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
 # verify
 # ---------------------------------------------------------------------------
 
-def _report_row(rep) -> dict:
-    """A report's cells by column, each value formatted once."""
-    row = {
-        "scenario_id": rep.scenario_id + (f"({rep.note})" if rep.note else ""),
-        "eps1": rep.eps.eps1, "eps2": rep.eps.eps2,
-        "overall_q": rep.axis_q.overall, "overall_p": rep.axis_p.overall,
-        "resolution_q": rep.axis_q.resolution, "resolution_p": rep.axis_p.resolution,
-        "errorbar_q": rep.axis_q.error_bar, "errorbar_q_spread": rep.axis_q.error_bar_spread,
-        "errorbar_p": rep.axis_p.error_bar, "errorbar_p_spread": rep.axis_p.error_bar_spread,
-        "werner_q": rep.axis_q.werner, "werner_p": rep.axis_p.werner,
-        "product_errorbar": rep.product_error_bar,
-        "product_resolution": rep.product_resolution,
-        "bound_simple": rep.bound_simple, "bound_uffink": rep.bound_uffink,
-        "margin_simple": rep.margin_simple, "margin_uffink": rep.margin_uffink,
-        "passed": rep.passed,
-    }
-    return {c: _fmt(v) for c, v in row.items()}
-
-
 def _write_csv(path: Path, header: list, rows) -> Path:
     """The version line, then the header and the rows of formatted cells."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -280,11 +260,10 @@ def _write_csv(path: Path, header: list, rows) -> Path:
 
 
 def _write_reports(reports, out_dir: Path):
-    rows = [_report_row(rep) for rep in reports]
-    csv_path = _write_csv(out_dir / "report.csv", REPORT_COLUMNS,
-                          ([row[c] for c in REPORT_COLUMNS] for row in rows))
+    rows = [[_fmt(getattr(rep, c)) for c in REPORT_COLUMNS] for rep in reports]
+    csv_path = _write_csv(out_dir / "report.csv", REPORT_COLUMNS, rows)
     # the JSON report holds the same strings, and `passed` as a JSON boolean
-    payload = [{c: rep.passed if c == "passed" else row[c] for c in REPORT_COLUMNS}
+    payload = [dict(zip(REPORT_COLUMNS, row), passed=rep.passed)
                for rep, row in zip(reports, rows)]
     json_path = out_dir / "report.json"
     with open(json_path, "w") as fh:
@@ -319,9 +298,12 @@ def cmd_verify(args) -> int:
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
     warps = _parse_warps(top["warps"])
+    generators = _list(top["generators"], "generators")
+    if not generators:
+        raise ConfigError("generators: at least one generator required")
 
     reports = []
-    for gi, gspec in enumerate(_list(top["generators"], "generators")):
+    for gi, gspec in enumerate(generators):
         gen = _parse_generator(gspec, grid, hbar, f"generators[{gi}]")
         mu, nu = marginal_measures(gen)
         # the plain row is the warp with no maps; rows that share a kernel
@@ -383,13 +365,21 @@ def _parse_eps(text: str) -> ConfidencePair:
         raise ConfigError(f"--eps: {exc}") from None
 
 
+def _product_cells(wq: float, wp: float, bs: float, bu: float) -> list:
+    """The PRODUCT_COLUMNS cells of widths wq, wp against the bounds bs, bu."""
+    prod = wq * wp
+    return [_fmt(float(v)) for v in (wq, wp, prod, bs, bu,
+                                     prod / bu if bu > 0 else float("inf"))]
+
+
 def cmd_widths(args) -> int:
     n = WIDTHS_GRID_N_DEFAULT if args.grid_n is None else args.grid_n
     hbar = WIDTHS_HBAR_DEFAULT if args.hbar is None else args.hbar
     if n < 2 or (n & (n - 1)) != 0:
         raise ConfigError(f"--grid-n must be a power of two, got {n}")
-    if not (math.isfinite(args.window) and args.window > 0):
-        raise ConfigError(f"--window: expected a finite half-length > 0, got {args.window}")
+    if not (args.window > 0 and math.isfinite(2.0 * args.window)):
+        raise ConfigError(f"--window: expected a half-length > 0 whose double is finite, "
+                          f"got {args.window}")
     if not (math.isfinite(hbar) and hbar > 0):
         raise ConfigError(f"--hbar: expected a finite value > 0, got {hbar}")
     grid = GridSpec.symmetric(args.window, n)
@@ -397,16 +387,11 @@ def cmd_widths(args) -> int:
     eps = _parse_eps(args.eps)
     wq = overall_width(position_distribution(rho), eps.eps1)
     wp = overall_width(momentum_distribution(rho), eps.eps2)
-    prod = wq * wp
-    bs = bound_simple(eps, hbar)
     bu = bound_uffink(eps, hbar)
-    slack = 4.0 * grid.dx * max(wq, wp)
-    passed = prod >= bu - slack
-    for label, val in [("width_q", wq), ("width_p", wp), ("product", prod),
-                       ("bound_simple", bs), ("bound_uffink", bu),
-                       ("ratio_uffink", prod / bu if bu > 0 else float("inf"))]:
-        print(f"{label:14s} {_fmt(float(val))}")
-    print(f"{'passed':14s} {_fmt(passed)}")
+    passed = wq * wp >= bu - 4.0 * grid.dx * max(wq, wp)
+    cells = _product_cells(wq, wp, bound_simple(eps, hbar), bu) + [_fmt(passed)]
+    for label, cell in zip(PRODUCT_COLUMNS + ["passed"], cells):
+        print(f"{label:14s} {cell}")
     return 0 if passed else 1
 
 
@@ -497,14 +482,9 @@ def cmd_scan(args) -> int:
         except ValueError as exc:
             point = ", ".join(f"{k}={v}" for k, v in params.items())
             raise ConfigError(f"lattice point {point}: {exc}") from exc
-        prod = wq * wp
-        rows.append([_fmt(float(v)) for v in combo] +
-                    [_fmt(v) for v in (wq, wp, prod, bs, bu,
-                                       prod / bu if bu > 0 else float("inf"))])
+        rows.append([_fmt(float(v)) for v in combo] + _product_cells(wq, wp, bs, bu))
     del ws  # its arrays are not held while the file is written
-    path = _write_csv(Path(args.out) / "scan.csv",
-                      names + ["width_q", "width_p", "product", "bound_simple",
-                               "bound_uffink", "ratio_uffink"], rows)
+    path = _write_csv(Path(args.out) / "scan.csv", names + PRODUCT_COLUMNS, rows)
     print(f"{n_points} lattice rows -> {path}")
     return 0
 
@@ -550,7 +530,7 @@ def main(argv=None) -> int:
     except LadderInconsistencyError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError, JSONDecodeError
+    except (ValueError, OSError) as exc:  # ConfigError, JSONDecodeError, file errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -126,28 +126,29 @@ class ErrorBarResult:
 
 
 @dataclass(frozen=True)
-class AxisWidths:
-    overall: float
-    resolution: float
-    error_bar: float
-    error_bar_spread: float
-    werner: float
-
-
-@dataclass(frozen=True)
 class WidthReport:
+    """One verify row; its fields are the report's columns, in order."""
+
     scenario_id: str
-    eps: ConfidencePair
-    axis_q: AxisWidths
-    axis_p: AxisWidths
-    product_error_bar: float
+    eps1: float
+    eps2: float
+    overall_q: float
+    overall_p: float
+    resolution_q: float
+    resolution_p: float
+    errorbar_q: float
+    errorbar_q_spread: float
+    errorbar_p: float
+    errorbar_p_spread: float
+    werner_q: float
+    werner_p: float
+    product_errorbar: float
     product_resolution: float
     bound_simple: float
     bound_uffink: float
     margin_simple: float
     margin_uffink: float
     passed: bool
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +519,16 @@ def verify_scenarios(gen: MixedState, cfg: CalibrationConfig, scenarios) -> list
 
     Each row checks that both the error-bar product and the resolution
     product clear the simple lower bound, up to the per-axis one-cell width
-    slack.  Every distinct kernel (kernels compare by axis, measure object
-    and map) gets one :func:`_axis_pass`, at the first row that uses it,
-    over every eps the scenarios need on its axis, so a warp that leaves an
-    axis unwarped reuses the plain kernel's pass.  The overall width of a
-    measure at eps is read off its unwarped kernel's pass when that has run
-    and taken once otherwise; the Werner distance is taken once per
-    measure.  Each row checks its own ladder, so an inconclusive ladder
-    raises at the first row that reads it.  cfg must be on gen's grid and
+    slack; a row whose eps pair leaves no positive bound has
+    ``(no positive bound)`` appended to its scenario_id.  Every distinct
+    kernel (kernels compare by axis, measure object and map) gets one
+    :func:`_axis_pass`, at the first row that uses it, over every eps the
+    scenarios need on its axis, so a warp that leaves an axis unwarped
+    reuses the plain kernel's pass.  The overall width of a measure at eps
+    is read off its unwarped kernel's pass when that has run and taken once
+    otherwise; the Werner distance is taken once per measure.  Each row
+    checks its own ladder, so an inconclusive ladder raises at the first
+    row that reads it.  cfg must be on gen's grid and
     hbar: its ladder and probe centers are read in their units.
     """
     grid, hbar = gen.grid, gen.hbar
@@ -553,23 +556,25 @@ def verify_scenarios(gen: MixedState, cfg: CalibrationConfig, scenarios) -> list
             overall[mu, e] = 0.0 if mu is None else overall_width(mu, e)
         if mu not in werner:
             werner[mu] = 0.0 if mu is None else werner_distance_covariant(mu)
-        return AxisWidths(overall[mu, e], res, eb.value, eb.spread, werner[mu])
+        return overall[mu, e], res, eb.value, eb.spread, werner[mu]
 
     reports = []
     for scenario_id, eps, (kq, kp) in scenarios:
-        aq = axis_widths(kq, eps.eps1)
-        ap = axis_widths(kp, eps.eps2)
-        prod_eb = aq.error_bar * ap.error_bar
-        prod_res = aq.resolution * ap.resolution
+        overall_q, res_q, eb_q, spread_q, werner_q = axis_widths(kq, eps.eps1)
+        overall_p, res_p, eb_p, spread_p, werner_p = axis_widths(kp, eps.eps2)
+        prod_eb = eb_q * eb_p
+        prod_res = res_q * res_p
         bs = bound_simple(eps, hbar)
         bu = bound_uffink(eps, hbar)
         # one grid cell per interval endpoint, per axis, propagated to the product
-        slack = 2.0 * (grid.dx * ap.error_bar + dp * aq.error_bar) + \
-            2.0 * (grid.dx * ap.resolution + dp * aq.resolution)
-        note = "" if eps.valid_bound else "no positive bound"
+        slack = 2.0 * (grid.dx * eb_p + dp * eb_q) + 2.0 * (grid.dx * res_p + dp * res_q)
+        if not eps.valid_bound:
+            scenario_id += "(no positive bound)"
         passed = (prod_eb >= bs - slack) and (prod_res >= bs - slack)
-        reports.append(WidthReport(scenario_id, eps, aq, ap, prod_eb, prod_res, bs, bu,
-                                   prod_eb - bs, prod_eb - bu, passed, note))
+        reports.append(WidthReport(
+            scenario_id, eps.eps1, eps.eps2, overall_q, overall_p, res_q, res_p,
+            eb_q, spread_q, eb_p, spread_p, werner_q, werner_p, prod_eb, prod_res,
+            bs, bu, prod_eb - bs, prod_eb - bu, passed))
     return reports
 
 

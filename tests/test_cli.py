@@ -483,6 +483,11 @@ SCAN_CONFIG = {
      "warps[1].name: 'bend' is already the name of warps[0]"),
     ("verify", verify_config(warps=[{"name": "warp1"}, {}]),
      "warps[1].name: 'warp1' is already the name of warps[0]"),
+    ("verify", verify_config(generators=[]), "generators: at least one generator"),
+    ("verify", verify_config(grid={"n": 512, "x_min": -1e308, "x_max": 1e308}),
+     "grid: x_max - x_min overflows"),
+    ("scan", dict(SCAN_CONFIG, grid={"n": 512, "x_min": -1e308, "x_max": 1e308}),
+     "grid: x_max - x_min overflows"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -491,6 +496,24 @@ def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path):
+    proc = run_cli("--out", str(tmp_path / "out"), "verify", str(tmp_path))
+    assert proc.returncode == 2
+    assert f"error: [Errno 21] Is a directory: {str(tmp_path)!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_below_a_regular_file_exits_2(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    proc = run_cli("--out", str(out), "verify", write_config(tmp_path, verify_config()))
+    assert proc.returncode == 2
+    assert "error: [Errno 20] Not a directory:" in proc.stderr
+    assert str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command, options, flag", [
@@ -707,6 +730,22 @@ class TestWidths:
                    "--window", "16"])
         assert rc == 0
 
+    @pytest.mark.parametrize("argv, want", [
+        (["widths", "--state", "gaussian:sigma=1", "--eps", "0.05"],
+         ["3.90625e+00", "1.88496e+00", "7.36311e+00", "5.08938e+00", "5.08938e+00",
+          "1.44676e+00", "true"]),
+        (["--grid-n", "1024", "widths", "--state", "box:width=2,center=0",
+          "--eps", "0.05,0.1", "--window", "16"],
+         ["1.90625e+00", "5.10509e+00", "9.73157e+00", "4.53960e+00", "4.58191e+00",
+          "2.12391e+00", "true"]),
+    ])
+    def test_stdout_pinned(self, capsys, argv, want):
+        assert main(argv) == 0
+        labels = ["width_q", "width_p", "product", "bound_simple", "bound_uffink",
+                  "ratio_uffink", "passed"]
+        assert capsys.readouterr().out == "".join(
+            f"{label:14s} {cell}\n" for label, cell in zip(labels, want))
+
     def test_unknown_state_kind(self):
         assert main(["widths", "--state", "airy:sigma=1", "--eps", "0.05"]) == 2
 
@@ -727,7 +766,7 @@ class TestWidths:
         assert rc == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window", ["inf", "0", "-16"])
+    @pytest.mark.parametrize("window", ["inf", "0", "-16", "1e308"])
     def test_bad_window_names_the_argument(self, capsys, recwarn, window):
         rc = main(["--grid-n", "1024", "widths", "--state", "gaussian:sigma=1",
                    "--eps", "0.05", "--window", window])

@@ -720,10 +720,10 @@ class TestVerifyJointUR:
     def test_vacuum_generator_passes(self):
         rep = verify_joint_ur(vacuum(), ConfidencePair(0.05, 0.05), CFG, "vac")
         assert rep.passed
-        assert rep.product_error_bar >= rep.bound_simple - 1e-9
+        assert rep.product_errorbar >= rep.bound_simple - 1e-9
         assert rep.product_resolution >= rep.bound_simple - 1e-9
-        assert rep.note == ""
-        assert rep.axis_q.error_bar_spread >= 0.0
+        assert rep.scenario_id == "vac"
+        assert rep.errorbar_q_spread >= 0.0
 
     def test_squeezed_generator_passes(self):
         rep = verify_joint_ur(vacuum(0.6), ConfidencePair(0.1, 0.2), CFG, "sq")
@@ -732,7 +732,7 @@ class TestVerifyJointUR:
     def test_exhausted_confidence_notes_no_bound(self):
         rep = verify_joint_ur(vacuum(), ConfidencePair(0.6, 0.6), CFG, "wide")
         assert rep.passed
-        assert rep.note == "no positive bound"
+        assert rep.scenario_id == "wide(no positive bound)"
         assert rep.bound_simple == 0.0
 
     @pytest.mark.parametrize("cfg_n, cfg_hbar, kernels", [
