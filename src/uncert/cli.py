@@ -266,9 +266,7 @@ def _write_reports(reports, out_dir: Path):
     payload = [dict(zip(REPORT_COLUMNS, row), passed=rep.passed)
                for rep, row in zip(reports, rows)]
     json_path = out_dir / "report.json"
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    json_path.write_text(json.dumps(payload, indent=2) + "\n")
     return csv_path, json_path
 
 
@@ -285,7 +283,18 @@ def _read_config(args, required: dict, optional: dict) -> tuple:
     hbar = _number(top["hbar"], "hbar")
     if hbar <= 0:
         raise ConfigError("hbar: must be positive")
-    return top, hbar, _parse_grid(top["grid"])
+    grid = _parse_grid(top["grid"])
+    _check_hbar_scale(hbar, grid, "hbar")
+    return top, hbar, grid
+
+
+def _check_hbar_scale(hbar: float, grid: GridSpec, where: str) -> None:
+    """Rejects a hbar whose phase-space cell 2 pi hbar or momentum-grid
+    half-width pi hbar / dx overflows: every momentum step, bound and
+    Gaussian momentum spread is built from them."""
+    if not (math.isfinite(2.0 * math.pi * hbar) and math.isfinite(math.pi * hbar / grid.dx)):
+        raise ConfigError(f"{where}: 2*pi*hbar and pi*hbar/dx must be finite, got "
+                          f"hbar = {hbar} with dx = {grid.dx}")
 
 
 def cmd_verify(args) -> int:
@@ -383,6 +392,7 @@ def cmd_widths(args) -> int:
     if not (math.isfinite(hbar) and hbar > 0):
         raise ConfigError(f"--hbar: expected a finite value > 0, got {hbar}")
     grid = GridSpec.symmetric(args.window, n)
+    _check_hbar_scale(hbar, grid, "--hbar")
     rho = _parse_state_spec(args.state, grid, hbar)
     eps = _parse_eps(args.eps)
     wq = overall_width(position_distribution(rho), eps.eps1)
@@ -410,7 +420,11 @@ class _ScanWorkspace:
     marginal's weights before the in-place cumsum (and |a|^2 for the
     norms); and the real FFT.  A point at p0 = 0 allocates no n-length
     array; at p0 != 0 the amplitudes are complex, in a new array, and take
-    the complex FFT.
+    the complex FFT.  The kernels skip only steps that cannot change a bit:
+    at p0 = 0 the exponent is formed only within 2 sigma sqrt(750) of x0,
+    where exp can be nonzero, and neither the unit weight nor a reciprocal
+    root of exactly 1.0 is multiplied; :func:`_shortest_run` takes one
+    vectorized search over the starts that can pass.
     """
 
     def __init__(self, grid: GridSpec, hbar: float):

@@ -9,6 +9,7 @@ comparison downstream carries a one-to-two-cell tolerance.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,33 +210,36 @@ def _shortest_run(c: np.ndarray, eps: float) -> int:
     A run of k points starting at i carries enough mass when
     c[i + k] >= c[i] + target, the sum rounded once as a float.  The
     weights are nonnegative, so c is nondecreasing in floating point, and
-    so is c[i] + target, because rounding x + target is monotone in x;
-    feasibility is therefore monotone in k and the shortest k is bisected.
+    so is c[i] + target, because rounding x + target is monotone in x.  So
+    the shortest run from start i has k_i = searchsorted(c, c[i] + target,
+    "left") - i points, and the answer is the least k_i, at least 1: the
+    same float test, start by start, so the same k as bisecting on it.
 
     Only starts that can pass are compared.  Since c[i + k] <= c[n], a
-    start needs c[i] + target <= c[n], which holds exactly for
-    i <= i_max, found by bisection on c[i] + target; since
+    start needs c[i] + target <= c[n]; by the same monotonicity that holds
+    exactly for c[i] <= v, the largest double with v + target <= c[n], so
+    for i <= i_max, one searchsorted on v.  v lies within an ulp or two of
+    c[n] - target plus half the gap above c[n] (the sums that round down
+    to c[n]), and is reached from there by math.nextafter steps.  Since
     c[i] + target >= target, an end needs c[j] >= target, which holds
-    exactly for j >= j_min.  Every other start fails the comparison above,
-    so the result is the same as comparing all of them.  A run of k points
-    can pass only when j_min - i_max <= k, and the runs [0, j_min) and
-    [i_max, n) both pass, so k is bisected over
-    [max(1, j_min - i_max), min(n, j_min, n - i_max)]; when that upper end
-    is 0 (target <= 0, or target lost to rounding at c[n]) a single point
-    passes and the lower end, 1, is returned.
+    exactly for j >= j_min.  A run of k points can pass only when
+    j_min - i_max <= k, and the runs [0, j_min) and [i_max, n) both pass,
+    so k lies in [lo, hi] = [max(1, j_min - i_max), min(n, j_min,
+    n - i_max)]; when hi is 0 (target <= 0, or target lost to rounding at
+    c[n]) a single point passes and lo, 1, is returned.
 
-    The upper end is then lowered to the central run, which leaves at most
-    eps/2 of the mass on either side: from the last start i_a with
-    c[i_a] <= eps/2 to the first end j_b with c[j_b] >= c[n] - eps/2.  It
-    usually carries the target and is seldom much longer than the shortest
-    run; it is taken only when it passes the same exact comparison, so the
-    upper end stays a length that passes and the result is unchanged.  For
-    a Gaussian at n = 16384 it starts the bisection near the answer
-    instead of about eight times above it.
+    hi is then lowered to the central run, which leaves at most eps/2 of
+    the mass on either side: from the last start i_a with c[i_a] <= eps/2
+    to the first end j_b with c[j_b] >= c[n] - eps/2.  It usually carries
+    the target and is seldom much longer than the shortest run; it is
+    taken only when it passes the same float test, so hi stays a length
+    that passes.  A run of at most hi points that passes ends at j_min or
+    later, so only the starts in [max(0, j_min - hi), i_max] are searched;
+    for a Gaussian at n = 16384 and eps = 0.05 that is about 130 starts.
 
-    Cost: five O(log n) searches, then about log2(hi - lo) comparisons,
-    each over the k - (j_min - i_max) + 1 starts that can pass, at most n;
-    the only arrays built are those comparisons' operands.
+    Cost: two searchsorted calls of two values each, then one
+    searchsorted of the m starts left, O(m log n); the only arrays built
+    are that search's operands, m values each, m <= n + 1.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -244,22 +248,20 @@ def _shortest_run(c: np.ndarray, eps: float) -> int:
     total = float(c[n])
     if not total >= target:
         raise ValueError(f"total mass {total} is below the target {target}")
-    i_max = bisect.bisect_left(range(n + 1), True,
-                               key=lambda i: float(c[i]) + target > total) - 1
-    j_min = int(np.searchsorted(c, target, side="left"))
+    v = total - target + 0.5 * (math.nextafter(total, math.inf) - total)
+    while v + target > total:
+        v = math.nextafter(v, -math.inf)
+    while math.nextafter(v, math.inf) + target <= total:
+        v = math.nextafter(v, math.inf)
+    i_max, i_a = (int(i) - 1 for i in np.searchsorted(c, (v, 0.5 * eps), side="right"))
+    j_min, j_b = (int(j) for j in np.searchsorted(c, (target, total - 0.5 * eps)))
     lo, hi = max(1, j_min - i_max), min(n, j_min, n - i_max)
-    i_a = int(np.searchsorted(c, 0.5 * eps, side="right")) - 1
-    j_b = int(np.searchsorted(c, total - 0.5 * eps, side="left"))
     if c[j_b] >= c[i_a] + target:
         hi = min(hi, j_b - i_a)
-    while lo < hi:
-        k = (lo + hi) // 2
-        a, b = max(0, j_min - k), min(i_max, n - k) + 1
-        if (c[a + k:b + k] >= c[a:b] + target).any():
-            hi = k
-        else:
-            lo = k + 1
-    return lo
+    a = max(0, j_min - hi)
+    ends = np.searchsorted(c, c[a:i_max + 1] + target)
+    ends -= np.arange(a, i_max + 1)
+    return max(lo, min(hi, int(ends.min())))
 
 
 def centered_width(P: GridMeasure, x: float, eps: float) -> float:

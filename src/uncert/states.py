@@ -9,6 +9,7 @@ displacement covariance holds to roundoff on grid-aligned shifts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +59,34 @@ class WaveFunction:
         raise AttributeError("WaveFunction is immutable")
 
 
+def _abs_sq(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|a|^2 written to out (n floats) and returned, with the bits of
+    np.abs(a) ** 2: float64 amplitudes are squared as they are, since
+    np.abs of a float is exact and leaves its square in place; complex ones
+    go through np.abs, their hypot, first."""
+    if a.dtype == np.float64:
+        return np.square(a, out=out)
+    np.abs(a, out=out)
+    return np.square(out, out=out)
+
+
 def _norm_sq(a: np.ndarray, dx: float, scratch: np.ndarray) -> float:
-    """sum |a|^2 dx, with |a|^2 formed in scratch (n floats) as np.abs(a) ** 2 forms it."""
-    np.abs(a, out=scratch)
-    np.square(scratch, out=scratch)
-    return float(np.sum(scratch) * dx)
+    """sum |a|^2 dx, with |a|^2 formed in scratch (n floats) by :func:`_abs_sq`."""
+    return float(np.sum(_abs_sq(a, scratch)) * dx)
 
 
 def _unit_norm(a: np.ndarray, dx: float, scratch: np.ndarray) -> None:
     """:class:`WaveFunction`'s normalization, in place on a: raises unless its
-    norm is within NORM_TOL of 1, then scales it by the norm's reciprocal root."""
+    norm is within NORM_TOL of 1, then scales it by the norm's reciprocal
+    root.  A float64 array is left as it is when that root is exactly 1.0;
+    a complex one is always scaled, since x 1.0 turns its -0.0 imaginary
+    parts into +0.0."""
     nrm = _norm_sq(a, dx, scratch)
     if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects NaN
         raise ValueError(f"state norm {nrm:.9f} deviates from 1 beyond {NORM_TOL}")
-    a *= 1.0 / math.sqrt(nrm)
+    scale = 1.0 / math.sqrt(nrm)
+    if scale != 1.0 or a.dtype != np.float64:
+        a *= scale
 
 
 class MixedState:
@@ -132,6 +147,15 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
     a wider momentum spread wraps around it.  At p0 = 0 the amplitudes are
     real and are built in place in out, which may be x; at p0 != 0 they are
     complex, in a new array.  scratch (n floats) holds |a|^2 for the norm.
+
+    At p0 = 0 the exponent is (x - x0)^2 / -(4 sigma^2), the bits of
+    -(x - x0)^2 / (4 sigma^2) without a negation pass, and it is formed
+    only on the run of points within 2 sigma sqrt(750) of x0 (x ascending,
+    as grid.points() gives it): farther out it is below -745.2, exp
+    underflows to +0.0 there, and those cells are written as +0.0.  So
+    the amplitudes keep every bit, and numpy's slow underflow path in exp
+    is never taken.  Cost: two O(log n) searches, then O(n) writes and
+    O(m) arithmetic on the m points kept.
     """
     if not all(math.isfinite(v) for v in (x0, p0, sigma)):
         raise ValueError(f"Gaussian parameters must be finite, got "
@@ -156,12 +180,22 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
         a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
     else:
         # a real exp costs 1/20 of exp(a + 0j); the two differ at most in
-        # the last bit (numpy's vectorized exp against libm's)
-        a = np.subtract(x, x0, out=out)
-        np.square(a, out=a)
-        np.negative(a, out=a)
-        a /= 4.0 * sigma**2
-        np.exp(a, out=a)
+        # the last bit (numpy's vectorized exp against libm's).  The
+        # |x0| 2^-50 keeps the rounding of x0 -+ r from moving the cut inside
+        # 2 sigma sqrt(750); with 4 sigma^2 below the normal range the
+        # exponent's rounding is unbounded, and nothing is cut.
+        r = 2.0 * sigma * math.sqrt(750.0) + abs(x0) * 2.0 ** -50
+        if not 4.0 * sigma**2 >= sys.float_info.min:
+            r = math.inf
+        lo = int(np.searchsorted(x, x0 - r))
+        hi = int(np.searchsorted(x, x0 + r, side="right"))
+        a = out
+        e = np.subtract(x[lo:hi], x0, out=a[lo:hi])
+        a[:lo] = 0.0
+        a[hi:] = 0.0
+        np.square(e, out=e)
+        e /= -(4.0 * sigma**2)
+        np.exp(e, out=e)
     a /= math.sqrt(_norm_sq(a, grid.dx, scratch))
     return a
 
@@ -250,14 +284,15 @@ def _position_weights(components, dx: float, out: np.ndarray) -> None:
     """rho^Q's weights, written to out, from (weight, amplitudes) pairs.
 
     The first component's wk |psi|^2 is formed in out itself, which equals
-    0 + wk |psi|^2; each further one is added from a new array.
+    0 + wk |psi|^2, and not multiplied when wk is 1.0; each further one is
+    added from a new array.
     """
     (w0, a0), rest = components[0], components[1:]
-    np.abs(a0, out=out)
-    np.square(out, out=out)
-    out *= w0
+    _abs_sq(a0, out)
+    if w0 != 1.0:
+        out *= w0
     for wk, a in rest:
-        out += wk * np.abs(a) ** 2
+        out += wk * _abs_sq(a, np.empty(len(a)))
     out *= dx
 
 
@@ -289,24 +324,31 @@ def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
     FFT, shifted to the centered grid, in new arrays, if they have one,
     else the real FFT of their real part.  The real FFT goes to spectrum
     (n/2 + 1 complex) and its squared moduli to scratch (n/2 + 1 floats or
-    more), which may hold the amplitudes of the last component.
+    more), which may hold the amplitudes of the last component.  The first
+    component is written to out and the others added, which gives the bits
+    of adding them all to zeros; a weight of exactly 1.0 is not multiplied.
 
     Cost per component: one n-point real FFT (about half a complex one),
     or an O(n) scan and then one n-point complex FFT, and O(n) real
     arithmetic.
     """
     h = grid.n // 2
-    out.fill(0.0)
-    for wk, a in components:
+    for k, (wk, a) in enumerate(components):
         if np.iscomplexobj(a) and a.imag.any():
-            out += wk * np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
+            s = np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
+            parts = ((out, s),)
         else:
             np.fft.rfft(a.real, out=spectrum)
             s = np.abs(spectrum, out=scratch[:h + 1])
             np.square(s, out=s)
+            parts = ((out[h:], s[:h]), (out[:h], s[h:0:-1]))
+        if wk != 1.0:
             s *= wk
-            out[h:] += s[:h]
-            out[:h] += s[h:0:-1]
+        for dst, src in parts:
+            if k == 0:
+                dst[...] = src
+            else:
+                dst += src
     out *= momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
 
 

@@ -488,6 +488,10 @@ SCAN_CONFIG = {
      "grid: x_max - x_min overflows"),
     ("scan", dict(SCAN_CONFIG, grid={"n": 512, "x_min": -1e308, "x_max": 1e308}),
      "grid: x_max - x_min overflows"),
+    # 2 pi hbar overflows; then only pi hbar / dx (dx = 0.05)
+    ("verify", verify_config(hbar=1e308), "hbar: 2*pi*hbar and pi*hbar/dx must be finite"),
+    ("scan", dict(SCAN_CONFIG, hbar=1e308), "hbar: 2*pi*hbar and pi*hbar/dx must be finite"),
+    ("scan", dict(SCAN_CONFIG, hbar=1e307), "hbar: 2*pi*hbar and pi*hbar/dx must be finite"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -774,12 +778,19 @@ class TestWidths:
         assert "--window:" in capsys.readouterr().err
         assert not recwarn.list
 
-    @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0"])
+    # 1e308: 2 pi hbar overflows; 1e307: pi hbar / dx does, with dx = 1/32
+    @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0", "1e308", "1e307"])
     def test_bad_hbar_names_the_argument(self, capsys, recwarn, hbar):
         rc = main(["--grid-n", "1024", "--hbar", hbar, "widths", "--state", "gaussian:sigma=1",
                    "--eps", "0.05", "--window", "16"])
         assert rc == 2
         assert "--hbar:" in capsys.readouterr().err
+        assert not recwarn.list
+
+    def test_huge_hbar_that_fits_is_accepted(self, capsys, recwarn):
+        assert main(["--hbar", "1e300", "widths", "--state", "gaussian:sigma=1",
+                     "--eps", "0.05"]) == 0
+        assert "passed         true" in capsys.readouterr().out
         assert not recwarn.list
 
 

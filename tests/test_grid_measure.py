@@ -1,15 +1,17 @@
+import bisect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfinv
 
 from uncert.grids import (
     GridMeasure,
     GridSpec,
     Interval,
+    _shortest_run,
     centered_width,
     convolve,
     gaussian_measure,
@@ -341,6 +343,86 @@ def test_overall_width_window_mass_exactly_at_target(n):
             eps = _eps_with_target(m / 64.0)
             if eps is not None:
                 assert overall_width(P, eps) == _overall_width_searchsorted(P, eps)
+
+
+def _ref_shortest_run(c: np.ndarray, eps: float) -> int:
+    """Reference: the same bounds, with i_max bisected start by start on
+    c[i] + target > c[n] and k bisected on "some start passes"."""
+    target = 1.0 - eps - 1e-12
+    n = len(c) - 1
+    total = float(c[n])
+    i_max = bisect.bisect_left(range(n + 1), True,
+                               key=lambda i: float(c[i]) + target > total) - 1
+    j_min = int(np.searchsorted(c, target, side="left"))
+    lo, hi = max(1, j_min - i_max), min(n, j_min, n - i_max)
+    i_a = int(np.searchsorted(c, 0.5 * eps, side="right")) - 1
+    j_b = int(np.searchsorted(c, total - 0.5 * eps, side="left"))
+    if c[j_b] >= c[i_a] + target:
+        hi = min(hi, j_b - i_a)
+    while lo < hi:
+        k = (lo + hi) // 2
+        a, b = max(0, j_min - k), min(i_max, n - k) + 1
+        if (c[a + k:b + k] >= c[a:b] + target).any():
+            hi = k
+        else:
+            lo = k + 1
+    return lo
+
+
+# 1 - eps is exact for eps above 1/2, so eps = 1 - k 2^-53 leaves the
+# target k 2^-53 - 1e-12, which changes sign between k = 9007 and 9008;
+# just above 0 it is lost to rounding when added to c[n]
+EPS_NEAR_1 = [1.0 - k * 2.0 ** -53 for k in (9000, 9007, 9008, 9009, 9100, 2 ** 20)]
+
+
+@st.composite
+def prefix_sums(draw):
+    """(c, eps): prefix sums of weights of total mass 1 or up to 2, with zero
+    weights, point masses and tiny weights, and maybe a flat run of entries
+    within a few ulps of c[n] - target, or of that plus half the gap above
+    c[n], where the last start that can pass is decided."""
+    eps = draw(st.one_of(st.floats(1e-16, 1e-6), st.floats(1e-6, 1.0 - 1e-6),
+                         st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+                         st.sampled_from(EPS_NEAR_1 + [2.0 ** -52, 1e-12, 0.05, 0.5])))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-12),
+                       st.just(1e3))
+    w = np.array(draw(st.lists(weight, min_size=1, max_size=64)))
+    if not w.sum() > 0:
+        w[draw(st.integers(0, len(w) - 1))] = 1.0
+    # a total mass above 1 puts c[n] - target in c[n]'s binade, where the
+    # rounding of c[i] + target can tie at the last start that passes
+    mass = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.0)))
+    c = np.concatenate(([0.0], np.cumsum(w / w.sum() * mass)))
+    v = float(c[-1]) - (1.0 - eps - 1e-12)
+    if draw(st.booleans()) and 0.0 <= v <= c[-1]:
+        near = []
+        for x in (v, v + 0.5 * (math.nextafter(c[-1], math.inf) - c[-1])):
+            up = down = x
+            for _ in range(3):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                near += [up, down]
+            near += [x + k * 2.0 ** -54 for k in (-2, -1, 0, 1, 2)]
+        run = draw(st.lists(st.sampled_from([x for x in near if 0.0 <= x <= c[-1]]),
+                            min_size=1, max_size=40))
+        c = np.sort(np.concatenate((c, run)))
+    return c, eps
+
+
+# c[5] + target ties halfway above c[6] and rounds down to it, so the run
+# of one point from c[5] passes, and every other run is longer; c[6] - target
+# plus half the gap above c[6] rounds to c[4], one double below c[5]
+TIE_AT_THE_LAST_START = (np.array([0.0, 0.3, 0.6, 0.9, float.fromhex("0x1.053f93e4cd3a8p+0"),
+                                   float.fromhex("0x1.053f93e4cd3a9p+0"),
+                                   float.fromhex("0x1.b527f98b80f58p+0")]),
+                         float.fromhex("0x1.405e69652cae3p-2"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefix_sums())
+@example(TIE_AT_THE_LAST_START)
+def test_shortest_run_equals_the_bisection(case):
+    c, eps = case
+    assert _shortest_run(c, eps) == _ref_shortest_run(c, eps)
 
 
 # ---------------------------------------------------------------------------

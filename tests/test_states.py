@@ -10,7 +10,11 @@ from uncert.states import (
     MixedState,
     WaveFunction,
     _from_momentum_amps,
+    _gaussian_amps,
+    _momentum_weights,
+    _position_weights,
     box_state,
+    displace_mixed,
     gaussian_state,
     momentum_box_state,
     momentum_distribution,
@@ -398,3 +402,170 @@ def test_marginals_of_real_amplitudes_equal_their_complex_form(name, rho):
                           position_distribution(cplx).weights)
     assert np.array_equal(momentum_distribution(real).weights,
                           momentum_distribution(cplx).weights)
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their reference forms
+# ---------------------------------------------------------------------------
+# The reference forms do every step on every cell: |a|^2 through np.abs,
+# the Gaussian's exponent negated before the divide and exp over the whole
+# grid, every multiplication by a weight or a root that is exactly 1.0, and
+# the momentum weights added to a zeroed array.  The kernels skip only steps
+# that leave every bit as it is, so they are compared bit for bit.
+
+def _ref_norm_sq(a, dx, scratch):
+    np.abs(a, out=scratch)
+    np.square(scratch, out=scratch)
+    return float(np.sum(scratch) * dx)
+
+
+def _ref_unit_norm(a, dx):
+    a *= 1.0 / math.sqrt(_ref_norm_sq(a, dx, np.empty(len(a))))
+
+
+def _ref_gaussian_amps(x0, p0, sigma, grid, hbar, x, out, scratch):
+    if p0 != 0:
+        a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
+    else:
+        a = np.subtract(x, x0, out=out)
+        np.square(a, out=a)
+        np.negative(a, out=a)
+        a /= 4.0 * sigma**2
+        np.exp(a, out=a)
+    a /= math.sqrt(_ref_norm_sq(a, grid.dx, scratch))
+    return a
+
+
+def _ref_position_weights(components, dx, out):
+    (w0, a0), rest = components[0], components[1:]
+    np.abs(a0, out=out)
+    np.square(out, out=out)
+    out *= w0
+    for wk, a in rest:
+        out += wk * np.abs(a) ** 2
+    out *= dx
+
+
+def _ref_momentum_weights(components, grid, hbar, out, spectrum, scratch):
+    h = grid.n // 2
+    out.fill(0.0)
+    for wk, a in components:
+        if np.iscomplexobj(a) and a.imag.any():
+            out += wk * np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
+        else:
+            np.fft.rfft(a.real, out=spectrum)
+            s = np.abs(spectrum, out=scratch[:h + 1])
+            np.square(s, out=s)
+            s *= wk
+            out[h:] += s[:h]
+            out[:h] += s[h:0:-1]
+    out *= momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
+
+
+WIDE = GridSpec.symmetric(40.0, 16384)  # the scan-lattice grid
+
+
+def _gaussian_params():
+    # (grid, x0, p0, sigma, hbar); sigma <= 0.5 on WIDE puts cells past
+    # 2 sigma sqrt(750) from x0, whose exp underflows to 0.0
+    for sigma in (0.05, 0.3, 0.5, 0.5117, 1.0, 2.9):
+        for x0 in (0.0, -3.7, 4.5):
+            for p0 in (0.0, 1.3):
+                yield WIDE, x0, p0, sigma, 1.0
+    yield GRID, 0.4, 0.0, 0.9, HBAR
+    yield GRID, -2.0, 0.0, 0.1, HBAR
+    yield SKEWED, 11.0, 0.0, 0.5, 0.37
+    yield SKEWED, 8.0, -0.9, 1.1, 0.37
+    yield GridSpec(-5.0, 10.0 / 64, 64), 0.0, 0.0, 0.5, 1.0
+
+
+@pytest.mark.parametrize("grid, x0, p0, sigma, hbar", list(_gaussian_params()))
+def test_gaussian_amps_are_bitwise_the_reference(grid, x0, p0, sigma, hbar):
+    want = _ref_gaussian_amps(x0, p0, sigma, grid, hbar, grid.points(),
+                              np.empty(grid.n), np.empty(grid.n))
+    got = _gaussian_amps(x0, p0, sigma, grid, hbar, grid.points(), np.empty(grid.n),
+                         np.empty(grid.n))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # out may be the points themselves, as gaussian_state passes them
+    x = grid.points()
+    assert _gaussian_amps(x0, p0, sigma, grid, hbar, x, x, np.empty(grid.n)).tobytes() \
+        == want.tobytes()
+    if p0 == 0 and grid is WIDE and sigma <= 0.5:
+        assert np.count_nonzero(want == 0.0) > grid.n // 4
+    ref = want.copy()
+    _ref_unit_norm(ref, grid.dx)
+    assert gaussian_state(x0, p0, sigma, grid, hbar).amps.tobytes() == ref.tobytes()
+
+
+def _sweep_states():
+    g = gaussian_state(0.4, 0.0, 0.9, GRID)
+    yield "gaussian", g
+    yield "narrow_gaussian", gaussian_state(-1.0, 0.0, 0.2, GRID)
+    yield "boosted", gaussian_state(-1.1, 2.3, 0.7, GRID)
+    yield "box", box_state(0.3, 2.5, GRID)
+    yield "point", point_state(-1.2, GRID)
+    yield "momentum_box", momentum_box_state(0.5, 3.0, GRID)
+    yield "momentum_point", momentum_point_state(1.0, GRID)
+    yield "real_cat", superpose(1, gaussian_state(-3, 0, 0.5, GRID),
+                                -1.0, gaussian_state(3, 0, 0.5, GRID))
+    yield "complex_cat", superpose(1, gaussian_state(-3, 1.1, 0.6, GRID),
+                                   1j, gaussian_state(3, -0.4, 0.6, GRID))
+    yield "weyl", weyl_displace(g, 8 * DX, 0.9)
+    yield "weyl_no_boost", weyl_displace(box_state(0.3, 2.5, GRID), -4 * DX, 0.0)
+    yield "parity", parity(g)
+    yield "parity_boosted", parity(gaussian_state(0.4, 1.3, 0.9, GRID))
+    yield "random_real", _random_real_state(GRID, 11)
+
+
+@pytest.mark.parametrize("name, psi", list(_sweep_states()))
+def test_wavefunction_amps_are_bitwise_the_reference(name, psi):
+    # at norm 1 the reciprocal root is often exactly 1.0, and off it it is not
+    for scale in (1.0, 1.0 + 3e-7, 1.0 - 5e-8):
+        raw = psi.amps * scale
+        want = raw.copy()
+        _ref_unit_norm(want, GRID.dx)
+        assert WaveFunction(GRID, raw, HBAR).amps.tobytes() == want.tobytes()
+
+
+def _sweep_mixtures():
+    states = dict(_sweep_states())
+    for name, psi in states.items():
+        yield name, pure(psi)
+        yield f"parity_{name}", parity_mixed(pure(psi))
+    yield "mixture_real", MixedState([(0.25, states["gaussian"]), (0.35, states["box"]),
+                                      (0.4, states["point"])])
+    yield "mixture_mixed_dtypes", MixedState([(0.2, states["boosted"]), (0.5, states["box"]),
+                                              (0.3, states["momentum_point"])])
+    yield "mixture_zero_weight", MixedState([(0.0, states["weyl"]),
+                                             (1.0, states["real_cat"])])
+    yield "mixture_displaced", displace_mixed(
+        MixedState([(0.6, states["gaussian"]), (0.4, states["complex_cat"])]), 2 * DX, -0.4)
+
+
+@pytest.mark.parametrize("name, rho", list(_sweep_mixtures()))
+def test_marginal_weights_equal_the_reference(name, rho):
+    comps = [(wk, psi.amps) for wk, psi in rho.components]
+    n, h = GRID.n, GRID.n // 2
+    got, want = np.empty(n), np.empty(n)
+    _position_weights(comps, GRID.dx, got)
+    _ref_position_weights(comps, GRID.dx, want)
+    assert np.array_equal(got, want)
+    # out starts as garbage: the first component must be written, not added
+    got.fill(np.nan)
+    _momentum_weights(comps, GRID, HBAR, got, np.empty(h + 1, complex), np.empty(h + 1))
+    _ref_momentum_weights(comps, GRID, HBAR, want, np.empty(h + 1, complex), np.empty(h + 1))
+    assert np.array_equal(got, want)
+
+
+def test_complex_amplitudes_are_scaled_even_by_exactly_1():
+    # x 1.0 turns a complex -0.0 imaginary part into +0.0; a point mass of
+    # amplitude 2 on a grid step of 1/4 has norm exactly 1, so the
+    # reciprocal root is exactly 1.0 and only that multiplication moves a bit
+    grid = GridSpec(-1.0, 0.25, 8)
+    a = np.full(grid.n, complex(0.0, -0.0))
+    a[3] = complex(2.0, -0.0)
+    want = a.copy()
+    _ref_unit_norm(want, grid.dx)
+    assert not np.signbit(want.imag).any()
+    got = WaveFunction(grid, a).amps
+    assert got.tobytes() == want.tobytes()
