@@ -180,11 +180,11 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
         a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
     else:
         # a real exp costs 1/20 of exp(a + 0j); the two differ at most in
-        # the last bit (numpy's vectorized exp against libm's).  The
-        # |x0| 2^-50 keeps the rounding of x0 -+ r from moving the cut inside
-        # 2 sigma sqrt(750); with 4 sigma^2 below the normal range the
-        # exponent's rounding is unbounded, and nothing is cut.
-        r = 2.0 * sigma * math.sqrt(750.0) + abs(x0) * 2.0 ** -50
+        # the last bit (numpy's vectorized exp against libm's).  A point
+        # below the double nearest x0 - r lies below x0 - r itself, so each
+        # cut cell has |x - x0| > r exactly; with 4 sigma^2 below the normal
+        # range the exponent's rounding is unbounded, and nothing is cut.
+        r = 2.0 * sigma * math.sqrt(750.0)
         if not 4.0 * sigma**2 >= sys.float_info.min:
             r = math.inf
         lo = int(np.searchsorted(x, x0 - r))

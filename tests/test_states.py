@@ -477,6 +477,9 @@ def _gaussian_params():
     yield SKEWED, 11.0, 0.0, 0.5, 0.37
     yield SKEWED, 8.0, -0.9, 1.1, 0.37
     yield GridSpec(-5.0, 10.0 / 64, 64), 0.0, 0.0, 0.5, 1.0
+    # 4 sigma^2 subnormal: the exponent's rounding leaves cells past
+    # 2 sigma sqrt(750) nonzero, so nothing may be cut
+    yield GridSpec.symmetric(60 * 1.6e-162, 256), 0.0, 0.0, 1.6e-162, 1.0
 
 
 @pytest.mark.parametrize("grid, x0, p0, sigma, hbar", list(_gaussian_params()))
