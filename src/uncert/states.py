@@ -154,8 +154,9 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
     as grid.points() gives it): farther out it is below -745.2, exp
     underflows to +0.0 there, and those cells are written as +0.0.  So
     the amplitudes keep every bit, and numpy's slow underflow path in exp
-    is never taken.  Cost: two O(log n) searches, then O(n) writes and
-    O(m) arithmetic on the m points kept.
+    is not taken for the cells that can only give 0.0.  Cost: two
+    O(log n) searches, then O(n) writes and O(m) arithmetic on the m
+    points kept.
     """
     if not all(math.isfinite(v) for v in (x0, p0, sigma)):
         raise ValueError(f"Gaussian parameters must be finite, got "
