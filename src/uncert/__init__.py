@@ -43,14 +43,11 @@ from .metrology import (
     CalibrationConfig,
     ConfidencePair,
     ErrorBarResult,
-    StateFamily,
     WidthReport,
     bound_simple,
     bound_uffink,
     calibration_error,
-    check_distance_error_inequality,
     error_bar_width,
-    minimize_width_product,
     resolution_width,
     verify_joint_ur,
     werner_distance_covariant,

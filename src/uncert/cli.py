@@ -114,7 +114,16 @@ def _parse_grid(obj, where="grid") -> GridSpec:
         raise ConfigError(f"{where}: x_max must exceed x_min")
     if not math.isfinite(x_max - x_min):
         raise ConfigError(f"{where}: x_max - x_min overflows, got [{x_min}, {x_max}]")
-    return GridSpec(x_min, (x_max - x_min) / n, n)
+    grid = GridSpec(x_min, (x_max - x_min) / n, n)
+    _check_dx(grid, where)
+    return grid
+
+
+def _check_dx(grid: GridSpec, where: str) -> None:
+    """Rejects a grid step whose square overflows: the momentum weights
+    scale with dx^2."""
+    if not math.isfinite(grid.dx * grid.dx):
+        raise ConfigError(f"{where}: dx^2 must be finite, got dx = {grid.dx}")
 
 
 def _eps_pair(pair, where) -> ConfidencePair:
@@ -300,6 +309,10 @@ def _check_hbar_scale(hbar: float, grid: GridSpec, where: str) -> None:
 def cmd_verify(args) -> int:
     top, hbar, grid = _read_config(
         args, {"confidence": None, "generators": None, "calibration": None}, {"warps": []})
+    # a momentum window table spans the 2n - 1 cells of two momentum grids' sum
+    if not math.isfinite((2 * grid.n - 2) * momentum_grid(grid, hbar).dx):
+        raise ConfigError(f"hbar: the momentum window span (2n - 2)*dp must be finite, "
+                          f"got hbar = {hbar} with n = {grid.n}, dx = {grid.dx}")
     try:
         parity_offset(grid)     # the smearing measures come from the parity image
     except ValueError as exc:
@@ -392,6 +405,7 @@ def cmd_widths(args) -> int:
     if not (math.isfinite(hbar) and hbar > 0):
         raise ConfigError(f"--hbar: expected a finite value > 0, got {hbar}")
     grid = GridSpec.symmetric(args.window, n)
+    _check_dx(grid, "--window")
     _check_hbar_scale(hbar, grid, "--hbar")
     rho = _parse_state_spec(args.state, grid, hbar)
     eps = _parse_eps(args.eps)

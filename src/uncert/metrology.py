@@ -1,6 +1,6 @@
 """Uncertainty functionals: calibration error, error bar width, resolution
 width, Werner-style distances, the lower-bound formulas, and the joint
-verification / optimization drivers.
+verification driver.
 
 Both per-axis widths come from the outcome windows of sharply localized
 probe states.  Calibration follows the bench procedure: feed the kernel
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,10 +56,6 @@ from .states import MixedState, momentum_grid
 
 class LadderInconsistencyError(ValueError):
     """Calibration errors failed to decrease with the localization width."""
-
-
-class RelationViolationError(AssertionError):
-    """A proven inequality failed beyond the grid tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -469,34 +465,6 @@ def tent(center: float, height: float):
     return lambda x: np.clip(height - np.abs(np.asarray(x) - center), 0.0, None)
 
 
-@dataclass(frozen=True)
-class DistanceErrorReport:
-    error_bar: float
-    distance: float
-    rhs: float
-    tolerance: float
-    passed: bool
-
-
-def check_distance_error_inequality(kernel: Kernel, eps: float,
-                                    cfg: CalibrationConfig) -> DistanceErrorReport:
-    """Verify error_bar_width <= (2/eps) * distance + grid tolerance for a
-    covariant kernel with closed-form distance."""
-    mu = kernel.measure
-    if mu is None or not kernel.covariant:
-        raise ValueError("closed-form distance needs a covariant smeared kernel")
-    dist = werner_distance_covariant(mu)
-    eb = error_bar_width(kernel, eps, cfg).value
-    step = _axis_grid(kernel.axis, cfg.grid, cfg.hbar).dx
-    tol = 2.0 * step
-    rhs = (2.0 / eps) * dist + tol
-    report = DistanceErrorReport(eb, dist, rhs, tol, eb <= rhs)
-    if not report.passed:
-        raise RelationViolationError(
-            f"error bar {eb} exceeds (2/eps)*distance + tol = {rhs}")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Joint verification driver
 # ---------------------------------------------------------------------------
@@ -577,81 +545,3 @@ def verify_scenarios(gen: MixedState, cfg: CalibrationConfig, scenarios) -> list
             bs, bu, prod_eb - bs, prod_eb - bu, passed))
     return reports
 
-
-# ---------------------------------------------------------------------------
-# Width-product minimization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StateFamily:
-    """Finite-box parameterized state family for the tightness probe."""
-
-    names: tuple
-    bounds: tuple            # ((lo, hi), ...) matching names
-    build: callable = field(compare=False)
-
-    def clip(self, params):
-        return tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(params, self.bounds))
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    params: tuple
-    product: float
-    ratio_simple: float
-    ratio_uffink: float
-
-
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def _golden_section(f, a, b, iters=40):
-    c = b - (b - a) / _GOLDEN
-    d = a + (b - a) / _GOLDEN
-    for _ in range(iters):
-        if f(c) < f(d):
-            b = d
-        else:
-            a = c
-        c = b - (b - a) / _GOLDEN
-        d = a + (b - a) / _GOLDEN
-    return 0.5 * (a + b)
-
-
-def minimize_width_product(family: StateFamily, eps: ConfidencePair,
-                           hbar: float = 1.0, sweeps: int = 3) -> MinimizeResult:
-    """Derivative-free coordinate descent (golden section, with restarts)
-    of the overall-width product over the family's parameter box."""
-    from .states import momentum_distribution, position_distribution
-
-    def objective(params):
-        try:
-            rho = family.build(family.clip(params))
-            wq = overall_width(position_distribution(rho), eps.eps1)
-            wp = overall_width(momentum_distribution(rho), eps.eps2)
-            prod = wq * wp
-        except ValueError:
-            return float("inf")
-        return prod if math.isfinite(prod) else float("inf")
-
-    starts = [tuple(0.5 * (lo + hi) for lo, hi in family.bounds),
-              tuple(0.25 * hi + 0.75 * lo for lo, hi in family.bounds),
-              tuple(0.75 * hi + 0.25 * lo for lo, hi in family.bounds)]
-    best_params, best_val = None, float("inf")
-    for start in starts:
-        params = list(start)
-        for _ in range(sweeps):
-            for i, (lo, hi) in enumerate(family.bounds):
-                def f1(v, i=i):
-                    trial = list(params)
-                    trial[i] = v
-                    return objective(tuple(trial))
-                params[i] = _golden_section(f1, lo, hi)
-        val = objective(tuple(params))
-        if val < best_val:
-            best_params, best_val = tuple(params), val
-    bs = bound_simple(eps, hbar)
-    bu = bound_uffink(eps, hbar)
-    return MinimizeResult(best_params, best_val,
-                          best_val / bs if bs > 0 else float("inf"),
-                          best_val / bu if bu > 0 else float("inf"))

@@ -59,12 +59,12 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "ys", tuple(ys))
 
-    def _eval(self, x, xs, ys):
-        """The map through knots (xs, ys) at x, an array of x's shape (0-d for
-        a scalar).  np.interp's result is extrapolated in place, each point
-        outside the knots by its end segment, y0 + (x - x0) * slope; points
-        inside are not touched."""
+    def __call__(self, x):
+        """The map at x, an array of x's shape (0-d for a scalar).  np.interp's
+        result is extrapolated in place, each point outside the knots by its
+        end segment, y0 + (x - x0) * slope; points inside are not touched."""
         x = np.asarray(x, dtype=float)
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
         out = np.asarray(np.interp(x, xs, ys))
         lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
@@ -73,12 +73,6 @@ class PiecewiseLinearMap:
         hi = x > xs[-1]
         out[hi] = ys[-1] + (x[hi] - xs[-1]) * hi_slope
         return out
-
-    def __call__(self, x):
-        return self._eval(x, np.asarray(self.xs), np.asarray(self.ys))
-
-    def inverse(self, y):
-        return self._eval(y, np.asarray(self.ys), np.asarray(self.xs))
 
     @property
     def displacement_bound(self) -> float:

@@ -163,6 +163,8 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
                          f"x0={x0}, p0={p0}, sigma={sigma}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(4.0 * (sigma * sigma)):
+        raise ValueError(f"4 sigma^2 must be finite, got sigma={sigma}")
     if not hbar > 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
     if grid.x_min > x0 - 8 * sigma or grid.x_max < x0 + 8 * sigma:

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import uncert
 from uncert import metrology, observables
@@ -429,6 +429,10 @@ SCAN_CONFIG = {
 }
 
 
+# dx = 3.9e152, so dx^2 is finite
+HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("verify", verify_config(confidence=[[None, 0.1]]), "confidence[0][0]"),
     ("verify", verify_config(grid={"n": 512, "x_min": "-12.8", "x_max": 12.8}), "grid.x_min"),
@@ -492,6 +496,25 @@ SCAN_CONFIG = {
     ("verify", verify_config(hbar=1e308), "hbar: 2*pi*hbar and pi*hbar/dx must be finite"),
     ("scan", dict(SCAN_CONFIG, hbar=1e308), "hbar: 2*pi*hbar and pi*hbar/dx must be finite"),
     ("scan", dict(SCAN_CONFIG, hbar=1e307), "hbar: 2*pi*hbar and pi*hbar/dx must be finite"),
+    # the 2n - 1 cell momentum window table of verify overflows; scan builds none
+    ("verify", verify_config(hbar=1e306), "hbar: the momentum window span (2n - 2)*dp"),
+    # dx^2 overflows (dx = 3.9e154)
+    ("verify", verify_config(grid={"n": 512, "x_min": -1e157, "x_max": 1e157}),
+     "grid: dx^2 must be finite"),
+    ("verify", verify_config(grid={"n": 512, "x_min": -1e300, "x_max": 1e300},
+                             generators=[{"kind": "gaussian", "sigma": 1e299}]),
+     "grid: dx^2 must be finite"),
+    ("scan", dict(SCAN_CONFIG, grid={"n": 512, "x_min": -1e157, "x_max": 1e157}),
+     "grid: dx^2 must be finite"),
+    # 4 sigma^2 overflows on a grid that holds 8 sigma
+    ("verify", verify_config(grid=HUGE_GRID, generators=[{"kind": "gaussian", "sigma": 1e155}],
+                             calibration={"delta_ladder": [4e154, 2e154]}),
+     "generators[0]: 4 sigma^2 must be finite"),
+    ("verify", verify_config(grid=HUGE_GRID, generators=[{"kind": "mixture", "components": [
+        {"weight": 1.0, "sigma": 1e155}]}], calibration={"delta_ladder": [4e154, 2e154]}),
+     "generators[0].components[0]: 4 sigma^2 must be finite"),
+    ("scan", dict(SCAN_CONFIG, grid=HUGE_GRID, lattice={"sigma": [1e155]}),
+     "lattice point sigma=1e+155: 4 sigma^2 must be finite"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -500,6 +523,11 @@ def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_at_a_huge_hbar_that_fits_is_accepted():
+    # (2n - 2)*dp = 3.75e307 on the 512-point grid over +-12.8
+    assert _run_verify_quietly(verify_config(hbar=3e305)) == 0
 
 
 def test_config_path_that_is_a_directory_exits_2(tmp_path):
@@ -666,10 +694,16 @@ GENERATORS = _mostly(st.lists(st.one_of(GAUSSIAN, MIXTURE), min_size=1, max_size
                                NOT_A_LIST))
 
 
+# on the fuzz grid (n = 256, dx = 0.1) the momentum window span (2n - 2)*dp
+# overflows from hbar = 1.44e306 on; the example runs that case every time
+HBARS = _mostly(st.sampled_from([1.0, 0.5, 1e305, 1e306, 3e306]), JSON_SCALARS)
+
+
 @settings(max_examples=60, deadline=None)
-@given(generators=GENERATORS)
-def test_generators_fuzz_exits_with_a_documented_code(generators):
-    cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+@given(generators=GENERATORS, hbar=HBARS)
+@example(generators=[{"kind": "gaussian", "sigma": 1.0}], hbar=3e306)
+def test_generators_fuzz_exits_with_a_documented_code(generators, hbar):
+    cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8}, hbar=hbar,
                         generators=generators,
                         warps=[{"name": "bend", "p_knots": P_BEND}])
     assert _run_verify_quietly(cfg) in {0, 1, 2, 3}
@@ -770,12 +804,17 @@ class TestWidths:
         assert rc == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window", ["inf", "0", "-16", "1e308"])
-    def test_bad_window_names_the_argument(self, capsys, recwarn, window):
-        rc = main(["--grid-n", "1024", "widths", "--state", "gaussian:sigma=1",
+    # 1e158 and 1e300: dx^2 overflows
+    @pytest.mark.parametrize("window, state", [
+        ("inf", "gaussian:sigma=1"), ("0", "gaussian:sigma=1"), ("-16", "gaussian:sigma=1"),
+        ("1e308", "gaussian:sigma=1"), ("1e158", "box:width=2.5e157"),
+        ("1e300", "gaussian:sigma=1e299")],
+        ids=["inf", "0", "-16", "1e308", "1e158-box", "1e300-gaussian"])
+    def test_bad_window_names_the_argument(self, capsys, recwarn, window, state):
+        rc = main(["--grid-n", "1024", "widths", "--state", state,
                    "--eps", "0.05", "--window", window])
         assert rc == 2
-        assert "--window:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: --window:")
         assert not recwarn.list
 
     # 1e308: 2 pi hbar overflows; 1e307: pi hbar / dx does, with dx = 1/32
@@ -827,12 +866,17 @@ class TestMomentumCoverage:
         assert where in capsys.readouterr().err
         assert not recwarn.list
 
-    @pytest.mark.parametrize("state", ["gaussian:sigma=0.01", "gaussian:sigma=1e-300",
-                                       "gaussian:sigma=1,p0=1e6"])
-    def test_widths_names_the_state_spec(self, capsys, recwarn, state):
-        rc = main(["widths", "--state", state, "--eps", "0.05"])  # p_max = 160.8
+    @pytest.mark.parametrize("state, window, where", [
+        ("gaussian:sigma=0.01", "40", "state spec: momentum grid"),  # p_max = 160.8
+        ("gaussian:sigma=1e-300", "40", "state spec: momentum grid"),
+        ("gaussian:sigma=1,p0=1e6", "40", "state spec: momentum grid"),
+        ("gaussian:sigma=1e155", "1e156", "state spec: 4 sigma^2 must be finite"),
+    ], ids=["gaussian:sigma=0.01", "gaussian:sigma=1e-300", "gaussian:sigma=1,p0=1e6",
+            "gaussian:sigma=1e155"])
+    def test_widths_names_the_state_spec(self, capsys, recwarn, state, window, where):
+        rc = main(["widths", "--state", state, "--eps", "0.05", "--window", window])
         assert rc == 2
-        assert "state spec: momentum grid" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {where}")
         assert not recwarn.list
 
 

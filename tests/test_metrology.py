@@ -21,14 +21,11 @@ from uncert.metrology import (
     CalibrationConfig,
     ConfidencePair,
     LadderInconsistencyError,
-    StateFamily,
     bound_simple,
     bound_uffink,
     calibration_error,
-    check_distance_error_inequality,
     clipped_identity,
     error_bar_width,
-    minimize_width_product,
     resolution_width,
     tent,
     verify_joint_ur,
@@ -55,7 +52,6 @@ from uncert.states import (
     momentum_point_state,
     point_state,
     position_distribution,
-    superpose,
 )
 
 GRID = GridSpec.symmetric(12.8, 1024)  # dx = 0.025
@@ -704,13 +700,6 @@ class TestWernerDistance:
                 Kernel("q"), Kernel("q", point_mass(0.3, GRID)),
                 [vacuum()], [lambda x: 5.0 * np.asarray(x)])
 
-    def test_distance_error_inequality(self):
-        k = Kernel("q", gaussian_measure(0.0, 0.5, GRID))
-        rep = check_distance_error_inequality(k, 0.05, CFG)
-        assert rep.passed
-        assert rep.error_bar <= rep.rhs
-        assert rep.distance == pytest.approx(0.5 * math.sqrt(2 / math.pi), rel=1e-3)
-
 
 # ---------------------------------------------------------------------------
 # Joint verification driver
@@ -757,44 +746,3 @@ class TestVerifyJointUR:
             f"{cfg_hbar} differ from the generator's grid GridSpec(x_min=-12.8, dx=0.1, "
             f"n=256) and hbar 1.0")
 
-
-# ---------------------------------------------------------------------------
-# Width-product minimization
-# ---------------------------------------------------------------------------
-
-def gaussian_family():
-    def build(params):
-        (sigma,) = params
-        return MixedState.pure(gaussian_state(0.0, 0.0, sigma, GRID, HBAR))
-    return StateFamily(("sigma",), ((0.5, 1.5),), build)
-
-
-def cat_family():
-    def build(params):
-        (half_sep,) = params
-        return MixedState.pure(superpose(
-            1.0, gaussian_state(-half_sep, 0.0, 0.6, GRID, HBAR),
-            1.0, gaussian_state(half_sep, 0.0, 0.6, GRID, HBAR)))
-    return StateFamily(("half_sep",), ((2.0, 5.0),), build)
-
-
-class TestMinimizeWidthProduct:
-    def test_gaussian_family_near_scale_invariant_optimum(self):
-        eps = ConfidencePair(0.05, 0.05)
-        res = minimize_width_product(gaussian_family(), eps, HBAR)
-        target = 2 * HBAR * Z975**2  # 7.6829...
-        assert res.product >= bound_simple(eps, HBAR)
-        # widths are quantized to dx and dp; the minimizer exploits the
-        # rounding, so allow one cell per axis off the continuum product
-        (sigma,) = res.params
-        wq, wp = 2 * Z975 * sigma, Z975 * HBAR / sigma
-        slack = DX * wp + DP * wq + DX * DP
-        assert target - slack <= res.product <= target * 1.02
-        assert res.ratio_simple >= 1.0
-        assert res.ratio_uffink >= 1.0 - 0.02
-
-    def test_separated_superposition_does_worse(self):
-        eps = ConfidencePair(0.05, 0.05)
-        g = minimize_width_product(gaussian_family(), eps, HBAR)
-        c = minimize_width_product(cat_family(), eps, HBAR)
-        assert c.product > g.product
