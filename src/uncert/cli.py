@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -44,6 +45,8 @@ REPORT_VERSION = "# uncert-report v1"
 SCAN_CAP_DEFAULT = 10_000
 WIDTHS_HBAR_DEFAULT = 1.0
 WIDTHS_GRID_N_DEFAULT = 4096
+# grid points are x_min + dx * j with j a float, exact up to 2^53
+GRID_N_MAX = 2**53
 # accepted and validated so v1 configs keep running; calibration takes the
 # exact sup over point masses, which no box or truncated Gaussian can raise
 PROBE_KINDS = ("box", "truncated_gaussian")
@@ -106,8 +109,9 @@ def _require_keys(obj: dict, where: str, required: dict, optional: dict = {}):
 def _parse_grid(obj, where="grid") -> GridSpec:
     g = _require_keys(obj, where, {"n": None, "x_min": None, "x_max": None})
     n = g["n"]
-    if not isinstance(n, int) or n < 2 or (n & (n - 1)) != 0:
-        raise ConfigError(f"{where}.n: must be a power of two >= 2, got {n!r}")
+    if not _grid_size_ok(n):
+        raise ConfigError(f"{where}.n: must be a power of two from 2 to {GRID_N_MAX}, "
+                          f"got {n!r}")
     x_min = _number(g["x_min"], f"{where}.x_min")
     x_max = _number(g["x_max"], f"{where}.x_max")
     if not x_max > x_min:
@@ -117,6 +121,11 @@ def _parse_grid(obj, where="grid") -> GridSpec:
     grid = GridSpec(x_min, (x_max - x_min) / n, n)
     _check_dx(grid, where)
     return grid
+
+
+def _grid_size_ok(n) -> bool:
+    """n is an int power of two from 2 to GRID_N_MAX."""
+    return isinstance(n, int) and 2 <= n <= GRID_N_MAX and (n & (n - 1)) == 0
 
 
 def _check_dx(grid: GridSpec, where: str) -> None:
@@ -306,6 +315,21 @@ def _check_hbar_scale(hbar: float, grid: GridSpec, where: str) -> None:
                           f"hbar = {hbar} with dx = {grid.dx}")
 
 
+def _generator_reports(gi: int, gspec, grid: GridSpec, hbar: float, eps_pairs, calib,
+                       warps) -> list:
+    """The report rows of generator gi: one per eps pair and warp, the plain
+    row (the warp with no maps) first.  The generator's states, measures,
+    kernels and window tables live only in this call, so none is held while
+    the next generator is built."""
+    mu, nu = marginal_measures(_parse_generator(gspec, grid, hbar, f"generators[{gi}]"))
+    # rows that share a kernel (an omitted knot list, equal knots) share its pass
+    scenarios = [(f"gen{gi}-eps{ei}" if wname is None else f"gen{gi}-{wname}-eps{ei}",
+                  eps, (Kernel("q", mu, gamma_q), Kernel("p", nu, gamma_p)))
+                 for ei, eps in enumerate(eps_pairs)
+                 for wname, gamma_q, gamma_p in [(None, None, None)] + warps]
+    return verify_scenarios(grid, hbar, calib, scenarios)
+
+
 def cmd_verify(args) -> int:
     top, hbar, grid = _read_config(
         args, {"confidence": None, "generators": None, "calibration": None}, {"warps": []})
@@ -326,15 +350,7 @@ def cmd_verify(args) -> int:
 
     reports = []
     for gi, gspec in enumerate(generators):
-        gen = _parse_generator(gspec, grid, hbar, f"generators[{gi}]")
-        mu, nu = marginal_measures(gen)
-        # the plain row is the warp with no maps; rows that share a kernel
-        # (an omitted knot list, equal knots) share its pass
-        scenarios = [(f"gen{gi}-eps{ei}" if wname is None else f"gen{gi}-{wname}-eps{ei}",
-                      eps, (Kernel("q", mu, gamma_q), Kernel("p", nu, gamma_p)))
-                     for ei, eps in enumerate(eps_pairs)
-                     for wname, gamma_q, gamma_p in [(None, None, None)] + warps]
-        reports += verify_scenarios(gen, calib, scenarios)
+        reports += _generator_reports(gi, gspec, grid, hbar, eps_pairs, calib, warps)
     csv_path, json_path = _write_reports(reports, Path(args.out))
     all_pass = all(rep.passed for rep in reports)
     print(f"{len(reports)} scenario rows -> {csv_path}, {json_path}; "
@@ -397,8 +413,9 @@ def _product_cells(wq: float, wp: float, bs: float, bu: float) -> list:
 def cmd_widths(args) -> int:
     n = WIDTHS_GRID_N_DEFAULT if args.grid_n is None else args.grid_n
     hbar = WIDTHS_HBAR_DEFAULT if args.hbar is None else args.hbar
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ConfigError(f"--grid-n must be a power of two, got {n}")
+    if not _grid_size_ok(n):
+        raise ConfigError(f"--grid-n must be a power of two from 2 to {GRID_N_MAX}, "
+                          f"got {n}")
     if not (args.window > 0 and math.isfinite(2.0 * args.window)):
         raise ConfigError(f"--window: expected a half-length > 0 whose double is finite, "
                           f"got {args.window}")
@@ -521,7 +538,10 @@ def cmd_scan(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and reused: its
+    objects form reference cycles that only the cyclic collector frees."""
     ap = argparse.ArgumentParser(prog="uncert",
                                  description="Joint-measurement uncertainty checks")
     ap.add_argument("--hbar", type=float,

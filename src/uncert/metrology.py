@@ -33,8 +33,9 @@ Cost per (kernel, center): O(n_out) time and memory for the window table,
 n_out = n + n_mu - 1 outcome cells, built once whatever the eps values.
 A table holds n_mu + 1 prefix sums, n_out float distances (split between
 the two sides of the center) and, for a warped kernel, n_out int64 warp
-cells; the build's only other full-length arrays are the warp's points
-and their image, while the cells are made.  Then O(e m log n_out)
+cells, and the build makes no other full-length array: the prefix sums
+are formed in place, and the warp cells block by block.  Only one table
+is held at a time.  Then O(e m log n_out)
 vectorized in one bisection for the m cells of the widest rung and the
 resolution points under each of e eps values; the narrower rungs are
 nested in the widest and reuse its point widths.
@@ -48,8 +49,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import RENORM_TOL, GridMeasure, GridSpec, _sum_grid, overall_width, point_mass, \
-    reflect
+from .grids import RENORM_TOL, GridMeasure, GridSpec, _normalize_weights, _sum_grid, \
+    overall_width, point_mass
 from .observables import Kernel, _warp_cells, marginal_measures
 from .states import MixedState, momentum_grid
 
@@ -205,26 +206,35 @@ class _CenteredWindows:
     Cost: O(n_out) time and memory to build; O(m k log n_out) vectorized
     for m probes of k cells each.  The table holds ``cr`` (n_R + 1 floats),
     ``right`` and ``left`` (n_out floats between them) and, for a warped
-    kernel, ``cells`` (n_out int64); the out points are written straight
-    into the two distance arrays and k is bisected on x_min + dx * j, so no
-    full points array is built.  A table depends on the kernel and x
-    alone, so :func:`_axis_pass` builds one per (kernel, center) and
+    kernel, ``cells`` (n_out int64), and the build allocates nothing else
+    of full length: R's weights are written reversed straight into
+    ``cr[1:]``, normalized and summed there (the steps of reflect() and
+    GridMeasure, so ``cr`` has their bits), ``cells`` is filled block by
+    block (:func:`observables._warp_cells`), the out points are written
+    straight into the two distance arrays, and k is bisected on
+    x_min + dx * j.  :meth:`widths` reads the distances by index, with no
+    padded copy.  A table depends on the kernel and x alone, so
+    :func:`_axis_pass` builds one per (kernel, center), one at a time, and
     bisects the probes of every eps in one call.
     """
 
     def __init__(self, kernel: Kernel, axis_grid: GridSpec, x: float):
         mu = kernel.measure
+        # CR[k] for 0 <= k <= n_R; take(mode="clip") extends it with its end values
         if mu is None:
-            out, r = axis_grid, np.ones(1)
+            out, self.cr = axis_grid, np.array([0.0, 1.0])
         else:
-            R = reflect(mu)
-            out, r = _sum_grid(axis_grid, R.grid), R.weights
+            # reflect(mu)'s weights, normalized as GridMeasure normalizes them
+            g = mu.grid
+            out = _sum_grid(axis_grid, GridSpec(-g.x_max, g.dx, g.n))
+            self.cr = np.empty(g.n + 1)
+            self.cr[0] = 0.0
+            r = self.cr[1:]
+            r[...] = mu.weights[::-1]
+            _normalize_weights(r)
+            np.cumsum(r, out=r)
         self.n_out = out.n
         self.cells = None if kernel.gmap is None else _warp_cells(out, kernel.gmap)
-        # CR[k] for 0 <= k <= n_R; take(mode="clip") extends it with its end values
-        self.cr = np.empty(r.size + 1)
-        self.cr[0] = 0.0
-        np.cumsum(r, out=self.cr[1:])
         # the out points x_min + dx * j, evaluated as GridSpec.points() does:
         # k is the first out cell at or right of x, right holds x_j - x for
         # j >= k and left x - x_j for j = k - 1 down to 0, both nondecreasing
@@ -287,14 +297,21 @@ class _CenteredWindows:
                 todo = todo[i[todo] < j[todo]]
             return i
 
-        r = first_reaching(self.right, np.zeros(m, int), np.full(m, self.right.size))
-        bracket = np.concatenate(([-math.inf], self.right, [math.inf]))
-        below, above = bracket[r], bracket[r + 1]
+        right, left = self.right, self.left
+        r = first_reaching(right, np.zeros(m, int), np.full(m, right.size))
+        # the right distances r - 1 and r, read as -inf and inf past the ends
+        below, above = np.full(m, -math.inf), np.full(m, math.inf)
+        inner = r > 0
+        below[inner] = right[r[inner] - 1]
+        inner = r < right.size
+        above[inner] = right[r[inner]]
         # only left distances strictly between the two can beat `above`
-        a = self.left.searchsorted(below, "right")
-        b = self.left.searchsorted(above, "left")
-        i = first_reaching(self.left, a, b.copy())
-        return 2.0 * np.where(i < b, np.append(self.left, math.inf)[i], above)
+        a = left.searchsorted(below, "right")
+        b = left.searchsorted(above, "left")
+        i = first_reaching(left, a, b.copy())
+        inner = i < b
+        above[inner] = left[i[inner]]
+        return 2.0 * above
 
 
 def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
@@ -365,6 +382,7 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
                 best = np.minimum(best, windows.widths(rows, np.full(box.size, 1.0 / box.size),
                                                        eps_rows))
             resolutions = [max(r, float(b)) for r, b in zip(resolutions, best)]
+        del windows     # not held while the next center's table is built
     return list(zip(resolutions, ladders))
 
 
@@ -478,12 +496,15 @@ def verify_joint_ur(gen: MixedState, eps: ConfidencePair, cfg: CalibrationConfig
     if kernels is None:
         mu, nu = marginal_measures(gen)
         kernels = Kernel("q", mu), Kernel("p", nu)
-    return verify_scenarios(gen, cfg, [(scenario_id, eps, kernels)])[0]
+    return verify_scenarios(gen.grid, gen.hbar, cfg, [(scenario_id, eps, kernels)])[0]
 
 
-def verify_scenarios(gen: MixedState, cfg: CalibrationConfig, scenarios) -> list:
+def verify_scenarios(grid: GridSpec, hbar: float, cfg: CalibrationConfig,
+                     scenarios) -> list:
     """Width reports of `scenarios`, (scenario_id, eps, (kq, kp)) triples of
-    kernel pairs observed with gen's grid and hbar, in their order.
+    kernel pairs observed on a generator's grid and hbar, in their order.
+    The kernels carry all a row reads of the generator, its marginal
+    measures, so the generator's states need not be held while they run.
 
     Each row checks that both the error-bar product and the resolution
     product clear the simple lower bound, up to the per-axis one-cell width
@@ -496,10 +517,9 @@ def verify_scenarios(gen: MixedState, cfg: CalibrationConfig, scenarios) -> list
     is read off its unwarped kernel's pass when that has run and taken once
     otherwise; the Werner distance is taken once per measure.  Each row
     checks its own ladder, so an inconclusive ladder raises at the first
-    row that reads it.  cfg must be on gen's grid and
-    hbar: its ladder and probe centers are read in their units.
+    row that reads it.  cfg must be on the generator's grid and hbar: its
+    ladder and probe centers are read in their units.
     """
-    grid, hbar = gen.grid, gen.hbar
     if cfg.grid != grid or cfg.hbar != hbar:
         raise ValueError(f"calibration grid {cfg.grid} and hbar {cfg.hbar} differ from "
                          f"the generator's grid {grid} and hbar {hbar}")

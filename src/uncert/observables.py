@@ -17,6 +17,11 @@ import numpy as np
 from .grids import GridMeasure, GridSpec, convolve, convolve_localized, reflect
 from .states import (
     MixedState,
+    _add_momentum_weights,
+    _add_position_weights,
+    _momentum_scale,
+    _reflected_amps,
+    _unit_norm,
     displace_mixed,
     momentum_distribution,
     momentum_grid,
@@ -121,19 +126,35 @@ def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
     return GridMeasure(g, np.bincount(_warp_cells(g, gmap), P.weights, g.n))
 
 
+# points per block of _warp_cells: its float transients stay near 0.3 MiB
+WARP_BLOCK = 8192
+
+
 def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
     """Index of the cell of g nearest to gmap's image of each point of g,
     clipped to the grid before the integer cast, so an image far past the
     grid, even an overflowing one, lands on the edge cell; nondecreasing
-    because gmap is increasing.  The image array is shifted, scaled, rounded
-    and clipped in place, then cast once."""
-    with np.errstate(over="ignore"):
-        cells = gmap(g.points())
-        cells -= g.x_min
-        cells /= g.dx
-        np.rint(cells, out=cells)
-    np.clip(cells, 0, g.n - 1, out=cells)
-    return cells.astype(int)
+    because gmap is increasing.
+
+    The int64 result is filled block by block of WARP_BLOCK points: each
+    block's points are formed as :meth:`GridSpec.points` forms them, and
+    their image is shifted, scaled, rounded and clipped in place, then cast
+    into the result.  Every step is elementwise, so the cells are those of
+    the whole-array form, which holds n floats of points, their n-float
+    image and its masks besides the result."""
+    cells = np.empty(g.n, dtype=int)
+    for start in range(0, g.n, WARP_BLOCK):
+        x = np.arange(start, min(start + WARP_BLOCK, g.n), dtype=float)
+        x *= g.dx
+        x += g.x_min
+        with np.errstate(over="ignore"):
+            y = gmap(x)
+            y -= g.x_min
+            y /= g.dx
+            np.rint(y, out=y)
+        np.clip(y, 0, g.n - 1, out=y)
+        cells[start:start + y.size] = y
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +207,28 @@ def marginal_measures(gen: MixedState):
     """Smearing measures (mu_m, nu_m) of the observable generated by gen.
 
     Both come from the parity-transformed generator: mu_m is its position
-    distribution, nu_m its momentum distribution.
+    distribution, nu_m its momentum distribution.  The components are
+    flipped one at a time, each normalized as :func:`parity` normalizes it
+    and weighted as :func:`parity_mixed` renormalizes the weights, and
+    each is added to both marginals before the next is built, so the
+    weights keep the bits of position_distribution(parity_mixed(gen)) and
+    momentum_distribution(parity_mixed(gen)) while one flipped component
+    is held at a time, next to the two marginals and their scratch arrays.
     """
-    flipped = parity_mixed(gen)
-    return position_distribution(flipped), momentum_distribution(flipped)
+    grid, hbar = gen.grid, gen.hbar
+    total = sum(w for w, _ in gen.components)
+    wq, wp, scratch = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
+    spectrum = np.empty(grid.n // 2 + 1, dtype=complex)
+    for k, (w, psi) in enumerate(gen.components):
+        a = _reflected_amps(psi)
+        _unit_norm(a, grid.dx, scratch)
+        _add_position_weights(k, w / total, a, wq, scratch)
+        _add_momentum_weights(k, w / total, a, grid.n, wp, spectrum, scratch)
+        del a   # not held while the next component is flipped
+    del scratch, spectrum   # not held while GridMeasure copies the weights
+    wq *= grid.dx
+    wp *= _momentum_scale(grid, hbar)
+    return GridMeasure(grid, wq), GridMeasure(momentum_grid(grid, hbar), wp)
 
 
 def phase_marginal(gen: MixedState, axis: str, warp: WarpMap | None = None) -> Kernel:

@@ -142,11 +142,12 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
     """The Gaussian's parameter checks, then its amplitudes on the points x,
     divided by the root of their norm.
 
-    8 sigma around x0 must lie on the grid, and 8 sigma_p around p0, with
-    sigma_p = hbar / (2 sigma), within the momentum grid's +-pi hbar / dx:
-    a wider momentum spread wraps around it.  At p0 = 0 the amplitudes are
-    real and are built in place in out, which may be x; at p0 != 0 they are
-    complex, in a new array.  scratch (n floats) holds |a|^2 for the norm.
+    8 sigma around x0 must lie on the grid, with (x - x0)^2 finite at every
+    grid point, and 8 sigma_p around p0, with sigma_p = hbar / (2 sigma),
+    within the momentum grid's +-pi hbar / dx: a wider momentum spread
+    wraps around it.  At p0 = 0 the amplitudes are real and are built in
+    place in out, which may be x; at p0 != 0 they are complex, in a new
+    array.  scratch (n floats) holds |a|^2 for the norm.
 
     At p0 = 0 the exponent is (x - x0)^2 / -(4 sigma^2), the bits of
     -(x - x0)^2 / (4 sigma^2) without a negation pass, and it is formed
@@ -171,6 +172,12 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
         raise ValueError(
             f"grid [{grid.x_min}, {grid.x_max}] does not cover "
             f"[{x0 - 8 * sigma}, {x0 + 8 * sigma}] (8 sigma around x0)")
+    # x0 is on the grid, so its farthest point is an end; the ends are the
+    # first and last of grid.points(), so this is the largest (x - x0)^2
+    reach = max(x0 - grid.x_min, grid.x_max - x0)
+    if not math.isfinite(reach * reach):
+        raise ValueError(f"(x - x0)^2 must be finite on the grid, got x0={x0} on "
+                         f"[{grid.x_min}, {grid.x_max}]")
     # Python floats: a tiny sigma gives sigma_p = inf, not an overflow warning
     p_max = math.pi * float(hbar) / grid.dx
     sigma_p = float(hbar) / (2.0 * float(sigma))
@@ -284,19 +291,30 @@ def position_distribution(rho: MixedState) -> GridMeasure:
 
 
 def _position_weights(components, dx: float, out: np.ndarray) -> None:
-    """rho^Q's weights, written to out, from (weight, amplitudes) pairs.
-
-    The first component's wk |psi|^2 is formed in out itself, which equals
-    0 + wk |psi|^2, and not multiplied when wk is 1.0; each further one is
-    added from a new array.
-    """
-    (w0, a0), rest = components[0], components[1:]
-    _abs_sq(a0, out)
-    if w0 != 1.0:
-        out *= w0
-    for wk, a in rest:
-        out += wk * _abs_sq(a, np.empty(len(a)))
+    """rho^Q's weights, written to out, from (weight, amplitudes) pairs:
+    :func:`_add_position_weights` per component, then the factor dx."""
+    scratch = np.empty(out.size) if len(components) > 1 else None
+    for k, (wk, a) in enumerate(components):
+        _add_position_weights(k, wk, a, out, scratch)
     out *= dx
+
+
+def _add_position_weights(k: int, wk: float, a: np.ndarray, out: np.ndarray,
+                          scratch) -> None:
+    """Component k's wk |a|^2, before the factor dx, into out.
+
+    Component 0's is formed in out itself, which equals 0 + wk |a|^2, and
+    not multiplied when wk is 1.0; each further one is formed in scratch
+    (n floats) and added.
+    """
+    if k == 0:
+        _abs_sq(a, out)
+        if wk != 1.0:
+            out *= wk
+    else:
+        s = _abs_sq(a, scratch)
+        s *= wk
+        out += s
 
 
 def momentum_distribution(rho: MixedState) -> GridMeasure:
@@ -316,7 +334,22 @@ def momentum_distribution(rho: MixedState) -> GridMeasure:
 def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
                       spectrum: np.ndarray, scratch: np.ndarray) -> None:
     """rho^P's weights on the centered conjugate grid, written to out, from
-    (weight, amplitudes) pairs.
+    (weight, amplitudes) pairs: :func:`_add_momentum_weights` per
+    component, then the factor :func:`_momentum_scale`."""
+    for k, (wk, a) in enumerate(components):
+        _add_momentum_weights(k, wk, a, grid.n, out, spectrum, scratch)
+    out *= _momentum_scale(grid, hbar)
+
+
+def _momentum_scale(grid: GridSpec, hbar: float) -> float:
+    """dp dx^2 / (2 pi hbar): the factor from |F(p)|^2 to rho^P's weights."""
+    return momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
+
+
+def _add_momentum_weights(k: int, wk: float, a: np.ndarray, n: int, out: np.ndarray,
+                          spectrum: np.ndarray, scratch: np.ndarray) -> None:
+    """Component k's wk |F(p)|^2 on the centered conjugate grid, before the
+    factor :func:`_momentum_scale`, into out.
 
     A component whose amplitudes are real has F(-k) = conj(F(k)), so the
     n/2 + 1 bins of its real FFT fill the centered grid: bin k >= 0 is cell
@@ -327,32 +360,29 @@ def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
     FFT, shifted to the centered grid, in new arrays, if they have one,
     else the real FFT of their real part.  The real FFT goes to spectrum
     (n/2 + 1 complex) and its squared moduli to scratch (n/2 + 1 floats or
-    more), which may hold the amplitudes of the last component.  The first
-    component is written to out and the others added, which gives the bits
-    of adding them all to zeros; a weight of exactly 1.0 is not multiplied.
+    more), which may hold the amplitudes of the last component.  Component
+    0 is written to out and the others added, which gives the bits of
+    adding them all to zeros; a weight of exactly 1.0 is not multiplied.
 
-    Cost per component: one n-point real FFT (about half a complex one),
-    or an O(n) scan and then one n-point complex FFT, and O(n) real
-    arithmetic.
+    Cost: one n-point real FFT (about half a complex one), or an O(n) scan
+    and then one n-point complex FFT, and O(n) real arithmetic.
     """
-    h = grid.n // 2
-    for k, (wk, a) in enumerate(components):
-        if np.iscomplexobj(a) and a.imag.any():
-            s = np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
-            parts = ((out, s),)
+    h = n // 2
+    if np.iscomplexobj(a) and a.imag.any():
+        s = np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
+        parts = ((out, s),)
+    else:
+        np.fft.rfft(a.real, out=spectrum)
+        s = np.abs(spectrum, out=scratch[:h + 1])
+        np.square(s, out=s)
+        parts = ((out[h:], s[:h]), (out[:h], s[h:0:-1]))
+    if wk != 1.0:
+        s *= wk
+    for dst, src in parts:
+        if k == 0:
+            dst[...] = src
         else:
-            np.fft.rfft(a.real, out=spectrum)
-            s = np.abs(spectrum, out=scratch[:h + 1])
-            np.square(s, out=s)
-            parts = ((out[h:], s[:h]), (out[:h], s[h:0:-1]))
-        if wk != 1.0:
-            s *= wk
-        for dst, src in parts:
-            if k == 0:
-                dst[...] = src
-            else:
-                dst += src
-    out *= momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
+            dst += src
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +419,13 @@ def parity_offset(grid: GridSpec) -> int:
 
 def parity(psi: WaveFunction) -> WaveFunction:
     """Reflection (amps at x move to -x); requires a grid symmetric about 0."""
-    # out[j] = amps[(m - j) mod n]: the reversed array rolled by m + 1
-    return WaveFunction(psi.grid, np.roll(psi.amps[::-1], parity_offset(psi.grid) + 1),
-                        psi.hbar)
+    return WaveFunction(psi.grid, _reflected_amps(psi), psi.hbar)
+
+
+def _reflected_amps(psi: WaveFunction) -> np.ndarray:
+    """A new array of psi's amplitudes at -x, before parity's normalization:
+    out[j] = amps[(m - j) mod n], the reversed array rolled by m + 1."""
+    return np.roll(psi.amps[::-1], parity_offset(psi.grid) + 1, axis=0)
 
 
 def displace_mixed(rho: MixedState, q: float, p: float) -> MixedState:

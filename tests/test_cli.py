@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import uncert
 from uncert import metrology, observables
-from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, _ScanWorkspace, main
+from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, _ScanWorkspace, build_parser, main
 from uncert.grids import GridSpec, centered_width, overall_width, uniform_measure
 from uncert.metrology import CalibrationConfig, ConfidencePair
 from uncert.observables import Kernel, PiecewiseLinearMap
@@ -311,6 +312,23 @@ class TestVerify:
         assert (tmp_path / "out" / "report.csv").read_text() == \
             (REFERENCE / "verify-large.csv").read_text()
 
+    def test_large_verify_peak_memory(self, tmp_path):
+        # the seed-0 verify-large config.  Holding the previous generator's
+        # measures, the states through verify_scenarios, copies of the
+        # window distances and whole-array warp cells traced 5.59 MiB; one
+        # generator and one window table at a time trace about 3.6 MiB
+        argv = ["--out", str(tmp_path / "out"), "verify",
+                write_config(tmp_path, bench_verify_config(65536, [[0.05, 0.05]]))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 4.2 * 2**20
+
     def test_rows_without_a_positive_bound_are_annotated(self, tmp_path):
         # eps1 + eps2 >= 1: the plain row and the warped row both say so
         cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
@@ -515,6 +533,22 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
      "generators[0].components[0]: 4 sigma^2 must be finite"),
     ("scan", dict(SCAN_CONFIG, grid=HUGE_GRID, lattice={"sigma": [1e155]}),
      "lattice point sigma=1e+155: 4 sigma^2 must be finite"),
+    # n past 2^53, where float grid indices are no longer exact; 2^1100 is
+    # past the float range
+    ("scan", dict(SCAN_CONFIG, grid={"n": 2**1100, "x_min": -12.8, "x_max": 12.8}),
+     "grid.n: must be a power of two from 2 to 9007199254740992, got 13582985"),
+    ("verify", verify_config(grid={"n": 2**54, "x_min": -12.8, "x_max": 12.8}),
+     "grid.n: must be a power of two from 2 to 9007199254740992, got 18014398509481984"),
+    # 4 sigma^2 fits, but the squared distance 1e155 from x0 to a grid end
+    # does not
+    ("verify", verify_config(grid=HUGE_GRID, generators=[{"kind": "gaussian", "sigma": 1e153}],
+                             calibration={"delta_ladder": [4e154, 2e154]}),
+     "generators[0]: (x - x0)^2 must be finite on the grid"),
+    ("verify", verify_config(grid=HUGE_GRID, generators=[{"kind": "mixture", "components": [
+        {"weight": 1.0, "sigma": 1e153, "x0": 5e154}]}], calibration={"delta_ladder": [4e154]}),
+     "generators[0].components[0]: (x - x0)^2 must be finite on the grid"),
+    ("scan", dict(SCAN_CONFIG, grid=HUGE_GRID, lattice={"sigma": [1e153], "p0": [0.0, 1e-153]}),
+     "lattice point p0=0.0, sigma=1e+153: (x - x0)^2 must be finite on the grid"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -804,6 +838,15 @@ class TestWidths:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    # 2^1100 does not convert to a float, and it crashed the grid step
+    @pytest.mark.parametrize("grid_n", ["3", str(2**54), str(2**1100)],
+                             ids=["3", "2^54", "2^1100"])
+    def test_bad_grid_n_names_the_argument(self, capsys, grid_n):
+        rc = main(["--grid-n", grid_n, "widths", "--state", "gaussian:sigma=1", "--eps", "0.05"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --grid-n must be a power of two from 2 to 9007199254740992, got ")
+
     # 1e158 and 1e300: dx^2 overflows
     @pytest.mark.parametrize("window, state", [
         ("inf", "gaussian:sigma=1"), ("0", "gaussian:sigma=1"), ("-16", "gaussian:sigma=1"),
@@ -871,8 +914,9 @@ class TestMomentumCoverage:
         ("gaussian:sigma=1e-300", "40", "state spec: momentum grid"),
         ("gaussian:sigma=1,p0=1e6", "40", "state spec: momentum grid"),
         ("gaussian:sigma=1e155", "1e156", "state spec: 4 sigma^2 must be finite"),
+        ("gaussian:sigma=1e153", "1e155", "state spec: (x - x0)^2 must be finite"),
     ], ids=["gaussian:sigma=0.01", "gaussian:sigma=1e-300", "gaussian:sigma=1,p0=1e6",
-            "gaussian:sigma=1e155"])
+            "gaussian:sigma=1e155", "gaussian:sigma=1e153"])
     def test_widths_names_the_state_spec(self, capsys, recwarn, state, window, where):
         rc = main(["widths", "--state", state, "--eps", "0.05", "--window", window])
         assert rc == 2
@@ -1057,6 +1101,12 @@ class TestScanWorkspace:
                 assert tracemalloc.get_traced_memory()[1] - base < grid.n  # bytes
         finally:
             tracemalloc.stop()
+
+
+def test_parser_is_built_once():
+    # each parser's objects form reference cycles that only the cyclic
+    # collector frees, so main reuses one
+    assert build_parser() is build_parser()
 
 
 def test_cli_import_does_not_load_scipy():

@@ -647,10 +647,11 @@ def test_window_tables_equal_the_points_form(axis, which, j, frac):
 
 def test_warped_window_table_peak_memory_at_the_verify_large_shape():
     # the verify-large wiggle on the q marginal of a two-Gaussian mixture,
-    # n = 65536, 131,071 out cells.  The points() form traced 4.63 MiB,
-    # this one 3.25 MiB: the reflected measure, the cell map's build, then
-    # the map, cr and the two distance arrays.  A full out.points() array
-    # next to them would fail the bound.
+    # n = 65536, 131,071 out cells.  The points() form traced 4.63 MiB, the
+    # in-place form over reflect(mu) and whole-array warp cells 3.25 MiB;
+    # this one 2.50 MiB, the table alone: cr, the int64 cell map and the
+    # two distance arrays.  The reflected measure's copy or a full
+    # out.points() array next to them would fail the bound.
     grid = GridSpec(-20.0, 40.0 / 65536, 65536)
     gen = MixedState([(0.5, gaussian_state(0.0, 0.0, 0.8, grid, HBAR)),
                       (0.5, gaussian_state(0.5, 0.0, 1.2, grid, HBAR))])
@@ -662,7 +663,7 @@ def test_warped_window_table_peak_memory_at_the_verify_large_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.0 * 2**20
+    assert peak < 2.75 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +741,8 @@ class TestVerifyJointUR:
         pair = (Kernel("q"), Kernel("p")) if kernels == "sharp" else \
             tuple(map(Kernel, "qp", marginal_measures(gen)))
         with pytest.raises(ValueError) as exc:
-            metrology.verify_scenarios(gen, cfg, [("row", ConfidencePair(0.05, 0.05), pair)])
+            metrology.verify_scenarios(gen.grid, gen.hbar, cfg,
+                                       [("row", ConfidencePair(0.05, 0.05), pair)])
         assert str(exc.value) == (
             f"calibration grid GridSpec(x_min=-12.8, dx={25.6 / cfg_n}, n={cfg_n}) and hbar "
             f"{cfg_hbar} differ from the generator's grid GridSpec(x_min=-12.8, dx=0.1, "

@@ -28,8 +28,11 @@ from uncert.states import (
     MixedState,
     displace_mixed,
     gaussian_state,
+    momentum_distribution,
     momentum_grid,
+    parity_mixed,
     point_state,
+    position_distribution,
     superpose,
 )
 
@@ -92,6 +95,41 @@ class TestMarginalMeasures:
         # so a generator centered at +1 yields a measure centered at -1
         mu_m, nu_m = marginal_measures(vacuum(x0=1.0))
         assert mu_m.mean() == pytest.approx(-1.0, abs=DX)
+
+    @pytest.mark.parametrize("gen", [
+        vacuum(sigma=0.8),
+        vacuum(x0=0.5, p0=2.0, sigma=1.1),
+        MixedState([(0.1, gaussian_state(-1.0, 0.0, 0.7, GRID, HBAR)),
+                    (0.2, gaussian_state(0.3, 0.0, 1.0, GRID, HBAR)),
+                    (0.7, gaussian_state(1.5, 0.0, 1.3, GRID, HBAR))]),
+        MixedState([(0.3, gaussian_state(0.0, 1.5, 0.9, GRID, HBAR)),
+                    (0.0, gaussian_state(0.2, 0.0, 1.0, GRID, HBAR)),
+                    (0.7, superpose(1j, gaussian_state(-0.5, 0.0, 1.0, GRID, HBAR),
+                                    1j, gaussian_state(0.5, 0.0, 1.0, GRID, HBAR)))]),
+    ], ids=["pure-real", "pure-complex", "mixed-real", "mixed-complex"])
+    def test_streamed_measures_equal_the_flipped_mixture(self, gen):
+        # one component flipped at a time gives every weight's bits of the
+        # whole flipped mixture's marginals; the mixed-complex generator has
+        # a complex component, a zero weight and a complex128 one whose
+        # imaginary parts are all zero
+        flipped = parity_mixed(gen)
+        for got, want in zip(marginal_measures(gen), (position_distribution(flipped),
+                                                      momentum_distribution(flipped))):
+            assert got.grid == want.grid
+            assert got.weights.tobytes() == want.weights.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.5, 0.5), st.floats(-5.0, 5.0),
+                              st.floats(0.5, 1.5)), min_size=1, max_size=4))
+    def test_streamed_measures_equal_the_flipped_mixture_on_random_mixtures(self, comps):
+        total = sum(w for w, _, _, _ in comps)
+        assume(total > 0)
+        gen = MixedState([(w / total, gaussian_state(x0, p0, sigma, GRID, HBAR))
+                          for w, x0, p0, sigma in comps])
+        flipped = parity_mixed(gen)
+        for got, want in zip(marginal_measures(gen), (position_distribution(flipped),
+                                                      momentum_distribution(flipped))):
+            assert got.weights.tobytes() == want.weights.tobytes()
 
     def test_marginal_outcome_variances(self):
         sg, ss = 0.8, 1.2
@@ -417,23 +455,53 @@ def test_map_bits_equal_the_where_form(m, extra, scalar):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def whole_warp_cells(g, gmap):
+    """_warp_cells in its whole-array form: the image of all n points
+    shifted, scaled, rounded and clipped in place, then cast once."""
+    with np.errstate(over="ignore"):
+        cells = gmap(g.points())
+        cells -= g.x_min
+        cells /= g.dx
+        np.rint(cells, out=cells)
+    np.clip(cells, 0, g.n - 1, out=cells)
+    return cells.astype(int)
+
+
+WIGGLE = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
+
+
+@pytest.mark.parametrize("gmap", [
+    PiecewiseLinearMap.shift(-20.0, 20.0, 0.37), PiecewiseLinearMap.shift(-3.0, 3.0, -55.0),
+    WIGGLE, PiecewiseLinearMap((-40.0, -1.0, 1.0, 40.0), (-90.0, -1.5, 0.3, 85.0)), STEEP,
+], ids=["shift", "shift-past-the-grid", "wiggle", "bend-past-the-grid", "overflowing"])
+@pytest.mark.parametrize("n_out", [256, 8191, 8192, 8193, 16384, 50001, 131071])
+def test_blockwise_warp_cells_equal_the_whole_array_form(gmap, n_out):
+    # out grids over +-40 from one block of WARP_BLOCK = 8192 points to 16,
+    # ending inside a block and on a block edge; points past the knots,
+    # past the grid and overflowing images included
+    dx = 80.0 / (n_out + 1)
+    g = GridSpec(-40.0 + dx, dx, n_out)
+    got, want = _warp_cells(g, gmap), whole_warp_cells(g, gmap)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_warp_cells_peak_memory_at_the_verify_large_shape():
     # the out grid of a smeared q kernel at n = 65536 (131,071 cells) under
-    # the verify-large wiggle; the parent form traced 4.13 MiB, this one
-    # 2.75 MiB: the points, the image written in place, the int cast and
-    # the two end segments' slices.  Computing either end-segment formula
-    # over every point again would fail the bound.
+    # the verify-large wiggle.  The whole-array form traced 2.75 MiB: the
+    # points, the image written in place, the int cast and the two end
+    # segments' slices; the blockwise one 1.33 MiB, the int64 cells and one
+    # block's transients.  n-float points or images would fail the bound.
     n = 65536
     dx = 40.0 / n
     out = GridSpec(-40.0 + dx, dx, 2 * n - 1)
-    wiggle = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
     tracemalloc.start()
     try:
-        _warp_cells(out, wiggle)
+        _warp_cells(out, WIGGLE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 2**20
+    assert peak < 1.6 * 2**20
 
 
 # ---------------------------------------------------------------------------
