@@ -424,7 +424,9 @@ def parity(psi: WaveFunction) -> WaveFunction:
 
 def _reflected_amps(psi: WaveFunction) -> np.ndarray:
     """A new array of psi's amplitudes at -x, before parity's normalization:
-    out[j] = amps[(m - j) mod n], the reversed array rolled by m + 1."""
+    out[j] = amps[(m - j) mod n], the reversed array rolled by m + 1.  With
+    an axis, np.roll does not first copy the reversed view into a raveled
+    array."""
     return np.roll(psi.amps[::-1], parity_offset(psi.grid) + 1, axis=0)
 
 
