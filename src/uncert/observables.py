@@ -223,7 +223,7 @@ def marginal_measures(gen: MixedState):
         a = _reflected_amps(psi)
         _unit_norm(a, grid.dx, scratch)
         _add_position_weights(k, w / total, a, wq, scratch)
-        _add_momentum_weights(k, w / total, a, grid.n, wp, spectrum, scratch)
+        _add_momentum_weights(k, w / total, a, wp, spectrum, scratch)
         del a   # not held while the next component is flipped
     del scratch, spectrum   # not held while GridMeasure copies the weights
     wq *= grid.dx

@@ -337,7 +337,7 @@ def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
     (weight, amplitudes) pairs: :func:`_add_momentum_weights` per
     component, then the factor :func:`_momentum_scale`."""
     for k, (wk, a) in enumerate(components):
-        _add_momentum_weights(k, wk, a, grid.n, out, spectrum, scratch)
+        _add_momentum_weights(k, wk, a, out, spectrum, scratch)
     out *= _momentum_scale(grid, hbar)
 
 
@@ -346,7 +346,7 @@ def _momentum_scale(grid: GridSpec, hbar: float) -> float:
     return momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
 
 
-def _add_momentum_weights(k: int, wk: float, a: np.ndarray, n: int, out: np.ndarray,
+def _add_momentum_weights(k: int, wk: float, a: np.ndarray, out: np.ndarray,
                           spectrum: np.ndarray, scratch: np.ndarray) -> None:
     """Component k's wk |F(p)|^2 on the centered conjugate grid, before the
     factor :func:`_momentum_scale`, into out.
@@ -367,7 +367,7 @@ def _add_momentum_weights(k: int, wk: float, a: np.ndarray, n: int, out: np.ndar
     Cost: one n-point real FFT (about half a complex one), or an O(n) scan
     and then one n-point complex FFT, and O(n) real arithmetic.
     """
-    h = n // 2
+    h = out.size // 2
     if np.iscomplexobj(a) and a.imag.any():
         s = np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
         parts = ((out, s),)
