@@ -118,9 +118,9 @@ def _parse_grid(obj, where="grid") -> GridSpec:
         raise ConfigError(f"{where}: x_max must exceed x_min")
     if not math.isfinite(x_max - x_min):
         raise ConfigError(f"{where}: x_max - x_min overflows, got [{x_min}, {x_max}]")
-    grid = GridSpec(x_min, (x_max - x_min) / n, n)
-    _check_dx(grid, where)
-    return grid
+    dx = (x_max - x_min) / n
+    _check_dx(dx, where)
+    return GridSpec(x_min, dx, n)
 
 
 def _grid_size_ok(n) -> bool:
@@ -128,11 +128,11 @@ def _grid_size_ok(n) -> bool:
     return isinstance(n, int) and 2 <= n <= GRID_N_MAX and (n & (n - 1)) == 0
 
 
-def _check_dx(grid: GridSpec, where: str) -> None:
-    """Rejects a grid step whose square overflows: the momentum weights
-    scale with dx^2."""
-    if not math.isfinite(grid.dx * grid.dx):
-        raise ConfigError(f"{where}: dx^2 must be finite, got dx = {grid.dx}")
+def _check_dx(dx: float, where: str) -> None:
+    """Rejects a grid step that underflows to 0 or whose square overflows:
+    the momentum weights scale with dx^2."""
+    if not (dx > 0 and math.isfinite(dx * dx)):
+        raise ConfigError(f"{where}: dx^2 must be finite and dx positive, got dx = {dx}")
 
 
 def _eps_pair(pair, where) -> ConfidencePair:
@@ -308,26 +308,28 @@ def _read_config(args, required: dict, optional: dict) -> tuple:
 
 def _check_hbar_scale(hbar: float, grid: GridSpec, where: str) -> None:
     """Rejects a hbar whose phase-space cell 2 pi hbar or momentum-grid
-    half-width pi hbar / dx overflows: every momentum step, bound and
+    half-width pi hbar / dx overflows, or whose momentum step
+    dp = 2 pi hbar / (n dx) underflows to 0: every momentum step, bound and
     Gaussian momentum spread is built from them."""
-    if not (math.isfinite(2.0 * math.pi * hbar) and math.isfinite(math.pi * hbar / grid.dx)):
-        raise ConfigError(f"{where}: 2*pi*hbar and pi*hbar/dx must be finite, got "
-                          f"hbar = {hbar} with dx = {grid.dx}")
+    if not (math.isfinite(2.0 * math.pi * hbar) and math.isfinite(math.pi * hbar / grid.dx)
+            and 2.0 * math.pi * hbar / (grid.n * grid.dx) > 0):
+        raise ConfigError(f"{where}: 2*pi*hbar and pi*hbar/dx must be finite and dp positive, "
+                          f"got hbar = {hbar} with n = {grid.n}, dx = {grid.dx}")
 
 
-def _generator_reports(gi: int, gspec, grid: GridSpec, hbar: float, eps_pairs, calib,
-                       warps) -> list:
-    """The report rows of generator gi: one per eps pair and warp, the plain
-    row (the warp with no maps) first.  The generator's states, measures,
-    kernels and window tables live only in this call, so none is held while
-    the next generator is built."""
-    mu, nu = marginal_measures(_parse_generator(gspec, grid, hbar, f"generators[{gi}]"))
+def _generator_reports(gi: int, gspec, eps_pairs, calib, warps) -> list:
+    """The report rows of generator gi, on calib's grid and hbar: one per
+    eps pair and warp, the plain row (the warp with no maps) first.  The
+    generator's states, measures, kernels and window tables live only in
+    this call, so none is held while the next generator is built."""
+    mu, nu = marginal_measures(_parse_generator(gspec, calib.grid, calib.hbar,
+                                                f"generators[{gi}]"))
     # rows that share a kernel (an omitted knot list, equal knots) share its pass
     scenarios = [(f"gen{gi}-eps{ei}" if wname is None else f"gen{gi}-{wname}-eps{ei}",
                   eps, (Kernel("q", mu, gamma_q), Kernel("p", nu, gamma_p)))
                  for ei, eps in enumerate(eps_pairs)
                  for wname, gamma_q, gamma_p in [(None, None, None)] + warps]
-    return verify_scenarios(grid, hbar, calib, scenarios)
+    return verify_scenarios(calib, scenarios)
 
 
 def cmd_verify(args) -> int:
@@ -350,7 +352,7 @@ def cmd_verify(args) -> int:
 
     reports = []
     for gi, gspec in enumerate(generators):
-        reports += _generator_reports(gi, gspec, grid, hbar, eps_pairs, calib, warps)
+        reports += _generator_reports(gi, gspec, eps_pairs, calib, warps)
     csv_path, json_path = _write_reports(reports, Path(args.out))
     all_pass = all(rep.passed for rep in reports)
     print(f"{len(reports)} scenario rows -> {csv_path}, {json_path}; "
@@ -421,8 +423,8 @@ def cmd_widths(args) -> int:
                           f"got {args.window}")
     if not (math.isfinite(hbar) and hbar > 0):
         raise ConfigError(f"--hbar: expected a finite value > 0, got {hbar}")
+    _check_dx(2.0 * args.window / n, "--window")    # GridSpec.symmetric's step
     grid = GridSpec.symmetric(args.window, n)
-    _check_dx(grid, "--window")
     _check_hbar_scale(hbar, grid, "--hbar")
     rho = _parse_state_spec(args.state, grid, hbar)
     eps = _parse_eps(args.eps)

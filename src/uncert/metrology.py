@@ -119,7 +119,7 @@ class CalibrationConfig:
 class ErrorBarResult:
     value: float
     ladder: tuple          # (delta, width) pairs, delta decreasing
-    spread: float          # max - min over the finite ladder values
+    spread: float          # max - min over the ladder values
 
 
 @dataclass(frozen=True)
@@ -394,9 +394,7 @@ def _error_bar(axis: str, cfg: CalibrationConfig, vals) -> ErrorBarResult:
         if fine > coarse + 2 * step + 1e-9:
             raise LadderInconsistencyError(
                 f"calibration error grew from {coarse} to {fine} as delta shrank")
-    finite = [v for v in vals if math.isfinite(v)]
-    spread = (max(finite) - min(finite)) if finite else float("inf")
-    return ErrorBarResult(vals[-1], tuple(zip(cfg.delta_ladder, vals)), spread)
+    return ErrorBarResult(vals[-1], tuple(zip(cfg.delta_ladder, vals)), max(vals) - min(vals))
 
 
 def resolution_width(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> float:
@@ -419,9 +417,6 @@ def calibration_error(kernel: Kernel, eps: float, delta: float,
     vertex of that simplex, a point mass.  The value is therefore exactly
     the largest point-mass width over the rung's cells; box or truncated
     Gaussian probes are convex mixtures of point masses and never raise it.
-
-    Returns inf when no window inside the scenario grid reaches the
-    confidence target (infinite error at desk scale).
     """
     return _axis_pass(kernel, (eps,), replace(cfg, delta_ladder=(delta,)))[0][1][0]
 
@@ -493,18 +488,19 @@ def verify_joint_ur(gen: MixedState, eps: ConfidencePair, cfg: CalibrationConfig
     explicitly supplied kernel pair, e.g. warped marginals): the one-row
     case of :func:`verify_scenarios`.
     """
+    if cfg.grid != gen.grid or cfg.hbar != gen.hbar:
+        raise ValueError(f"calibration grid {cfg.grid} and hbar {cfg.hbar} differ from "
+                         f"the generator's grid {gen.grid} and hbar {gen.hbar}")
     if kernels is None:
-        mu, nu = marginal_measures(gen)
-        kernels = Kernel("q", mu), Kernel("p", nu)
-    return verify_scenarios(gen.grid, gen.hbar, cfg, [(scenario_id, eps, kernels)])[0]
+        kernels = tuple(map(Kernel, "qp", marginal_measures(gen)))
+    return verify_scenarios(cfg, [(scenario_id, eps, kernels)])[0]
 
 
-def verify_scenarios(grid: GridSpec, hbar: float, cfg: CalibrationConfig,
-                     scenarios) -> list:
+def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
     """Width reports of `scenarios`, (scenario_id, eps, (kq, kp)) triples of
-    kernel pairs observed on a generator's grid and hbar, in their order.
-    The kernels carry all a row reads of the generator, its marginal
-    measures, so the generator's states need not be held while they run.
+    kernel pairs observed on cfg's grid and hbar, in their order.  The
+    kernels carry all a row reads of a generator, its marginal measures,
+    so the generator's states need not be held while they run.
 
     Each row checks that both the error-bar product and the resolution
     product clear the simple lower bound, up to the per-axis one-cell width
@@ -517,12 +513,10 @@ def verify_scenarios(grid: GridSpec, hbar: float, cfg: CalibrationConfig,
     is read off its unwarped kernel's pass when that has run and taken once
     otherwise; the Werner distance is taken once per measure.  Each row
     checks its own ladder, so an inconclusive ladder raises at the first
-    row that reads it.  cfg must be on the generator's grid and hbar: its
-    ladder and probe centers are read in their units.
+    row that reads it.  The ladder and probe centers are read in the units
+    of cfg's grid and hbar.
     """
-    if cfg.grid != grid or cfg.hbar != hbar:
-        raise ValueError(f"calibration grid {cfg.grid} and hbar {cfg.hbar} differ from "
-                         f"the generator's grid {grid} and hbar {hbar}")
+    grid, hbar = cfg.grid, cfg.hbar
     dp = momentum_grid(grid, hbar).dx
     axis_cfgs = {"q": cfg.for_axis("q"), "p": cfg.for_axis("p")}
     eps_of = {}      # kernel -> {eps: None}, the eps values it needs in order

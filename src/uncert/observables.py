@@ -25,7 +25,6 @@ from .states import (
     displace_mixed,
     momentum_distribution,
     momentum_grid,
-    parity_mixed,
     position_distribution,
 )
 
@@ -236,14 +235,13 @@ def phase_marginal(gen: MixedState, axis: str, warp: WarpMap | None = None) -> K
     pushed through warp's map for that axis when a warp is given (the
     warped observable may then be non-covariant).
 
-    Computed through the convolution identity with the parity marginal
-    measure, built for this axis only; the 2-D joint-distribution route is
-    kept as a cross-check in :func:`joint_distribution`.
+    Its smearing measure is that axis' one of :func:`marginal_measures`;
+    the 2-D joint-distribution route is kept as a cross-check in
+    :func:`joint_distribution`.
     """
-    flipped = parity_mixed(gen)
-    measure = position_distribution(flipped) if axis == "q" else momentum_distribution(flipped)
+    mu, nu = marginal_measures(gen)
     gmap = None if warp is None else (warp.gamma_q if axis == "q" else warp.gamma_p)
-    return Kernel(axis, measure, gmap)
+    return Kernel(axis, mu if axis == "q" else nu, gmap)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,8 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
 def box_state(center: float, width: float, grid: GridSpec,
               hbar: float = 1.0) -> WaveFunction:
     """Constant amplitude on the closed interval [center - width/2, center + width/2]."""
+    if not (math.isfinite(center) and math.isfinite(width)):
+        raise ValueError(f"box center and width must be finite, got {center}, {width}")
     if width < 2 * grid.dx:
         raise ValueError(f"box width {width} below the 2*dx minimum {2 * grid.dx}")
     cells = grid.cells_within(center - 0.5 * width, center + 0.5 * width)
@@ -233,6 +235,8 @@ def point_state(x: float, grid: GridSpec, hbar: float = 1.0) -> WaveFunction:
 def momentum_box_state(center: float, width: float, grid: GridSpec,
                        hbar: float = 1.0) -> WaveFunction:
     """State whose momentum distribution is a flat box; exact on the conjugate grid."""
+    if not (math.isfinite(center) and math.isfinite(width)):
+        raise ValueError(f"box center and width must be finite, got {center}, {width}")
     pg = momentum_grid(grid, hbar)
     if width < 2 * pg.dx:
         raise ValueError(f"momentum box width {width} below the 2*dp minimum {2 * pg.dx}")

@@ -549,6 +549,14 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
      "generators[0].components[0]: (x - x0)^2 must be finite on the grid"),
     ("scan", dict(SCAN_CONFIG, grid=HUGE_GRID, lattice={"sigma": [1e153], "p0": [0.0, 1e-153]}),
      "lattice point p0=0.0, sigma=1e+153: (x - x0)^2 must be finite on the grid"),
+    # dp = 2 pi hbar / (n dx) underflows to 0
+    ("verify", verify_config(hbar=5e-324), "hbar: 2*pi*hbar and pi*hbar/dx must be finite and"),
+    ("scan", dict(SCAN_CONFIG, hbar=5e-324), "hbar: 2*pi*hbar and pi*hbar/dx must be finite and"),
+    # dx = 1e-320 / 4096 underflows to 0
+    ("verify", verify_config(grid={"n": 4096, "x_min": 0, "x_max": 1e-320}),
+     "grid: dx^2 must be finite and dx positive"),
+    ("scan", dict(SCAN_CONFIG, grid={"n": 4096, "x_min": 0, "x_max": 1e-320}),
+     "grid: dx^2 must be finite and dx positive"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -847,12 +855,12 @@ class TestWidths:
         assert capsys.readouterr().err.startswith(
             "error: --grid-n must be a power of two from 2 to 9007199254740992, got ")
 
-    # 1e158 and 1e300: dx^2 overflows
+    # 1e158 and 1e300: dx^2 overflows; 5e-324: dx underflows to 0
     @pytest.mark.parametrize("window, state", [
         ("inf", "gaussian:sigma=1"), ("0", "gaussian:sigma=1"), ("-16", "gaussian:sigma=1"),
         ("1e308", "gaussian:sigma=1"), ("1e158", "box:width=2.5e157"),
-        ("1e300", "gaussian:sigma=1e299")],
-        ids=["inf", "0", "-16", "1e308", "1e158-box", "1e300-gaussian"])
+        ("1e300", "gaussian:sigma=1e299"), ("5e-324", "gaussian:sigma=1")],
+        ids=["inf", "0", "-16", "1e308", "1e158-box", "1e300-gaussian", "5e-324"])
     def test_bad_window_names_the_argument(self, capsys, recwarn, window, state):
         rc = main(["--grid-n", "1024", "widths", "--state", state,
                    "--eps", "0.05", "--window", window])
@@ -860,8 +868,9 @@ class TestWidths:
         assert capsys.readouterr().err.startswith("error: --window:")
         assert not recwarn.list
 
-    # 1e308: 2 pi hbar overflows; 1e307: pi hbar / dx does, with dx = 1/32
-    @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0", "1e308", "1e307"])
+    # 1e308: 2 pi hbar overflows; 1e307: pi hbar / dx does, with dx = 1/32;
+    # 1e-323: dp underflows to 0
+    @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0", "1e308", "1e307", "1e-323"])
     def test_bad_hbar_names_the_argument(self, capsys, recwarn, hbar):
         rc = main(["--grid-n", "1024", "--hbar", hbar, "widths", "--state", "gaussian:sigma=1",
                    "--eps", "0.05", "--window", "16"])
@@ -915,8 +924,9 @@ class TestMomentumCoverage:
         ("gaussian:sigma=1,p0=1e6", "40", "state spec: momentum grid"),
         ("gaussian:sigma=1e155", "1e156", "state spec: 4 sigma^2 must be finite"),
         ("gaussian:sigma=1e153", "1e155", "state spec: (x - x0)^2 must be finite"),
+        ("box:width=inf", "40", "state spec: box center and width must be finite"),
     ], ids=["gaussian:sigma=0.01", "gaussian:sigma=1e-300", "gaussian:sigma=1,p0=1e6",
-            "gaussian:sigma=1e155", "gaussian:sigma=1e153"])
+            "gaussian:sigma=1e155", "gaussian:sigma=1e153", "box:width=inf"])
     def test_widths_names_the_state_spec(self, capsys, recwarn, state, window, where):
         rc = main(["widths", "--state", state, "--eps", "0.05", "--window", window])
         assert rc == 2

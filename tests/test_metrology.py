@@ -719,6 +719,21 @@ class TestVerifyJointUR:
         rep = verify_joint_ur(vacuum(0.6), ConfidencePair(0.1, 0.2), CFG, "sq")
         assert rep.passed
 
+    def test_scenarios_take_grid_and_hbar_from_the_config(self):
+        # sharp kernels carry no generator, so only cfg says that hbar is 2
+        cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), GRID, 2.0)
+        rep, = metrology.verify_scenarios(
+            cfg, [("sharp", ConfidencePair(0.05, 0.1), (Kernel("q"), Kernel("p")))])
+        assert rep.bound_simple == 4 * math.pi * (1 - 0.05 - 0.1) ** 2
+        # the smallest rung, 0.1 = 4 dx, holds the point masses within two
+        # cells of 0 on each axis; on the p axis those are cells of the
+        # hbar = 2 momentum grid, twice as wide as DP
+        dp = momentum_grid(GRID, 2.0).dx
+        assert dp == 2 * DP
+        assert rep.errorbar_q == pytest.approx(4 * DX, rel=1e-12)
+        assert rep.errorbar_p == pytest.approx(4 * dp, rel=1e-12)
+        assert rep.resolution_q == rep.resolution_p == 0.0
+
     def test_exhausted_confidence_notes_no_bound(self):
         rep = verify_joint_ur(vacuum(), ConfidencePair(0.6, 0.6), CFG, "wide")
         assert rep.passed
@@ -741,8 +756,7 @@ class TestVerifyJointUR:
         pair = (Kernel("q"), Kernel("p")) if kernels == "sharp" else \
             tuple(map(Kernel, "qp", marginal_measures(gen)))
         with pytest.raises(ValueError) as exc:
-            metrology.verify_scenarios(gen.grid, gen.hbar, cfg,
-                                       [("row", ConfidencePair(0.05, 0.05), pair)])
+            verify_joint_ur(gen, ConfidencePair(0.05, 0.05), cfg, "row", kernels=pair)
         assert str(exc.value) == (
             f"calibration grid GridSpec(x_min=-12.8, dx={25.6 / cfg_n}, n={cfg_n}) and hbar "
             f"{cfg_hbar} differ from the generator's grid GridSpec(x_min=-12.8, dx=0.1, "

@@ -111,12 +111,14 @@ class TestMarginalMeasures:
         # one component flipped at a time gives every weight's bits of the
         # whole flipped mixture's marginals; the mixed-complex generator has
         # a complex component, a zero weight and a complex128 one whose
-        # imaginary parts are all zero
+        # imaginary parts are all zero.  phase_marginal reads the same measures
         flipped = parity_mixed(gen)
-        for got, want in zip(marginal_measures(gen), (position_distribution(flipped),
-                                                      momentum_distribution(flipped))):
+        wants = position_distribution(flipped), momentum_distribution(flipped)
+        for got, want in zip(marginal_measures(gen), wants):
             assert got.grid == want.grid
             assert got.weights.tobytes() == want.weights.tobytes()
+        for axis, want in zip("qp", wants):
+            assert phase_marginal(gen, axis).measure.weights.tobytes() == want.weights.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.5, 0.5), st.floats(-5.0, 5.0),
