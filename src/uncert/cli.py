@@ -106,33 +106,40 @@ def _require_keys(obj: dict, where: str, required: dict, optional: dict = {}):
     return out
 
 
-def _parse_grid(obj, where="grid") -> GridSpec:
-    g = _require_keys(obj, where, {"n": None, "x_min": None, "x_max": None})
-    n = g["n"]
-    if not _grid_size_ok(n):
-        raise ConfigError(f"{where}.n: must be a power of two from 2 to {GRID_N_MAX}, "
+def _phase_space(n, x_min: float, x_max: float, hbar: float, keys: tuple) -> GridSpec:
+    """The grid of n points from x_min with step dx = (x_max - x_min) / n,
+    once n, the span and hbar pass the rules every command applies; keys
+    name the n, span and hbar inputs in the error messages.
+
+    n is an int power of two from 2 to GRID_N_MAX, the span is positive and
+    finite, and hbar positive with 2 pi hbar and the momentum grid's
+    half-width pi hbar / dx finite: every momentum step, bound and Gaussian
+    momentum spread is built from them.  dx^2, dp = 2 pi hbar / (n dx) and
+    the momentum weights' factor dp dx^2 are normal floats, at least
+    sys.float_info.min: a subnormal one has too few bits to keep the
+    weights' total at 1, and one that underflows to 0 zeroes them."""
+    n_key, span_key, hbar_key = keys
+    if not (isinstance(n, int) and 2 <= n <= GRID_N_MAX and (n & (n - 1)) == 0):
+        raise ConfigError(f"{n_key}: must be a power of two from 2 to {GRID_N_MAX}, "
                           f"got {n!r}")
-    x_min = _number(g["x_min"], f"{where}.x_min")
-    x_max = _number(g["x_max"], f"{where}.x_max")
     if not x_max > x_min:
-        raise ConfigError(f"{where}: x_max must exceed x_min")
+        raise ConfigError(f"{span_key}: x_max must exceed x_min, got [{x_min}, {x_max}]")
     if not math.isfinite(x_max - x_min):
-        raise ConfigError(f"{where}: x_max - x_min overflows, got [{x_min}, {x_max}]")
+        raise ConfigError(f"{span_key}: x_max - x_min overflows, got [{x_min}, {x_max}]")
+    if not hbar > 0:
+        raise ConfigError(f"{hbar_key}: must be positive, got {hbar}")
     dx = (x_max - x_min) / n
-    _check_dx(dx, where)
+    dx2 = dx * dx
+    if not sys.float_info.min <= dx2 < math.inf:
+        raise ConfigError(f"{span_key}: dx^2 must be finite and dx positive, with dx^2 "
+                          f"a normal float, got dx = {dx}")
+    dp = 2.0 * math.pi * hbar / (n * dx)    # momentum_grid's step
+    if not (math.isfinite(2.0 * math.pi * hbar) and math.isfinite(math.pi * hbar / dx)
+            and dp >= sys.float_info.min and dp * dx2 >= sys.float_info.min):
+        raise ConfigError(f"{hbar_key}: 2*pi*hbar and pi*hbar/dx must be finite and dp "
+                          f"and dp*dx^2 normal floats, got hbar = {hbar} with n = {n}, "
+                          f"dx = {dx}")
     return GridSpec(x_min, dx, n)
-
-
-def _grid_size_ok(n) -> bool:
-    """n is an int power of two from 2 to GRID_N_MAX."""
-    return isinstance(n, int) and 2 <= n <= GRID_N_MAX and (n & (n - 1)) == 0
-
-
-def _check_dx(dx: float, where: str) -> None:
-    """Rejects a grid step that underflows to 0 or whose square overflows:
-    the momentum weights scale with dx^2."""
-    if not (dx > 0 and math.isfinite(dx * dx)):
-        raise ConfigError(f"{where}: dx^2 must be finite and dx positive, got dx = {dx}")
 
 
 def _eps_pair(pair, where) -> ConfidencePair:
@@ -299,22 +306,10 @@ def _read_config(args, required: dict, optional: dict) -> tuple:
     top = _require_keys(json.loads(Path(args.config).read_text()), "config",
                         {"grid": None, **required}, {"hbar": 1.0, **optional})
     hbar = _number(top["hbar"], "hbar")
-    if hbar <= 0:
-        raise ConfigError("hbar: must be positive")
-    grid = _parse_grid(top["grid"])
-    _check_hbar_scale(hbar, grid, "hbar")
+    g = _require_keys(top["grid"], "grid", {"n": None, "x_min": None, "x_max": None})
+    grid = _phase_space(g["n"], _number(g["x_min"], "grid.x_min"),
+                        _number(g["x_max"], "grid.x_max"), hbar, ("grid.n", "grid", "hbar"))
     return top, hbar, grid
-
-
-def _check_hbar_scale(hbar: float, grid: GridSpec, where: str) -> None:
-    """Rejects a hbar whose phase-space cell 2 pi hbar or momentum-grid
-    half-width pi hbar / dx overflows, or whose momentum step
-    dp = 2 pi hbar / (n dx) underflows to 0: every momentum step, bound and
-    Gaussian momentum spread is built from them."""
-    if not (math.isfinite(2.0 * math.pi * hbar) and math.isfinite(math.pi * hbar / grid.dx)
-            and 2.0 * math.pi * hbar / (grid.n * grid.dx) > 0):
-        raise ConfigError(f"{where}: 2*pi*hbar and pi*hbar/dx must be finite and dp positive, "
-                          f"got hbar = {hbar} with n = {grid.n}, dx = {grid.dx}")
 
 
 def _generator_reports(gi: int, gspec, eps_pairs, calib, warps) -> list:
@@ -415,17 +410,8 @@ def _product_cells(wq: float, wp: float, bs: float, bu: float) -> list:
 def cmd_widths(args) -> int:
     n = WIDTHS_GRID_N_DEFAULT if args.grid_n is None else args.grid_n
     hbar = WIDTHS_HBAR_DEFAULT if args.hbar is None else args.hbar
-    if not _grid_size_ok(n):
-        raise ConfigError(f"--grid-n must be a power of two from 2 to {GRID_N_MAX}, "
-                          f"got {n}")
-    if not (args.window > 0 and math.isfinite(2.0 * args.window)):
-        raise ConfigError(f"--window: expected a half-length > 0 whose double is finite, "
-                          f"got {args.window}")
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ConfigError(f"--hbar: expected a finite value > 0, got {hbar}")
-    _check_dx(2.0 * args.window / n, "--window")    # GridSpec.symmetric's step
-    grid = GridSpec.symmetric(args.window, n)
-    _check_hbar_scale(hbar, grid, "--hbar")
+    # the bits of GridSpec.symmetric(args.window, n)
+    grid = _phase_space(n, -args.window, args.window, hbar, ("--grid-n", "--window", "--hbar"))
     rho = _parse_state_spec(args.state, grid, hbar)
     eps = _parse_eps(args.eps)
     wq = overall_width(position_distribution(rho), eps.eps1)
@@ -508,9 +494,12 @@ def cmd_scan(args) -> int:
         raise ConfigError("lattice: at most 2 parameters supported")
     values = [[_number(v, f"lattice.{n}[{i}]")
                for i, v in enumerate(_list(lattice[n], f"lattice.{n}"))] for n in names]
+    for name, v in zip(names, values):
+        if not v:
+            raise ConfigError(f"lattice.{name}: at least one value required")
     cap = top["cap"]
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise ConfigError(f"cap: expected an integer, got {cap!r}")
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ConfigError(f"cap: expected a positive integer, got {cap!r}")
     n_points = math.prod(len(v) for v in values)
     if n_points > cap:
         raise ConfigError(

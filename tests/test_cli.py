@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -557,6 +558,9 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
      "grid: dx^2 must be finite and dx positive"),
     ("scan", dict(SCAN_CONFIG, grid={"n": 4096, "x_min": 0, "x_max": 1e-320}),
      "grid: dx^2 must be finite and dx positive"),
+    ("scan", dict(SCAN_CONFIG, lattice={"sigma": []}), "lattice.sigma: at least one"),
+    ("scan", dict(SCAN_CONFIG, cap=0), "cap: expected a positive integer, got 0"),
+    ("scan", dict(SCAN_CONFIG, cap=-3), "cap: expected a positive integer, got -3"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -606,18 +610,75 @@ def test_global_hbar_and_grid_n_rejected(tmp_path, capsys, command, options, fla
     assert not (tmp_path / "out").exists()
 
 
-def _run_verify_quietly(cfg) -> int:
-    """Exit code of `verify` on cfg.  An exception or RuntimeWarning escaping
-    main() would reach the user as a traceback, and fails here."""
+def _run_quietly(argv, keys) -> tuple:
+    """Exit code and stderr of main(argv).  An exception or RuntimeWarning
+    escaping main() would reach the user as a traceback, and fails here; so
+    does an exit-2 message that does not start with `error: ` and one of
+    keys, the inputs it may name."""
     err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
+    msg = err.getvalue()
+    assert "Traceback" not in msg and "Warning" not in msg
+    if rc == 2:
+        assert any(re.match(rf"error: {re.escape(k)}[:.\[]", msg) for k in keys), msg
+    return rc, msg
+
+
+CONFIG_KEYS = ["config", "grid", "hbar", "confidence", "generators", "calibration", "warps"]
+
+
+def _run_verify_quietly(cfg) -> int:
+    """Exit code of `verify` on cfg, run by :func:`_run_quietly`: an exit-2
+    message names a top-level config key."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), cfg)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["--out", str(Path(tmp) / "out"), "verify", path])
-    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
-    return rc
+        return _run_quietly(["--out", str(Path(tmp) / "out"), "verify", path], CONFIG_KEYS)[0]
+
+
+# each grid and hbar rule that verify, scan and widths share, on a grid of
+# n points over +-half: (n, half, hbar, the input named, the message)
+SHARED_RULES = {
+    "n-not-a-power-of-two": (3, 12.8, 1.0, "n", "must be a power of two from 2 to"),
+    "span-negative": (512, -12.8, 1.0, "span", "x_max must exceed x_min"),
+    "span-zero": (512, 0.0, 1.0, "span", "x_max must exceed x_min"),
+    "span-overflows": (512, 1e308, 1.0, "span", "x_max - x_min overflows"),
+    # dx = 3.9e154 and 3.9e-160
+    "dx^2-overflows": (512, 1e157, 1.0, "span", "dx^2 must be finite"),
+    "dx^2-subnormal": (512, 1e-157, 1.0, "span", "dx^2 must be finite"),
+    "hbar-zero": (512, 12.8, 0.0, "hbar", "must be positive"),
+    "hbar-negative": (512, 12.8, -1.0, "hbar", "must be positive"),
+    "2pi-hbar-overflows": (512, 12.8, 1e308, "hbar", "2*pi*hbar and pi*hbar/dx must be"),
+    # dp = 2.5e-321, and 0
+    "dp-subnormal": (512, 12.8, 1e-320, "hbar", "2*pi*hbar and pi*hbar/dx must be"),
+    "dp-zero": (512, 12.8, 5e-324, "hbar", "2*pi*hbar and pi*hbar/dx must be"),
+    # dx = 1e-150 and dp = 9.8e-11 are normal, dp*dx^2 = 9.8e-311 is not
+    "dp*dx^2-subnormal": (512, 2.56e-148, 8e-159, "hbar", "2*pi*hbar and pi*hbar/dx must be"),
+}
+CONFIG_NAMES = {"n": "grid.n", "span": "grid", "hbar": "hbar"}
+FLAGS = {"n": "--grid-n", "span": "--window", "hbar": "--hbar"}
+
+
+@pytest.mark.parametrize("command", ["verify", "scan", "widths"])
+@pytest.mark.parametrize("rule", SHARED_RULES)
+def test_each_command_applies_the_shared_grid_and_hbar_rules(tmp_path, rule, command):
+    n, half, hbar, name, message = SHARED_RULES[rule]
+    out = tmp_path / "out"
+    if command == "widths":
+        key = FLAGS[name]
+        argv = [f"--grid-n={n}", f"--hbar={hbar!r}", "widths", "--state", "gaussian:sigma=1",
+                "--eps", "0.05", f"--window={half!r}"]
+    else:
+        key = CONFIG_NAMES[name]
+        grid = {"n": n, "x_min": -half, "x_max": half}
+        cfg = verify_config(grid=grid, hbar=hbar) if command == "verify" \
+            else dict(SCAN_CONFIG, grid=grid, hbar=hbar)
+        argv = [command, write_config(tmp_path, cfg)]
+    rc, err = _run_quietly(["--out", str(out), *argv], [key])
+    assert rc == 2 and err.startswith(f"error: {key}: {message}")
+    assert not out.exists()
 
 
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
@@ -737,13 +798,16 @@ GENERATORS = _mostly(st.lists(st.one_of(GAUSSIAN, MIXTURE), min_size=1, max_size
 
 
 # on the fuzz grid (n = 256, dx = 0.1) the momentum window span (2n - 2)*dp
-# overflows from hbar = 1.44e306 on; the example runs that case every time
-HBARS = _mostly(st.sampled_from([1.0, 0.5, 1e305, 1e306, 3e306]), JSON_SCALARS)
+# overflows from hbar = 1.44e306 on; the example runs that case every time.
+# From 1e-310 down, dp is subnormal or 0
+HBARS = _mostly(st.sampled_from([1.0, 0.5, 1e305, 1e306, 3e306,
+                                 1e-310, 1e-315, 1e-320, 5e-324]), JSON_SCALARS)
 
 
 @settings(max_examples=60, deadline=None)
 @given(generators=GENERATORS, hbar=HBARS)
 @example(generators=[{"kind": "gaussian", "sigma": 1.0}], hbar=3e306)
+@example(generators=[{"kind": "gaussian", "sigma": 1.0}], hbar=1e-320)
 def test_generators_fuzz_exits_with_a_documented_code(generators, hbar):
     cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8}, hbar=hbar,
                         generators=generators,
@@ -781,6 +845,47 @@ def test_grid_fuzz_exits_with_a_documented_code(grid):
                                         {"weight": 0.5, "sigma": 0.6, "x0": 0.2}]}],
                         warps=[{"name": "bend", "q_knots": [[-1.0, -0.8], [1.0, 1.3]]}])
     assert _run_verify_quietly(cfg) in {0, 1, 2, 3}
+
+
+# n stays at most 4096, the default; the odd values never allocate
+WIDTHS_GRID_N = _mostly(st.sampled_from(["2", "4", "64", "512", "1024", None]),
+                        st.sampled_from(["3", "0", "-4", str(2**54), str(2**1100), "2.0", "x"]))
+EXTREME_FLOATS = st.sampled_from([0.0, -16.0, 5e-324, 1e-320, 1e-310, 1e-157, 1e-150,
+                                  1e155, 1e158, 1e300, 1e308, math.inf, math.nan])
+WIDTHS_WINDOW = _mostly(st.one_of(st.none(), st.floats(0.5, 100.0)),
+                        st.one_of(EXTREME_FLOATS, st.floats()))
+WIDTHS_HBAR = _mostly(st.one_of(st.none(), st.floats(0.01, 10.0)),
+                      st.one_of(EXTREME_FLOATS, st.floats()))
+STATE_VALUES = st.one_of(st.floats(-5.0, 5.0), st.floats(0.05, 3.0), EXTREME_FLOATS,
+                         st.floats(), st.sampled_from(["", "x", "1,"]))
+STATE_SPEC = st.builds(
+    lambda kind, params: kind + (":" if params else "")
+    + ",".join(f"{k}={v}" for k, v in params.items()),
+    st.sampled_from(["gaussian", "gaussian", "box", "airy", ""]),
+    st.dictionaries(st.sampled_from(["sigma", "x0", "p0", "center", "width", "skew"]),
+                    STATE_VALUES, max_size=3))
+WIDTHS_EPS = st.one_of(st.sampled_from(["0.05", "0.05,0.1", "0.3", "0.6", "0.05,0.05,0.9",
+                                        "1.5", "0", "nan", "abc", ""]),
+                       st.floats(0.0, 1.0).map(repr))
+WIDTHS_FLAGS = ["--grid-n", "--window", "--hbar", "--eps", "state spec"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid_n=WIDTHS_GRID_N, window=WIDTHS_WINDOW, hbar=WIDTHS_HBAR, state=STATE_SPEC,
+       eps=WIDTHS_EPS)
+@example(grid_n=None, window=None, hbar=1e-320, state="gaussian:sigma=1", eps="0.05")
+def test_widths_fuzz_exits_with_a_documented_code(grid_n, window, hbar, state, eps):
+    # None leaves a flag at its default
+    argv = ([f"--grid-n={grid_n}"] * (grid_n is not None)
+            + [f"--hbar={hbar!r}"] * (hbar is not None)
+            + ["widths", f"--state={state}", f"--eps={eps}"]
+            + [f"--window={window!r}"] * (window is not None))
+    try:
+        rc = _run_quietly(argv, WIDTHS_FLAGS)[0]
+    except SystemExit as exc:   # an argparse usage error, such as --grid-n=x
+        rc = exc.code
+        assert rc == 2
+    assert rc in {0, 1, 2}
 
 
 class TestWidths:
@@ -853,7 +958,7 @@ class TestWidths:
         rc = main(["--grid-n", grid_n, "widths", "--state", "gaussian:sigma=1", "--eps", "0.05"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
-            "error: --grid-n must be a power of two from 2 to 9007199254740992, got ")
+            "error: --grid-n: must be a power of two from 2 to 9007199254740992, got ")
 
     # 1e158 and 1e300: dx^2 overflows; 5e-324: dx underflows to 0
     @pytest.mark.parametrize("window, state", [
@@ -1030,14 +1135,6 @@ class TestScan:
         assert rc == 0
         assert (tmp_path / "out" / "scan.csv").read_bytes() == \
             (golden / "scan.csv").read_bytes()
-
-    def test_empty_lattice_value_list_gives_header_only(self, tmp_path):
-        cfg = self.scan_config(lattice={"sigma": []})
-        path = write_config(tmp_path, cfg)
-        rc = main(["--out", str(tmp_path / "out"), "scan", path])
-        assert rc == 0
-        lines = (tmp_path / "out" / "scan.csv").read_text().splitlines()
-        assert len(lines) == 2
 
 
 def _public_widths(x0, p0, sigma, grid, eps):
