@@ -3,7 +3,10 @@
 Subcommands:
   verify <config.json>   joint uncertainty-relation checks per generator
   widths --state <spec>  overall widths of a single state
-  scan <config.json>     parameter-lattice sweep of width products
+  scan <config.json>     width products over a lattice of one state kind
+
+`widths` and `scan` share one state-to-widths path, `_Workspace`, and one
+table of state kinds and their parameters, STATE_PARAMS.
 
 Exit codes: 0 all checks pass, 1 a relation check failed, 2 bad config/IO,
 3 inconclusive: the calibration ladder did not settle (an error bar grew as
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridSpec, _normalize_weights, _shortest_run, overall_width
+from .grids import GridSpec, _normalize_weights, _shortest_run
 from .metrology import (
     CalibrationConfig,
     ConfidencePair,
@@ -37,9 +40,8 @@ from .metrology import (
     verify_scenarios,
 )
 from .observables import Kernel, PiecewiseLinearMap, marginal_measures
-from .states import MixedState, _gaussian_amps, _momentum_weights, _position_weights, \
-    _unit_norm, box_state, gaussian_state, momentum_distribution, momentum_grid, \
-    parity_offset, position_distribution
+from .states import MixedState, _box_amps, _gaussian_amps, _momentum_weights, \
+    _position_weights, _unit_norm, gaussian_state, momentum_grid, parity_offset
 
 REPORT_VERSION = "# uncert-report v1"
 SCAN_CAP_DEFAULT = 10_000
@@ -52,6 +54,11 @@ GRID_N_MAX = 2**53
 PROBE_KINDS = ("box", "truncated_gaussian")
 # a warp name goes into scenario_id unquoted
 WARP_NAME = re.compile(r"[A-Za-z0-9_]+")
+# a flag value argparse reads as a number; its own pattern misses -1e5 and -inf
+NEGATIVE_NUMBER = re.compile(r"(?i)^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$")
+# each `--state` kind and scan family: its parameters and their defaults
+STATE_PARAMS = {"gaussian": {"x0": 0.0, "p0": 0.0, "sigma": 1.0},
+                "box": {"center": 0.0, "width": 1.0}}
 
 REPORT_COLUMNS = [f.name for f in fields(WidthReport)]
 # the cells `widths` prints and `scan` writes for one state
@@ -356,37 +363,90 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# widths
+# widths and scan: one state-to-widths path
 # ---------------------------------------------------------------------------
 
-def _parse_state_spec(spec: str, grid: GridSpec, hbar: float) -> MixedState:
+class _Workspace:
+    """The four arrays that `widths` writes its state into, and `scan` each
+    lattice point.
+
+    :meth:`state` runs the steps of gaussian_state or box_state and
+    WaveFunction, and :meth:`widths` those of position_distribution,
+    momentum_distribution, GridMeasure and overall_width, through the same
+    kernels, on these arrays: the position points x; the amplitudes, which
+    take the squared FFT moduli once the FFT has read them; the prefix
+    sums, n + 1 entries whose tail holds a marginal's weights before the
+    in-place cumsum (and |a|^2 for the norms); and the real FFT.  A box, or
+    a Gaussian at p0 = 0, allocates no n-length array; at p0 != 0 the
+    amplitudes are complex, in a new array, and take the complex FFT.  The
+    kernels skip only steps that cannot change a bit, as their docstrings
+    say.
+    """
+
+    def __init__(self, grid: GridSpec, hbar: float):
+        n = grid.n
+        self.grid, self.hbar = grid, hbar
+        self.dp = momentum_grid(grid, hbar).dx
+        self.x = grid.points()
+        self.amps = np.empty(n)
+        self.prefix = np.zeros(n + 1)
+        self.spectrum = np.empty(n // 2 + 1, dtype=complex)
+
+    def state(self, kind: str, params: dict) -> np.ndarray:
+        """Unit-norm amplitudes of a STATE_PARAMS kind, once params pass its checks."""
+        grid, w = self.grid, self.prefix[1:]
+        if kind == "gaussian":
+            a = _gaussian_amps(params["x0"], params["p0"], params["sigma"], grid, self.hbar,
+                               self.x, self.amps, w)
+        else:
+            a = _box_amps(params["center"], params["width"], grid, self.amps)
+        _unit_norm(a, grid.dx, w)
+        return a
+
+    def widths(self, a: np.ndarray, eps: ConfidencePair) -> tuple:
+        """(width_q, width_p) of the state with the amplitudes a from :meth:`state`."""
+        grid, hbar = self.grid, self.hbar
+        w = self.prefix[1:]
+        _position_weights([(1.0, a)], grid.dx, w)
+        wq = (self._marginal_run(eps.eps1) - 1) * grid.dx
+        _momentum_weights([(1.0, a)], grid, hbar, w, self.spectrum, self.amps)
+        wp = (self._marginal_run(eps.eps2) - 1) * self.dp
+        return wq, wp
+
+    def _marginal_run(self, eps: float) -> int:
+        """Normalizes the weights in the prefix tail, sums them in place, and
+        bisects the shortest run on the prefix sums."""
+        w = self.prefix[1:]
+        _normalize_weights(w)
+        np.cumsum(w, out=w)
+        return _shortest_run(self.prefix, eps)
+
+
+def _parse_state_spec(spec: str) -> tuple:
+    """The kind of a `--state` spec, ``kind:name=value,...``, and its
+    parameters, with the STATE_PARAMS defaults of those it omits."""
     head, _, rest = spec.partition(":")
-    params = {}
+    given = []
     if rest:
         for item in rest.split(","):
             k, _, v = item.partition("=")
             if not v:
                 raise ConfigError(f"state spec: malformed parameter {item!r}")
             try:
-                params[k.strip()] = float(v)
+                given.append((k.strip(), float(v)))
             except ValueError:
                 raise ConfigError(f"state spec: {k.strip()}: expected a number, "
                                   f"got {v!r}") from None
-    known = {"gaussian": {"x0", "p0", "sigma"}, "box": {"center", "width"}}
-    if head not in known:
+    if head not in STATE_PARAMS:
         raise ConfigError(f"state spec: unknown state kind {head!r}")
-    extra = set(params) - known[head]
+    names = [k for k, _ in given]
+    extra = set(names) - set(STATE_PARAMS[head])
     if extra:
         raise ConfigError(f"state spec: unknown parameters {sorted(extra)}")
-    try:
-        if head == "gaussian":
-            return MixedState.pure(gaussian_state(
-                params.get("x0", 0.0), params.get("p0", 0.0),
-                params.get("sigma", 1.0), grid, hbar))
-        return MixedState.pure(box_state(
-            params.get("center", 0.0), params.get("width", 1.0), grid, hbar))
-    except ValueError as exc:
-        raise ConfigError(f"state spec: {exc}") from exc
+    for k in names:
+        if names.count(k) > 1:
+            raise ConfigError(f"state spec: {k}: given twice")
+    return head, {**STATE_PARAMS[head], **dict(given)}
 
 
 def _parse_eps(text: str) -> ConfidencePair:
@@ -412,10 +472,14 @@ def cmd_widths(args) -> int:
     hbar = WIDTHS_HBAR_DEFAULT if args.hbar is None else args.hbar
     # the bits of GridSpec.symmetric(args.window, n)
     grid = _phase_space(n, -args.window, args.window, hbar, ("--grid-n", "--window", "--hbar"))
-    rho = _parse_state_spec(args.state, grid, hbar)
+    kind, params = _parse_state_spec(args.state)
+    ws = _Workspace(grid, hbar)
+    try:
+        a = ws.state(kind, params)
+    except ValueError as exc:
+        raise ConfigError(f"state spec: {exc}") from exc
     eps = _parse_eps(args.eps)
-    wq = overall_width(position_distribution(rho), eps.eps1)
-    wp = overall_width(momentum_distribution(rho), eps.eps2)
+    wq, wp = ws.widths(a, eps)
     bu = bound_uffink(eps, hbar)
     passed = wq * wp >= bu - 4.0 * grid.dx * max(wq, wp)
     cells = _product_cells(wq, wp, bound_simple(eps, hbar), bu) + [_fmt(passed)]
@@ -424,71 +488,20 @@ def cmd_widths(args) -> int:
     return 0 if passed else 1
 
 
-# ---------------------------------------------------------------------------
-# scan
-# ---------------------------------------------------------------------------
-
-class _ScanWorkspace:
-    """The four arrays a scan writes every lattice point into.
-
-    A point runs the steps of gaussian_state, WaveFunction,
-    position_distribution, momentum_distribution, GridMeasure and
-    overall_width, through the same kernels, on these arrays: the position
-    points x; the amplitudes, which take the squared FFT moduli once the
-    FFT has read them; the prefix sums, n + 1 entries whose tail holds a
-    marginal's weights before the in-place cumsum (and |a|^2 for the
-    norms); and the real FFT.  A point at p0 = 0 allocates no n-length
-    array; at p0 != 0 the amplitudes are complex, in a new array, and take
-    the complex FFT.  The kernels skip only steps that cannot change a bit:
-    at p0 = 0 the exponent is formed only within 2 sigma sqrt(750) of x0,
-    where exp can be nonzero, and neither the unit weight nor a reciprocal
-    root of exactly 1.0 is multiplied; :func:`_shortest_run` takes one
-    vectorized search over the starts that can pass.
-    """
-
-    def __init__(self, grid: GridSpec, hbar: float):
-        n = grid.n
-        self.grid, self.hbar = grid, hbar
-        self.dp = momentum_grid(grid, hbar).dx
-        self.x = grid.points()
-        self.amps = np.empty(n)
-        self.prefix = np.zeros(n + 1)
-        self.spectrum = np.empty(n // 2 + 1, dtype=complex)
-
-    def widths(self, x0: float, p0: float, sigma: float, eps: ConfidencePair) -> tuple:
-        """(width_q, width_p) of the Gaussian at (x0, p0, sigma)."""
-        grid, hbar = self.grid, self.hbar
-        w = self.prefix[1:]
-        a = _gaussian_amps(x0, p0, sigma, grid, hbar, self.x, self.amps, w)
-        _unit_norm(a, grid.dx, w)
-        _position_weights([(1.0, a)], grid.dx, w)
-        wq = (self._marginal_run(eps.eps1) - 1) * grid.dx
-        _momentum_weights([(1.0, a)], grid, hbar, w, self.spectrum, self.amps)
-        wp = (self._marginal_run(eps.eps2) - 1) * self.dp
-        return wq, wp
-
-    def _marginal_run(self, eps: float) -> int:
-        """Normalizes the weights in the prefix tail, sums them in place, and
-        bisects the shortest run on the prefix sums."""
-        w = self.prefix[1:]
-        _normalize_weights(w)
-        np.cumsum(w, out=w)
-        return _shortest_run(self.prefix, eps)
-
-
 def cmd_scan(args) -> int:
     top, hbar, grid = _read_config(
         args, {"eps": None, "family": None, "lattice": None}, {"cap": SCAN_CAP_DEFAULT})
     eps = _eps_pair(top["eps"], "eps")
-    if top["family"] != "gaussian":
-        raise ConfigError(f"family: unknown family {top['family']!r}")
+    family = top["family"]
+    if not (isinstance(family, str) and family in STATE_PARAMS):
+        raise ConfigError(f"family: unknown family {family!r}")
     lattice = top["lattice"]
     if not isinstance(lattice, dict) or not lattice:
         raise ConfigError("lattice: expected a nonempty object of parameter lists")
     names = sorted(lattice)
-    allowed = {"sigma", "x0", "p0"}
+    defaults = STATE_PARAMS[family]
     for name in names:
-        if name not in allowed:
+        if name not in defaults:
             raise ConfigError(f"lattice.{name}: unknown parameter")
     if len(names) > 2:
         raise ConfigError("lattice: at most 2 parameters supported")
@@ -509,14 +522,12 @@ def cmd_scan(args) -> int:
     # every row is computed before the file is opened, so a lattice point
     # the grid cannot hold leaves no partial scan.csv behind
     rows = []
-    ws = _ScanWorkspace(grid, hbar)
+    ws = _Workspace(grid, hbar)
     for combo in iproduct(*values):
-        params = dict(zip(names, combo))
         try:
-            wq, wp = ws.widths(params.get("x0", 0.0), params.get("p0", 0.0),
-                               params.get("sigma", 1.0), eps)
+            wq, wp = ws.widths(ws.state(family, {**defaults, **dict(zip(names, combo))}), eps)
         except ValueError as exc:
-            point = ", ".join(f"{k}={v}" for k, v in params.items())
+            point = ", ".join(f"{k}={v}" for k, v in zip(names, combo))
             raise ConfigError(f"lattice point {point}: {exc}") from exc
         rows.append([_fmt(float(v)) for v in combo] + _product_cells(wq, wp, bs, bu))
     del ws  # its arrays are not held while the file is written
@@ -535,6 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     objects form reference cycles that only the cyclic collector frees."""
     ap = argparse.ArgumentParser(prog="uncert",
                                  description="Joint-measurement uncertainty checks")
+    ap._negative_number_matcher = NEGATIVE_NUMBER
     ap.add_argument("--hbar", type=float,
                     help=f"widths only (default {WIDTHS_HBAR_DEFAULT}); "
                          "verify and scan read hbar from the config")
@@ -549,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     w = sub.add_parser("widths", help="overall widths of one state")
+    w._negative_number_matcher = NEGATIVE_NUMBER
     w.add_argument("--state", required=True,
                    help="e.g. gaussian:sigma=1 or box:width=1,center=0")
     w.add_argument("--eps", required=True, help="eps or eps1,eps2")

@@ -213,6 +213,12 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
 def box_state(center: float, width: float, grid: GridSpec,
               hbar: float = 1.0) -> WaveFunction:
     """Constant amplitude on the closed interval [center - width/2, center + width/2]."""
+    return WaveFunction(grid, _box_amps(center, width, grid, np.empty(grid.n)), hbar)
+
+
+def _box_amps(center: float, width: float, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """The box's checks, then its amplitudes in out (n floats), returned:
+    1 / sqrt(m dx) on the m cells the interval holds, 0.0 elsewhere."""
     if not (math.isfinite(center) and math.isfinite(width)):
         raise ValueError(f"box center and width must be finite, got {center}, {width}")
     if width < 2 * grid.dx:
@@ -220,9 +226,9 @@ def box_state(center: float, width: float, grid: GridSpec,
     cells = grid.cells_within(center - 0.5 * width, center + 0.5 * width)
     if not cells:
         raise ValueError("box has no support on the grid")
-    a = np.zeros(grid.n)
-    a[cells.start:cells.stop] = 1.0 / math.sqrt(len(cells) * grid.dx)
-    return WaveFunction(grid, a, hbar)
+    out.fill(0.0)
+    out[cells.start:cells.stop] = 1.0 / math.sqrt(len(cells) * grid.dx)
+    return out
 
 
 def point_state(x: float, grid: GridSpec, hbar: float = 1.0) -> WaveFunction:

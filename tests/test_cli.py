@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -17,11 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import uncert
 from uncert import metrology, observables
-from uncert.cli import REPORT_COLUMNS, REPORT_VERSION, _ScanWorkspace, build_parser, main
+from uncert.cli import PRODUCT_COLUMNS, REPORT_COLUMNS, REPORT_VERSION, _Workspace, \
+    build_parser, main
 from uncert.grids import GridSpec, centered_width, overall_width, uniform_measure
 from uncert.metrology import CalibrationConfig, ConfidencePair
 from uncert.observables import Kernel, PiecewiseLinearMap
-from uncert.states import MixedState, gaussian_state, momentum_distribution, \
+from uncert.states import MixedState, box_state, gaussian_state, momentum_distribution, \
     position_distribution
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -561,6 +564,12 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
     ("scan", dict(SCAN_CONFIG, lattice={"sigma": []}), "lattice.sigma: at least one"),
     ("scan", dict(SCAN_CONFIG, cap=0), "cap: expected a positive integer, got 0"),
     ("scan", dict(SCAN_CONFIG, cap=-3), "cap: expected a positive integer, got -3"),
+    # a family is a `--state` kind, and the lattice sweeps that kind's parameters
+    ("scan", dict(SCAN_CONFIG, family="box"), "lattice.sigma: unknown parameter"),
+    ("scan", dict(SCAN_CONFIG, family="airy"), "family: unknown family 'airy'"),
+    ("scan", dict(SCAN_CONFIG, family=["box"]), "family: unknown family ['box']"),
+    ("scan", dict(SCAN_CONFIG, family="box", lattice={"width": [0.01]}),
+     "lattice point width=0.01: box width 0.01 below the 2*dx minimum"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -870,21 +879,31 @@ WIDTHS_EPS = st.one_of(st.sampled_from(["0.05", "0.05,0.1", "0.3", "0.6", "0.05,
 WIDTHS_FLAGS = ["--grid-n", "--window", "--hbar", "--eps", "state spec"]
 
 
+def _flag(name, value, spaced) -> list:
+    """`name=value`, or `name value` as two arguments; None gives no flag."""
+    if value is None:
+        return []
+    return [name, repr(value)] if spaced else [f"{name}={value!r}"]
+
+
 @settings(max_examples=120, deadline=None)
 @given(grid_n=WIDTHS_GRID_N, window=WIDTHS_WINDOW, hbar=WIDTHS_HBAR, state=STATE_SPEC,
-       eps=WIDTHS_EPS)
-@example(grid_n=None, window=None, hbar=1e-320, state="gaussian:sigma=1", eps="0.05")
-def test_widths_fuzz_exits_with_a_documented_code(grid_n, window, hbar, state, eps):
-    # None leaves a flag at its default
-    argv = ([f"--grid-n={grid_n}"] * (grid_n is not None)
-            + [f"--hbar={hbar!r}"] * (hbar is not None)
+       eps=WIDTHS_EPS, spaced=st.booleans())
+@example(grid_n=None, window=None, hbar=1e-320, state="gaussian:sigma=1", eps="0.05",
+         spaced=False)
+@example(grid_n=None, window=-1e5, hbar=-math.inf, state="gaussian:sigma=1", eps="0.05",
+         spaced=True)
+def test_widths_fuzz_exits_with_a_documented_code(grid_n, window, hbar, state, eps, spaced):
+    # None leaves a flag at its default; a --window or --hbar value is a
+    # float, which argparse must pass on, also as a separate argument
+    argv = ([f"--grid-n={grid_n}"] * (grid_n is not None) + _flag("--hbar", hbar, spaced)
             + ["widths", f"--state={state}", f"--eps={eps}"]
-            + [f"--window={window!r}"] * (window is not None))
+            + _flag("--window", window, spaced))
     try:
         rc = _run_quietly(argv, WIDTHS_FLAGS)[0]
-    except SystemExit as exc:   # an argparse usage error, such as --grid-n=x
-        rc = exc.code
-        assert rc == 2
+    except SystemExit as exc:   # argparse's usage error: only --grid-n=x or =2.0
+        assert exc.code == 2 and grid_n in {"x", "2.0"}
+        return
     assert rc in {0, 1, 2}
 
 
@@ -923,6 +942,11 @@ class TestWidths:
           "--eps", "0.05,0.1", "--window", "16"],
          ["1.90625e+00", "5.10509e+00", "9.73157e+00", "4.53960e+00", "4.58191e+00",
           "2.12391e+00", "true"]),
+        # p0 != 0: complex amplitudes and the complex FFT
+        (["--grid-n", "1024", "widths", "--state", "gaussian:sigma=0.8,x0=1.5,p0=2",
+          "--eps", "0.05,0.1", "--window", "16"],
+         ["3.12500e+00", "1.96350e+00", "6.13592e+00", "4.53960e+00", "4.58191e+00",
+          "1.33916e+00", "true"]),
     ])
     def test_stdout_pinned(self, capsys, argv, want):
         assert main(argv) == 0
@@ -944,6 +968,7 @@ class TestWidths:
         ("gaussian:sigma=1", "nan", "--eps"),
         ("gaussian:sigma=abc", "0.05", "state spec: sigma"),
         ("box:width=2,center=x", "0.05", "state spec: center"),
+        ("gaussian:sigma=1,sigma=2", "0.05", "state spec: sigma: given twice"),
     ])
     def test_bad_input_names_the_argument(self, capsys, state, eps, key):
         rc = main(["--grid-n", "1024", "widths", "--state", state, "--eps", eps,
@@ -960,12 +985,17 @@ class TestWidths:
         assert capsys.readouterr().err.startswith(
             "error: --grid-n: must be a power of two from 2 to 9007199254740992, got ")
 
-    # 1e158 and 1e300: dx^2 overflows; 5e-324: dx underflows to 0
+    # 1e158 and 1e300: dx^2 overflows; 5e-324: dx underflows to 0; -1e5 to
+    # -nan fall outside argparse's own negative-number pattern
     @pytest.mark.parametrize("window, state", [
         ("inf", "gaussian:sigma=1"), ("0", "gaussian:sigma=1"), ("-16", "gaussian:sigma=1"),
         ("1e308", "gaussian:sigma=1"), ("1e158", "box:width=2.5e157"),
-        ("1e300", "gaussian:sigma=1e299"), ("5e-324", "gaussian:sigma=1")],
-        ids=["inf", "0", "-16", "1e308", "1e158-box", "1e300-gaussian", "5e-324"])
+        ("1e300", "gaussian:sigma=1e299"), ("5e-324", "gaussian:sigma=1"),
+        ("-1e5", "gaussian:sigma=1"), ("-1.5E+2", "gaussian:sigma=1"),
+        ("-inf", "gaussian:sigma=1"), ("-Infinity", "gaussian:sigma=1"),
+        ("-nan", "gaussian:sigma=1")],
+        ids=["inf", "0", "-16", "1e308", "1e158-box", "1e300-gaussian", "5e-324",
+             "-1e5", "-1.5E+2", "-inf", "-Infinity", "-nan"])
     def test_bad_window_names_the_argument(self, capsys, recwarn, window, state):
         rc = main(["--grid-n", "1024", "widths", "--state", state,
                    "--eps", "0.05", "--window", window])
@@ -974,8 +1004,10 @@ class TestWidths:
         assert not recwarn.list
 
     # 1e308: 2 pi hbar overflows; 1e307: pi hbar / dx does, with dx = 1/32;
-    # 1e-323: dp underflows to 0
-    @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0", "1e308", "1e307", "1e-323"])
+    # 1e-323: dp underflows to 0; -1e-3 and -inf fall outside argparse's own
+    # negative-number pattern
+    @pytest.mark.parametrize("hbar", ["nan", "inf", "-1", "0", "1e308", "1e307", "1e-323",
+                                      "-1e-3", "-inf"])
     def test_bad_hbar_names_the_argument(self, capsys, recwarn, hbar):
         rc = main(["--grid-n", "1024", "--hbar", hbar, "widths", "--state", "gaussian:sigma=1",
                    "--eps", "0.05", "--window", "16"])
@@ -1078,6 +1110,24 @@ class TestScan:
         cfg = self.scan_config(lattice={"chirp": [1.0]})
         assert main(["scan", write_config(tmp_path, cfg)]) == 2
 
+    def test_box_rows_hold_the_cells_widths_prints(self, tmp_path, capsys):
+        # a scan family is any `--state` kind, with its parameters as the lattice's
+        lattice = {"center": [-1.5, 0.25], "width": [1.0, 2.5, 6.0]}
+        cfg = self.scan_config(grid={"n": 1024, "x_min": -16.0, "x_max": 16.0}, hbar=0.37,
+                               eps=[0.05, 0.1], family="box", lattice=lattice)
+        assert main(["--out", str(tmp_path / "out"), "scan", write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        rows = list(csv.reader((tmp_path / "out" / "scan.csv").read_text().splitlines()[1:]))
+        assert rows[0] == ["center", "width"] + PRODUCT_COLUMNS
+        assert len(rows) == 1 + 2 * 3
+        for row, (center, width) in zip(rows[1:], itertools.product(*lattice.values())):
+            rc = main(["--grid-n", "1024", "--hbar", "0.37", "widths",
+                       "--state", f"box:center={center!r},width={width!r}",
+                       "--eps", "0.05,0.1", "--window", "16"])
+            assert rc in (0, 1)
+            printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+            assert row[2:] == printed[:len(PRODUCT_COLUMNS)]
+
     def test_scan_csv_bytes_pinned(self, tmp_path):
         cfg = self.scan_config(grid={"n": 1024, "x_min": -40.0, "x_max": 40.0},
                                eps=[0.05, 0.1],
@@ -1137,16 +1187,34 @@ class TestScan:
             (golden / "scan.csv").read_bytes()
 
 
-def _public_widths(x0, p0, sigma, grid, eps):
-    rho = MixedState.pure(gaussian_state(x0, p0, sigma, grid, 1.0))
+def _public_widths(kind, params, grid, eps):
+    """(width_q, width_p) of a STATE_PARAMS state through the public functions."""
+    if kind == "gaussian":
+        psi = gaussian_state(params["x0"], params["p0"], params["sigma"], grid, 1.0)
+    else:
+        psi = box_state(params["center"], params["width"], grid, 1.0)
+    rho = MixedState.pure(psi)
     return (overall_width(position_distribution(rho), eps.eps1),
             overall_width(momentum_distribution(rho), eps.eps2))
 
 
+def _workspace_widths(ws, kind, params, eps):
+    return ws.widths(ws.state(kind, params), eps)
+
+
+def gaussian(x0, p0, sigma):
+    return "gaussian", {"x0": x0, "p0": p0, "sigma": sigma}
+
+
+def box(center, width):
+    return "box", {"center": center, "width": width}
+
+
 @st.composite
 def scan_points(draw):
-    """A grid and two Gaussians on it, each with 8 sigma around x0 on the grid
-    and 8 sigma_p around p0 within the momentum grid's +-pi / dx."""
+    """A grid and two states on it: Gaussians, each with 8 sigma around x0 on
+    the grid and 8 sigma_p around p0 within the momentum grid's +-pi / dx,
+    and boxes, each at least 2 dx wide and on the grid."""
     n = draw(st.sampled_from([256, 1024, 4096, 16384]))
     half = draw(st.sampled_from([10.0, 40.0]))
     grid = GridSpec(-half, 2 * half / n, n)
@@ -1154,25 +1222,30 @@ def scan_points(draw):
 
     def point():
         x0 = draw(st.floats(-0.4, 0.4)) * half
+        room = min(x0 - grid.x_min, grid.x_max - x0)
+        if draw(st.booleans()):
+            lo, hi = 2.0 * grid.dx, 2.0 * room
+            return box(x0, lo * (hi / lo) ** draw(st.floats(0.0, 1.0)))
         p0 = draw(st.sampled_from([0.0, 0.0, draw(st.floats(-0.4, 0.4)) * p_max]))
-        lo, hi = 4.0 / (p_max - abs(p0)), min(x0 - grid.x_min, grid.x_max - x0) / 8.0
-        sigma = lo * (hi / lo) ** draw(st.floats(0.001, 0.999))
-        return x0, p0, sigma
+        lo, hi = 4.0 / (p_max - abs(p0)), room / 8.0
+        return gaussian(x0, p0, lo * (hi / lo) ** draw(st.floats(0.001, 0.999)))
 
     eps = ConfidencePair(draw(st.floats(0.01, 0.3)), draw(st.floats(0.01, 0.3)))
     return grid, point(), point(), eps
 
 
-class TestScanWorkspace:
-    """The scan's reused arrays carry nothing from one lattice point to the next."""
+class TestWorkspace:
+    """The one state-to-widths path of `widths` and `scan` gives the public
+    functions' bits, and its reused arrays carry nothing from one state to
+    the next."""
 
     @settings(max_examples=150, deadline=None)
     @given(scan_points())
     def test_widths_equal_the_public_functions(self, case):
         grid, before, point, eps = case
-        ws = _ScanWorkspace(grid, 1.0)
-        ws.widths(*before, eps)
-        assert ws.widths(*point, eps) == _public_widths(*point, grid, eps)
+        ws = _Workspace(grid, 1.0)
+        _workspace_widths(ws, *before, eps)
+        assert _workspace_widths(ws, *point, eps) == _public_widths(*point, grid, eps)
 
     def test_reversed_lattice_gives_the_same_rows(self, tmp_path):
         lattice = {"sigma": [0.6, 1.1, 2.3, 3.4], "x0": [-3.0, 0.0, 2.5]}
@@ -1186,25 +1259,28 @@ class TestScanWorkspace:
             rows[order] = sorted((out / "scan.csv").read_text().splitlines()[2:])
         assert rows["forward"] == rows["reversed"]
 
-    @pytest.mark.parametrize("bad", [(0.0, 0.0, 1e-300), (0.0, 1e6, 1.0), (39.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("bad", [gaussian(0.0, 0.0, 1e-300), gaussian(0.0, 1e6, 1.0),
+                                     gaussian(39.0, 0.0, 1.0), box(0.0, 1e-3)])
     def test_a_failed_point_leaves_no_trace(self, bad):
         grid, eps = GridSpec(-40.0, 80.0 / 4096, 4096), ConfidencePair(0.05, 0.05)
-        ws = _ScanWorkspace(grid, 1.0)
-        ws.widths(1.0, 0.0, 0.7, eps)
+        ws = _Workspace(grid, 1.0)
+        _workspace_widths(ws, *gaussian(1.0, 0.0, 0.7), eps)
         with pytest.raises(ValueError):
-            ws.widths(*bad, eps)
-        assert ws.widths(-2.0, 0.0, 2.9, eps) == _public_widths(-2.0, 0.0, 2.9, grid, eps)
+            _workspace_widths(ws, *bad, eps)
+        for point in (gaussian(-2.0, 0.0, 2.9), box(0.5, 3.0)):
+            assert _workspace_widths(ws, *point, eps) == _public_widths(*point, grid, eps)
 
     def test_a_point_allocates_no_grid_length_array(self):
         grid, eps = GridSpec(-40.0, 80.0 / 16384, 16384), ConfidencePair(0.05, 0.05)
-        ws = _ScanWorkspace(grid, 1.0)
-        ws.widths(0.0, 0.0, 1.0, eps)
+        ws = _Workspace(grid, 1.0)
+        _workspace_widths(ws, *gaussian(0.0, 0.0, 1.0), eps)
         tracemalloc.start()
         try:
-            for x0, sigma in [(-4.5, 0.5), (0.0, 1.7), (3.5, 3.0)]:
+            for point in [gaussian(-4.5, 0.0, 0.5), gaussian(0.0, 0.0, 1.7),
+                          gaussian(3.5, 0.0, 3.0), box(-1.0, 2.5)]:
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                ws.widths(x0, 0.0, sigma, eps)
+                _workspace_widths(ws, *point, eps)
                 assert tracemalloc.get_traced_memory()[1] - base < grid.n  # bytes
         finally:
             tracemalloc.stop()
