@@ -585,6 +585,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError, JSONDecodeError, file errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # every array a command holds is O(n)
+        key = "--grid-n" if args.command == "widths" else "grid.n"
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {key}: the grid does not fit in memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -299,8 +299,10 @@ def aligned_window(grid: GridSpec, half_width: float, stride: int = 1) -> GridSp
     return GridSpec(grid.x_min + grid.dx * lo, grid.dx * stride, 2 * k + 1)
 
 
-def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols):
-    """|<psi| W(q, p) |phi>|^2 at the q shifts (rows) and fftshift columns `cols`.
+def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols, weight: float,
+                          dens: np.ndarray) -> None:
+    """Adds weight * |<psi| W(q, p) |phi>|^2 at the q shifts (rows) and
+    fftshift columns `cols` into dens, an (n_q, len(cols)) array.
 
     The amplitude at shift s and frequency k is
     amp(s, k) = dx * sum_j conj(psi_j) w^(jk) phi_(j-s), w = exp(2*pi*i/n),
@@ -313,12 +315,14 @@ def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols):
     that arithmetic progression.
 
     Cost: O(n log n) once, then O(n + L log L) per kept column, the inverse
-    FFTs batched over blocks of 2g columns; memory O(n + n_q * n_p).  A
-    block holds 2g * L = 2n values, as many as a doubled spectrum, so its
-    size follows from n and the stride.  The alternative row route (one
-    n-point FFT per q shift over the whole p grid) costs O(n_q * n log n)
-    time and n_q * n memory, so this route wins whenever the p window is
-    narrow (n_p << n), as in every caller.
+    FFTs batched over blocks of g columns; memory O(n) besides dens.  A
+    block holds g * L = n values, as many as the n-point product, so its
+    size follows from n and the stride.  Each block's squared moduli are
+    scaled by ((L/n) * dx)^2, then by weight, and added into its columns
+    of dens, so no n_q x n_p array is allocated here.  The alternative row
+    route (one n-point FFT per q shift over the whole p grid) costs
+    O(n_q * n log n) time and n_q * n memory, so this route wins whenever
+    the p window is narrow (n_p << n), as in every caller.
     """
     # numpy's complex FFT of a float64 array gives the same bits as of its
     # complex128 copy but takes about 1.5x as long at n = 16384
@@ -332,12 +336,12 @@ def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols):
     B = np.fft.fft(np.roll(phi_amps[::-1], 1))
     del psi_amps, phi_amps               # frees the complex copies of real input
     B *= np.exp(2j * math.pi * (np.arange(n) * int(q_shifts[0]) % n) / n)
-    out = np.empty((q_shifts.size, len(cols)))
+    scale = ((L / n) * dx) ** 2
     spectrum = np.empty(n, dtype=complex)
     folded = spectrum.reshape(g, L)
-    block = np.empty((2 * g, L), dtype=complex)
-    for b0 in range(0, len(cols), 2 * g):
-        part = cols[b0:b0 + 2 * g]
+    block = np.empty((g, L), dtype=complex)
+    for b0 in range(0, len(cols), g):
+        part = cols[b0:b0 + g]
         rows = block[:len(part)]
         for row, c in zip(rows, part):
             k = (int(c) - n // 2) % n
@@ -345,9 +349,10 @@ def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols):
             np.multiply(A[:n - k], B[k:], out=spectrum[k:])
             folded.sum(axis=0, out=row)
         np.fft.ifft(rows, axis=1, out=rows)
-        out[:, b0:b0 + len(rows)] = np.abs(rows[:, take].T) ** 2
-    out *= ((L / n) * dx) ** 2
-    return out
+        sq = np.abs(rows[:, take].T) ** 2
+        sq *= scale
+        sq *= weight
+        dens[:, b0:b0 + len(rows)] += sq
 
 
 def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
@@ -356,10 +361,12 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
 
     Cell-by-cell midpoint evaluation of the displaced-generator overlap
     (1/2*pi*hbar) tr[rho W(q,p) m W(q,p)*], kept momentum columns in blocks
-    of 2g with one batched inverse FFT per block (see
+    of g with one batched inverse FFT per block (see
     :func:`_component_overlap_sq` for the cost model): time
-    O(pairs * n_p * (n + L log L)), memory O(n + n_q * n_p).  Raises
-    MassDeficitError when the window misses more than 1e-3 of the mass.
+    O(pairs * n_p * (n + L log L)), memory O(n) besides the one n_q x n_p
+    density, which every component pair adds into and a warp moves in
+    place.  Raises MassDeficitError when the window misses more than 1e-3
+    of the mass.
     """
     grid = rho.grid
     hbar = rho.hbar
@@ -386,13 +393,12 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
     dens = np.zeros((G.q_grid.n, G.p_grid.n))
     for wa, psi in rho.components:
         for vb, phi in G.gen.components:
-            dens += (wa * vb) * _component_overlap_sq(psi.amps, phi.amps, grid.dx,
-                                                      q_shifts, cols)
+            _component_overlap_sq(psi.amps, phi.amps, grid.dx, q_shifts, cols, wa * vb, dens)
     dens /= 2.0 * math.pi * hbar
 
     jd = JointDistribution(G.q_grid, G.p_grid, dens, hbar)
     if warp_map is not None:
-        jd = warp_joint(jd, warp_map)
+        _warp_density(jd, warp_map)
     if jd.total_mass < 1.0 - 1e-3:
         raise MassDeficitError(
             f"outcome window q in [{G.q_grid.x_min:.3g}, {G.q_grid.x_max:.3g}], "
@@ -402,18 +408,26 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
 
 
 def warp_joint(jd: JointDistribution, warp_map: WarpMap) -> JointDistribution:
-    """Pushforward of a joint distribution through (gamma_q, gamma_p): rows,
-    then columns, are added to their targets in source order, as np.add.at adds."""
-    qg, pg = jd.q_grid, jd.p_grid
-    masses = jd.density * jd.cell_area
+    """Pushforward of a joint distribution through (gamma_q, gamma_p), into
+    a copy of its density; jd is left as it is."""
+    out = JointDistribution(jd.q_grid, jd.p_grid, jd.density.copy(), jd.hbar)
+    _warp_density(out, warp_map)
+    return out
+
+
+def _warp_density(jd: JointDistribution, warp_map: WarpMap) -> None:
+    """Pushes jd's density through (gamma_q, gamma_p) in place: rows, then
+    columns, are added to their targets in source order, as np.add.at adds,
+    with one array of the density's size besides it."""
+    masses = jd.density
+    masses *= jd.cell_area
     rows = np.zeros_like(masses)
-    for i, r in enumerate(_warp_cells(qg, warp_map.gamma_q)):
+    for i, r in enumerate(_warp_cells(jd.q_grid, warp_map.gamma_q)):
         rows[r] += masses[i]
     masses.fill(0.0)
-    for j, c in enumerate(_warp_cells(pg, warp_map.gamma_p)):
+    for j, c in enumerate(_warp_cells(jd.p_grid, warp_map.gamma_p)):
         masses[:, c] += rows[:, j]
     masses /= jd.cell_area
-    return JointDistribution(qg, pg, masses, jd.hbar)
 
 
 def covariance_residual(G: PhaseSpaceObservable, rho: MixedState, q: float, p: float,
@@ -430,4 +444,5 @@ def covariance_residual(G: PhaseSpaceObservable, rho: MixedState, q: float, p: f
     moved = joint_distribution(G, displace_mixed(rho, kq * G.q_grid.dx, kp * G.p_grid.dx),
                                warp_map)
     shifted = np.roll(base.density, (kq, kp), axis=(0, 1))
-    return float(np.max(np.abs(moved.density - shifted)))
+    np.subtract(moved.density, shifted, out=shifted)
+    return float(np.max(np.abs(shifted, out=shifted)))

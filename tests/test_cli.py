@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import uncert
-from uncert import metrology, observables
+from uncert import cli, metrology, observables
 from uncert.cli import PRODUCT_COLUMNS, REPORT_COLUMNS, REPORT_VERSION, _Workspace, \
     build_parser, main
 from uncert.grids import GridSpec, centered_width, overall_width, uniform_measure
@@ -687,6 +687,34 @@ def test_each_command_applies_the_shared_grid_and_hbar_rules(tmp_path, rule, com
         argv = [command, write_config(tmp_path, cfg)]
     rc, err = _run_quietly(["--out", str(out), *argv], [key])
     assert rc == 2 and err.startswith(f"error: {key}: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 128. GiB for an array with shape (17179869184,) and data type float64",
+    ""])
+@pytest.mark.parametrize("command, where, key", [
+    ("verify", "marginal_measures", "grid.n"),
+    ("scan", "_Workspace", "grid.n"),
+    ("widths", "_Workspace", "--grid-n"),
+])
+def test_a_grid_too_large_for_memory_names_the_grid_size(tmp_path, monkeypatch, command,
+                                                         where, key, message):
+    # the first O(n) allocation of each command fails as numpy's would on a
+    # grid that passes every grid rule but does not fit in memory
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, where, out_of_memory)
+    out = tmp_path / "out"
+    if command == "widths":
+        argv = ["widths", "--state", "gaussian:sigma=1", "--eps", "0.05"]
+    else:
+        argv = [command, write_config(tmp_path, verify_config() if command == "verify"
+                                      else SCAN_CONFIG)]
+    rc, err = _run_quietly(["--out", str(out), *argv], [key])
+    want = f"error: {key}: the grid does not fit in memory"
+    assert rc == 2 and err == (f"{want} ({message})\n" if message else f"{want}\n")
     assert not out.exists()
 
 

@@ -319,6 +319,35 @@ class TestCovariance:
         warped = warp_joint(jd, w)
         assert warped.total_mass == pytest.approx(jd.total_mass, abs=1e-12)
 
+    def test_warp_joint_leaves_its_input_unchanged(self):
+        # joint_distribution warps its own density in place; warp_joint copies
+        jd = joint_distribution(joint_setup(), vacuum(0.4, 0.3, 1.3))
+        before = jd.density.copy()
+        warped = warp_joint(jd, WarpMap(BENT, BENT))
+        assert np.array_equal(jd.density, before)
+        assert not np.array_equal(warped.density, before)
+
+    @pytest.mark.parametrize("warped", [False, True])
+    @pytest.mark.parametrize("state, kq, kp", [((0.0, 0.0, 1.0), 1, 1),
+                                               ((0.4, 0.3, 1.3), 2, -3)])
+    def test_residual_equals_the_out_of_place_form(self, state, kq, kp, warped):
+        G = joint_setup(0.8)
+        rho = vacuum(*state)
+        w = WarpMap(BENT, BENT) if warped else None
+        got = covariance_residual(G, rho, kq * QW.dx, kp * PW.dx, warp_map=w)
+        assert got == out_of_place_residual(G, rho, kq, kp, w)
+        assert (got > 1e-3) == warped
+
+
+def out_of_place_residual(G, rho, kq, kp, warp_map):
+    """covariance_residual at a shift of (kq, kp) outcome cells, with the
+    difference and its absolute value in new arrays."""
+    base = joint_distribution(G, rho, warp_map)
+    moved = joint_distribution(G, displace_mixed(rho, kq * G.q_grid.dx, kp * G.p_grid.dx),
+                               warp_map)
+    shifted = np.roll(base.density, (kq, kp), axis=(0, 1))
+    return float(np.max(np.abs(moved.density - shifted)))
+
 
 # ---------------------------------------------------------------------------
 # Warps against the scatter-add forms
@@ -557,6 +586,14 @@ def column_loop_overlap_sq(psi_amps, phi_amps, dx, q_shifts, cols):
     return out * ((L / n) * dx) ** 2
 
 
+def overlap_sq(psi_amps, phi_amps, dx, q_shifts, cols):
+    """_component_overlap_sq's contribution at weight 1, added into zeros."""
+    q_shifts = np.asarray(q_shifts)
+    dens = np.zeros((q_shifts.size, len(cols)))
+    _component_overlap_sq(psi_amps, phi_amps, dx, q_shifts, cols, 1.0, dens)
+    return dens
+
+
 class TestColumnRoute:
     @pytest.mark.parametrize("q_stride, p_stride",
                              [(1, 1), (3, 1), (4, 1), (4, 2), (8, 1), (1, 2)])
@@ -580,14 +617,14 @@ class TestColumnRoute:
     @pytest.mark.parametrize("q_shifts", [
         [7],                                  # a single q row
         list(range(-200, 200, 4)),            # 100 rows wrap the 64 distinct shifts
-        list(range(-60, 60)),                 # stride 1: blocks of 2 columns
+        list(range(-60, 60)),                 # stride 1: blocks of 1 column
         list(range(-60, 60, 3)),              # stride 3: g = 1 again
-        list(range(-64, 64, 8)),              # stride 8: blocks of 16 columns
+        list(range(-64, 64, 8)),              # stride 8: blocks of 8 columns
     ])
     def test_overlap_rows_match_direct_sum(self, q_shifts):
         phi = small_state(0.2, 0.3, 1.1)
         cols = np.arange(100, 160, 3)
-        out = _component_overlap_sq(SKEWED.amps, phi.amps, SMALL.dx, np.array(q_shifts), cols)
+        out = overlap_sq(SKEWED.amps, phi.amps, SMALL.dx, q_shifts, cols)
         ref = direct_overlap_sq(SKEWED, phi, q_shifts, SMALL_P.points()[cols])
         assert np.max(np.abs(out - ref)) <= 1e-12
         loop = column_loop_overlap_sq(SKEWED.amps, phi.amps, SMALL.dx, np.array(q_shifts), cols)
@@ -597,18 +634,18 @@ class TestColumnRoute:
     @pytest.mark.parametrize("q_stride, cols", [
         (1, np.arange(100, 161)),             # 61 columns: odd, across k = 0
         (3, np.arange(100, 160, 2)),          # p stride 2
-        (4, np.arange(100, 161)),             # 61 columns: not a multiple of 8
+        (4, np.arange(100, 161)),             # 61 columns: not a multiple of g = 4
         (8, np.arange(120, 137)),             # 17 columns centred on k = 0
         (6, np.arange(90, 170, 5)),           # g = 2, every 3rd folded sample
         (8, np.array([128])),                 # a single column
         (1, np.array([131])),
     ], ids=["q1-odd", "q3-p2", "q4-61", "q8-17", "q6-p5", "q8-one", "q1-one"])
     def test_overlap_bits_equal_the_column_loop(self, q_stride, cols):
-        # batching the inverse FFTs over blocks of 2g columns keeps every bit
+        # batching the inverse FFTs over blocks of g columns keeps every bit
         phi = small_state(0.2, 0.3, 1.1)
         q_shifts = np.arange(-60, 61, q_stride)
         for a, b in ((SKEWED, phi), (phi, SKEWED)):
-            got = _component_overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
+            got = overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
             want = column_loop_overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
             assert np.array_equal(got, want)
 
@@ -619,12 +656,16 @@ class TestColumnRoute:
         assert psi.amps.dtype == phi.amps.dtype == np.float64
         q_shifts, cols = np.arange(-60, 60, 4), np.arange(100, 160, 3)
         for a, b in ((psi, phi), (psi, SKEWED), (SKEWED, phi)):
-            got = _component_overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
-            want = _component_overlap_sq(a.amps.astype(complex), b.amps.astype(complex),
-                                         SMALL.dx, q_shifts, cols)
+            got = overlap_sq(a.amps, b.amps, SMALL.dx, q_shifts, cols)
+            want = overlap_sq(a.amps.astype(complex), b.amps.astype(complex),
+                              SMALL.dx, q_shifts, cols)
             assert np.array_equal(got, want)
 
     def test_peak_memory_bounded_at_n_16384(self):
+        # the joint-witness observable, unwarped.  Kept: the density (0.63
+        # MiB) next to the kernel's A, B, the complex copies of the real
+        # inputs and an FFT's temporary, 1.91 MiB traced; 2.69 MiB when each
+        # pair's contribution was a density-sized array of its own.
         grid = GridSpec.symmetric(40.0, 16384)
         gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid)),
                           (0.5, gaussian_state(0.25, 0.0, 1.0, grid))])
@@ -637,32 +678,51 @@ class TestColumnRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2.25 * 2**20
 
     def test_overlap_peak_memory_at_the_joint_witness_shape(self):
-        # n = 16384, q stride 8, 203 columns.  Kept: A, B, the n-point
-        # product, the 2n-value block and the 0.63 MiB output, 2.04 MiB
-        # traced.  Holding a doubled spectrum, complex copies of the real
-        # inputs or a second, scaled output as well would pass the bound.
+        # n = 16384, q stride 8 (g = 8), 203 columns, a complex psi and a
+        # real phi as in the moved state's pairs.  The peak is in the column
+        # loop: A, B, the n-point product and the g-row block, 4n complex
+        # values, and one block's squared moduli, 1.105 MiB traced.  A
+        # 2g-row block (1.45 MiB) or an n_q x n_p output (1.73 MiB) held
+        # as well fails the bound.  A first call fills numpy's FFT caches,
+        # which stay allocated.
         grid = GridSpec.symmetric(40.0, 16384)
-        psi = gaussian_state(0.0, 0.0, 1.0, grid).amps
+        psi = gaussian_state(0.0, 0.3, 1.0, grid).amps
         phi = gaussian_state(0.25, 0.0, 0.8, grid).amps
+        assert psi.dtype == complex and phi.dtype == float
         q_shifts = 8 * np.arange(-204, 205)
         cols = np.arange(8192 - 101, 8192 + 102)
+        dens = np.zeros((q_shifts.size, cols.size))
+        _component_overlap_sq(psi, phi, grid.dx, q_shifts, cols, 0.5, dens)
         tracemalloc.start()
         try:
-            _component_overlap_sq(psi, phi, grid.dx, q_shifts, cols)
+            _component_overlap_sq(psi, phi, grid.dx, q_shifts, cols, 0.5, dens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        assert peak < 4 * 16 * grid.n + 192 * 2**10
 
-
-class TestAlignedWindow:
-    @pytest.mark.parametrize("grid, half_width, stride, n", [
-        (SMALL, 4.3, 1, 87),  # 4.3 / 0.1 evaluates to 42.999..., still k = 43
-        (GridSpec.symmetric(40.0, 16384), 8.0, 8, 409),
-        (momentum_grid(GridSpec.symmetric(40.0, 16384), 1.0), 8.0, 1, 203),
-    ])
-    def test_window_keeps_edge_points(self, grid, half_width, stride, n):
-        assert aligned_window(grid, half_width, stride).n == n
+    def test_covariance_residual_peak_memory_at_the_joint_witness_shape(self):
+        # the joint-witness op: the base density and the moved state are
+        # held while the moved density accumulates, with the kernel's four
+        # n-point arrays, 2.64 MiB traced unwarped and warped; 3.57 MiB when
+        # each pair's contribution and the difference were arrays of their own
+        grid = GridSpec.symmetric(40.0, 16384)
+        gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid)),
+                          (0.5, gaussian_state(0.25, 0.0, 1.0, grid))])
+        rho = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid))
+        G = PhaseSpaceObservable(gen, aligned_window(grid, 8.0, 8),
+                                 aligned_window(momentum_grid(grid, 1.0), 8.0, 1))
+        xs = (-40.0, -3.0, -1.0, 1.0, 3.0, 40.0)
+        w = WarpMap(PiecewiseLinearMap(xs, (-40.0, -3.4, -0.7, 1.3, 2.9, 40.0)),
+                    PiecewiseLinearMap.identity(-40.0, 40.0))
+        for warp_map in (None, w):
+            tracemalloc.start()
+            try:
+                covariance_residual(G, rho, G.q_grid.dx, G.p_grid.dx, warp_map)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.0 * 2**20
