@@ -594,6 +594,18 @@ def overlap_sq(psi_amps, phi_amps, dx, q_shifts, cols):
     return dens
 
 
+def witness_setup():
+    """The seed-0 joint-witness observable and state: n = 16384 over +-40,
+    a 409 x 203 outcome window."""
+    grid = GridSpec.symmetric(40.0, 16384)
+    gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid)),
+                      (0.5, gaussian_state(0.25, 0.0, 1.0, grid))])
+    rho = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid))
+    G = PhaseSpaceObservable(gen, aligned_window(grid, 8.0, 8),
+                             aligned_window(momentum_grid(grid, 1.0), 8.0, 1))
+    return G, rho
+
+
 class TestColumnRoute:
     @pytest.mark.parametrize("q_stride, p_stride",
                              [(1, 1), (3, 1), (4, 1), (4, 2), (8, 1), (1, 2)])
@@ -664,14 +676,9 @@ class TestColumnRoute:
     def test_peak_memory_bounded_at_n_16384(self):
         # the joint-witness observable, unwarped.  Kept: the density (0.63
         # MiB) next to the kernel's A, B, the complex copies of the real
-        # inputs and an FFT's temporary, 1.91 MiB traced; 2.69 MiB when each
+        # inputs and the roll temporary, 1.91 MiB traced; 2.69 MiB when each
         # pair's contribution was a density-sized array of its own.
-        grid = GridSpec.symmetric(40.0, 16384)
-        gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid)),
-                          (0.5, gaussian_state(0.25, 0.0, 1.0, grid))])
-        rho = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid))
-        G = PhaseSpaceObservable(gen, aligned_window(grid, 8.0, 8),
-                                 aligned_window(momentum_grid(grid, 1.0), 8.0, 1))
+        G, rho = witness_setup()
         tracemalloc.start()
         try:
             joint_distribution(G, rho)
@@ -709,12 +716,7 @@ class TestColumnRoute:
         # held while the moved density accumulates, with the kernel's four
         # n-point arrays, 2.64 MiB traced unwarped and warped; 3.57 MiB when
         # each pair's contribution and the difference were arrays of their own
-        grid = GridSpec.symmetric(40.0, 16384)
-        gen = MixedState([(0.5, gaussian_state(-0.25, 0.0, 0.8, grid)),
-                          (0.5, gaussian_state(0.25, 0.0, 1.0, grid))])
-        rho = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid))
-        G = PhaseSpaceObservable(gen, aligned_window(grid, 8.0, 8),
-                                 aligned_window(momentum_grid(grid, 1.0), 8.0, 1))
+        G, rho = witness_setup()
         xs = (-40.0, -3.0, -1.0, 1.0, 3.0, 40.0)
         w = WarpMap(PiecewiseLinearMap(xs, (-40.0, -3.4, -0.7, 1.3, 2.9, 40.0)),
                     PiecewiseLinearMap.identity(-40.0, 40.0))
