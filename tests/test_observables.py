@@ -728,3 +728,13 @@ class TestColumnRoute:
             finally:
                 tracemalloc.stop()
             assert peak < 3.0 * 2**20
+
+
+class TestAlignedWindow:
+    @pytest.mark.parametrize("grid, half_width, stride, n", [
+        (SMALL, 4.3, 1, 87),  # 4.3 / 0.1 evaluates to 42.999..., still k = 43
+        (GridSpec.symmetric(40.0, 16384), 8.0, 8, 409),
+        (momentum_grid(GridSpec.symmetric(40.0, 16384), 1.0), 8.0, 1, 203),
+    ])
+    def test_window_keeps_edge_points(self, grid, half_width, stride, n):
+        assert aligned_window(grid, half_width, stride).n == n
