@@ -8,9 +8,7 @@ Subcommands:
 `widths` and `scan` share one state-to-widths path, `_Workspace`, and one
 table of state kinds and their parameters, STATE_PARAMS.
 
-Exit codes: 0 all checks pass, 1 a relation check failed, 2 bad config/IO,
-3 inconclusive: the calibration ladder did not settle (an error bar grew as
-its localization width shrank), so no verdict is reported.
+Exit codes: 0 all checks pass, 1 a relation check failed, 2 bad config/IO.
 Reports are byte-stable: fixed column order, 6 significant digits.
 """
 
@@ -33,7 +31,6 @@ from .grids import GridSpec, _normalize_weights, _shortest_run
 from .metrology import (
     CalibrationConfig,
     ConfidencePair,
-    LadderInconsistencyError,
     WidthReport,
     bound_simple,
     bound_uffink,
@@ -579,9 +576,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LadderInconsistencyError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:  # ConfigError, JSONDecodeError, file errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from uncert.grids import (
 from uncert.metrology import (
     CalibrationConfig,
     ConfidencePair,
-    LadderInconsistencyError,
     bound_simple,
     bound_uffink,
     calibration_error,
@@ -174,19 +174,6 @@ class TestCalibration:
         # calibrated about x = 0 alone, the scaled map read 4.30
         assert error_bar_width(scaled, 0.05, cfg).value == \
             error_bar_width(bent, 0.05, cfg).value == pytest.approx(4.9)
-
-    def test_ladder_growth_detected(self, monkeypatch):
-        # every rung's calibration error comes out wider than the last one's;
-        # nested rungs of exact point-mass sups cannot do this, so the stub
-        # replaces the whole ladder
-        def growing_ladder(kernel, eps_values, cfg):
-            widths = [0.5 + 0.25 * (i + 1) for i in range(len(cfg.delta_ladder))]
-            return [(0.0, [centered_width(uniform_measure(-w, w, GRID), 0.0, eps)
-                           for w in widths]) for eps in eps_values]
-
-        monkeypatch.setattr(metrology, "_axis_pass", growing_ladder)
-        with pytest.raises(LadderInconsistencyError):
-            error_bar_width(Kernel("q"), 0.05, CFG)
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
@@ -551,18 +538,27 @@ class TestExactCalibration:
         assert sample < exact - 10 * dx
 
     @pytest.mark.parametrize("axis", ["q", "p"])
-    def test_ladder_is_nonincreasing(self, axis):
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           quarter_cells=st.sets(st.integers(8, 400), min_size=1, max_size=6),
+           shift=st.floats(-6.0, 6.0),
+           eps_values=st.lists(st.floats(0.001, 0.95), min_size=1, max_size=4))
+    def test_ladder_is_nonincreasing(self, axis, seed, quarter_cells, shift, eps_values):
+        # the fact that every rung is the exact sup over the point masses of
+        # a run of cells, and that the runs are nested, so no error bar can
+        # grow as its rung shrinks: rungs of 2-100 q cells, in quarter cells
         grid = GridSpec.symmetric(12.8, 512)
-        cfg = CalibrationConfig((4.0, 2.0, 1.0, 0.5, 0.25, 0.1), (0.0, 0.33, -1.07),
-                                grid).for_axis(axis)
+        ladder = tuple(k / 4 * grid.dx for k in sorted(quarter_cells, reverse=True))
+        cfg = CalibrationConfig(ladder, (0.0, 0.33, -1.07), grid).for_axis(axis)
         axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
-        rng = np.random.default_rng(7)
-        for _ in range(6):
-            mu = random_atoms(axis_grid, rng, 40)
-            for kernel in (Kernel(axis, mu), Kernel(axis, mu, bend(axis_grid))):
-                for eps in (0.05, 0.1, 0.2, 0.3):
-                    vals = [v for _, v in error_bar_width(kernel, eps, cfg).ladder]
-                    assert all(fine <= coarse for coarse, fine in zip(vals, vals[1:]))
+        mu = random_atoms(axis_grid, np.random.default_rng(seed), 40)
+        shifted = PiecewiseLinearMap.shift(axis_grid.x_min, axis_grid.x_max,
+                                           shift * axis_grid.dx)
+        for kernel in (Kernel(axis, mu), Kernel(axis, mu, shifted),
+                       Kernel(axis, mu, bend(axis_grid))):
+            for eps in eps_values:
+                vals = [v for _, v in error_bar_width(kernel, eps, cfg).ladder]
+                assert all(fine <= coarse for coarse, fine in zip(vals, vals[1:]))
 
 
 PASS_GRID = GridSpec.symmetric(12.8, 256)
@@ -762,3 +758,46 @@ class TestVerifyJointUR:
             f"{cfg_hbar} differ from the generator's grid GridSpec(x_min=-12.8, dx=0.1, "
             f"n=256) and hbar 1.0")
 
+
+def gaussian_rows(n, sigma):
+    """Verify rows of an unwarped Gaussian generator of spread sigma on the
+    grid of the verify benchmarks (+-20, hbar = 1), one (report, axis, eps,
+    axis spread, axis cell) per axis of each eps pair."""
+    grid = GridSpec.symmetric(20.0, n)
+    gen = MixedState.pure(gaussian_state(0.0, 0.0, sigma, grid, HBAR))
+    cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), grid, HBAR)
+    dp = momentum_grid(grid, HBAR).dx
+    for eps in (ConfidencePair(0.05, 0.05), ConfidencePair(0.1, 0.2), ConfidencePair(0.2, 0.1)):
+        rep = verify_joint_ur(gen, eps, cfg)
+        yield rep, "q", eps.eps1, sigma, grid.dx
+        yield rep, "p", eps.eps2, HBAR / (2 * sigma), dp
+
+
+def gaussian_width(eps, sigma):
+    """Shortest interval holding mass 1 - eps of a normal law of spread sigma."""
+    return 2 * NormalDist().inv_cdf(1 - eps / 2) * sigma
+
+
+class TestGaussianClosedForms:
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 1.4])
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_widths_and_werner_distances(self, n, sigma):
+        # each column within 2 cells of its axis of the closed form; all
+        # read within 1
+        for rep, axis, eps, spread, cell in gaussian_rows(n, sigma):
+            width = gaussian_width(eps, spread)
+            assert abs(getattr(rep, f"overall_{axis}") - width) <= 2 * cell
+            assert abs(getattr(rep, f"resolution_{axis}") - width) <= 2 * cell
+            assert abs(getattr(rep, f"werner_{axis}") - spread * math.sqrt(2 / math.pi)) \
+                <= 2 * cell
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "errorbar_p is the calibration error at the smallest ladder rung, not its "
+        "delta -> 0 limit: 6-9 momentum cells above the closed form at n = 4096 and "
+        "about 160 at n = 65536 (ROADMAP item 1)"))
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 1.4])
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_errorbar_p(self, n, sigma):
+        for rep, axis, eps, spread, cell in gaussian_rows(n, sigma):
+            if axis == "p":
+                assert abs(rep.errorbar_p - gaussian_width(eps, spread)) <= 2 * cell

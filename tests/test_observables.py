@@ -688,28 +688,30 @@ class TestColumnRoute:
         assert peak < 2.25 * 2**20
 
     def test_overlap_peak_memory_at_the_joint_witness_shape(self):
-        # n = 16384, q stride 8 (g = 8), 203 columns, a complex psi and a
-        # real phi as in the moved state's pairs.  The peak is in the column
-        # loop: A, B, the n-point product and the g-row block, 4n complex
-        # values, and one block's squared moduli, 1.105 MiB traced.  A
-        # 2g-row block (1.45 MiB) or an n_q x n_p output (1.73 MiB) held
-        # as well fails the bound.  A first call fills numpy's FFT caches,
-        # which stay allocated.
+        # n = 16384, q stride 8 (g = 8), 203 columns and a real phi, with a
+        # complex psi as in the moved state's pairs and a real one as in the
+        # base state's.  The peak is in the column loop: A, B, the n-point
+        # product and the g-row block, 4n complex values, and one block's
+        # squared moduli, 1.105 MiB traced.  A 2g-row block (1.45 MiB), an
+        # n_q x n_p output (1.73 MiB) or complex copies of a real psi and
+        # phi held while B is built (1.26 MiB) fail the bound.  A first
+        # call fills numpy's FFT caches, which stay allocated.
         grid = GridSpec.symmetric(40.0, 16384)
-        psi = gaussian_state(0.0, 0.3, 1.0, grid).amps
         phi = gaussian_state(0.25, 0.0, 0.8, grid).amps
-        assert psi.dtype == complex and phi.dtype == float
         q_shifts = 8 * np.arange(-204, 205)
         cols = np.arange(8192 - 101, 8192 + 102)
         dens = np.zeros((q_shifts.size, cols.size))
-        _component_overlap_sq(psi, phi, grid.dx, q_shifts, cols, 0.5, dens)
-        tracemalloc.start()
-        try:
+        for p0, dtype in ((0.3, complex), (0.0, float)):
+            psi = gaussian_state(0.0, p0, 1.0, grid).amps
+            assert psi.dtype == dtype and phi.dtype == float
             _component_overlap_sq(psi, phi, grid.dx, q_shifts, cols, 0.5, dens)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 16 * grid.n + 192 * 2**10
+            tracemalloc.start()
+            try:
+                _component_overlap_sq(psi, phi, grid.dx, q_shifts, cols, 0.5, dens)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 16 * grid.n + 192 * 2**10, dtype
 
     def test_covariance_residual_peak_memory_at_the_joint_witness_shape(self):
         # the joint-witness op: the base density and the moved state are
