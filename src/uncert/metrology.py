@@ -76,10 +76,12 @@ class ConfidencePair:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Probe schedule for calibration: delta ladder and probe centers.
-
-    delta_ladder is strictly decreasing; probe widths are interpreted in
-    the outcome units of the kernel axis (position or momentum).
+    """Delta ladder and probe centers, in position units on both axes; a
+    momentum kernel's pass scales them by dp/dx (:func:`_axis_pass`).  The
+    checks here are every rule the passes rely on: the ladder decreases,
+    each rung is at least 2 dx and below n dx, and on both axes the smallest
+    rung about each center and about x = 0, and on q the 2 dx resolution box
+    about each center, hold a grid point.  The momentum grid needs even n.
     """
 
     delta_ladder: tuple
@@ -88,27 +90,40 @@ class CalibrationConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        ladder = tuple(float(d) for d in self.delta_ladder)
-        if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("delta ladder must be a nonempty decreasing sequence")
-        if any(d <= 0 for d in ladder):
-            raise ValueError("delta ladder entries must be positive")
+        grid, ladder = self.grid, tuple(float(d) for d in self.delta_ladder)
         centers = tuple(float(c) for c in self.probe_centers)
-        if not centers:
-            raise ValueError("probe centers must be a nonempty sequence")
         object.__setattr__(self, "delta_ladder", ladder)
         object.__setattr__(self, "probe_centers", centers)
-
-    def for_axis(self, axis: str) -> "CalibrationConfig":
-        """Rescale the ladder (given in grid-step units of the q axis) to an axis."""
-        if axis == "q":
-            return self
-        dp = momentum_grid(self.grid, self.hbar).dx
-        scale = dp / self.grid.dx
-        return CalibrationConfig(
-            tuple(d * scale for d in self.delta_ladder),
-            tuple(c * scale for c in self.probe_centers),
-            self.grid, self.hbar)
+        if not ladder:
+            raise ValueError("delta_ladder: must name at least one rung")
+        for i, d in enumerate(ladder):
+            if not d / grid.dx >= 2.0 - 1e-9:
+                raise ValueError(f"delta_ladder[{i}]: {d} is below the 2-cell minimum "
+                                 f"2*dx = {2 * grid.dx}")
+            if not d / grid.dx < grid.n - 1e-9:
+                raise ValueError(f"delta_ladder[{i}]: {d} is not below the grid length "
+                                 f"n*dx = {grid.n * grid.dx}")
+            if i and not d < ladder[i - 1]:
+                raise ValueError(f"delta_ladder[{i}]: {d} is not below delta_ladder[{i - 1}] "
+                                 f"= {ladder[i - 1]}; the ladder must decrease")
+        if not centers:
+            raise ValueError("probe_centers: must name at least one center")
+        # the rungs about a point nest, so the smallest one decides
+        if not grid.cells_within(-0.5 * ladder[-1], 0.5 * ladder[-1]):
+            raise ValueError("grid: no point within delta_ladder[-1] / 2 of x = 0, where "
+                             "covariant kernels are calibrated")
+        for axis, step, name in (("q", "dx", "grid"), ("p", "dp", "momentum grid")):
+            axis_grid = _axis_grid(axis, grid, self.hbar)
+            scale = axis_grid.dx / grid.dx
+            sizes = (ladder[-1] * scale,) + ((2 * axis_grid.dx,) if axis == "q" else ())
+            for i, c in enumerate(centers):
+                x = c * scale
+                if all(axis_grid.cells_within(x - 0.5 * d, x + 0.5 * d) for d in sizes):
+                    continue
+                scaled = "" if axis == "q" else f", scaled by dp/dx to {x},"
+                raise ValueError(f"probe_centers[{i}]: {c}{scaled} is more than one cell "
+                                 f"({step} = {axis_grid.dx}) outside the {name} "
+                                 f"[{axis_grid.x_min}, {axis_grid.x_max}]")
 
 
 @dataclass(frozen=True)
@@ -172,12 +187,9 @@ def _axis_grid(axis: str, grid: GridSpec, hbar: float) -> GridSpec:
 
 
 def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
-    """First and last axis-grid cell of the calibration rung [center +- delta/2]."""
-    if delta / axis_grid.dx < 2.0 - 1e-9:
-        raise ValueError(f"delta {delta} below the 2-cell minimum {2 * axis_grid.dx}")
+    """First and last axis-grid cell of the calibration rung [center +- delta/2];
+    :class:`CalibrationConfig` guarantees the rungs of a pass hold one."""
     cells = axis_grid.cells_within(center - 0.5 * delta, center + 0.5 * delta)
-    if not cells:
-        raise ValueError(f"interval {center} +- {0.5 * delta} contains no grid point")
     return cells[0], cells[-1]
 
 
@@ -312,8 +324,8 @@ class _CenteredWindows:
 
 def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
     """Per eps in `eps_values`, the pair (resolution width, calibration
-    error at each rung of the ladder), for `cfg` given in the units of the
-    kernel axis.
+    error at each rung of the ladder).  The rungs and probe centers of a
+    momentum kernel are cfg's times scale = dp/dx (1.0 on q).
 
     The ladder is taken about x = 0 for a covariant kernel and about every
     probe center otherwise, from one window table per center: the rungs
@@ -344,16 +356,19 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
     axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
-    ladders = [[0.0] * len(cfg.delta_ladder) for _ in eps_values]
+    scale = axis_grid.dx / cfg.grid.dx
+    deltas = [d * scale for d in cfg.delta_ladder]
+    probe_centers = [c * scale for c in cfg.probe_centers]
+    ladders = [[0.0] * len(deltas) for _ in eps_values]
     centers, points = (0.0,), []
     if kernel.gmap is None:
         resolutions = [0.0 if kernel.measure is None else overall_width(kernel.measure, eps)
                        for eps in eps_values]
     elif kernel.covariant:
-        outcomes = [kernel.smear(point_mass(c, axis_grid)) for c in cfg.probe_centers]
+        outcomes = [kernel.smear(point_mass(c, axis_grid)) for c in probe_centers]
         resolutions = [min(overall_width(out, eps) for out in outcomes) for eps in eps_values]
     else:
-        resolutions, centers = [0.0] * len(eps_values), cfg.probe_centers
+        resolutions, centers = [0.0] * len(eps_values), probe_centers
         points = [axis_grid.nearest_index(c) for c in centers]
         # a box, the cells within one step of c, is the rung of delta = 2 dx about c
         boxes = [] if kernel.axis == "p" else [
@@ -362,7 +377,7 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
     eps_rows = np.array(eps_values)
     for x in centers:
         windows = _CenteredWindows(kernel, axis_grid, x)
-        rungs = [_rung(axis_grid, x, delta) for delta in cfg.delta_ladder]
+        rungs = [_rung(axis_grid, x, delta) for delta in deltas]
         lo, hi = min(r[0] for r in rungs), max(r[1] for r in rungs)
         cells = np.concatenate((np.arange(lo, hi + 1), np.array(points, dtype=int)))
         # row e * cells.size + i is the point mass at cells[i] under eps_values[e]
@@ -386,7 +401,7 @@ def resolution_width(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> floa
     """Smallest window some sharply localized probe state concentrates the
     outcome into: the worst over the probe centers of the narrowest probe
     window for a non-covariant kernel, the narrowest overall width for a
-    covariant one (:func:`_axis_pass`; `cfg` in the kernel axis' units)."""
+    covariant one (:func:`_axis_pass`)."""
     return _axis_pass(kernel, (eps,), cfg)[0][0]
 
 
@@ -395,7 +410,8 @@ def calibration_error(kernel: Kernel, eps: float, delta: float,
     """Smallest output window, centered on the nominal value x, that holds
     the outcome with confidence 1 - eps for every state localized within
     the rung [x - delta/2, x + delta/2]; x = 0 for a covariant kernel, and
-    the worst over the probe centers otherwise.
+    the worst over the probe centers otherwise.  `delta` is in position
+    units, like cfg's ladder, and is rescaled as the ladder is.
 
     A window's outcome mass is linear in the state's axis distribution P,
     so over all P supported on the rung's cells the sup is attained at a
@@ -413,7 +429,8 @@ def error_bar_width(kernel: Kernel, eps: float,
     The value at the smallest rung is reported, with the ladder spread as
     the numerical uncertainty.  Every rung is the exact sup over its point
     masses (:func:`calibration_error`) and the rungs are nested runs of
-    cells, so the ladder is nonincreasing.
+    cells, so the ladder is nonincreasing.  Its deltas are cfg's, in
+    position units.
     """
     vals = _axis_pass(kernel, (eps,), cfg)[0][1]
     return ErrorBarResult(vals[-1], tuple(zip(cfg.delta_ladder, vals)), max(vals) - min(vals))
@@ -495,12 +512,10 @@ def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
     scenarios need on its axis, so a warp that leaves an axis unwarped
     reuses the plain kernel's pass.  The overall width of a measure at eps
     is read off its unwarped kernel's pass when that has run and taken once
-    otherwise; the Werner distance is taken once per measure.  The ladder
-    and probe centers are read in the units of cfg's grid and hbar.
+    otherwise; the Werner distance is taken once per measure.
     """
     grid, hbar = cfg.grid, cfg.hbar
     dp = momentum_grid(grid, hbar).dx
-    axis_cfgs = {"q": cfg.for_axis("q"), "p": cfg.for_axis("p")}
     eps_of = {}      # kernel -> {eps: None}, the eps values it needs in order
     for _, eps, (kq, kp) in scenarios:
         eps_of.setdefault(kq, {})[eps.eps1] = None
@@ -508,10 +523,10 @@ def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
     passes, overall, werner = {}, {}, {}
 
     def axis_widths(kernel, e):
-        axis_cfg, mu = axis_cfgs[kernel.axis], kernel.measure
+        mu = kernel.measure
         if kernel not in passes:
             passes[kernel] = dict(zip(eps_of[kernel],
-                                      _axis_pass(kernel, eps_of[kernel], axis_cfg)))
+                                      _axis_pass(kernel, eps_of[kernel], cfg)))
             if kernel.gmap is None:     # its resolution is the measure's overall width
                 overall.update(((mu, x), res) for x, (res, _) in passes[kernel].items())
         res, vals = passes[kernel][e]

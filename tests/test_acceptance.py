@@ -181,10 +181,9 @@ def test_criterion_4_error_bar_dominates_resolution(capsys):
     gap_ok = True
     for name, kernel in kernel_battery().items():
         step = _axis_step(kernel)
-        cfg = KCFG.for_axis(kernel.axis)
         for eps in (0.05, 0.2):
-            eb = error_bar_width(kernel, eps, cfg).value
-            res = resolution_width(kernel, eps, cfg)
+            eb = error_bar_width(kernel, eps, KCFG).value
+            res = resolution_width(kernel, eps, KCFG)
             if eb < res - 2 * step - 1e-9:
                 failures.append((name, eps, eb, res))
             if name == "pos_delta0.7":
@@ -207,9 +206,9 @@ def test_criterion_5_covariant_error_bar_product(capsys):
         cfg = CalibrationConfig((20 * dx, 8 * dx, 2 * dx), (0.0,), grid, HBAR)
         kq, kp = phase_marginal(gen, "q"), phase_marginal(gen, "p")
         eb = error_bar_width(kq, 0.05, cfg).value * \
-            error_bar_width(kp, 0.05, cfg.for_axis("p")).value
+            error_bar_width(kp, 0.05, cfg).value
         res = resolution_width(kq, 0.05, cfg) * \
-            resolution_width(kp, 0.05, cfg.for_axis("p"))
+            resolution_width(kp, 0.05, cfg)
         detail.append((sigma, eb, res))
         if abs(eb - target) > 0.02 * target or eb < floor or res < floor:
             ok = False
@@ -235,9 +234,8 @@ def test_criterion_6_covariance_and_warp(capsys):
     cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), JGRID, HBAR)
     for axis, bnd in (("q", wmap.bound_q), ("p", wmap.bound_p)):
         step = JGRID.dx if axis == "q" else pg.dx
-        c = cfg.for_axis(axis)
-        e0 = error_bar_width(phase_marginal(gen, axis), 0.05, c).value
-        ew = error_bar_width(phase_marginal(gen, axis, wmap), 0.05, c).value
+        e0 = error_bar_width(phase_marginal(gen, axis), 0.05, cfg).value
+        ew = error_bar_width(phase_marginal(gen, axis, wmap), 0.05, cfg).value
         detail.append((axis, e0, ew, bnd))
         if not (math.isfinite(ew) and abs(ew - e0) <= bnd + 2 * step):
             ok = False
@@ -278,9 +276,8 @@ def test_criterion_8_error_bar_distance_inequality(capsys):
     for name, kernel in kernel_battery().items():
         dist = werner_distance_covariant(kernel.measure)
         step = _axis_step(kernel)
-        cfg = KCFG.for_axis(kernel.axis)
         for eps in (0.05, 0.2, 0.5):
-            eb = error_bar_width(kernel, eps, cfg).value
+            eb = error_bar_width(kernel, eps, KCFG).value
             if eb > (2.0 / eps) * dist + 2 * step + 1e-9:
                 failures.append((name, eps, eb, dist))
     _emit(capsys, 8, "error bar vs distance", not failures, str(failures))

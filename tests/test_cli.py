@@ -151,6 +151,14 @@ class TestVerify:
                    write_config(tmp_path, cfg)])
         assert rc == 0
 
+    def test_rung_within_the_tolerance_of_two_cells_accepted(self, tmp_path):
+        # 1.999999999 position cells, which rescaled to the momentum axis is
+        # a rounding step further below 2 momentum cells
+        cfg = verify_config(calibration={"delta_ladder": [0.4, 0.09999999995]})
+        rc = main(["--out", str(tmp_path / "out"), "verify",
+                   write_config(tmp_path, cfg)])
+        assert rc == 0
+
     def test_rung_just_below_the_grid_length_accepted(self, tmp_path):
         cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
                             calibration={"delta_ladder": [25.5, 0.4]})
@@ -531,6 +539,13 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
     ("scan", dict(SCAN_CONFIG, family=["box"]), "family: unknown family ['box']"),
     ("scan", dict(SCAN_CONFIG, family="box", lattice={"width": [0.01]}),
      "lattice point width=0.01: box width 0.01 below the 2*dx minimum"),
+    # a center 1 + 1e-9 cells left of the grid, whose rung of 2 - 0.6e-9
+    # cells about it a bent kernel builds holds no grid point
+    ("verify", verify_config(calibration={"delta_ladder": [0.4, (2 - 0.6e-9) * 0.05],
+                                          "probe_centers": [-12.8 - (1 + 1e-9) * 0.05]},
+                             warps=[{"name": "bend", "q_knots": [[-12.8, -12.8], [-1.0, -0.7],
+                                                                 [1.0, 1.3], [12.8, 12.8]]}]),
+     "calibration.probe_centers[0]: -12.85000000005 is more than one cell"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -681,13 +696,19 @@ def test_a_grid_too_large_for_memory_names_the_grid_size(tmp_path, monkeypatch, 
 
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
                          st.floats(), st.text(max_size=3))
-RUNGS = st.floats(0.2, 25.6)
+# on the fuzz grid, 256 points over +-12.8 (dx = 0.1): rungs anywhere from
+# 2 cells to the grid length, and rungs and centers within a few 1e-9 of a
+# cell of the 2-cell minimum and of one cell outside the grid
+NEAR = st.one_of(st.sampled_from([-1e-9, -0.6e-9, 0.0, 1e-9]), st.floats(-4e-9, 4e-9))
+RUNGS = st.one_of(st.floats(0.2, 25.6), NEAR.map(lambda t: (2 + t) * 0.1))
+EDGE_CENTERS = st.one_of(NEAR.map(lambda t: -12.8 - (1 + t) * 0.1),
+                         NEAR.map(lambda t: 12.7 + (1 + t) * 0.1))
 LADDERS = st.one_of(
     st.permutations([0.8, 0.4, 0.2]),
     st.lists(RUNGS, min_size=1, max_size=4, unique=True).map(lambda d: sorted(d, reverse=True)),
     st.lists(st.one_of(RUNGS, JSON_SCALARS), max_size=4),
     JSON_SCALARS)
-CENTERS = st.one_of(st.lists(st.floats(-13.0, 13.0), max_size=3),
+CENTERS = st.one_of(st.lists(st.one_of(st.floats(-13.0, 13.0), EDGE_CENTERS), max_size=3),
                     st.lists(JSON_SCALARS, max_size=2), JSON_SCALARS)
 KINDS = st.one_of(st.sampled_from(["box", "truncated_gaussian", "spline"]), JSON_SCALARS)
 CALIBRATION_EDITS = st.lists(st.one_of(
@@ -700,6 +721,9 @@ CALIBRATION_EDITS = st.lists(st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(edits=CALIBRATION_EDITS,
        drop=st.sampled_from([None] * 4 + ["delta_ladder", "probe_centers", "probe_kind"]))
+@example(edits=[("delta_ladder", [0.4, (2 - 1e-9) * 0.1])], drop=None)
+@example(edits=[("delta_ladder", [0.4, (2 - 0.6e-9) * 0.1]),
+                ("probe_centers", [-12.8 - (1 + 1e-9) * 0.1])], drop=None)
 def test_calibration_fuzz_exits_with_a_documented_code(edits, drop):
     block = {"delta_ladder": [0.8, 0.4, 0.2], "probe_centers": [0.0], "probe_kind": "box"}
     block.update(edits)

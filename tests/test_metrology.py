@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uncert import metrology
 from uncert.grids import (
@@ -63,6 +64,8 @@ Z975 = 1.9599639845400545  # standard-normal 97.5% quantile
 
 CFG = CalibrationConfig(delta_ladder=(0.4, 0.2, 0.1), probe_centers=(0.0,),
                         grid=GRID, hbar=HBAR)
+# offsets within a few 1e-9 of a rule's tolerance, and the tolerances themselves
+NEAR = st.one_of(st.sampled_from([-1e-9, -0.6e-9, 0.0, 1e-9]), st.floats(-4e-9, 4e-9))
 
 
 def vacuum(sigma=1.0):
@@ -113,15 +116,70 @@ class TestBounds:
 
 class TestCalibrationConfig:
     def test_ladder_must_decrease(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^delta_ladder\[1\]: .* must decrease"):
             CalibrationConfig((0.1, 0.2), (0.0,), GRID)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delta_ladder: "):
             CalibrationConfig((), (0.0,), GRID)
 
-    def test_for_axis_rescales_by_step_ratio(self):
-        scaled = CFG.for_axis("p")
-        assert scaled.delta_ladder[0] == pytest.approx(0.4 * DP / DX)
-        assert CFG.for_axis("q") is CFG
+    def test_a_grid_away_from_0_is_named(self):
+        # covariant kernels are calibrated about x = 0, whatever the centers
+        with pytest.raises(ValueError, match="^grid: no point within"):
+            CalibrationConfig((0.4, 0.2), (5.0,), GridSpec(1.0, 0.05, 512))
+
+    @pytest.mark.parametrize("axis", ["q", "p"])
+    def test_one_ladder_in_position_units_serves_both_axes(self, axis):
+        # the rung 0.4 = 16 dx is 16 dp on the momentum axis, and a sharp
+        # kernel's worst point mass in it sits at its edge cell, 8 cells out
+        res = error_bar_width(Kernel(axis), 0.05, CalibrationConfig((0.4,), (0.0,), GRID, HBAR))
+        assert res.ladder == ((0.4, res.value),)
+        assert res.value == pytest.approx(16 * (DX if axis == "q" else DP), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([256, 512]), hbar=st.sampled_from([0.7, 1.0, 2.0]),
+           cells=st.lists(st.one_of(NEAR.map(lambda t: 2.0 + t), st.floats(2.0, 60.0)),
+                          min_size=1, max_size=3, unique=True),
+           spots=st.lists(st.one_of(st.tuples(st.sampled_from([-1, 1]), NEAR),
+                                    st.floats(-1.0, 1.0)), min_size=1, max_size=3))
+    # the q box alone rejects the first; only the momentum axis the second
+    @example(n=256, hbar=1.0, cells=[8.0], spots=[(-1, 3e-9)])
+    @example(n=256, hbar=0.7, cells=[2.0 - 1e-9], spots=[(-1, 5.000000000000003e-10)])
+    def test_an_accepted_config_runs_on_both_axes(self, n, hbar, cells, spots):
+        # rungs within a few 1e-9 of 2 cells, and centers within a few 1e-9
+        # of a cell outside either end of the grid, or anywhere on it
+        grid = GridSpec.symmetric(12.8, n)
+
+        def center(spot):
+            """A fraction of the half-length, or (side, t): 1 + t cells out."""
+            if isinstance(spot, float):
+                return 12.8 * spot
+            side, t = spot
+            return grid.x_min - (1 + t) * grid.dx if side < 0 else grid.x_max + (1 + t) * grid.dx
+
+        ladder = tuple(sorted((k * grid.dx for k in cells), reverse=True))
+        centers = tuple(map(center, spots))
+        try:
+            cfg = CalibrationConfig(ladder, centers, grid, hbar)
+        except ValueError as exc:
+            assert re.match(r"(delta_ladder|probe_centers)\[\d+\]: ", str(exc)), exc
+            return
+        for axis in "qp":
+            axis_grid = grid if axis == "q" else momentum_grid(grid, hbar)
+            scale = axis_grid.dx / grid.dx
+            for d in cfg.delta_ladder:
+                # at least two cells about the middle of the grid, and one
+                # about every center
+                first, last = metrology._rung(axis_grid, 0.0, d * scale)
+                assert last > first
+                assert all(axis_grid.cells_within(c * scale - 0.5 * d * scale,
+                                                  c * scale + 0.5 * d * scale) for c in centers)
+            mu = random_atoms(axis_grid, np.random.default_rng(n), 20)
+            shift = PiecewiseLinearMap.shift(axis_grid.x_min, axis_grid.x_max,
+                                             3.3 * axis_grid.dx)
+            for kernel in (Kernel(axis, mu), Kernel(axis, mu, shift),
+                           Kernel(axis, mu, bend(axis_grid))):
+                for eps in (0.05, 0.3):
+                    error_bar_width(kernel, eps, cfg)
+                    resolution_width(kernel, eps, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +257,7 @@ class TestResolution:
 
     def test_empty_probe_family_rejected(self):
         # the resolution probes sit at the probe centers, so there must be one
-        with pytest.raises(ValueError, match="probe centers"):
+        with pytest.raises(ValueError, match="probe_centers"):
             CalibrationConfig((0.4, 0.2), (), GRID)
 
     @pytest.mark.parametrize("axis", ["q", "p"])
@@ -219,8 +277,8 @@ class TestResolution:
                 for kernel in (phase_marginal(gen, axis, WarpMap(gmap, gmap)),
                                Kernel(axis, None, gmap)):
                     for eps in (0.05, 0.2, 0.5):
-                        res = resolution_width(kernel, eps, cfg.for_axis(axis))
-                        assert error_bar_width(kernel, eps, cfg.for_axis(axis)).value >= res
+                        res = resolution_width(kernel, eps, cfg)
+                        assert error_bar_width(kernel, eps, cfg).value >= res
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +383,13 @@ class TestProbeMeasures:
     def test_two_cell_minimum_in_cell_units(self):
         # 2 position cells rescaled to the momentum axis round just below 2 cells
         grid = GridSpec.symmetric(12.8, 256)
-        cfg = CalibrationConfig((0.4, 0.2), (0.0,), grid).for_axis("p")
+        cfg = CalibrationConfig((0.4, 0.2), (0.0,), grid)
         delta = cfg.delta_ladder[-1]
         dp = momentum_grid(grid, HBAR).dx
-        assert delta < 2 * dp
+        assert delta * (dp / grid.dx) < 2 * dp
         # the rung keeps its cells at -dp, 0 and dp; the edge ones set the error
         assert calibration_error(Kernel("p"), 0.05, delta, cfg) == pytest.approx(2 * dp)
-        with pytest.raises(ValueError, match="2-cell minimum"):
+        with pytest.raises(ValueError, match=r"delta_ladder\[0\]: .* 2-cell minimum"):
             calibration_error(Kernel("p"), 0.05, 0.99 * delta, cfg)
 
 
@@ -400,16 +458,19 @@ class TestCenteredWindows:
         # the narrowest overall width of a center's point mass
         grid = GridSpec.symmetric(12.8, 512)
         axis_grid, kernels = sweep_kernels(grid, axis)
-        cfg = CalibrationConfig((0.4, 0.2), (0.0, -7.37 * grid.dx), grid, HBAR).for_axis(axis)
-        family = [P for c in cfg.probe_centers for P in resolution_family(axis, axis_grid, c)]
+        cfg = CalibrationConfig((0.4, 0.2), (0.0, -7.37 * grid.dx), grid, HBAR)
+        # the centers on the kernel axis, as the pass scales them
+        scale = axis_grid.dx / grid.dx
+        centers = [c * scale for c in cfg.probe_centers]
+        family = [P for c in centers for P in resolution_family(axis, axis_grid, c)]
         for kernel in (*kernels, Kernel(axis, kernels[2].measure, bend(axis_grid))):
             for eps in (0.05, 0.3):
                 if kernel.covariant:
                     want = min(overall_width(kernel.smear(point_mass(c, axis_grid)), eps)
-                               for c in cfg.probe_centers)
+                               for c in centers)
                 else:
                     want = max(min(centered_width(kernel.smear(P), x, eps) for P in family)
-                               for x in cfg.probe_centers)
+                               for x in centers)
                 assert resolution_width(kernel, eps, cfg) == want
 
     def test_one_window_table_per_center(self, monkeypatch):
@@ -500,18 +561,21 @@ class TestExactCalibration:
     def test_point_widths_equal_brute_force(self, n, axis):
         grid = GridSpec.symmetric(12.8, n)
         axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
-        step = axis_grid.dx
-        delta = 30 * step
+        # the rung and centers in position units, and on the kernel axis as
+        # the pass scales them
+        scale = axis_grid.dx / grid.dx
+        delta = 30 * grid.dx
         cases = 0
         for mu in (random_atoms(axis_grid, np.random.default_rng(0), 30),
                    random_atoms(axis_grid, np.random.default_rng(1), 30), at_goal(axis_grid, 0.2)):
             for kernel in (Kernel(axis, mu), Kernel(axis, mu, bend(axis_grid)),
                            Kernel(axis, None, bend(axis_grid))):
-                for x in (0.0, 3.37 * step, -10.5 * step):
+                for c in (0.0, 3.37 * grid.dx, -10.5 * grid.dx):
+                    x = c * scale
                     windows = metrology._CenteredWindows(kernel, axis_grid, x)
-                    first, last = metrology._rung(axis_grid, x, delta)
+                    first, last = metrology._rung(axis_grid, x, delta * scale)
                     cells = np.arange(first, last + 1)
-                    cfg = CalibrationConfig((delta,), (x,), grid, HBAR)
+                    cfg = CalibrationConfig((delta,), (c,), grid, HBAR)
                     for eps in (0.05, 0.2, 0.5):
                         want = point_mass_widths(kernel, axis_grid, x, cells, eps)
                         assert windows.widths(cells[:, None], (1.0,), eps).tolist() == want
@@ -549,7 +613,7 @@ class TestExactCalibration:
         # grow as its rung shrinks: rungs of 2-100 q cells, in quarter cells
         grid = GridSpec.symmetric(12.8, 512)
         ladder = tuple(k / 4 * grid.dx for k in sorted(quarter_cells, reverse=True))
-        cfg = CalibrationConfig(ladder, (0.0, 0.33, -1.07), grid).for_axis(axis)
+        cfg = CalibrationConfig(ladder, (0.0, 0.33, -1.07), grid)
         axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
         mu = random_atoms(axis_grid, np.random.default_rng(seed), 40)
         shifted = PiecewiseLinearMap.shift(axis_grid.x_min, axis_grid.x_max,
@@ -581,7 +645,7 @@ def test_one_pass_over_several_eps_is_each_eps_alone(axis, warp, sharp, center, 
             "bend": bend(axis_grid)}[warp]
     kernel = Kernel(axis, None if sharp else phase_marginal(PASS_GEN, axis).measure, gmap)
     centers = (0.0,) if center is None else (0.0, center)
-    cfg = CalibrationConfig((0.8, 0.4, 0.2), centers, PASS_GRID, HBAR).for_axis(axis)
+    cfg = CalibrationConfig((0.8, 0.4, 0.2), centers, PASS_GRID, HBAR)
     assert metrology._axis_pass(kernel, eps_values, cfg) == \
         [metrology._axis_pass(kernel, (eps,), cfg)[0] for eps in eps_values]
 
