@@ -83,10 +83,16 @@ def _fmt(x) -> str:
 
 def _number(value, where: str) -> float:
     """A finite JSON number (booleans excluded), as float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:   # not formatted: hundreds of digits, and str() raises past 4300
+        raise ConfigError(f"{where}: expected a finite number, got an integer too "
+                          f"large for a float") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return x
 
 
 def _list(value, where: str) -> list:
@@ -322,7 +328,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"hbar: the momentum window span (2n - 2)*dp must be finite, "
                           f"got hbar = {hbar} with n = {grid.n}, dx = {grid.dx}")
     try:
-        parity_offset(grid)     # the smearing measures come from the parity image
+        parity_offset(grid)     # the position smearing measure is a reflected marginal
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     eps_pairs = _parse_confidence(top["confidence"])

@@ -2,7 +2,7 @@
 
 One :class:`Kernel` type covers sharp position/momentum, their convolution
 smearings, the marginals of covariant phase-space observables (built by
-:func:`phase_marginal` through the parity identity with the generator) and
+:func:`phase_marginal` from the generator's own marginals, reflected) and
 their warped, possibly non-covariant variants.  The full 2-D joint
 distribution and its covariance check follow.
 """
@@ -17,14 +17,10 @@ import numpy as np
 from .grids import GridMeasure, GridSpec, convolve, convolve_localized, reflect
 from .states import (
     MixedState,
-    _add_momentum_weights,
-    _add_position_weights,
-    _momentum_scale,
-    _reflected_amps,
-    _unit_norm,
     displace_mixed,
     momentum_distribution,
     momentum_grid,
+    parity_offset,
     position_distribution,
 )
 
@@ -203,42 +199,22 @@ class Kernel:
 
 
 def marginal_measures(gen: MixedState):
-    """Smearing measures (mu_m, nu_m) of the observable generated by gen.
-
-    Both come from the parity-transformed generator: mu_m is its position
-    distribution, nu_m its momentum distribution.  The components are
-    flipped one at a time, each normalized as :func:`parity` normalizes it
-    and weighted as :func:`parity_mixed` renormalizes the weights, and
-    each is added to both marginals before the next is built, so the
-    weights keep the bits of position_distribution(parity_mixed(gen)) and
-    momentum_distribution(parity_mixed(gen)) while one flipped component
-    is held at a time, next to the two marginals and their scratch arrays.
-    """
-    grid, hbar = gen.grid, gen.hbar
-    total = sum(w for w, _ in gen.components)
-    wq, wp, scratch = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
-    spectrum = np.empty(grid.n // 2 + 1, dtype=complex)
-    for k, (w, psi) in enumerate(gen.components):
-        a = _reflected_amps(psi)
-        _unit_norm(a, grid.dx, scratch)
-        _add_position_weights(k, w / total, a, wq, scratch)
-        _add_momentum_weights(k, w / total, a, wp, spectrum, scratch)
-        del a   # not held while the next component is flipped
-    del scratch, spectrum   # not held while GridMeasure copies the weights
-    wq *= grid.dx
-    wp *= _momentum_scale(grid, hbar)
-    return GridMeasure(grid, wq), GridMeasure(momentum_grid(grid, hbar), wp)
+    """Smearing measures (mu_m, nu_m) of the observable generated by gen: its
+    position and momentum distributions reflected, each on its own axis grid.
+    With m = parity_offset, -x_j = x_{(m - j) mod n}, and on the centered
+    conjugate grid -p_c = p_{(n - c) mod n} whatever m is."""
+    P, Q = position_distribution(gen), momentum_distribution(gen)
+    m = parity_offset(gen.grid)
+    return (GridMeasure(P.grid, np.roll(P.weights[::-1], m + 1, axis=0)),
+            GridMeasure(Q.grid, np.roll(Q.weights[::-1], 1, axis=0)))
 
 
 def phase_marginal(gen: MixedState, axis: str, warp: WarpMap | None = None) -> Kernel:
     """Marginal along `axis` of the covariant observable generated by gen,
     pushed through warp's map for that axis when a warp is given (the
-    warped observable may then be non-covariant).
-
-    Its smearing measure is that axis' one of :func:`marginal_measures`;
-    the 2-D joint-distribution route is kept as a cross-check in
-    :func:`joint_distribution`.
-    """
+    warped observable may then be non-covariant).  Its smearing measure is
+    gen's `axis` marginal, reflected (:func:`marginal_measures`); the 2-D
+    route in :func:`joint_distribution` is kept as a cross-check."""
     mu, nu = marginal_measures(gen)
     gmap = None if warp is None else (warp.gamma_q if axis == "q" else warp.gamma_p)
     return Kernel(axis, mu if axis == "q" else nu, gmap)

@@ -302,29 +302,19 @@ def position_distribution(rho: MixedState) -> GridMeasure:
 
 def _position_weights(components, dx: float, out: np.ndarray) -> None:
     """rho^Q's weights, written to out, from (weight, amplitudes) pairs:
-    :func:`_add_position_weights` per component, then the factor dx."""
+    component 0's wk |a|^2 is formed in out (0 + wk |a|^2), not multiplied
+    when wk is 1.0, each further one in scratch and added; then times dx."""
     scratch = np.empty(out.size) if len(components) > 1 else None
     for k, (wk, a) in enumerate(components):
-        _add_position_weights(k, wk, a, out, scratch)
+        if k == 0:
+            _abs_sq(a, out)
+            if wk != 1.0:
+                out *= wk
+        else:
+            s = _abs_sq(a, scratch)
+            s *= wk
+            out += s
     out *= dx
-
-
-def _add_position_weights(k: int, wk: float, a: np.ndarray, out: np.ndarray,
-                          scratch) -> None:
-    """Component k's wk |a|^2, before the factor dx, into out.
-
-    Component 0's is formed in out itself, which equals 0 + wk |a|^2, and
-    not multiplied when wk is 1.0; each further one is formed in scratch
-    (n floats) and added.
-    """
-    if k == 0:
-        _abs_sq(a, out)
-        if wk != 1.0:
-            out *= wk
-    else:
-        s = _abs_sq(a, scratch)
-        s *= wk
-        out += s
 
 
 def momentum_distribution(rho: MixedState) -> GridMeasure:
@@ -344,22 +334,8 @@ def momentum_distribution(rho: MixedState) -> GridMeasure:
 def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
                       spectrum: np.ndarray, scratch: np.ndarray) -> None:
     """rho^P's weights on the centered conjugate grid, written to out, from
-    (weight, amplitudes) pairs: :func:`_add_momentum_weights` per
-    component, then the factor :func:`_momentum_scale`."""
-    for k, (wk, a) in enumerate(components):
-        _add_momentum_weights(k, wk, a, out, spectrum, scratch)
-    out *= _momentum_scale(grid, hbar)
-
-
-def _momentum_scale(grid: GridSpec, hbar: float) -> float:
-    """dp dx^2 / (2 pi hbar): the factor from |F(p)|^2 to rho^P's weights."""
-    return momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
-
-
-def _add_momentum_weights(k: int, wk: float, a: np.ndarray, out: np.ndarray,
-                          spectrum: np.ndarray, scratch: np.ndarray) -> None:
-    """Component k's wk |F(p)|^2 on the centered conjugate grid, before the
-    factor :func:`_momentum_scale`, into out.
+    (weight, amplitudes) pairs: each component's wk |F(p)|^2, then the
+    factor dp dx^2 / (2 pi hbar).
 
     A component whose amplitudes are real has F(-k) = conj(F(k)), so the
     n/2 + 1 bins of its real FFT fill the centered grid: bin k >= 0 is cell
@@ -374,25 +350,27 @@ def _add_momentum_weights(k: int, wk: float, a: np.ndarray, out: np.ndarray,
     0 is written to out and the others added, which gives the bits of
     adding them all to zeros; a weight of exactly 1.0 is not multiplied.
 
-    Cost: one n-point real FFT (about half a complex one), or an O(n) scan
-    and then one n-point complex FFT, and O(n) real arithmetic.
+    Cost per component: one n-point real FFT, or an O(n) scan and one
+    n-point complex FFT, and O(n) real arithmetic.
     """
     h = out.size // 2
-    if np.iscomplexobj(a) and a.imag.any():
-        s = np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
-        parts = ((out, s),)
-    else:
-        np.fft.rfft(a.real, out=spectrum)
-        s = np.abs(spectrum, out=scratch[:h + 1])
-        np.square(s, out=s)
-        parts = ((out[h:], s[:h]), (out[:h], s[h:0:-1]))
-    if wk != 1.0:
-        s *= wk
-    for dst, src in parts:
-        if k == 0:
-            dst[...] = src
+    for k, (wk, a) in enumerate(components):
+        if np.iscomplexobj(a) and a.imag.any():
+            s = np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
+            parts = ((out, s),)
         else:
-            dst += src
+            np.fft.rfft(a.real, out=spectrum)
+            s = np.abs(spectrum, out=scratch[:h + 1])
+            np.square(s, out=s)
+            parts = ((out[h:], s[:h]), (out[:h], s[h:0:-1]))
+        if wk != 1.0:
+            s *= wk
+        for dst, src in parts:
+            if k == 0:
+                dst[...] = src
+            else:
+                dst += src
+    out *= momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +406,11 @@ def parity_offset(grid: GridSpec) -> int:
 
 
 def parity(psi: WaveFunction) -> WaveFunction:
-    """Reflection (amps at x move to -x); requires a grid symmetric about 0."""
-    return WaveFunction(psi.grid, _reflected_amps(psi), psi.hbar)
-
-
-def _reflected_amps(psi: WaveFunction) -> np.ndarray:
-    """A new array of psi's amplitudes at -x, before parity's normalization:
-    out[j] = amps[(m - j) mod n], the reversed array rolled by m + 1.  With
-    an axis, np.roll does not first copy the reversed view into a raveled
-    array."""
-    return np.roll(psi.amps[::-1], parity_offset(psi.grid) + 1, axis=0)
+    """Reflection (amps at x move to -x); requires a grid symmetric about 0.
+    amps[(m - j) mod n] at j is the reversed array rolled by m + 1; with an
+    axis, np.roll does not first copy the reversed view."""
+    amps = np.roll(psi.amps[::-1], parity_offset(psi.grid) + 1, axis=0)
+    return WaveFunction(psi.grid, amps, psi.hbar)
 
 
 def displace_mixed(rho: MixedState, q: float, p: float) -> MixedState:

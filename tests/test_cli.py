@@ -273,6 +273,30 @@ class TestVerify:
         assert len(tables) == len(set(tables)) == 6
         assert len(widths) == len(set(widths)) == 12
 
+    def test_each_generator_reads_its_marginals_once(self, tmp_path, monkeypatch):
+        # the smearing measures are the generator's public marginals,
+        # reflected, so the benchmark's span tracer, which wraps public
+        # functions, counts their calls and FFTs
+        calls = {"position_distribution": [], "momentum_distribution": []}
+
+        def counted(name):
+            fn = getattr(observables, name)
+
+            def wrapper(rho):
+                calls[name].append(len(rho.components))
+                return fn(rho)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(observables, name, counted(name))
+        cfg = verify_config(generators=[
+            {"kind": "gaussian", "sigma": 1.0},
+            {"kind": "mixture", "components": [{"weight": 0.5, "sigma": 0.8},
+                                               {"weight": 0.5, "sigma": 1.2, "x0": 0.5}]}])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+        # the gaussian generator has one component, the mixture two
+        assert calls == {"position_distribution": [1, 2], "momentum_distribution": [1, 2]}
+
     def test_warps_with_the_plain_or_equal_maps_share_passes(self, tmp_path, monkeypatch):
         # a warp with no knot lists is the plain row and a second warp with
         # the first one's knots is its row: equal numbers, no extra table
@@ -546,6 +570,17 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
                              warps=[{"name": "bend", "q_knots": [[-12.8, -12.8], [-1.0, -0.7],
                                                                  [1.0, 1.3], [12.8, 12.8]]}]),
      "calibration.probe_centers[0]: -12.85000000005 is more than one cell"),
+    # 10**330 is past the float range, so float() of it raises OverflowError
+    ("verify", verify_config(hbar=10**330),
+     "hbar: expected a finite number, got an integer too large for a float"),
+    ("verify", verify_config(grid={"n": 512, "x_min": -10**330, "x_max": 12.8}),
+     "grid.x_min: expected a finite number, got an integer too large"),
+    ("verify", verify_config(generators=[{"kind": "gaussian", "sigma": 10**330}]),
+     "generators[0].sigma: expected a finite number, got an integer too large"),
+    ("verify", verify_config(warps=[{"q_knots": [[10**330, 0.0], [12.8, 12.8]]}]),
+     "warps[0].q_knots[0][0]: expected a finite number, got an integer too large"),
+    ("scan", dict(SCAN_CONFIG, lattice={"sigma": [10**330]}),
+     "lattice.sigma[0]: expected a finite number, got an integer too large"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
@@ -694,8 +729,10 @@ def test_a_grid_too_large_for_memory_names_the_grid_size(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+# 10**330 is a JSON integer past the float range
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
-                         st.floats(), st.text(max_size=3))
+                         st.sampled_from([10**330, -10**330]), st.floats(),
+                         st.text(max_size=3))
 # on the fuzz grid, 256 points over +-12.8 (dx = 0.1): rungs anywhere from
 # 2 cells to the grid length, and rungs and centers within a few 1e-9 of a
 # cell of the 2-cell minimum and of one cell outside the grid
@@ -857,7 +894,7 @@ def test_grid_fuzz_exits_with_a_documented_code(grid):
     ladder = [3.0, 2.0]
     try:
         ladder = [k * (grid["x_max"] - grid["x_min"]) / grid["n"] for k in ladder]
-    except (KeyError, TypeError, ZeroDivisionError):
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError):
         pass
     cfg = verify_config(grid=grid, calibration={"delta_ladder": ladder,
                                                 "probe_centers": [0.0, 1.5]},

@@ -37,6 +37,7 @@ from uncert.states import (
 )
 
 GRID = GridSpec.symmetric(12.8, 1024)  # dx = 0.025
+OFFSET_GRID = GridSpec(-12.75, 0.1, 256)  # parity offset n - 1: -x_j = x_{255 - j}
 DX = GRID.dx
 HBAR = 1.0
 PGRID = momentum_grid(GRID, HBAR)
@@ -96,6 +97,19 @@ class TestMarginalMeasures:
         mu_m, nu_m = marginal_measures(vacuum(x0=1.0))
         assert mu_m.mean() == pytest.approx(-1.0, abs=DX)
 
+    @staticmethod
+    def assert_reflected_marginals(gen):
+        # the reflected marginals match the parity image's marginals to
+        # roundoff: its momentum weights come from the FFT of the flipped
+        # amplitudes, the measures' from the FFT of gen's own
+        flipped = parity_mixed(gen)
+        wants = position_distribution(flipped), momentum_distribution(flipped)
+        got = marginal_measures(gen)
+        for g, want in zip(got, wants):
+            assert g.grid == want.grid
+            assert np.max(np.abs(g.weights - want.weights)) <= 1e-13 * want.weights.max()
+        return got
+
     @pytest.mark.parametrize("gen", [
         vacuum(sigma=0.8),
         vacuum(x0=0.5, p0=2.0, sigma=1.1),
@@ -106,32 +120,28 @@ class TestMarginalMeasures:
                     (0.0, gaussian_state(0.2, 0.0, 1.0, GRID, HBAR)),
                     (0.7, superpose(1j, gaussian_state(-0.5, 0.0, 1.0, GRID, HBAR),
                                     1j, gaussian_state(0.5, 0.0, 1.0, GRID, HBAR)))]),
-    ], ids=["pure-real", "pure-complex", "mixed-real", "mixed-complex"])
-    def test_streamed_measures_equal_the_flipped_mixture(self, gen):
-        # one component flipped at a time gives every weight's bits of the
-        # whole flipped mixture's marginals; the mixed-complex generator has
-        # a complex component, a zero weight and a complex128 one whose
-        # imaginary parts are all zero.  phase_marginal reads the same measures
-        flipped = parity_mixed(gen)
-        wants = position_distribution(flipped), momentum_distribution(flipped)
-        for got, want in zip(marginal_measures(gen), wants):
-            assert got.grid == want.grid
-            assert got.weights.tobytes() == want.weights.tobytes()
-        for axis, want in zip("qp", wants):
+        MixedState([(0.4, gaussian_state(0.3, -1.0, 0.9, OFFSET_GRID, HBAR)),
+                    (0.6, gaussian_state(-0.8, 0.0, 1.2, OFFSET_GRID, HBAR))]),
+    ], ids=["pure-real", "pure-complex", "mixed-real", "mixed-complex", "offset-n-1"])
+    def test_measures_are_the_flipped_mixtures_marginals(self, gen):
+        # the mixed-complex generator has a complex component, a zero weight
+        # and a complex128 one whose imaginary parts are all zero; on
+        # OFFSET_GRID the parity offset is n - 1.  phase_marginal reads the
+        # measures' own bits
+        got = self.assert_reflected_marginals(gen)
+        for axis, want in zip("qp", got):
             assert phase_marginal(gen, axis).measure.weights.tobytes() == want.weights.tobytes()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.5, 0.5), st.floats(-5.0, 5.0),
+    @given(st.sampled_from([GRID, OFFSET_GRID]),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.5, 0.5), st.floats(-5.0, 5.0),
                               st.floats(0.5, 1.5)), min_size=1, max_size=4))
-    def test_streamed_measures_equal_the_flipped_mixture_on_random_mixtures(self, comps):
+    def test_measures_are_the_flipped_mixtures_marginals_on_random_mixtures(self, grid, comps):
         total = sum(w for w, _, _, _ in comps)
         assume(total > 0)
-        gen = MixedState([(w / total, gaussian_state(x0, p0, sigma, GRID, HBAR))
-                          for w, x0, p0, sigma in comps])
-        flipped = parity_mixed(gen)
-        for got, want in zip(marginal_measures(gen), (position_distribution(flipped),
-                                                      momentum_distribution(flipped))):
-            assert got.weights.tobytes() == want.weights.tobytes()
+        self.assert_reflected_marginals(
+            MixedState([(w / total, gaussian_state(x0, p0, sigma, grid, HBAR))
+                        for w, x0, p0, sigma in comps]))
 
     def test_marginal_outcome_variances(self):
         sg, ss = 0.8, 1.2
