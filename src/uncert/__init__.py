@@ -37,18 +37,13 @@ from .observables import (
     covariance_residual,
     joint_distribution,
     marginal_measures,
-    phase_marginal,
 )
 from .metrology import (
     CalibrationConfig,
     ConfidencePair,
-    ErrorBarResult,
     WidthReport,
     bound_simple,
     bound_uffink,
-    calibration_error,
-    error_bar_width,
-    resolution_width,
     verify_joint_ur,
     werner_distance_covariant,
     werner_distance_lower_bound,

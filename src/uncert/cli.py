@@ -266,9 +266,16 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
 # verify
 # ---------------------------------------------------------------------------
 
+def _out_dir(args) -> Path:
+    """The --out directory, made before verify or scan computes a row, so
+    an unusable path fails before any work is done."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_csv(path: Path, header: list, rows) -> Path:
     """The version line, then the header and the rows of formatted cells."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(REPORT_VERSION + "\n")
         writer = csv.writer(fh)
@@ -288,6 +295,15 @@ def _write_reports(reports, out_dir: Path):
     return csv_path, json_path
 
 
+def _json_int(text: str):
+    """A JSON integer; one past int()'s digit limit reads as a float, +-inf,
+    which the check of its key then rejects by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _read_config(args, required: dict, optional: dict) -> tuple:
     """The config's top-level object, hbar and grid, which verify and scan
     take from their config only."""
@@ -296,7 +312,8 @@ def _read_config(args, required: dict, optional: dict) -> tuple:
         if value is not None:
             raise ConfigError(f"{flag}: not accepted by {args.command}; "
                               f"the config supplies {key}")
-    top = _require_keys(json.loads(Path(args.config).read_text()), "config",
+    text = Path(args.config).read_text()
+    top = _require_keys(json.loads(text, parse_int=_json_int), "config",
                         {"grid": None, **required}, {"hbar": 1.0, **optional})
     hbar = _number(top["hbar"], "hbar")
     g = _require_keys(top["grid"], "grid", {"n": None, "x_min": None, "x_max": None})
@@ -338,10 +355,11 @@ def cmd_verify(args) -> int:
     if not generators:
         raise ConfigError("generators: at least one generator required")
 
+    out = _out_dir(args)
     reports = []
     for gi, gspec in enumerate(generators):
         reports += _generator_reports(gi, gspec, eps_pairs, calib, warps)
-    csv_path, json_path = _write_reports(reports, Path(args.out))
+    csv_path, json_path = _write_reports(reports, out)
     all_pass = all(rep.passed for rep in reports)
     print(f"{len(reports)} scenario rows -> {csv_path}, {json_path}; "
           f"{'all passed' if all_pass else 'FAILURES present'}")
@@ -505,10 +523,11 @@ def cmd_scan(args) -> int:
             f"lattice has {n_points} points, above the cap {cap}; coarsen it")
 
     bs, bu = bound_simple(eps, hbar), bound_uffink(eps, hbar)
+    ws = _Workspace(grid, hbar)
+    out = _out_dir(args)
     # every row is computed before the file is opened, so a lattice point
     # the grid cannot hold leaves no partial scan.csv behind
     rows = []
-    ws = _Workspace(grid, hbar)
     for combo in iproduct(*values):
         try:
             wq, wp = ws.widths(ws.state(family, {**defaults, **dict(zip(names, combo))}), eps)
@@ -517,7 +536,7 @@ def cmd_scan(args) -> int:
             raise ConfigError(f"lattice point {point}: {exc}") from exc
         rows.append([_fmt(float(v)) for v in combo] + _product_cells(wq, wp, bs, bu))
     del ws  # its arrays are not held while the file is written
-    path = _write_csv(Path(args.out) / "scan.csv", names + PRODUCT_COLUMNS, rows)
+    path = _write_csv(out / "scan.csv", names + PRODUCT_COLUMNS, rows)
     print(f"{n_points} lattice rows -> {path}")
     return 0
 

@@ -294,21 +294,6 @@ def convolve(P: GridMeasure, Q: GridMeasure) -> GridMeasure:
     return GridMeasure(out, np.fft.irfft(spec, size)[:out.n])
 
 
-def convolve_localized(P: GridMeasure, Q: GridMeasure) -> GridMeasure:
-    """:func:`convolve` computed directly on the span of cells where P is nonzero.
-
-    Same output grid as :func:`convolve`.  It costs O(k * n_Q) for a span of
-    k cells, so it suits measures localized on a few cells, such as
-    calibration and resolution probes.
-    """
-    out = _sum_grid(P.grid, Q.grid)
-    nz = np.flatnonzero(P.weights > 0)
-    lo, hi = int(nz[0]), int(nz[-1]) + 1
-    w = np.zeros(out.n)
-    w[lo:hi + Q.grid.n - 1] = np.convolve(P.weights[lo:hi], Q.weights)
-    return GridMeasure(out, w)
-
-
 def _sum_grid(a: GridSpec, b: GridSpec) -> GridSpec:
     """Grid of the Minkowski sum of grids a and b (which share their step)."""
     if abs(a.dx - b.dx) > 1e-9 * a.dx:

@@ -1,21 +1,12 @@
-"""Uncertainty functionals: calibration error, error bar width, resolution
-width, Werner-style distances, the lower-bound formulas, and the joint
+"""Uncertainty functionals: calibration error, error bar and resolution
+widths, Werner-style distances, the lower-bound formulas, and the joint
 verification driver.
 
 Both per-axis widths come from the outcome windows of sharply localized
-probe states.  Calibration follows the bench procedure: feed the kernel
-states localized within a shrinking interval ladder, record the smallest
-output window that keeps confidence 1 - eps for every such state, and
-report the value at the smallest rung.  A kernel's outcome depends on a
-state only through the state's sharp distribution P along the kernel axis,
-and the outcome mass of any window is linear in P.  Over all P supported
-on a rung's cells the sup is therefore attained at a vertex of that
-simplex, a point mass, so the calibration error is exactly the largest
-point-mass width over the rung's cells; no box or truncated Gaussian can
-raise it.  The resolution is the narrowest window of a fixed probe family:
-the point mass at the cell nearest to every probe center and, on the
-position axis, the uniform mass on the cells within one step of every
-center.
+probe states: the calibration error of each rung of a shrinking ladder,
+exactly the largest point-mass window over the rung's cells, the error bar
+at the smallest rung, and the resolution, the narrowest window of a fixed
+probe family (:func:`_axis_pass` defines each).
 
 The ladder and a non-covariant kernel's resolution are read off one table
 of prefix sums of the kernel's reflected smearing measure per (kernel,
@@ -24,34 +15,28 @@ probes, so no probe measure, probe state or outcome is built.  An unwarped
 kernel's resolution is the overall width of its smearing measure, as every
 point mass's outcome is that measure reflected and moved; only a shift
 warp's point-mass outcome is built, once per center.  :func:`_axis_pass`
-makes that pass once per kernel for any number of eps values, and
-:func:`resolution_width`, :func:`calibration_error` and
-:func:`error_bar_width` are views of it.  :func:`verify_scenarios` runs it
-once per distinct kernel of a generator's rows.
+is the one route to these widths: it makes that pass once per kernel for
+any number of eps values, and :func:`verify_scenarios` runs it once per
+distinct kernel of a generator's rows.
 
 Cost per (kernel, center): O(n_out) time and memory for the window table,
-n_out = n + n_mu - 1 outcome cells, built once whatever the eps values.
-A table holds n_mu + 1 prefix sums, n_out float distances (split between
-the two sides of the center) and, for a warped kernel, n_out int64 warp
-cells, and the build makes no other full-length array: the prefix sums
-are formed in place, and the warp cells block by block.  Only one table
-is held at a time.  Then O(e m log n_out)
-vectorized in one bisection for the m cells of the widest rung and the
-resolution points under each of e eps values; the narrower rungs are
-nested in the widest and reuse its point widths.
+n_out = n + n_mu - 1 outcome cells, built once whatever the eps values and
+held one at a time (:class:`_CenteredWindows` lists its arrays); then
+O(e m log n_out) in one bisection for the m cells of the widest rung and
+the resolution points under each of e eps values.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import RENORM_TOL, GridMeasure, GridSpec, _normalize_weights, _sum_grid, \
-    overall_width, point_mass
-from .observables import Kernel, _warp_cells, marginal_measures
+    overall_width, reflect
+from .observables import Kernel, _warp_cells, marginal_measures, pushforward
 from .states import MixedState, momentum_grid
 
 
@@ -124,13 +109,6 @@ class CalibrationConfig:
                 raise ValueError(f"probe_centers[{i}]: {c}{scaled} is more than one cell "
                                  f"({step} = {axis_grid.dx}) outside the {name} "
                                  f"[{axis_grid.x_min}, {axis_grid.x_max}]")
-
-
-@dataclass(frozen=True)
-class ErrorBarResult:
-    value: float
-    ladder: tuple          # (delta, width) pairs, delta decreasing
-    spread: float          # max - min over the ladder values
 
 
 @dataclass(frozen=True)
@@ -324,25 +302,38 @@ class _CenteredWindows:
 
 def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
     """Per eps in `eps_values`, the pair (resolution width, calibration
-    error at each rung of the ladder).  The rungs and probe centers of a
-    momentum kernel are cfg's times scale = dp/dx (1.0 on q).
+    error at each rung of the ladder): the one route to a kernel's widths.
+    The rungs and probe centers of a momentum kernel are cfg's times
+    scale = dp/dx (1.0 on q).
 
-    The ladder is taken about x = 0 for a covariant kernel and about every
-    probe center otherwise, from one window table per center: the rungs
-    about x are nested runs of axis cells, so the point widths are taken
-    once, over the cells of the widest rung, and each rung's value is the
-    largest of them over its own cells.  The worst center gives the value.
+    The calibration error at a rung delta is the smallest output window,
+    centered on the nominal value x, that holds the outcome with confidence
+    1 - eps for every state localized within [x - delta/2, x + delta/2];
+    x = 0 for a covariant kernel, and the worst over the probe centers
+    otherwise.  A window's outcome mass is linear in the state's axis
+    distribution P, so over all P supported on the rung's cells the sup is
+    attained at a vertex of that simplex, a point mass: the value is exactly
+    the largest point-mass width over the rung's cells, and no box or
+    truncated Gaussian probe can raise it.  The rungs about x are nested
+    runs of axis cells, so the ladder is nonincreasing; the error bar is its
+    smallest rung, ``ladder[-1]``, with the spread ``max - min`` as its
+    numerical uncertainty.  The point widths come from one window table per
+    center, taken once over the cells of the widest rung; each rung's value
+    is the largest of them over its own cells.
 
-    The resolution probes are the point mass at the cell nearest to every
-    probe center and, on the position axis, the uniform mass on the cells
-    within one step of every center.  For a non-covariant kernel they are
-    bisected on the same tables; the resolution at x is the narrowest of
-    their windows and the worst x gives the value.  For a covariant kernel
-    every window center is equivalent, so the resolution is the narrowest
-    overall width of a point mass's outcome (a box's outcome mixes shifted
-    copies of it and is never narrower): unwarped, the smearing measure's
-    own, and with a shift warp that of the built outcome, which keeps its
-    exact clipping at the grid edges.
+    The resolution is the smallest window some sharply localized probe
+    concentrates the outcome into.  The probes are the point mass at the
+    cell nearest to every probe center and, on the position axis, the
+    uniform mass on the cells within one step of every center.  For a
+    non-covariant kernel they are bisected on the same tables; the
+    resolution at x is the narrowest of their windows and the worst x gives
+    the value.  For a covariant kernel every window center is equivalent,
+    so the resolution is the narrowest overall width of a point mass's
+    outcome (a box's outcome mixes shifted copies of it and is never
+    narrower): unwarped, the smearing measure's own, and with a shift warp
+    that of the outcome built at each center, the reflected smearing
+    measure placed at the center's cell and pushed through the map, which
+    keeps its exact clipping at the grid edges.
 
     Cost: one window table per center, whatever the number of eps values,
     and one bisection per table for the point masses of every eps (the
@@ -365,7 +356,18 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
         resolutions = [0.0 if kernel.measure is None else overall_width(kernel.measure, eps)
                        for eps in eps_values]
     elif kernel.covariant:
-        outcomes = [kernel.smear(point_mass(c, axis_grid)) for c in probe_centers]
+        # a point mass's outcome before the shift: the reflected smearing
+        # measure (a unit mass when sharp) at its cell of the sum grid, where
+        # convolution places it
+        R = None if kernel.measure is None else reflect(kernel.measure)
+        out = axis_grid if R is None else _sum_grid(axis_grid, R.grid)
+        r = np.ones(1) if R is None else R.weights
+        outcomes = []
+        for c in probe_centers:
+            j = axis_grid.nearest_index(c)
+            w = np.zeros(out.n)
+            w[j:j + r.size] = r
+            outcomes.append(pushforward(GridMeasure(out, w), kernel.gmap))
         resolutions = [min(overall_width(out, eps) for out in outcomes) for eps in eps_values]
     else:
         resolutions, centers = [0.0] * len(eps_values), probe_centers
@@ -395,45 +397,6 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
             resolutions = [max(r, float(b)) for r, b in zip(resolutions, best)]
         del windows     # not held while the next center's table is built
     return list(zip(resolutions, ladders))
-
-
-def resolution_width(kernel: Kernel, eps: float, cfg: CalibrationConfig) -> float:
-    """Smallest window some sharply localized probe state concentrates the
-    outcome into: the worst over the probe centers of the narrowest probe
-    window for a non-covariant kernel, the narrowest overall width for a
-    covariant one (:func:`_axis_pass`)."""
-    return _axis_pass(kernel, (eps,), cfg)[0][0]
-
-
-def calibration_error(kernel: Kernel, eps: float, delta: float,
-                      cfg: CalibrationConfig) -> float:
-    """Smallest output window, centered on the nominal value x, that holds
-    the outcome with confidence 1 - eps for every state localized within
-    the rung [x - delta/2, x + delta/2]; x = 0 for a covariant kernel, and
-    the worst over the probe centers otherwise.  `delta` is in position
-    units, like cfg's ladder, and is rescaled as the ladder is.
-
-    A window's outcome mass is linear in the state's axis distribution P,
-    so over all P supported on the rung's cells the sup is attained at a
-    vertex of that simplex, a point mass.  The value is therefore exactly
-    the largest point-mass width over the rung's cells; box or truncated
-    Gaussian probes are convex mixtures of point masses and never raise it.
-    """
-    return _axis_pass(kernel, (eps,), replace(cfg, delta_ladder=(delta,)))[0][1][0]
-
-
-def error_bar_width(kernel: Kernel, eps: float,
-                    cfg: CalibrationConfig) -> ErrorBarResult:
-    """Calibration error along the shrinking delta ladder.
-
-    The value at the smallest rung is reported, with the ladder spread as
-    the numerical uncertainty.  Every rung is the exact sup over its point
-    masses (:func:`calibration_error`) and the rungs are nested runs of
-    cells, so the ladder is nonincreasing.  Its deltas are cfg's, in
-    position units.
-    """
-    vals = _axis_pass(kernel, (eps,), cfg)[0][1]
-    return ErrorBarResult(vals[-1], tuple(zip(cfg.delta_ladder, vals)), max(vals) - min(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Observables as state -> outcome-distribution kernels.
 
 One :class:`Kernel` type covers sharp position/momentum, their convolution
-smearings, the marginals of covariant phase-space observables (built by
-:func:`phase_marginal` from the generator's own marginals, reflected) and
-their warped, possibly non-covariant variants.  The full 2-D joint
-distribution and its covariance check follow.
+smearings, the marginals of covariant phase-space observables (a Kernel on
+one of :func:`marginal_measures`, the generator's own marginals, reflected)
+and their warped, possibly non-covariant variants.  The full 2-D joint
+distribution, warped in place when a warp is given, and its covariance
+check follow.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridMeasure, GridSpec, convolve, convolve_localized, reflect
+from .grids import GridMeasure, GridSpec, convolve, reflect
 from .states import (
     MixedState,
     displace_mixed,
@@ -178,24 +179,18 @@ class Kernel:
     def covariant(self) -> bool:
         return self.gmap is None or self.gmap.is_shift
 
-    def smear(self, P: GridMeasure, conv=None) -> GridMeasure:
-        """Outcome distribution of any state whose sharp `axis` distribution is P.
-
-        The convolution `conv` defaults to grids.convolve_localized, which
-        works on the cells where P is nonzero and suits a localized P such
-        as a point mass (O(n_mu) for one cell); pass grids.convolve for a
-        spread-out P.  Verification builds one kind of outcome only, a point
-        mass's for a shift-warped kernel's resolution: calibration and the
-        other resolutions read prefix sums of the smearing measure
-        (metrology._CenteredWindows) or, unwarped, its overall width.
-        """
+    def smear(self, P: GridMeasure) -> GridMeasure:
+        """Outcome distribution of any state whose sharp `axis` distribution
+        is P: P convolved with the reflected smearing measure, then pushed
+        through the warp map.  Verification reads widths off the smearing
+        measure instead (metrology._axis_pass) and builds no outcome here."""
         mu = self.measure
-        out = P if mu is None else (conv or convolve_localized)(P, reflect(mu))
+        out = P if mu is None else convolve(P, reflect(mu))
         return out if self.gmap is None else pushforward(out, self.gmap)
 
     def outcome_distribution(self, rho: MixedState) -> GridMeasure:
         sharp = position_distribution(rho) if self.axis == "q" else momentum_distribution(rho)
-        return self.smear(sharp, convolve)
+        return self.smear(sharp)
 
 
 def marginal_measures(gen: MixedState):
@@ -207,17 +202,6 @@ def marginal_measures(gen: MixedState):
     m = parity_offset(gen.grid)
     return (GridMeasure(P.grid, np.roll(P.weights[::-1], m + 1, axis=0)),
             GridMeasure(Q.grid, np.roll(Q.weights[::-1], 1, axis=0)))
-
-
-def phase_marginal(gen: MixedState, axis: str, warp: WarpMap | None = None) -> Kernel:
-    """Marginal along `axis` of the covariant observable generated by gen,
-    pushed through warp's map for that axis when a warp is given (the
-    warped observable may then be non-covariant).  Its smearing measure is
-    gen's `axis` marginal, reflected (:func:`marginal_measures`); the 2-D
-    route in :func:`joint_distribution` is kept as a cross-check."""
-    mu, nu = marginal_measures(gen)
-    gmap = None if warp is None else (warp.gamma_q if axis == "q" else warp.gamma_p)
-    return Kernel(axis, mu if axis == "q" else nu, gmap)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +364,6 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
             f"p in [{G.p_grid.x_min:.3g}, {G.p_grid.x_max:.3g}] captures only "
             f"{jd.total_mass:.6f} of the mass")
     return jd
-
-
-def warp_joint(jd: JointDistribution, warp_map: WarpMap) -> JointDistribution:
-    """Pushforward of a joint distribution through (gamma_q, gamma_p), into
-    a copy of its density; jd is left as it is."""
-    out = JointDistribution(jd.q_grid, jd.p_grid, jd.density.copy(), jd.hbar)
-    _warp_density(out, warp_map)
-    return out
 
 
 def _warp_density(jd: JointDistribution, warp_map: WarpMap) -> None:

@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from uncert import metrology
 from uncert.cli import main as cli_main
 from uncert.grids import (
     GridSpec,
@@ -25,8 +26,6 @@ from uncert.metrology import (
     ConfidencePair,
     bound_simple,
     bound_uffink,
-    error_bar_width,
-    resolution_width,
     werner_distance_covariant,
 )
 from uncert.observables import (
@@ -38,7 +37,6 @@ from uncert.observables import (
     covariance_residual,
     joint_distribution,
     marginal_measures,
-    phase_marginal,
 )
 from uncert.states import (
     MixedState,
@@ -65,6 +63,13 @@ KCFG = CalibrationConfig((16 * KDX, 8 * KDX, 2 * KDX), (0.0,), KGRID, HBAR)
 
 # criterion 6 joint-distribution grid
 JGRID = GridSpec.symmetric(12.8, 1024)   # dx = 0.025
+
+
+def axis_widths(kernel, eps, cfg):
+    """(resolution, error bar) of kernel at eps, from metrology._axis_pass:
+    the error bar is the calibration error at the ladder's smallest rung."""
+    res, ladder = metrology._axis_pass(kernel, (eps,), cfg)[0]
+    return res, ladder[-1]
 
 
 def _emit(capsys, num: int, label: str, ok: bool, detail: str = ""):
@@ -111,15 +116,15 @@ def battery_widths():
 def kernel_battery():
     """Covariant kernels over KGRID with known smearing measures."""
     pg = momentum_grid(KGRID, HBAR)
-    gen = MixedState.pure(gaussian_state(0, 0, 1.0, KGRID, HBAR))
+    mu, nu = marginal_measures(MixedState.pure(gaussian_state(0, 0, 1.0, KGRID, HBAR)))
     return {
         "pos_delta0": Kernel("q", point_mass(0.0, KGRID)),
         "pos_delta0.7": Kernel("q", point_mass(0.7, KGRID)),
         "pos_gauss0.5": Kernel("q", gaussian_measure(0.0, 0.5, KGRID)),
         "pos_uniform": Kernel("q", uniform_measure(-1.0, 1.0, KGRID)),
         "mom_gauss0.3": Kernel("p", gaussian_measure(0.0, 0.3, pg)),
-        "marg_q": phase_marginal(gen, "q"),
-        "marg_p": phase_marginal(gen, "p"),
+        "marg_q": Kernel("q", mu),
+        "marg_p": Kernel("p", nu),
     }
 
 
@@ -169,7 +174,7 @@ def test_criterion_3_resolution_equals_smearing_width(capsys):
             continue
         mu = kernel.measure
         for eps in (0.05, 0.2):
-            res = resolution_width(kernel, eps, KCFG)
+            res, _ = axis_widths(kernel, eps, KCFG)
             ow = overall_width(mu, eps)
             if abs(res - ow) > 2 * KDX + 1e-9:
                 failures.append((name, eps, res, ow))
@@ -182,8 +187,7 @@ def test_criterion_4_error_bar_dominates_resolution(capsys):
     for name, kernel in kernel_battery().items():
         step = _axis_step(kernel)
         for eps in (0.05, 0.2):
-            eb = error_bar_width(kernel, eps, KCFG).value
-            res = resolution_width(kernel, eps, KCFG)
+            res, eb = axis_widths(kernel, eps, KCFG)
             if eb < res - 2 * step - 1e-9:
                 failures.append((name, eps, eb, res))
             if name == "pos_delta0.7":
@@ -204,11 +208,11 @@ def test_criterion_5_covariant_error_bar_product(capsys):
         grid = GridSpec.symmetric(2048 * dx, 4096)
         gen = MixedState.pure(gaussian_state(0, 0, sigma, grid, HBAR))
         cfg = CalibrationConfig((20 * dx, 8 * dx, 2 * dx), (0.0,), grid, HBAR)
-        kq, kp = phase_marginal(gen, "q"), phase_marginal(gen, "p")
-        eb = error_bar_width(kq, 0.05, cfg).value * \
-            error_bar_width(kp, 0.05, cfg).value
-        res = resolution_width(kq, 0.05, cfg) * \
-            resolution_width(kp, 0.05, cfg)
+        mu, nu = marginal_measures(gen)
+        (res_q, eb_q), (res_p, eb_p) = (axis_widths(k, 0.05, cfg)
+                                        for k in (Kernel("q", mu), Kernel("p", nu)))
+        eb = eb_q * eb_p
+        res = res_q * res_p
         detail.append((sigma, eb, res))
         if abs(eb - target) > 0.02 * target or eb < floor or res < floor:
             ok = False
@@ -232,10 +236,12 @@ def test_criterion_6_covariance_and_warp(capsys):
     # of the unwarped values (plus one cell per window endpoint)
     detail = [("residuals", r0, rw)]
     cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), JGRID, HBAR)
-    for axis, bnd in (("q", wmap.bound_q), ("p", wmap.bound_p)):
+    for axis, measure, gmap, bnd in zip("qp", marginal_measures(gen),
+                                        (wmap.gamma_q, wmap.gamma_p),
+                                        (wmap.bound_q, wmap.bound_p)):
         step = JGRID.dx if axis == "q" else pg.dx
-        e0 = error_bar_width(phase_marginal(gen, axis), 0.05, cfg).value
-        ew = error_bar_width(phase_marginal(gen, axis, wmap), 0.05, cfg).value
+        e0 = axis_widths(Kernel(axis, measure), 0.05, cfg)[1]
+        ew = axis_widths(Kernel(axis, measure, gmap), 0.05, cfg)[1]
         detail.append((axis, e0, ew, bnd))
         if not (math.isfinite(ew) and abs(ew - e0) <= bnd + 2 * step):
             ok = False
@@ -277,7 +283,7 @@ def test_criterion_8_error_bar_distance_inequality(capsys):
         dist = werner_distance_covariant(kernel.measure)
         step = _axis_step(kernel)
         for eps in (0.05, 0.2, 0.5):
-            eb = error_bar_width(kernel, eps, KCFG).value
+            eb = axis_widths(kernel, eps, KCFG)[1]
             if eb > (2.0 / eps) * dist + 2 * step + 1e-9:
                 failures.append((name, eps, eb, dist))
     _emit(capsys, 8, "error bar vs distance", not failures, str(failures))

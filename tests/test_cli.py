@@ -23,7 +23,7 @@ from uncert.cli import PRODUCT_COLUMNS, REPORT_COLUMNS, REPORT_VERSION, _Workspa
     build_parser, main
 from uncert.grids import GridSpec, overall_width
 from uncert.metrology import ConfidencePair
-from uncert.observables import Kernel, PiecewiseLinearMap
+from uncert.observables import PiecewiseLinearMap
 from uncert.states import MixedState, box_state, gaussian_state, momentum_distribution, \
     position_distribution
 
@@ -206,22 +206,22 @@ class TestVerify:
 
     def test_unwarped_axis_builds_no_warp_or_outcome(self, tmp_path, monkeypatch):
         # an omitted knot list leaves its axis unwarped (gmap None): every
-        # _warp_cells or Kernel.smear call carries one of the given maps, and
-        # only the covariant shift builds a point mass's outcome
+        # _warp_cells or pushforward call carries one of the given maps, and
+        # only the covariant shift pushes a point mass's outcome forward
         seen = []
-        warp_cells, smear = observables._warp_cells, Kernel.smear
+        warp_cells, pushforward = observables._warp_cells, observables.pushforward
 
         def counted_warp_cells(g, gmap):
             seen.append(("warp_cells", gmap))
             return warp_cells(g, gmap)
 
-        def counted_smear(self, P, conv=None):
-            seen.append(("smear", self.gmap))
-            return smear(self, P, conv)
+        def counted_pushforward(P, gmap):
+            seen.append(("pushforward", gmap))
+            return pushforward(P, gmap)
 
-        monkeypatch.setattr(metrology, "_warp_cells", counted_warp_cells)
-        monkeypatch.setattr(observables, "_warp_cells", counted_warp_cells)
-        monkeypatch.setattr(Kernel, "smear", counted_smear)
+        for module in (metrology, observables):
+            monkeypatch.setattr(module, "_warp_cells", counted_warp_cells)
+            monkeypatch.setattr(module, "pushforward", counted_pushforward)
         cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
                             calibration={"delta_ladder": [0.4, 0.2],
                                          "probe_centers": [0.0, 1.5]},
@@ -229,7 +229,7 @@ class TestVerify:
                                    {"name": "qshift", "q_knots": Q_SHIFT}])
         assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
         bend, shift = (PiecewiseLinearMap(*zip(*knots)) for knots in (P_BEND, Q_SHIFT))
-        assert set(seen) == {("warp_cells", bend), ("warp_cells", shift), ("smear", shift)}
+        assert set(seen) == {("warp_cells", bend), ("warp_cells", shift), ("pushforward", shift)}
 
     def test_one_overall_width_per_axis_and_row(self, tmp_path, monkeypatch):
         # an unwarped axis reads its overall width off _axis_pass's
@@ -583,12 +583,47 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
      "lattice.sigma[0]: expected a finite number, got an integer too large"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
-    proc = run_cli("--out", str(tmp_path / "out"), command, write_config(tmp_path, cfg))
+    out = tmp_path / "out"
+    proc = run_cli("--out", str(out), command, write_config(tmp_path, cfg))
     assert proc.returncode == 2
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
-    assert not (tmp_path / "out").exists()
+    # a generator or lattice point is checked as its rows are computed,
+    # once the output directory is made; no report is written
+    if key.startswith(("generators[", "lattice point")):
+        assert out.is_dir() and not any(out.iterdir())
+    else:
+        assert not out.exists()
+
+
+# each a config with "BIG" in place of a JSON integer of 5,001 digits, more
+# than int() converts (4,300 by default), and the error that names its key
+BIG_INTEGER_CASES = {
+    "lattice-sigma": ("scan", dict(SCAN_CONFIG, lattice={"sigma": ["BIG"]}),
+                      "lattice.sigma[0]: expected a finite number, got inf"),
+    "grid-n": ("scan", dict(SCAN_CONFIG, grid={"n": "BIG", "x_min": -12.8, "x_max": 12.8}),
+               "grid.n: must be a power of two from 2 to 9007199254740992, got inf"),
+    "cap": ("scan", dict(SCAN_CONFIG, cap="BIG"), "cap: expected a positive integer, got inf"),
+    "hbar": ("verify", verify_config(hbar="-BIG"), "hbar: expected a finite number, got -inf"),
+    "delta": ("verify", verify_config(calibration={"delta_ladder": [0.4, "BIG"]}),
+              "calibration.delta_ladder[1]: expected a finite number, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", BIG_INTEGER_CASES)
+def test_an_integer_past_the_digit_limit_exits_2_naming_its_key(tmp_path, capsys, case):
+    # int() converts at most 4,300 digits, and json.loads reads every
+    # integer before any key is checked
+    command, cfg, key = BIG_INTEGER_CASES[case]
+    path = tmp_path / "cfg.json"
+    digits = "1" * 5001
+    path.write_text(json.dumps(cfg).replace('"BIG"', digits).replace('"-BIG"', "-" + digits))
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), command, str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {key}\n"
+    assert not out.exists()
 
 
 def test_verify_at_a_huge_hbar_that_fits_is_accepted():
@@ -602,6 +637,37 @@ def test_config_path_that_is_a_directory_exits_2(tmp_path):
     assert f"error: [Errno 21] Is a directory: {str(tmp_path)!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", [True, False])
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_an_unusable_out_fails_before_any_row_is_computed(tmp_path, monkeypatch, capsys,
+                                                         command, below):
+    # --out below a regular file, or the file itself, fails as the output
+    # directory is made, before verify_scenarios or _Workspace.widths runs
+    calls = []
+    verify_scenarios, widths = cli.verify_scenarios, _Workspace.widths
+
+    def counted_verify_scenarios(*args):
+        calls.append("verify_scenarios")
+        return verify_scenarios(*args)
+
+    def counted_widths(*args):
+        calls.append("widths")
+        return widths(*args)
+
+    monkeypatch.setattr(cli, "verify_scenarios", counted_verify_scenarios)
+    monkeypatch.setattr(_Workspace, "widths", counted_widths)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x" if below else tmp_path / "file"
+    cfg = verify_config() if command == "verify" else SCAN_CONFIG
+    rc = main(["--out", str(out), command, write_config(tmp_path, cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 20] Not a directory:" if below
+                          else "error: [Errno 17] File exists:")
+    assert str(out) in err
+    assert calls == []
 
 
 def test_out_below_a_regular_file_exits_2(tmp_path):
@@ -726,7 +792,12 @@ def test_a_grid_too_large_for_memory_names_the_grid_size(tmp_path, monkeypatch, 
     rc, err = _run_quietly(["--out", str(out), *argv], [key])
     want = f"error: {key}: the grid does not fit in memory"
     assert rc == 2 and err == (f"{want} ({message})\n" if message else f"{want}\n")
-    assert not out.exists()
+    # verify builds a generator's measures as its rows are computed, once
+    # the output directory is made; no report is written
+    if command == "verify":
+        assert out.is_dir() and not any(out.iterdir())
+    else:
+        assert not out.exists()
 
 
 # 10**330 is a JSON integer past the float range

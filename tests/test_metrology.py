@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -24,10 +25,7 @@ from uncert.metrology import (
     ConfidencePair,
     bound_simple,
     bound_uffink,
-    calibration_error,
     clipped_identity,
-    error_bar_width,
-    resolution_width,
     tent,
     verify_joint_ur,
     werner_distance_covariant,
@@ -36,10 +34,9 @@ from uncert.metrology import (
 from uncert.observables import (
     Kernel,
     PiecewiseLinearMap,
-    WarpMap,
     _warp_cells,
     marginal_measures,
-    phase_marginal,
+    pushforward,
 )
 from uncert.states import (
     MixedState,
@@ -70,6 +67,22 @@ NEAR = st.one_of(st.sampled_from([-1e-9, -0.6e-9, 0.0, 1e-9]), st.floats(-4e-9, 
 
 def vacuum(sigma=1.0):
     return MixedState.pure(gaussian_state(0.0, 0.0, sigma, GRID, HBAR))
+
+
+def marginal_kernel(gen, axis, gmap=None):
+    """The kernel on gen's reflected `axis` marginal, pushed through gmap."""
+    return Kernel(axis, marginal_measures(gen)["qp".index(axis)], gmap)
+
+
+def axis_pass(kernel, eps, cfg):
+    """(resolution, ladder) of kernel at one eps, from metrology._axis_pass:
+    the error bar is ladder[-1] and its spread max - min."""
+    return metrology._axis_pass(kernel, (eps,), cfg)[0]
+
+
+def rung_error(kernel, eps, delta, cfg):
+    """The calibration error at the single rung delta, in position units."""
+    return axis_pass(kernel, eps, replace(cfg, delta_ladder=(delta,)))[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +143,9 @@ class TestCalibrationConfig:
     def test_one_ladder_in_position_units_serves_both_axes(self, axis):
         # the rung 0.4 = 16 dx is 16 dp on the momentum axis, and a sharp
         # kernel's worst point mass in it sits at its edge cell, 8 cells out
-        res = error_bar_width(Kernel(axis), 0.05, CalibrationConfig((0.4,), (0.0,), GRID, HBAR))
-        assert res.ladder == ((0.4, res.value),)
-        assert res.value == pytest.approx(16 * (DX if axis == "q" else DP), rel=1e-12)
+        _, ladder = axis_pass(Kernel(axis), 0.05, CalibrationConfig((0.4,), (0.0,), GRID, HBAR))
+        assert len(ladder) == 1
+        assert ladder[0] == pytest.approx(16 * (DX if axis == "q" else DP), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([256, 512]), hbar=st.sampled_from([0.7, 1.0, 2.0]),
@@ -178,8 +191,7 @@ class TestCalibrationConfig:
             for kernel in (Kernel(axis, mu), Kernel(axis, mu, shift),
                            Kernel(axis, mu, bend(axis_grid))):
                 for eps in (0.05, 0.3):
-                    error_bar_width(kernel, eps, cfg)
-                    resolution_width(kernel, eps, cfg)
+                    axis_pass(kernel, eps, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -192,50 +204,46 @@ class TestCalibration:
         # worst probe sits at an edge, so the confidence window is delta wide
         k = Kernel("q")
         for delta in (0.4, 0.2, 0.1):
-            assert calibration_error(k, 0.05, delta, CFG) == \
-                pytest.approx(delta, abs=1e-12)
+            assert rung_error(k, 0.05, delta, CFG) == pytest.approx(delta, abs=1e-12)
 
     def test_offset_delta_smearing(self):
         # smearing concentrated at c displaces every outcome by -c, so the
         # calibration error is 2c + delta
         c = 0.7
         k = Kernel("q", point_mass(c, GRID))
-        assert calibration_error(k, 0.05, 0.2, CFG) == pytest.approx(2 * c + 0.2, abs=1e-9)
+        assert rung_error(k, 0.05, 0.2, CFG) == pytest.approx(2 * c + 0.2, abs=1e-9)
 
     def test_error_bar_offset_delta(self):
         c = 0.7
-        res = error_bar_width(Kernel("q", point_mass(c, GRID)), 0.05, CFG)
-        assert res.value == pytest.approx(2 * c + 0.1, abs=1e-9)
-        deltas = [d for d, _ in res.ladder]
-        assert deltas == [0.4, 0.2, 0.1]
-        assert res.spread == pytest.approx(0.3, abs=1e-9)
+        _, ladder = axis_pass(Kernel("q", point_mass(c, GRID)), 0.05, CFG)
+        assert ladder[-1] == pytest.approx(2 * c + 0.1, abs=1e-9)
+        assert len(ladder) == 3
+        assert max(ladder) - min(ladder) == pytest.approx(0.3, abs=1e-9)
 
     def test_error_bar_gaussian_smearing(self):
         sig = 0.5
-        res = error_bar_width(Kernel("q", gaussian_measure(0.0, sig, GRID)),
-                              0.05, CFG)
-        assert res.value == pytest.approx(2 * Z975 * sig, abs=0.15)
-        assert res.spread <= 0.35
+        _, ladder = axis_pass(Kernel("q", gaussian_measure(0.0, sig, GRID)), 0.05, CFG)
+        assert ladder[-1] == pytest.approx(2 * Z975 * sig, abs=0.15)
+        assert max(ladder) - min(ladder) <= 0.35
 
     def test_scaled_map_is_calibrated_about_every_center(self):
         # y = 1.1 x is affine, but it moves each point by a different amount,
         # so it is not covariant and is calibrated about both centers: a
         # 1e-7 bend at x = 0 leaves its error bar where it was
         grid = GridSpec.symmetric(12.8, 512)
-        mu = phase_marginal(MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR)),
-                            "q").measure
+        mu = marginal_measures(MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR)))[0]
         cfg = CalibrationConfig((0.4, 0.2), (0.0, 5.0), grid, HBAR)
         scaled, bent = (Kernel("q", mu, PiecewiseLinearMap((-12.8, 0.0, 12.8),
                                                            (-14.08, y0, 14.08)))
                         for y0 in (0.0, 1e-7))
         assert not scaled.covariant
         # calibrated about x = 0 alone, the scaled map read 4.30
-        assert error_bar_width(scaled, 0.05, cfg).value == \
-            error_bar_width(bent, 0.05, cfg).value == pytest.approx(4.9)
+        assert axis_pass(scaled, 0.05, cfg)[1][-1] == \
+            axis_pass(bent, 0.05, cfg)[1][-1] == pytest.approx(4.9)
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
-            calibration_error(Kernel("q"), 0.0, 0.2, CFG)
+            axis_pass(Kernel("q"), 0.0, CFG)
 
 
 class TestResolution:
@@ -243,15 +251,14 @@ class TestResolution:
         # the sharpest attainable outcome is the smearing measure itself:
         # a Gaussian of the generator's spread
         sg = 1.0
-        k = phase_marginal(vacuum(sg), "q")
-        res = resolution_width(k, 0.05, CFG)
+        res = axis_pass(marginal_kernel(vacuum(sg), "q"), 0.05, CFG)[0]
         assert res == pytest.approx(2 * Z975 * sg, abs=0.06)
 
     def test_resolution_bounded_by_smearing_width(self):
         # outcome = state distribution convolved with the smearing measure,
         # so no probe can beat the smearing measure's own overall width
-        k = phase_marginal(vacuum(0.7), "q")
-        res = resolution_width(k, 0.1, CFG)
+        k = marginal_kernel(vacuum(0.7), "q")
+        res = axis_pass(k, 0.1, CFG)[0]
         mu_width = overall_width(k.measure, 0.1)
         assert res >= mu_width - 2 * DX
 
@@ -274,11 +281,10 @@ class TestResolution:
             for cells in ((0.0,), (2.37,), (0.0, -5.5), (-3.0, 4.81)):
                 cfg = CalibrationConfig((8 * grid.dx, 4 * grid.dx, 2 * grid.dx),
                                         tuple(c * grid.dx for c in cells), grid, HBAR)
-                for kernel in (phase_marginal(gen, axis, WarpMap(gmap, gmap)),
-                               Kernel(axis, None, gmap)):
+                for kernel in (marginal_kernel(gen, axis, gmap), Kernel(axis, None, gmap)):
                     for eps in (0.05, 0.2, 0.5):
-                        res = resolution_width(kernel, eps, cfg)
-                        assert error_bar_width(kernel, eps, cfg).value >= res
+                        res, ladder = axis_pass(kernel, eps, cfg)
+                        assert ladder[-1] >= res
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +294,15 @@ class TestResolution:
 PGRID = momentum_grid(GRID, HBAR)
 WIGGLE = PiecewiseLinearMap((-12.8, -1.0, 1.0, 12.8), (-12.8, -0.7, 1.3, 12.8))
 SHIFT = PiecewiseLinearMap.shift(-12.8, 12.8, 0.3)
-IDENT = PiecewiseLinearMap.identity(-12.8, 12.8)
 
 
 def axis_kernels(axis):
     gen = MixedState([(0.4, gaussian_state(0.2, 0.0, 0.8, GRID, HBAR)),
                       (0.6, gaussian_state(-0.3, 0.0, 1.1, GRID, HBAR))])
-    if axis == "q":
-        sharp, smeared = Kernel("q"), Kernel("q", gaussian_measure(0.1, 0.3, GRID))
-        affine, bent = WarpMap(SHIFT, IDENT), WarpMap(WIGGLE, IDENT)
-    else:
-        sharp, smeared = Kernel("p"), Kernel("p", gaussian_measure(0.1, 0.6, PGRID))
-        affine, bent = WarpMap(IDENT, SHIFT), WarpMap(IDENT, WIGGLE)
-    return [sharp, smeared, phase_marginal(gen, axis),
-            phase_marginal(gen, axis, affine), phase_marginal(gen, axis, bent)]
+    smeared = gaussian_measure(0.1, 0.3, GRID) if axis == "q" else \
+        gaussian_measure(0.1, 0.6, PGRID)
+    return [Kernel(axis), Kernel(axis, smeared), marginal_kernel(gen, axis),
+            marginal_kernel(gen, axis, SHIFT), marginal_kernel(gen, axis, WIGGLE)]
 
 
 def state_with(P, axis):
@@ -388,9 +389,9 @@ class TestProbeMeasures:
         dp = momentum_grid(grid, HBAR).dx
         assert delta * (dp / grid.dx) < 2 * dp
         # the rung keeps its cells at -dp, 0 and dp; the edge ones set the error
-        assert calibration_error(Kernel("p"), 0.05, delta, cfg) == pytest.approx(2 * dp)
+        assert rung_error(Kernel("p"), 0.05, delta, cfg) == pytest.approx(2 * dp)
         with pytest.raises(ValueError, match=r"delta_ladder\[0\]: .* 2-cell minimum"):
-            calibration_error(Kernel("p"), 0.05, 0.99 * delta, cfg)
+            rung_error(Kernel("p"), 0.05, 0.99 * delta, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +402,19 @@ SWEEP_EPS = (1e-6, 1e-3, 0.05, 0.2, 0.5, 0.9)
 
 
 def sweep_kernels(grid, axis):
-    """Sharp, smeared, phase-marginal and warped kernels on one axis; the
+    """Sharp, smeared, marginal and warped marginal kernels on one axis; the
     warp bends q and shifts p."""
     axis_grid = grid if axis == "q" else momentum_grid(grid, HBAR)
     step = axis_grid.dx
     gen = MixedState([(0.4, gaussian_state(0.2, 0.0, 0.8, grid, HBAR)),
                       (0.6, gaussian_state(-0.3, 0.0, 1.1, grid, HBAR))])
-    warp_map = WarpMap(WIGGLE, PiecewiseLinearMap.shift(-12.8, 12.8, 0.3))
     if axis == "q":
         sharp, smeared = Kernel("q"), Kernel("q", gaussian_measure(0.1, 0.3, grid))
     else:
         sharp = Kernel("p")
         smeared = Kernel("p", uniform_measure(-2.2 * step, 5.1 * step, axis_grid))
-    return axis_grid, [sharp, smeared, phase_marginal(gen, axis),
-                       phase_marginal(gen, axis, warp_map)]
+    return axis_grid, [sharp, smeared, marginal_kernel(gen, axis),
+                       marginal_kernel(gen, axis, WIGGLE if axis == "q" else SHIFT)]
 
 
 def resolution_family(axis, axis_grid, x):
@@ -471,7 +471,7 @@ class TestCenteredWindows:
                 else:
                     want = max(min(centered_width(kernel.smear(P), x, eps) for P in family)
                                for x in centers)
-                assert resolution_width(kernel, eps, cfg) == want
+                assert axis_pass(kernel, eps, cfg)[0] == want
 
     def test_one_window_table_per_center(self, monkeypatch):
         # a bend-warped q kernel is calibrated about both centers, the
@@ -486,9 +486,9 @@ class TestCenteredWindows:
         monkeypatch.setattr(metrology, "_CenteredWindows", Counted)
         gen = vacuum()
         cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0, 3.37 * DX), GRID, HBAR)
-        kq = phase_marginal(gen, "q", WarpMap(WIGGLE, IDENT))
         rep = verify_joint_ur(gen, ConfidencePair(0.05, 0.05), cfg,
-                              kernels=(kq, phase_marginal(gen, "p")))
+                              kernels=(marginal_kernel(gen, "q", WIGGLE),
+                                       marginal_kernel(gen, "p")))
         assert rep.passed
         assert sorted(built) == [("p", 0.0), ("q", 0.0), ("q", 3.37 * DX)]
 
@@ -497,17 +497,17 @@ class TestCenteredWindows:
         for delta in CFG.delta_ladder:
             want = max(centered_width(kernel.smear(P), 0.0, 0.05)
                        for P in rung_probes("q", 0.0, delta, GRID))
-            assert calibration_error(kernel, 0.05, delta, CFG) == want
+            assert rung_error(kernel, 0.05, delta, CFG) == want
 
     def test_error_bar_peak_memory_at_n_65536(self):
         grid = GridSpec(-20.0, 40.0 / 65536, 65536)
         gen = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR))
         bent = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
-        kernel = phase_marginal(gen, "q", WarpMap(bent, PiecewiseLinearMap.identity(-20, 20)))
+        kernel = marginal_kernel(gen, "q", bent)
         cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), grid, HBAR)
         tracemalloc.start()
         try:
-            error_bar_width(kernel, 0.05, cfg)
+            axis_pass(kernel, 0.05, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,9 +550,23 @@ def bend(axis_grid):
                               (axis_grid.x_min, -7 * s, 19 * s, axis_grid.x_max))
 
 
+def point_outcome(kernel, axis_grid, c):
+    """The outcome of the point mass at cell c, exactly: the reflected
+    smearing measure placed at c on the sum grid (the point mass itself
+    for a sharp kernel), pushed through the map."""
+    if kernel.measure is None:
+        P = cell_mass(axis_grid, c)
+    else:
+        R = reflect(kernel.measure)
+        w = np.zeros(axis_grid.n + R.grid.n - 1)
+        w[c:c + R.grid.n] = R.weights
+        P = GridMeasure(_sum_grid(axis_grid, R.grid), w)
+    return P if kernel.gmap is None else pushforward(P, kernel.gmap)
+
+
 def point_mass_widths(kernel, axis_grid, x, cells, eps):
-    """Brute force: smear each point mass and measure its centered window."""
-    return [centered_width(kernel.smear(cell_mass(axis_grid, c)), x, eps) for c in cells]
+    """Brute force: build each point mass's outcome and measure its centered window."""
+    return [centered_width(point_outcome(kernel, axis_grid, c), x, eps) for c in cells]
 
 
 class TestExactCalibration:
@@ -580,7 +594,7 @@ class TestExactCalibration:
                         want = point_mass_widths(kernel, axis_grid, x, cells, eps)
                         assert windows.widths(cells[:, None], (1.0,), eps).tolist() == want
                         if x == 0.0 or not kernel.covariant:
-                            assert calibration_error(kernel, eps, delta, cfg) == max(want)
+                            assert rung_error(kernel, eps, delta, cfg) == max(want)
                         cases += cells.size
         assert cases > 1000
 
@@ -598,7 +612,7 @@ class TestExactCalibration:
         exact = max(point_mass_widths(kernel, grid, 0.0, range(first, last + 1), 0.3))
         sample = max(centered_width(kernel.smear(P), 0.0, 0.3)
                      for P in rung_probes("q", 0.0, delta, grid))
-        assert calibration_error(kernel, 0.3, delta, cfg) == exact
+        assert rung_error(kernel, 0.3, delta, cfg) == exact
         assert sample < exact - 10 * dx
 
     @pytest.mark.parametrize("axis", ["q", "p"])
@@ -621,7 +635,7 @@ class TestExactCalibration:
         for kernel in (Kernel(axis, mu), Kernel(axis, mu, shifted),
                        Kernel(axis, mu, bend(axis_grid))):
             for eps in eps_values:
-                vals = [v for _, v in error_bar_width(kernel, eps, cfg).ladder]
+                vals = axis_pass(kernel, eps, cfg)[1]
                 assert all(fine <= coarse for coarse, fine in zip(vals, vals[1:]))
 
 
@@ -643,7 +657,7 @@ def test_one_pass_over_several_eps_is_each_eps_alone(axis, warp, sharp, center, 
             "shift": PiecewiseLinearMap.shift(axis_grid.x_min, axis_grid.x_max,
                                               3.3 * axis_grid.dx),
             "bend": bend(axis_grid)}[warp]
-    kernel = Kernel(axis, None if sharp else phase_marginal(PASS_GEN, axis).measure, gmap)
+    kernel = Kernel(axis, None if sharp else marginal_kernel(PASS_GEN, axis).measure, gmap)
     centers = (0.0,) if center is None else (0.0, center)
     cfg = CalibrationConfig((0.8, 0.4, 0.2), centers, PASS_GRID, HBAR)
     assert metrology._axis_pass(kernel, eps_values, cfg) == \
@@ -674,7 +688,7 @@ def points_tables(kernel, axis_grid, x):
 
 
 def table_kernels(axis):
-    """Sharp, smeared, phase-marginal, warped phase-marginal and sharp bent
+    """Sharp, smeared, marginal, warped marginal and sharp bent
     kernels on one axis of PASS_GRID."""
     axis_grid, kernels = sweep_kernels(PASS_GRID, axis)
     return axis_grid, [*kernels, Kernel(axis, None, bend(axis_grid))]
@@ -716,7 +730,7 @@ def test_warped_window_table_peak_memory_at_the_verify_large_shape():
     gen = MixedState([(0.5, gaussian_state(0.0, 0.0, 0.8, grid, HBAR)),
                       (0.5, gaussian_state(0.5, 0.0, 1.2, grid, HBAR))])
     wiggle = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
-    kernel = phase_marginal(gen, "q", WarpMap(wiggle, PiecewiseLinearMap.identity(-20, 20)))
+    kernel = marginal_kernel(gen, "q", wiggle)
     tracemalloc.start()
     try:
         metrology._CenteredWindows(kernel, grid, 0.0)

@@ -16,13 +16,12 @@ from uncert.observables import (
     WarpMap,
     _component_overlap_sq,
     _warp_cells,
+    _warp_density,
     aligned_window,
     covariance_residual,
     joint_distribution,
     marginal_measures,
-    phase_marginal,
     pushforward,
-    warp_joint,
 )
 from uncert.states import (
     MixedState,
@@ -126,11 +125,8 @@ class TestMarginalMeasures:
     def test_measures_are_the_flipped_mixtures_marginals(self, gen):
         # the mixed-complex generator has a complex component, a zero weight
         # and a complex128 one whose imaginary parts are all zero; on
-        # OFFSET_GRID the parity offset is n - 1.  phase_marginal reads the
-        # measures' own bits
-        got = self.assert_reflected_marginals(gen)
-        for axis, want in zip("qp", got):
-            assert phase_marginal(gen, axis).measure.weights.tobytes() == want.weights.tobytes()
+        # OFFSET_GRID the parity offset is n - 1
+        self.assert_reflected_marginals(gen)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([GRID, OFFSET_GRID]),
@@ -147,15 +143,16 @@ class TestMarginalMeasures:
         sg, ss = 0.8, 1.2
         gen = vacuum(sigma=sg)
         rho = vacuum(sigma=ss)
-        q_out = phase_marginal(gen, "q").outcome_distribution(rho)
-        p_out = phase_marginal(gen, "p").outcome_distribution(rho)
+        mu, nu = marginal_measures(gen)
+        q_out = Kernel("q", mu).outcome_distribution(rho)
+        p_out = Kernel("p", nu).outcome_distribution(rho)
         assert q_out.variance() == pytest.approx(ss**2 + sg**2, rel=1e-5)
         assert p_out.variance() == pytest.approx(
             (HBAR / (2 * ss)) ** 2 + (HBAR / (2 * sg)) ** 2, rel=1e-5)
 
     def test_axis_validated(self):
         with pytest.raises(ValueError):
-            phase_marginal(vacuum(), "x")
+            Kernel("x", marginal_measures(vacuum())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +219,19 @@ class TestPiecewiseLinearMap:
 class TestWarpedKernel:
     def test_identity_warp_matches_base(self):
         gen = vacuum()
-        ident = PiecewiseLinearMap.identity(-12.8, 12.8)
-        w = WarpMap(ident, ident)
-        k = phase_marginal(gen, "q", w)
+        mu = marginal_measures(gen)[0]
+        k = Kernel("q", mu, PiecewiseLinearMap.identity(-12.8, 12.8))
         assert k.covariant
         rho = vacuum(x0=1.0)
         a = k.outcome_distribution(rho)
-        b = phase_marginal(gen, "q").outcome_distribution(rho)
+        b = Kernel("q", mu).outcome_distribution(rho)
         assert np.max(np.abs(a.weights - b.weights)) < 1e-12
 
     def test_nonaffine_warp_not_covariant(self):
         gm = PiecewiseLinearMap((-12.8, -1.0, 1.0, 12.8), (-12.8, -0.3, 1.3, 12.8))
-        w = WarpMap(gm, PiecewiseLinearMap.identity(-12.8, 12.8))
-        assert not phase_marginal(vacuum(), "q", w).covariant
-        assert phase_marginal(vacuum(), "p", w).covariant
+        mu, nu = marginal_measures(vacuum())
+        assert not Kernel("q", mu, gm).covariant
+        assert Kernel("p", nu, PiecewiseLinearMap.identity(-12.8, 12.8)).covariant
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +262,9 @@ class TestJointDistribution:
         gen = vacuum(sigma=0.9)
         rho = vacuum(x0=1.0, p0=-0.5)
         jd = joint_distribution(PhaseSpaceObservable(gen, QW, PW), rho)
-        mq = phase_marginal(gen, "q").outcome_distribution(rho)
-        mp = phase_marginal(gen, "p").outcome_distribution(rho)
+        mu, nu = marginal_measures(gen)
+        mq = Kernel("q", mu).outcome_distribution(rho)
+        mp = Kernel("p", nu).outcome_distribution(rho)
         # per-cell masses on the joint windows; a q cell spans stride=4 state
         # cells, so it carries 4x the per-dx mass of the matching mq point
         idx_q = [mq.grid.nearest_index(x) for x in QW.points()]
@@ -325,17 +322,9 @@ class TestCovariance:
     def test_warp_joint_conserves_mass(self):
         jd = joint_distribution(joint_setup(), vacuum())
         gm = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.6, 1.4, 20.0))
-        w = WarpMap(gm, gm)
-        warped = warp_joint(jd, w)
+        warped = joint_distribution(joint_setup(), vacuum(), WarpMap(gm, gm))
+        assert not np.array_equal(warped.density, jd.density)
         assert warped.total_mass == pytest.approx(jd.total_mass, abs=1e-12)
-
-    def test_warp_joint_leaves_its_input_unchanged(self):
-        # joint_distribution warps its own density in place; warp_joint copies
-        jd = joint_distribution(joint_setup(), vacuum(0.4, 0.3, 1.3))
-        before = jd.density.copy()
-        warped = warp_joint(jd, WarpMap(BENT, BENT))
-        assert np.array_equal(jd.density, before)
-        assert not np.array_equal(warped.density, before)
 
     @pytest.mark.parametrize("warped", [False, True])
     @pytest.mark.parametrize("state, kq, kp", [((0.0, 0.0, 1.0), 1, 1),
@@ -403,16 +392,18 @@ class TestWarpScatter:
         (PiecewiseLinearMap.shift(-8.0, 8.0, 0.7), BENT),
     ])
     def test_warp_joint_equals_the_scatter_add(self, gamma_q, gamma_p):
+        # joint_distribution warps the density it built, in place
         jd = joint_distribution(joint_setup(), vacuum(0.4, 0.3, 1.3))
         w = WarpMap(gamma_q, gamma_p)
-        assert np.array_equal(warp_joint(jd, w).density, add_at_warp_joint(jd, w))
+        warped = joint_distribution(joint_setup(), vacuum(0.4, 0.3, 1.3), w)
+        assert np.array_equal(warped.density, add_at_warp_joint(jd, w))
 
     def test_warp_joint_peak_memory_at_the_joint_witness_shape(self):
-        # 409 x 203 cells.  Kept: the masses, which the column pass writes
-        # back into and the result holds, and the row pass, two arrays of
-        # the density's size; 64 KiB covers the cell indices and the maps'
-        # evaluations on the window points (16 KiB traced).  Holding the
-        # np.add.at form's four such arrays would fail the bound.
+        # 409 x 203 cells, warped in place as joint_distribution warps them.
+        # Kept besides the density: the row pass, one array of its size;
+        # 64 KiB covers the cell indices and the maps' evaluations on the
+        # window points (13 KiB traced).  The np.add.at form's four such
+        # arrays, or a copy of the density, would fail the bound.
         grid = GridSpec.symmetric(40.0, 16384)
         qw = aligned_window(grid, 8.0, 8)
         pw = aligned_window(momentum_grid(grid, 1.0), 8.0, 1)
@@ -421,12 +412,12 @@ class TestWarpScatter:
         w = WarpMap(BENT, BENT)
         tracemalloc.start()
         try:
-            warp_joint(jd, w)
+            _warp_density(jd, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (qw.n, pw.n) == (409, 203)
-        assert peak < 2 * density.nbytes + 64 * 2**10
+        assert peak < density.nbytes + 64 * 2**10
 
 
 # ---------------------------------------------------------------------------
