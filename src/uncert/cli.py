@@ -37,8 +37,9 @@ from .metrology import (
     verify_scenarios,
 )
 from .observables import Kernel, PiecewiseLinearMap, marginal_measures
-from .states import MixedState, _box_amps, _gaussian_amps, _momentum_weights, \
-    _position_weights, _unit_norm, gaussian_state, momentum_grid, parity_offset
+from .states import MixedState, _box_amps, _box_cells, _check_gaussian, _gaussian_amps, \
+    _mixture_total, _momentum_weights, _position_weights, _unit_norm, gaussian_state, \
+    momentum_grid, parity_offset
 
 REPORT_VERSION = "# uncert-report v1"
 SCAN_CAP_DEFAULT = 10_000
@@ -169,13 +170,14 @@ def _parse_confidence(pairs, where="confidence"):
     return out
 
 
-def _build_gaussian(spec, grid, hbar, where):
+def _gaussian_params(spec, grid, hbar, where) -> tuple:
     s = _require_keys(spec, where, {"sigma": None}, {"x0": 0.0, "p0": 0.0})
-    x0, p0, sigma = (_number(s[k], f"{where}.{k}") for k in ("x0", "p0", "sigma"))
+    params = tuple(_number(s[k], f"{where}.{k}") for k in ("x0", "p0", "sigma"))
     try:
-        return gaussian_state(x0, p0, sigma, grid, hbar)
+        _check_gaussian(*params, grid, hbar)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    return params
 
 
 def _split_kind(spec, where):
@@ -187,10 +189,11 @@ def _split_kind(spec, where):
     return spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
 
 
-def _parse_generator(spec, grid, hbar, where) -> MixedState:
+def _parse_generator(spec, grid, hbar, where) -> list:
+    """A generator's (weight, (x0, p0, sigma)) components, checked, not built."""
     kind, body = _split_kind(spec, where)
     if kind == "gaussian":
-        return MixedState.pure(_build_gaussian(body, grid, hbar, where))
+        return [(1.0, _gaussian_params(body, grid, hbar, where))]
     if kind == "mixture":
         m = _require_keys(body, where, {"components": None})
         comps = []
@@ -199,11 +202,12 @@ def _parse_generator(spec, grid, hbar, where) -> MixedState:
             cw = _require_keys(c, cwhere, {"weight": None, "sigma": None},
                                {"x0": 0.0, "p0": 0.0})
             weight = _number(cw.pop("weight"), f"{cwhere}.weight")
-            comps.append((weight, _build_gaussian(cw, grid, hbar, cwhere)))
+            comps.append((weight, _gaussian_params(cw, grid, hbar, cwhere)))
         try:
-            return MixedState(comps)
+            _mixture_total([w for w, _ in comps])
         except ValueError as exc:
             raise ConfigError(f"{where}.components: {exc}") from exc
+        return comps
     raise ConfigError(f"{where}.kind: unknown generator kind {kind!r}")
 
 
@@ -267,8 +271,8 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
 # ---------------------------------------------------------------------------
 
 def _out_dir(args) -> Path:
-    """The --out directory, made before verify or scan computes a row, so
-    an unusable path fails before any work is done."""
+    """The --out directory, made after every config check and before verify
+    or scan computes a row, so an unusable path fails before any work."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -322,13 +326,13 @@ def _read_config(args, required: dict, optional: dict) -> tuple:
     return top, hbar, grid
 
 
-def _generator_reports(gi: int, gspec, eps_pairs, calib, warps) -> list:
-    """The report rows of generator gi, on calib's grid and hbar: one per
-    eps pair and warp, the plain row (the warp with no maps) first.  The
-    generator's states, measures, kernels and window tables live only in
-    this call, so none is held while the next generator is built."""
-    mu, nu = marginal_measures(_parse_generator(gspec, calib.grid, calib.hbar,
-                                                f"generators[{gi}]"))
+def _generator_reports(gi: int, comps, eps_pairs, calib, warps) -> list:
+    """The report rows of generator gi, comps from :func:`_parse_generator`,
+    on calib's grid and hbar: one per eps pair and warp, the plain row (the
+    warp with no maps) first.  The generator's states, measures, kernels and
+    window tables live only in this call, so none is held after it."""
+    mu, nu = marginal_measures(MixedState([(w, gaussian_state(*params, calib.grid, calib.hbar))
+                                           for w, params in comps]))
     # rows that share a kernel (an omitted knot list, equal knots) share its pass
     scenarios = [(f"gen{gi}-eps{ei}" if wname is None else f"gen{gi}-{wname}-eps{ei}",
                   eps, (Kernel("q", mu, gamma_q), Kernel("p", nu, gamma_p)))
@@ -351,14 +355,15 @@ def cmd_verify(args) -> int:
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
     warps = _parse_warps(top["warps"])
-    generators = _list(top["generators"], "generators")
+    generators = [_parse_generator(g, grid, hbar, f"generators[{gi}]")
+                  for gi, g in enumerate(_list(top["generators"], "generators"))]
     if not generators:
         raise ConfigError("generators: at least one generator required")
 
     out = _out_dir(args)
     reports = []
-    for gi, gspec in enumerate(generators):
-        reports += _generator_reports(gi, gspec, eps_pairs, calib, warps)
+    for gi, comps in enumerate(generators):
+        reports += _generator_reports(gi, comps, eps_pairs, calib, warps)
     csv_path, json_path = _write_reports(reports, out)
     all_pass = all(rep.passed for rep in reports)
     print(f"{len(reports)} scenario rows -> {csv_path}, {json_path}; "
@@ -522,18 +527,26 @@ def cmd_scan(args) -> int:
         raise ConfigError(
             f"lattice has {n_points} points, above the cap {cap}; coarsen it")
 
-    bs, bu = bound_simple(eps, hbar), bound_uffink(eps, hbar)
-    ws = _Workspace(grid, hbar)
-    out = _out_dir(args)
-    # every row is computed before the file is opened, so a lattice point
-    # the grid cannot hold leaves no partial scan.csv behind
-    rows = []
+    # the checks of _Workspace.state, on every point before any state is built
     for combo in iproduct(*values):
+        p = {**defaults, **dict(zip(names, combo))}
         try:
-            wq, wp = ws.widths(ws.state(family, {**defaults, **dict(zip(names, combo))}), eps)
+            if family == "gaussian":
+                _check_gaussian(p["x0"], p["p0"], p["sigma"], grid, hbar)
+            else:
+                _box_cells(p["center"], p["width"], grid)
         except ValueError as exc:
             point = ", ".join(f"{k}={v}" for k, v in zip(names, combo))
             raise ConfigError(f"lattice point {point}: {exc}") from exc
+
+    bs, bu = bound_simple(eps, hbar), bound_uffink(eps, hbar)
+    ws = _Workspace(grid, hbar)
+    out = _out_dir(args)
+    # every row is computed before the file is opened, so no partial
+    # scan.csv is left behind
+    rows = []
+    for combo in iproduct(*values):
+        wq, wp = ws.widths(ws.state(family, {**defaults, **dict(zip(names, combo))}), eps)
         rows.append([_fmt(float(v)) for v in combo] + _product_cells(wq, wp, bs, bu))
     del ws  # its arrays are not held while the file is written
     path = _write_csv(out / "scan.csv", names + PRODUCT_COLUMNS, rows)

@@ -37,10 +37,10 @@ class GridSpec:
     def x_max(self) -> float:
         return self.x_min + (self.n - 1) * self.dx
 
-    def points(self) -> np.ndarray:
-        """x_min + dx * j for j = 0..n-1, the same floats as that expression on
-        an integer arange, built in place in one float array."""
-        x = np.arange(self.n, dtype=float)
+    def points(self, *span) -> np.ndarray:
+        """x_min + dx * j for j in range(*span), all n points by default: the
+        floats of that expression on an integer arange, built in place."""
+        x = np.arange(*(span or (self.n,)), dtype=float)
         x *= self.dx
         x += self.x_min
         return x
@@ -189,6 +189,14 @@ def mass(P: GridMeasure, J: Interval) -> float:
     return float(P.weights[cells.start:cells.stop].sum())
 
 
+def _target(eps: float) -> float:
+    """The mass a width at level eps in (0, 1) must reach, 1 - eps - 1e-12:
+    the margin absorbs the rounding of the sums compared with it."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    return 1.0 - eps - 1e-12
+
+
 def overall_width(P: GridMeasure, eps: float) -> float:
     """Length of the shortest grid window carrying mass >= 1 - eps.
 
@@ -241,9 +249,7 @@ def _shortest_run(c: np.ndarray, eps: float) -> int:
     searchsorted of the m starts left, O(m log n); the only arrays built
     are that search's operands, m values each, m <= n + 1.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    target = 1.0 - eps - 1e-12
+    target = _target(eps)
     n = len(c) - 1
     total = float(c[n])
     if not total >= target:
@@ -269,9 +275,7 @@ def centered_width(P: GridMeasure, x: float, eps: float) -> float:
 
     Returns inf when even the full grid does not reach the target mass.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    target = 1.0 - eps - 1e-12
+    target = _target(eps)
     d = np.abs(P.grid.points() - x)
     order = np.argsort(d, kind="stable")
     c = np.cumsum(P.weights[order])

@@ -11,19 +11,10 @@ probe family (:func:`_axis_pass` defines each).
 The ladder and a non-covariant kernel's resolution are read off one table
 of prefix sums of the kernel's reflected smearing measure per (kernel,
 center) (:class:`_CenteredWindows`), in one vectorized bisection over all
-probes, so no probe measure, probe state or outcome is built.  An unwarped
-kernel's resolution is the overall width of its smearing measure, as every
-point mass's outcome is that measure reflected and moved; only a shift
-warp's point-mass outcome is built, once per center.  :func:`_axis_pass`
-is the one route to these widths: it makes that pass once per kernel for
-any number of eps values, and :func:`verify_scenarios` runs it once per
-distinct kernel of a generator's rows.
-
-Cost per (kernel, center): O(n_out) time and memory for the window table,
-n_out = n + n_mu - 1 outcome cells, built once whatever the eps values and
-held one at a time (:class:`_CenteredWindows` lists its arrays); then
-O(e m log n_out) in one bisection for the m cells of the widest rung and
-the resolution points under each of e eps values.
+probes, so no probe measure, probe state or outcome is built.
+:func:`_axis_pass` is the one route to these widths, for any number of eps
+values, and :func:`verify_scenarios` runs it once per distinct kernel of a
+generator's rows.
 """
 
 from __future__ import annotations
@@ -35,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import RENORM_TOL, GridMeasure, GridSpec, _normalize_weights, _sum_grid, \
-    overall_width, reflect
+    _target, overall_width, reflect
 from .observables import Kernel, _warp_cells, marginal_measures, pushforward
 from .states import MixedState, momentum_grid
 
@@ -174,20 +165,21 @@ def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
 class _CenteredWindows:
     """Centered outcome windows of one kernel about one center x.
 
-    ``widths(cells, weights, eps)[i]`` equals
-    ``centered_width(kernel.smear(P_i), x, eps)`` for the probe P_i that puts
-    ``weights`` on the axis cells ``cells[i]`` (a point mass is a row of one
-    cell with weight 1), without building the probe or its outcome.  The
-    outcome lives on the out grid of n + n_R - 1 cells, where R is the
-    reflected smearing measure (delta_0 for a sharp kernel).  Its mass on
-    out cells [L, H) is sum_c P_c (CR[jb - c] - CR[ja - c]): CR holds the
-    prefix sums of R, and [ja, jb) are the cells the warp map sends into
-    [L, H) (ja = L, jb = H unwarped; the warp's cell map is nondecreasing).
-    The cells within D of x form one run [L, H), so the smallest D whose run
-    reaches the target is found by binary search over the distances, for
-    all probes at once.  A point mass's masses are exact differences of CR;
-    a spread probe's are summed in another order than the outcome's, and
-    the 1e-12 margin on the target absorbs the rounding.
+    ``widths(cells, weights, targets)[i]`` equals
+    ``centered_width(kernel.smear(P_i), x, eps)`` for ``targets[i]`` =
+    ``grids._target(eps)`` and the probe P_i that puts ``weights`` on the
+    axis cells ``cells[i]`` (a point mass is a row of one cell with weight
+    1), without building the probe or its outcome.  The outcome lives on
+    the out grid of n + n_R - 1 cells, where R is the reflected smearing
+    measure (delta_0 for a sharp kernel).  Its mass on out cells [L, H) is
+    sum_c P_c (CR[jb - c] - CR[ja - c]): CR holds the prefix sums of R, and
+    [ja, jb) are the cells the warp map sends into [L, H) (ja = L, jb = H
+    unwarped; the warp's cell map is nondecreasing).  The cells within D of
+    x form one run [L, H), so the smallest D whose run reaches the target
+    is found by binary search over the distances, for all probes at once.
+    A point mass's masses are exact differences of CR; a spread probe's are
+    summed in another order than the outcome's, and the 1e-12 margin on the
+    target absorbs the rounding.
 
     Cost: O(n_out) time and memory to build; O(m k log n_out) vectorized
     for m probes of k cells each.  The table holds ``cr`` (n_R + 1 floats),
@@ -196,12 +188,12 @@ class _CenteredWindows:
     of full length: R's weights are written reversed straight into
     ``cr[1:]``, normalized and summed there (the steps of reflect() and
     GridMeasure, so ``cr`` has their bits), ``cells`` is filled block by
-    block (:func:`observables._warp_cells`), the out points are written
-    straight into the two distance arrays, and k is bisected on
-    x_min + dx * j.  :meth:`widths` reads the distances by index, with no
-    padded copy.  A table depends on the kernel and x alone, so
-    :func:`_axis_pass` builds one per (kernel, center), one at a time, and
-    bisects the probes of every eps in one call.
+    block (:func:`observables._warp_cells`), the two distance arrays are
+    the out points of :meth:`GridSpec.points`, shifted in place, and k is
+    bisected on x_min + dx * j.  :meth:`widths` reads the distances by
+    index, with no padded copy.  A table depends on the kernel and x alone,
+    so :func:`_axis_pass` builds one per (kernel, center), one at a time,
+    and bisects the probes of every eps in one call.
     """
 
     def __init__(self, kernel: Kernel, axis_grid: GridSpec, x: float):
@@ -221,18 +213,13 @@ class _CenteredWindows:
             np.cumsum(r, out=r)
         self.n_out = out.n
         self.cells = None if kernel.gmap is None else _warp_cells(out, kernel.gmap)
-        # the out points x_min + dx * j, evaluated as GridSpec.points() does:
         # k is the first out cell at or right of x, right holds x_j - x for
         # j >= k and left x - x_j for j = k - 1 down to 0, both nondecreasing
         x0, dx = out.x_min, out.dx
         self.k = k = bisect.bisect_left(range(out.n), True, key=lambda j: x0 + dx * j >= x)
-        self.right = np.arange(k, out.n, dtype=float)
-        self.right *= dx
-        self.right += x0
+        self.right = out.points(k, out.n)
         self.right -= x
-        self.left = np.arange(k - 1, -1, -1, dtype=float)
-        self.left *= dx
-        self.left += x0
+        self.left = out.points(k - 1, -1, -1)
         np.subtract(x, self.left, out=self.left)
 
     def _run(self, d):
@@ -244,17 +231,17 @@ class _CenteredWindows:
             return L, H
         return self.cells.searchsorted(L), self.cells.searchsorted(H)
 
-    def widths(self, cells, weights, eps) -> np.ndarray:
+    def widths(self, cells, weights, targets) -> np.ndarray:
         """Centered width of each probe: first a bisection over the right
         distances, then over the left distances strictly between the two
         right distances that bracket the probe's answer.  The window mass
         is nondecreasing in the distance, so each bisection lands on the
         first distance whose window reaches the target.
 
-        `eps` is one confidence level for every probe or an array of one
-        per probe; a probe's target (1 - eps - 1e-12) * total is the same
-        float either way, so the probes of several eps can share one
-        bisection, O(log n_out) steps for all of them."""
+        `targets` is one target mass (:func:`grids._target`) for every
+        probe or an array of one per probe; a probe's goal, target times
+        total, is the same float either way, so the probes of several eps
+        can share one bisection, O(log n_out) steps for all of them."""
         cells = np.asarray(cells)
         weights = np.asarray(weights, dtype=float)
         cr = self.cr
@@ -270,7 +257,7 @@ class _CenteredWindows:
         off = np.abs(total - 1.0) > RENORM_TOL
         if off.any():
             raise ValueError(f"total mass {total[off][0]:.9f} deviates from 1 beyond {RENORM_TOL}")
-        goal = (1.0 - eps - 1e-12) * total
+        goal = targets * total
 
         def first_reaching(dist, i, j):
             """Per probe, the first index in [i, j) whose window reaches the goal, else j."""
@@ -343,9 +330,7 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
     once.  Each eps gets the numbers a pass over that eps alone gives.
     """
     eps_values = tuple(eps_values)
-    for eps in eps_values:
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    targets = np.array([_target(eps) for eps in eps_values])
     axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
     scale = axis_grid.dx / cfg.grid.dx
     deltas = [d * scale for d in cfg.delta_ladder]
@@ -376,7 +361,6 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
         boxes = [] if kernel.axis == "p" else [
             np.arange(first, last + 1)
             for first, last in (_rung(axis_grid, c, 2 * axis_grid.dx) for c in centers)]
-    eps_rows = np.array(eps_values)
     for x in centers:
         windows = _CenteredWindows(kernel, axis_grid, x)
         rungs = [_rung(axis_grid, x, delta) for delta in deltas]
@@ -384,7 +368,7 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
         cells = np.concatenate((np.arange(lo, hi + 1), np.array(points, dtype=int)))
         # row e * cells.size + i is the point mass at cells[i] under eps_values[e]
         w = windows.widths(np.tile(cells, len(eps_values))[:, None], (1.0,),
-                           eps_rows.repeat(cells.size)).reshape(len(eps_values), cells.size)
+                           targets.repeat(cells.size)).reshape(len(eps_values), cells.size)
         for ladder, we in zip(ladders, w):
             for i, (first, last) in enumerate(rungs):
                 ladder[i] = max(ladder[i], float(we[first - lo:last - lo + 1].max()))
@@ -393,7 +377,7 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
             for box in boxes:
                 rows = np.broadcast_to(box, (len(eps_values), box.size))
                 best = np.minimum(best, windows.widths(rows, np.full(box.size, 1.0 / box.size),
-                                                       eps_rows))
+                                                       targets))
             resolutions = [max(r, float(b)) for r, b in zip(resolutions, best)]
         del windows     # not held while the next center's table is built
     return list(zip(resolutions, ladders))

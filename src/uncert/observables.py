@@ -103,14 +103,6 @@ class WarpMap:
     gamma_q: PiecewiseLinearMap
     gamma_p: PiecewiseLinearMap
 
-    @property
-    def bound_q(self) -> float:
-        return self.gamma_q.displacement_bound
-
-    @property
-    def bound_p(self) -> float:
-        return self.gamma_p.displacement_bound
-
 
 def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
     """Image measure of P under gmap, re-binned onto the same grid.
@@ -133,16 +125,14 @@ def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
     because gmap is increasing.
 
     The int64 result is filled block by block of WARP_BLOCK points: each
-    block's points are formed as :meth:`GridSpec.points` forms them, and
-    their image is shifted, scaled, rounded and clipped in place, then cast
-    into the result.  Every step is elementwise, so the cells are those of
-    the whole-array form, which holds n floats of points, their n-float
-    image and its masks besides the result."""
+    block's points come from :meth:`GridSpec.points`, and their image is
+    shifted, scaled, rounded and clipped in place, then cast into the
+    result.  Every step is elementwise, so the cells are those of the
+    whole-array form, which holds n floats of points, their n-float image
+    and its masks besides the result."""
     cells = np.empty(g.n, dtype=int)
     for start in range(0, g.n, WARP_BLOCK):
-        x = np.arange(start, min(start + WARP_BLOCK, g.n), dtype=float)
-        x *= g.dx
-        x += g.x_min
+        x = g.points(start, min(start + WARP_BLOCK, g.n))
         with np.errstate(over="ignore"):
             y = gmap(x)
             y -= g.x_min

@@ -96,13 +96,7 @@ class MixedState:
 
     def __init__(self, components):
         comps = [(float(w), psi) for w, psi in components]
-        if not comps:
-            raise ValueError("mixed state needs at least one component")
-        if any(w < 0 for w, _ in comps):
-            raise ValueError("component weights must be nonnegative")
-        total = sum(w for w, _ in comps)
-        if not abs(total - 1.0) <= NORM_TOL:  # also rejects NaN
-            raise ValueError(f"component weights sum to {total:.9f}, expected 1")
+        total = _mixture_total([w for w, _ in comps])
         g0, h0 = comps[0][1].grid, comps[0][1].hbar
         for _, psi in comps:
             if psi.grid != g0 or psi.hbar != h0:
@@ -125,6 +119,19 @@ class MixedState:
         return self.components[0][1].hbar
 
 
+def _mixture_total(weights: list) -> float:
+    """The sum of a mixture's weights, once they pass :class:`MixedState`'s
+    rule: at least one, each nonnegative, summing to 1 within NORM_TOL."""
+    if not weights:
+        raise ValueError("mixed state needs at least one component")
+    if any(w < 0 for w in weights):
+        raise ValueError("component weights must be nonnegative")
+    total = sum(weights)
+    if not abs(total - 1.0) <= NORM_TOL:  # also rejects NaN
+        raise ValueError(f"component weights sum to {total:.9f}, expected 1")
+    return total
+
+
 # ---------------------------------------------------------------------------
 # State constructors
 # ---------------------------------------------------------------------------
@@ -137,28 +144,11 @@ def gaussian_state(x0: float, p0: float, sigma: float, grid: GridSpec,
                                              np.empty(grid.n)), hbar)
 
 
-def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: float,
-                   x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The Gaussian's parameter checks, then its amplitudes on the points x,
-    divided by the root of their norm.
-
-    8 sigma around x0 must lie on the grid, with (x - x0)^2 finite at every
-    grid point, and 8 sigma_p around p0, with sigma_p = hbar / (2 sigma),
-    within the momentum grid's +-pi hbar / dx: a wider momentum spread
-    wraps around it.  At p0 = 0 the amplitudes are real and are built in
-    place in out, which may be x; at p0 != 0 they are complex, in a new
-    array.  scratch (n floats) holds |a|^2 for the norm.
-
-    At p0 = 0 the exponent is (x - x0)^2 / -(4 sigma^2), the bits of
-    -(x - x0)^2 / (4 sigma^2) without a negation pass, and it is formed
-    only on the run of points within 2 sigma sqrt(750) of x0 (x ascending,
-    as grid.points() gives it): farther out it is below -745.2, exp
-    underflows to +0.0 there, and those cells are written as +0.0.  So
-    the amplitudes keep every bit, and numpy's slow underflow path in exp
-    is not taken for the cells that can only give 0.0.  Cost: two
-    O(log n) searches, then O(n) writes and O(m) arithmetic on the m
-    points kept.
-    """
+def _check_gaussian(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: float) -> None:
+    """The Gaussian's parameter checks: 8 sigma around x0 must lie on the
+    grid, with (x - x0)^2 finite at every grid point, and 8 sigma_p around
+    p0, with sigma_p = hbar / (2 sigma), within the momentum grid's
+    +-pi hbar / dx: a wider momentum spread wraps around it."""
     if not all(math.isfinite(v) for v in (x0, p0, sigma)):
         raise ValueError(f"Gaussian parameters must be finite, got "
                          f"x0={x0}, p0={p0}, sigma={sigma}")
@@ -186,6 +176,27 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
             f"momentum grid [{-p_max}, {p_max}] does not cover "
             f"[{p0 - 8 * sigma_p}, {p0 + 8 * sigma_p}] "
             f"(8 sigma_p around p0, sigma_p = hbar / (2 sigma))")
+
+
+def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: float,
+                   x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The Gaussian's checks (:func:`_check_gaussian`), then its amplitudes
+    on the points x, divided by the root of their norm.  scratch (n floats)
+    holds |a|^2 for the norm.  At p0 != 0 the amplitudes are complex, in a
+    new array.
+
+    At p0 = 0 they are real and are built in place in out, which may be x,
+    and the exponent is (x - x0)^2 / -(4 sigma^2), the bits of
+    -(x - x0)^2 / (4 sigma^2) without a negation pass, and it is formed
+    only on the run of points within 2 sigma sqrt(750) of x0 (x ascending,
+    as grid.points() gives it): farther out it is below -745.2, exp
+    underflows to +0.0 there, and those cells are written as +0.0.  So
+    the amplitudes keep every bit, and numpy's slow underflow path in exp
+    is not taken for the cells that can only give 0.0.  Cost: two
+    O(log n) searches, then O(n) writes and O(m) arithmetic on the m
+    points kept.
+    """
+    _check_gaussian(x0, p0, sigma, grid, hbar)
     if p0 != 0:
         a = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
     else:
@@ -216,9 +227,8 @@ def box_state(center: float, width: float, grid: GridSpec,
     return WaveFunction(grid, _box_amps(center, width, grid, np.empty(grid.n)), hbar)
 
 
-def _box_amps(center: float, width: float, grid: GridSpec, out: np.ndarray) -> np.ndarray:
-    """The box's checks, then its amplitudes in out (n floats), returned:
-    1 / sqrt(m dx) on the m cells the interval holds, 0.0 elsewhere."""
+def _box_cells(center: float, width: float, grid: GridSpec) -> range:
+    """The grid cells of the box, once its center and width pass its checks."""
     if not (math.isfinite(center) and math.isfinite(width)):
         raise ValueError(f"box center and width must be finite, got {center}, {width}")
     if width < 2 * grid.dx:
@@ -226,6 +236,13 @@ def _box_amps(center: float, width: float, grid: GridSpec, out: np.ndarray) -> n
     cells = grid.cells_within(center - 0.5 * width, center + 0.5 * width)
     if not cells:
         raise ValueError("box has no support on the grid")
+    return cells
+
+
+def _box_amps(center: float, width: float, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """The box's amplitudes in out (n floats), returned: 1 / sqrt(m dx) on
+    the m cells of :func:`_box_cells`, 0.0 elsewhere."""
+    cells = _box_cells(center, width, grid)
     out.fill(0.0)
     out[cells.start:cells.stop] = 1.0 / math.sqrt(len(cells) * grid.dx)
     return out

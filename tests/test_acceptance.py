@@ -238,7 +238,8 @@ def test_criterion_6_covariance_and_warp(capsys):
     cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), JGRID, HBAR)
     for axis, measure, gmap, bnd in zip("qp", marginal_measures(gen),
                                         (wmap.gamma_q, wmap.gamma_p),
-                                        (wmap.bound_q, wmap.bound_p)):
+                                        (wmap.gamma_q.displacement_bound,
+                                         wmap.gamma_p.displacement_bound)):
         step = JGRID.dx if axis == "q" else pg.dx
         e0 = axis_widths(Kernel(axis, measure), 0.05, cfg)[1]
         ew = axis_widths(Kernel(axis, measure, gmap), 0.05, cfg)[1]

@@ -428,12 +428,16 @@ class TestVerifyConfigErrors:
         assert "unknown key 'smearings'" in capsys.readouterr().err
 
 
-def run_cli(*argv):
+def run_python(*argv):
+    """A fresh interpreter on argv that imports uncert from this source tree."""
     src = str(Path(uncert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "uncert.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def run_cli(*argv):
+    return run_python("-m", "uncert.cli", *argv)
 
 
 SCAN_CONFIG = {
@@ -581,6 +585,13 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
      "warps[0].q_knots[0][0]: expected a finite number, got an integer too large"),
     ("scan", dict(SCAN_CONFIG, lattice={"sigma": [10**330]}),
      "lattice.sigma[0]: expected a finite number, got an integer too large"),
+    ("verify", verify_config(confidence=[]), "confidence: at least one pair required"),
+    ("scan", dict(SCAN_CONFIG, lattice={}),
+     "lattice: expected a nonempty object of parameter lists"),
+    ("scan", dict(SCAN_CONFIG, lattice={"sigma": [1.0], "x0": [0.0], "p0": [0.0]}),
+     "lattice: at most 2 parameters supported"),
+    ("scan", dict(SCAN_CONFIG, lattice={"sigma": [1.0], "x0": []}),
+     "lattice.x0: at least one value required"),
 ])
 def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     out = tmp_path / "out"
@@ -589,12 +600,9 @@ def test_config_type_errors_exit_2_with_location(tmp_path, command, cfg, key):
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
-    # a generator or lattice point is checked as its rows are computed,
-    # once the output directory is made; no report is written
-    if key.startswith(("generators[", "lattice point")):
-        assert out.is_dir() and not any(out.iterdir())
-    else:
-        assert not out.exists()
+    # every generator and lattice point is checked before the output
+    # directory is made
+    assert not out.exists()
 
 
 # each a config with "BIG" in place of a JSON integer of 5,001 digits, more
@@ -1414,8 +1422,18 @@ def test_parser_is_built_once():
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(uncert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, uncert.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_python("-c", code).returncode == 0
+
+
+def test_import_uncert_loads_the_four_modules_and_exports_no_other_name():
+    # each name is imported from the module that defines it, so the
+    # package's own namespace holds its modules and __version__ alone
+    code = ("import sys, uncert; "
+            "print(sorted(n for n in vars(uncert) if not n.startswith('_'))); "
+            "print([f'uncert.{m}' in sys.modules for m in "
+            "('grids', 'states', 'observables', 'metrology')]); print(uncert.__version__)")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['grids', 'metrology', 'observables', 'states']", "[True, True, True, True]", "0.1.0"]

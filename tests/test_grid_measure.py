@@ -492,7 +492,12 @@ def _bits(a) -> bytes:
     (-20.0, 40.0 / 65536, 65536), (20.0, 40.0 / 65536, 65536), (-12.8, 0.1, 257),
     (3.7, 0.013, 4097), (-1e15, 0.3, 1000), (7.25e14, 2.5, 999), (-0.0, 1e-3, 2)])
 def test_points_are_bitwise_the_arange_expression(x_min, dx, n):
-    assert _bits(GridSpec(x_min, dx, n).points()) == _bits(x_min + dx * np.arange(n))
+    g = GridSpec(x_min, dx, n)
+    assert _bits(g.points()) == _bits(x_min + dx * np.arange(n))
+    # a span gives the same floats as the slice of the whole grid it names
+    k = n // 3 + 1
+    assert _bits(g.points(k, n)) == _bits(g.points()[k:])
+    assert _bits(g.points(k - 1, -1, -1)) == _bits(g.points()[k - 1::-1])
 
 
 @settings(max_examples=200, deadline=None)

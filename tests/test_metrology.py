@@ -12,6 +12,7 @@ from uncert import metrology
 from uncert.grids import (
     GridMeasure,
     GridSpec,
+    _target,
     centered_width,
     gaussian_measure,
     overall_width,
@@ -446,7 +447,7 @@ class TestCenteredWindows:
                     outcome = kernel.smear(P)
                     cells = np.flatnonzero(P.weights)
                     for eps in SWEEP_EPS:
-                        got = windows.widths(cells[None], P.weights[cells], eps)
+                        got = windows.widths(cells[None], P.weights[cells], _target(eps))
                         assert got.tolist() == [centered_width(outcome, x, eps)]
                         cases += 1
         assert cases > 1000
@@ -592,7 +593,7 @@ class TestExactCalibration:
                     cfg = CalibrationConfig((delta,), (c,), grid, HBAR)
                     for eps in (0.05, 0.2, 0.5):
                         want = point_mass_widths(kernel, axis_grid, x, cells, eps)
-                        assert windows.widths(cells[:, None], (1.0,), eps).tolist() == want
+                        assert windows.widths(cells[:, None], (1.0,), _target(eps)).tolist() == want
                         if x == 0.0 or not kernel.covariant:
                             assert rung_error(kernel, eps, delta, cfg) == max(want)
                         cases += cells.size
