@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridSpec, _normalize_weights, _shortest_run
+from .grids import GridSpec, _normalize_weights, _shortest_run, _target
 from .metrology import (
     CalibrationConfig,
     ConfidencePair,
@@ -154,12 +154,15 @@ def _phase_space(n, x_min: float, x_max: float, hbar: float, keys: tuple) -> Gri
 
 
 def _eps_pair(pair, where) -> ConfidencePair:
-    """A pair [eps1, eps2] of confidence levels, each in (0, 1)."""
+    """A pair [eps1, eps2] of confidence levels, each in (0, 1) (grids._target)."""
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ConfigError(f"{where}: expected a pair [eps1, eps2]")
     for k, e in enumerate(pair):
-        if not 0 < _number(e, f"{where}[{k}]") < 1:
-            raise ConfigError(f"{where}[{k}]: eps values must lie in (0, 1), got {e}")
+        x = _number(e, f"{where}[{k}]")
+        try:
+            _target(x)
+        except ValueError as exc:
+            raise ConfigError(f"{where}[{k}]: {exc}") from exc
     return ConfidencePair(float(pair[0]), float(pair[1]))
 
 

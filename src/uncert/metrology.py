@@ -11,7 +11,8 @@ probe family (:func:`_axis_pass` defines each).
 The ladder and a non-covariant kernel's resolution are read off one table
 of prefix sums of the kernel's reflected smearing measure per (kernel,
 center) (:class:`_CenteredWindows`), in one vectorized bisection over all
-probes, so no probe measure, probe state or outcome is built.
+probes; a covariant kernel's resolution is its smearing measure's overall
+width.  So no probe measure, probe state or outcome is built.
 :func:`_axis_pass` is the one route to these widths, for any number of eps
 values, and :func:`verify_scenarios` runs it once per distinct kernel of a
 generator's rows.
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import RENORM_TOL, GridMeasure, GridSpec, _normalize_weights, _sum_grid, \
-    _target, overall_width, reflect
-from .observables import Kernel, _warp_cells, marginal_measures, pushforward
+    _target, overall_width
+from .observables import Kernel, _warp_cells, marginal_measures
 from .states import MixedState, momentum_grid
 
 
@@ -41,9 +42,11 @@ class ConfidencePair:
     eps2: float
 
     def __post_init__(self):
-        for e in (self.eps1, self.eps2):
-            if not 0.0 < e < 1.0:
-                raise ValueError(f"confidence levels must lie in (0, 1), got {e}")
+        for name in ("eps1", "eps2"):
+            try:
+                _target(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
     @property
     def valid_bound(self) -> bool:
@@ -314,48 +317,32 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
     uniform mass on the cells within one step of every center.  For a
     non-covariant kernel they are bisected on the same tables; the
     resolution at x is the narrowest of their windows and the worst x gives
-    the value.  For a covariant kernel every window center is equivalent,
-    so the resolution is the narrowest overall width of a point mass's
-    outcome (a box's outcome mixes shifted copies of it and is never
-    narrower): unwarped, the smearing measure's own, and with a shift warp
-    that of the outcome built at each center, the reflected smearing
-    measure placed at the center's cell and pushed through the map, which
-    keeps its exact clipping at the grid edges.
+    the value.  For a covariant kernel, unwarped or shifted, every window
+    center is equivalent and a point mass's outcome is the reflected
+    smearing measure moved, so the resolution is the measure's overall
+    width, 0 when sharp (a box's outcome mixes shifted copies of it and is
+    never narrower).  A shift's clipping at the grid edges enters the
+    ladder alone, through the window table's warp cells.
 
     Cost: one window table per center, whatever the number of eps values,
     and one bisection per table for the point masses of every eps (the
     widest rung's cells and the resolution points, one row per eps and
     cell), plus one per box; a covariant kernel's resolution takes one
-    overall width per eps, and a shift warp builds each center's outcome
-    once.  Each eps gets the numbers a pass over that eps alone gives.
+    overall width per eps.  Each eps gets the numbers a pass over that eps
+    alone gives.
     """
     eps_values = tuple(eps_values)
     targets = np.array([_target(eps) for eps in eps_values])
     axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
     scale = axis_grid.dx / cfg.grid.dx
     deltas = [d * scale for d in cfg.delta_ladder]
-    probe_centers = [c * scale for c in cfg.probe_centers]
     ladders = [[0.0] * len(deltas) for _ in eps_values]
     centers, points = (0.0,), []
-    if kernel.gmap is None:
+    if kernel.covariant:
         resolutions = [0.0 if kernel.measure is None else overall_width(kernel.measure, eps)
                        for eps in eps_values]
-    elif kernel.covariant:
-        # a point mass's outcome before the shift: the reflected smearing
-        # measure (a unit mass when sharp) at its cell of the sum grid, where
-        # convolution places it
-        R = None if kernel.measure is None else reflect(kernel.measure)
-        out = axis_grid if R is None else _sum_grid(axis_grid, R.grid)
-        r = np.ones(1) if R is None else R.weights
-        outcomes = []
-        for c in probe_centers:
-            j = axis_grid.nearest_index(c)
-            w = np.zeros(out.n)
-            w[j:j + r.size] = r
-            outcomes.append(pushforward(GridMeasure(out, w), kernel.gmap))
-        resolutions = [min(overall_width(out, eps) for out in outcomes) for eps in eps_values]
     else:
-        resolutions, centers = [0.0] * len(eps_values), probe_centers
+        resolutions, centers = [0.0] * len(eps_values), [c * scale for c in cfg.probe_centers]
         points = [axis_grid.nearest_index(c) for c in centers]
         # a box, the cells within one step of c, is the rung of delta = 2 dx about c
         boxes = [] if kernel.axis == "p" else [
@@ -458,7 +445,7 @@ def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
     :func:`_axis_pass`, at the first row that uses it, over every eps the
     scenarios need on its axis, so a warp that leaves an axis unwarped
     reuses the plain kernel's pass.  The overall width of a measure at eps
-    is read off its unwarped kernel's pass when that has run and taken once
+    is read off a covariant kernel's pass when one has run and taken once
     otherwise; the Werner distance is taken once per measure.
     """
     grid, hbar = cfg.grid, cfg.hbar
@@ -474,7 +461,7 @@ def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
         if kernel not in passes:
             passes[kernel] = dict(zip(eps_of[kernel],
                                       _axis_pass(kernel, eps_of[kernel], cfg)))
-            if kernel.gmap is None:     # its resolution is the measure's overall width
+            if kernel.covariant:     # its resolution is the measure's overall width
                 overall.update(((mu, x), res) for x, (res, _) in passes[kernel].items())
         res, vals = passes[kernel][e]
         if (mu, e) not in overall:

@@ -232,7 +232,8 @@ def _box_cells(center: float, width: float, grid: GridSpec) -> range:
     if not (math.isfinite(center) and math.isfinite(width)):
         raise ValueError(f"box center and width must be finite, got {center}, {width}")
     if width < 2 * grid.dx:
-        raise ValueError(f"box width {width} below the 2*dx minimum {2 * grid.dx}")
+        raise ValueError(f"box width {width} below the 2-cell minimum {2 * grid.dx} "
+                         f"(grid step {grid.dx})")
     cells = grid.cells_within(center - 0.5 * width, center + 0.5 * width)
     if not cells:
         raise ValueError("box has no support on the grid")
@@ -258,14 +259,8 @@ def point_state(x: float, grid: GridSpec, hbar: float = 1.0) -> WaveFunction:
 def momentum_box_state(center: float, width: float, grid: GridSpec,
                        hbar: float = 1.0) -> WaveFunction:
     """State whose momentum distribution is a flat box; exact on the conjugate grid."""
-    if not (math.isfinite(center) and math.isfinite(width)):
-        raise ValueError(f"box center and width must be finite, got {center}, {width}")
     pg = momentum_grid(grid, hbar)
-    if width < 2 * pg.dx:
-        raise ValueError(f"momentum box width {width} below the 2*dp minimum {2 * pg.dx}")
-    cells = pg.cells_within(center - 0.5 * width, center + 0.5 * width)
-    if not cells:
-        raise ValueError("momentum box has no support on the conjugate grid")
+    cells = _box_cells(center, width, pg)
     phi = np.zeros(grid.n, dtype=complex)
     phi[cells.start:cells.stop] = 1.0 / math.sqrt(len(cells) * pg.dx)
     return _from_momentum_amps(phi, grid, hbar)

@@ -187,7 +187,8 @@ class TestVerify:
     def test_report_bytes_pinned_with_shift_and_momentum_warps(self, tmp_path):
         # tests/golden/verify_shift_pwarp: two probe centers, a mixture with
         # a momentum boost, a p_knots-only bend (its q axis unwarped) and a
-        # two-knot shift of both axes, which keeps its edge clipping
+        # two-knot shift of both axes, whose error-bar ladder alone keeps
+        # the edge clipping (its resolution is its measure's overall width)
         cfg = verify_config(
             grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
             confidence=[[0.05, 0.05], [0.1, 0.2]],
@@ -206,22 +207,19 @@ class TestVerify:
 
     def test_unwarped_axis_builds_no_warp_or_outcome(self, tmp_path, monkeypatch):
         # an omitted knot list leaves its axis unwarped (gmap None): every
-        # _warp_cells or pushforward call carries one of the given maps, and
-        # only the covariant shift pushes a point mass's outcome forward
+        # _warp_cells call carries one of the given maps, and no kernel, the
+        # covariant shift included, convolves or pushes an outcome forward
         seen = []
-        warp_cells, pushforward = observables._warp_cells, observables.pushforward
+        warp_cells = observables._warp_cells
 
         def counted_warp_cells(g, gmap):
             seen.append(("warp_cells", gmap))
             return warp_cells(g, gmap)
 
-        def counted_pushforward(P, gmap):
-            seen.append(("pushforward", gmap))
-            return pushforward(P, gmap)
-
         for module in (metrology, observables):
             monkeypatch.setattr(module, "_warp_cells", counted_warp_cells)
-            monkeypatch.setattr(module, "pushforward", counted_pushforward)
+        for name in ("pushforward", "convolve"):
+            monkeypatch.setattr(observables, name, lambda *args, name=name: seen.append(name))
         cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
                             calibration={"delta_ladder": [0.4, 0.2],
                                          "probe_centers": [0.0, 1.5]},
@@ -229,7 +227,20 @@ class TestVerify:
                                    {"name": "qshift", "q_knots": Q_SHIFT}])
         assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
         bend, shift = (PiecewiseLinearMap(*zip(*knots)) for knots in (P_BEND, Q_SHIFT))
-        assert set(seen) == {("warp_cells", bend), ("warp_cells", shift), ("pushforward", shift)}
+        assert set(seen) == {("warp_cells", bend), ("warp_cells", shift)}
+
+    def test_a_shift_resolution_is_its_measure_overall_width(self, tmp_path):
+        # a covariant kernel's resolution does not depend on where its
+        # outcome lands: a shift of +30 on +-12.8 sends every outcome past
+        # the grid's edge, and the resolution is still the measure's
+        # overall width, 3.9
+        cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                            warps=[{"name": "far", "q_knots": [[-12.8, 17.2], [12.8, 42.8]]}])
+        assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+        row = (tmp_path / "out" / "report.csv").read_text().splitlines()[-1].split(",")
+        far = dict(zip(REPORT_COLUMNS, row))
+        assert far["scenario_id"] == "gen0-far-eps0"
+        assert far["resolution_q"] == far["overall_q"] == "3.90000e+00"
 
     def test_one_overall_width_per_axis_and_row(self, tmp_path, monkeypatch):
         # an unwarped axis reads its overall width off _axis_pass's
@@ -490,7 +501,7 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
      "generators[1].components"),
     ("verify", verify_config(generators=[{"kind": "gaussian", "sigma": 3.0}]),
      "generators[0]: grid"),
-    ("scan", dict(SCAN_CONFIG, eps=[0.05, 1.5]), "eps[1]: eps values must lie in (0, 1)"),
+    ("scan", dict(SCAN_CONFIG, eps=[0.05, 1.5]), "eps[1]: eps must lie in (0, 1), got 1.5"),
     ("verify", verify_config(confidence=[[0.05, 0.1], [0.05, 1.0]]), "confidence[1][1]"),
     ("verify", verify_config(warps=[{"q_knots": [[-12.8, "nan"], [12.8, 1]]}]),
      "warps[0].q_knots[0][1]"),
@@ -566,7 +577,7 @@ HUGE_GRID = {"n": 512, "x_min": -1e155, "x_max": 1e155}
     ("scan", dict(SCAN_CONFIG, family="airy"), "family: unknown family 'airy'"),
     ("scan", dict(SCAN_CONFIG, family=["box"]), "family: unknown family ['box']"),
     ("scan", dict(SCAN_CONFIG, family="box", lattice={"width": [0.01]}),
-     "lattice point width=0.01: box width 0.01 below the 2*dx minimum"),
+     "lattice point width=0.01: box width 0.01 below the 2-cell minimum 0.1 (grid step 0.05)"),
     # a center 1 + 1e-9 cells left of the grid, whose rung of 2 - 0.6e-9
     # cells about it a bent kernel builds holds no grid point
     ("verify", verify_config(calibration={"delta_ladder": [0.4, (2 - 0.6e-9) * 0.05],

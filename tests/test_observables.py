@@ -258,8 +258,17 @@ class TestJointDistribution:
         assert jd.marginal_q().variance() == pytest.approx(2.0, rel=1e-3)
         assert jd.marginal_p().variance() == pytest.approx(0.5, rel=1e-3)
 
-    def test_marginals_match_convolution_identity(self):
-        gen = vacuum(sigma=0.9)
+    @pytest.mark.parametrize("gen", [
+        pytest.param(vacuum(sigma=0.9), id="centered"),
+        # marginal_measures returns the generator's marginals reflected and
+        # Kernel.smear reflects them again, so the kernels describe the
+        # observable generated by Pi m Pi while joint_distribution computes
+        # the one generated by m: only a parity-symmetric m agrees (max-abs
+        # gaps 1.7e-2 on q and 7.7e-2 on p here)
+        pytest.param(vacuum(x0=0.7, p0=0.4, sigma=0.9), id="displaced",
+                     marks=pytest.mark.xfail(strict=True, reason="kernels are reflected twice")),
+    ])
+    def test_marginals_match_convolution_identity(self, gen):
         rho = vacuum(x0=1.0, p0=-0.5)
         jd = joint_distribution(PhaseSpaceObservable(gen, QW, PW), rho)
         mu, nu = marginal_measures(gen)

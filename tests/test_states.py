@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 
 import numpy as np
@@ -168,6 +169,14 @@ class TestBoxAndPoint:
     def test_momentum_box_state_flat_in_p(self):
         Q = momentum_distribution(pure(momentum_box_state(0.0, 2.0, GRID)))
         assert mass(Q, Interval(0.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_momentum_box_rules_are_the_box_rules_on_dp(self):
+        # the 2-cell minimum is named in the momentum grid's own step
+        with pytest.raises(ValueError, match=re.escape(
+                f"below the 2-cell minimum {2 * PGRID.dx} (grid step {PGRID.dx})")):
+            momentum_box_state(0.0, 1.5 * PGRID.dx, GRID)
+        with pytest.raises(ValueError, match="box has no support on the grid"):
+            momentum_box_state(PGRID.x_max + 3 * PGRID.dx, 2 * PGRID.dx, GRID)
 
 
 class TestWeylDisplacement:
