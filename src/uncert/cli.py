@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import fields
 from itertools import product as iproduct
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -294,11 +295,15 @@ def _write_csv(path: Path, header: list, rows) -> Path:
 def _write_reports(reports, out_dir: Path):
     rows = [[_fmt(getattr(rep, c)) for c in REPORT_COLUMNS] for rep in reports]
     csv_path = _write_csv(out_dir / "report.csv", REPORT_COLUMNS, rows)
-    # the JSON report holds the same strings, and `passed` as a JSON boolean
-    payload = [dict(zip(REPORT_COLUMNS, row), passed=rep.passed)
-               for rep, row in zip(reports, rows)]
+    # the JSON report holds the same strings, and `passed` as a JSON boolean,
+    # as the text of json.dumps(..., indent=2), built here: with an indent
+    # json takes its pure-Python encoder, whose closures leave reference cycles
+    quote = encode_basestring_ascii
+    objects = ["{\n" + ",\n".join(f"    {quote(c)}: {cell if c == 'passed' else quote(cell)}"
+                                  for c, cell in zip(REPORT_COLUMNS, row)) + "\n  }"
+               for row in rows]
     json_path = out_dir / "report.json"
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    json_path.write_text("[\n  " + ",\n  ".join(objects) + "\n]\n")
     return csv_path, json_path
 
 
@@ -379,20 +384,23 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """The four arrays that `widths` writes its state into, and `scan` each
+    """The three arrays that `widths` writes its state into, and `scan` each
     lattice point.
 
     :meth:`state` runs the steps of gaussian_state or box_state and
     WaveFunction, and :meth:`widths` those of position_distribution,
     momentum_distribution, GridMeasure and overall_width, through the same
     kernels, on these arrays: the position points x; the amplitudes, which
-    take the squared FFT moduli once the FFT has read them; the prefix
-    sums, n + 1 entries whose tail holds a marginal's weights before the
-    in-place cumsum (and |a|^2 for the norms); and the real FFT.  A box, or
-    a Gaussian at p0 = 0, allocates no n-length array; at p0 != 0 the
-    amplitudes are complex, in a new array, and take the complex FFT.  The
-    kernels skip only steps that cannot change a bit, as their docstrings
-    say.
+    take the squared FFT moduli once the FFT has read them; and one buffer
+    of n + 2 floats.  Its first n + 1 entries are the prefix sums, whose
+    tail holds a marginal's weights before the in-place cumsum (and |a|^2
+    for the norms); the whole buffer, viewed as n/2 + 1 complex values, is
+    the real FFT's output, which is read into the amplitudes before the
+    momentum weights fill the tail.  The FFT leaves bin 0 in prefix[0], so
+    :meth:`_marginal_run` zeroes it.  A box, or a Gaussian at p0 = 0,
+    allocates no n-length array; at p0 != 0 the amplitudes are complex, in
+    a new array, and take the complex FFT.  The kernels skip only steps
+    that cannot change a bit, as their docstrings say.
     """
 
     def __init__(self, grid: GridSpec, hbar: float):
@@ -401,8 +409,9 @@ class _Workspace:
         self.dp = momentum_grid(grid, hbar).dx
         self.x = grid.points()
         self.amps = np.empty(n)
-        self.prefix = np.zeros(n + 1)
-        self.spectrum = np.empty(n // 2 + 1, dtype=complex)
+        buf = np.empty(n + 2)
+        self.prefix = buf[:n + 1]
+        self.spectrum = buf.view(complex)
 
     def state(self, kind: str, params: dict) -> np.ndarray:
         """Unit-norm amplitudes of a STATE_PARAMS kind, once params pass its checks."""
@@ -430,6 +439,7 @@ class _Workspace:
         bisects the shortest run on the prefix sums."""
         w = self.prefix[1:]
         _normalize_weights(w)
+        self.prefix[0] = 0.0
         np.cumsum(w, out=w)
         return _shortest_run(self.prefix, eps)
 
@@ -545,13 +555,14 @@ def cmd_scan(args) -> int:
     bs, bu = bound_simple(eps, hbar), bound_uffink(eps, hbar)
     ws = _Workspace(grid, hbar)
     out = _out_dir(args)
-    # every row is computed before the file is opened, so no partial
-    # scan.csv is left behind
-    rows = []
-    for combo in iproduct(*values):
-        wq, wp = ws.widths(ws.state(family, {**defaults, **dict(zip(names, combo))}), eps)
-        rows.append([_fmt(float(v)) for v in combo] + _product_cells(wq, wp, bs, bu))
+    # every width is computed before the file is opened, so no partial
+    # scan.csv is left behind; the rows are formatted as they are written
+    widths = np.empty((n_points, 2))
+    for row, combo in zip(widths, iproduct(*values)):
+        row[:] = ws.widths(ws.state(family, {**defaults, **dict(zip(names, combo))}), eps)
     del ws  # its arrays are not held while the file is written
+    rows = ([_fmt(float(v)) for v in combo] + _product_cells(wq, wp, bs, bu)
+            for combo, (wq, wp) in zip(iproduct(*values), widths))
     path = _write_csv(out / "scan.csv", names + PRODUCT_COLUMNS, rows)
     print(f"{n_points} lattice rows -> {path}")
     return 0

@@ -2,8 +2,10 @@
 
 Each one backs a performance claim with paired runs of a parent and a
 change, so it must parse, say what it measured and how, and name only
-workloads that BENCHMARK.json defines, each with at least ten pairs.
-BENCHMARK.json is only read.
+workloads that BENCHMARK.json defines, each with at least ten pairs.  A
+record that claims a gain names, in each entry of its `claim` list, an
+end-to-end metric of BENCHMARK.json, a workload key the record ran, and
+whether the claim was met.  BENCHMARK.json is only read.
 """
 
 import json
@@ -18,8 +20,12 @@ REQUIRED_KEYS = ("change", "command", "method", "environment", "workloads")
 MIN_PAIRS = 10
 
 
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def _workload_names() -> set:
-    return {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    return {w["name"] for w in _benchmark()["workloads"]}
 
 
 def test_records_exist():
@@ -43,3 +49,19 @@ def test_record_is_well_formed(path):
             assert set(seeds) == {int(m["seed"])}, f"{path.name}: {key!r} seeds"
         assert len(seeds) == len(first) >= MIN_PAIRS, \
             f"{path.name}: {key!r} has {len(seeds)} seeds and {len(first)} pairs"
+
+
+CLAIMS = [p for p in RECORDS if "claim" in json.loads(p.read_text())]
+
+
+@pytest.mark.parametrize("path", CLAIMS, ids=[p.name for p in CLAIMS])
+def test_claims_name_a_gated_metric_and_a_recorded_workload(path):
+    record = json.loads(path.read_text())
+    metrics = {m["name"] for m in _benchmark()["end_to_end"]}
+    assert record["claim"], f"{path.name} has an empty claim"
+    for entry in record["claim"]:
+        assert entry["metric"] in metrics, \
+            f"{path.name}: {entry['metric']!r} is no end-to-end metric"
+        assert entry["workload"] in record["workloads"], \
+            f"{path.name}: {entry['workload']!r} is not a workload the record ran"
+        assert isinstance(entry.get("met"), bool), f"{path.name}: a claim lacks 'met'"

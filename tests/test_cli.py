@@ -369,6 +369,21 @@ class TestVerify:
         assert rc == 0
         assert peak < 4.2 * 2**20
 
+    def test_verify_leaves_no_cyclic_garbage(self, tmp_path):
+        # a verify op frees every object it makes by reference counting, so
+        # its peak does not depend on when the cyclic collector runs; the
+        # pure-Python JSON encoder used to leave 33 objects in cycles
+        argv = ["--out", str(tmp_path / "out"), "verify",
+                write_config(tmp_path, bench_verify_config(4096, [[0.05, 0.05]]))]
+        assert main(argv) == 0  # builds the parser and imports lazily
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_rows_without_a_positive_bound_are_annotated(self, tmp_path):
         # eps1 + eps2 >= 1: the plain row and the warped row both say so
         cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
@@ -1325,6 +1340,51 @@ class TestScan:
         assert rc == 0
         assert (tmp_path / "out" / "scan.csv").read_bytes() == \
             (golden / "scan.csv").read_bytes()
+
+
+    def test_left_edge_box_scan_csv_pinned(self, tmp_path):
+        # tests/golden/scan_box_edge: boxes at the center and at the left
+        # edge of n = 1024 on +-12.8; the real FFT writes bin 0 into the
+        # first prefix sum, which must read 0 again before the next search
+        golden = GOLDEN / "scan_box_edge"
+        rc = main(["--out", str(tmp_path / "out"), "scan", str(golden / "config.json")])
+        assert rc == 0
+        assert (tmp_path / "out" / "scan.csv").read_bytes() == \
+            (golden / "scan.csv").read_bytes()
+
+    @staticmethod
+    def traced_peak(argv) -> int:
+        """The tracemalloc peak of main(argv), after one untraced warm-up call."""
+        assert main(argv) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_workload_scale_scan_peak_memory(self, tmp_path):
+        # the seed-0 scan-lattice config, 26 x 10 points at n = 16384: the
+        # points, amplitudes and prefix sums are 0.375 MiB; a separate real
+        # FFT array and every row's formatted cells traced 0.67 MiB
+        peak = self.traced_peak(["--out", str(tmp_path / "out"), "scan",
+                                 str(GOLDEN / "scan_lattice" / "config.json")])
+        assert peak < 0.45 * 2**20
+
+    def test_scan_memory_per_point_is_two_floats(self, tmp_path):
+        # 16 bytes a point hold its two widths; each row's cells are made as
+        # it is written.  Holding every row's formatted cells grew the peak
+        # by about 630 bytes a point
+        peaks = []
+        for n_sigma, n_x0 in ((10, 20), (40, 50)):
+            cfg = self.scan_config(
+                grid={"n": 64, "x_min": -12.8, "x_max": 12.8},
+                lattice={"sigma": [1.0 + 0.01 * i for i in range(n_sigma)],
+                         "x0": [0.02 * j - 0.5 for j in range(n_x0)]})
+            peaks.append(self.traced_peak(["--out", str(tmp_path / "out"), "scan",
+                                           write_config(tmp_path, cfg)]))
+        assert peaks[1] - peaks[0] <= 32 * (40 * 50 - 10 * 20)
 
 
 def _public_widths(kind, params, grid, eps):
