@@ -15,6 +15,7 @@ Reports are byte-stable: fixed column order, 6 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -67,6 +68,15 @@ PRODUCT_COLUMNS = ["width_q", "width_p", "product", "bound_simple", "bound_uffin
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _located(where: str):
+    """Raises a ValueError of the block as a ConfigError that starts with `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -160,10 +170,8 @@ def _eps_pair(pair, where) -> ConfidencePair:
         raise ConfigError(f"{where}: expected a pair [eps1, eps2]")
     for k, e in enumerate(pair):
         x = _number(e, f"{where}[{k}]")
-        try:
+        with _located(f"{where}[{k}]"):
             _target(x)
-        except ValueError as exc:
-            raise ConfigError(f"{where}[{k}]: {exc}") from exc
     return ConfidencePair(float(pair[0]), float(pair[1]))
 
 
@@ -177,10 +185,8 @@ def _parse_confidence(pairs, where="confidence"):
 def _gaussian_params(spec, grid, hbar, where) -> tuple:
     s = _require_keys(spec, where, {"sigma": None}, {"x0": 0.0, "p0": 0.0})
     params = tuple(_number(s[k], f"{where}.{k}") for k in ("x0", "p0", "sigma"))
-    try:
+    with _located(where):
         _check_gaussian(*params, grid, hbar)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     return params
 
 
@@ -207,10 +213,8 @@ def _parse_generator(spec, grid, hbar, where) -> list:
                                {"x0": 0.0, "p0": 0.0})
             weight = _number(cw.pop("weight"), f"{cwhere}.weight")
             comps.append((weight, _gaussian_params(cw, grid, hbar, cwhere)))
-        try:
+        with _located(f"{where}.components"):
             _mixture_total([w for w, _ in comps])
-        except ValueError as exc:
-            raise ConfigError(f"{where}.components: {exc}") from exc
         return comps
     raise ConfigError(f"{where}.kind: unknown generator kind {kind!r}")
 
@@ -235,10 +239,8 @@ def _parse_warp(spec, i) -> tuple:
                 raise ConfigError(f"{where}.{label}[{j}]: expected a pair [x, y]")
             xs.append(_number(k[0], f"{where}.{label}[{j}][0]"))
             ys.append(_number(k[1], f"{where}.{label}[{j}][1]"))
-        try:
+        with _located(f"{where}.{label}"):
             return PiecewiseLinearMap(tuple(xs), tuple(ys))
-        except ValueError as exc:
-            raise ConfigError(f"{where}.{label}: {exc}") from exc
 
     return name, plm("q_knots"), plm("p_knots")
 
@@ -264,6 +266,7 @@ def _parse_calibration(obj, grid, hbar, where="calibration") -> CalibrationConfi
     if c["probe_kind"] not in PROBE_KINDS:
         raise ConfigError(f"{where}.probe_kind: unknown probe kind {c['probe_kind']!r}, "
                           f"expected one of {list(PROBE_KINDS)}")
+    # CalibrationConfig's messages start with the field: `where.field: ...`
     try:
         return CalibrationConfig(ladder, centers, grid, hbar)
     except ValueError as exc:
@@ -356,10 +359,8 @@ def cmd_verify(args) -> int:
     if not math.isfinite((2 * grid.n - 2) * momentum_grid(grid, hbar).dx):
         raise ConfigError(f"hbar: the momentum window span (2n - 2)*dp must be finite, "
                           f"got hbar = {hbar} with n = {grid.n}, dx = {grid.dx}")
-    try:
+    with _located("grid"):
         parity_offset(grid)     # the position smearing measure is a reflected marginal
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
     eps_pairs = _parse_confidence(top["confidence"])
     calib = _parse_calibration(top["calibration"], grid, hbar)
     warps = _parse_warps(top["warps"])
@@ -476,10 +477,8 @@ def _parse_eps(text: str) -> ConfidencePair:
     parts = text.split(",")
     if len(parts) > 2:
         raise ConfigError(f"--eps: expected eps or eps1,eps2, got {len(parts)} values")
-    try:
+    with _located("--eps"):
         return ConfidencePair(float(parts[0]), float(parts[-1]))
-    except ValueError as exc:
-        raise ConfigError(f"--eps: {exc}") from None
 
 
 def _product_cells(wq: float, wp: float, bs: float, bu: float) -> list:
@@ -496,10 +495,8 @@ def cmd_widths(args) -> int:
     grid = _phase_space(n, -args.window, args.window, hbar, ("--grid-n", "--window", "--hbar"))
     kind, params = _parse_state_spec(args.state)
     ws = _Workspace(grid, hbar)
-    try:
+    with _located("state spec"):
         a = ws.state(kind, params)
-    except ValueError as exc:
-        raise ConfigError(f"state spec: {exc}") from exc
     eps = _parse_eps(args.eps)
     wq, wp = ws.widths(a, eps)
     bu = bound_uffink(eps, hbar)
@@ -543,14 +540,11 @@ def cmd_scan(args) -> int:
     # the checks of _Workspace.state, on every point before any state is built
     for combo in iproduct(*values):
         p = {**defaults, **dict(zip(names, combo))}
-        try:
+        with _located("lattice point " + ", ".join(f"{k}={v}" for k, v in zip(names, combo))):
             if family == "gaussian":
                 _check_gaussian(p["x0"], p["p0"], p["sigma"], grid, hbar)
             else:
                 _box_cells(p["center"], p["width"], grid)
-        except ValueError as exc:
-            point = ", ".join(f"{k}={v}" for k, v in zip(names, combo))
-            raise ConfigError(f"lattice point {point}: {exc}") from exc
 
     bs, bu = bound_simple(eps, hbar), bound_uffink(eps, hbar)
     ws = _Workspace(grid, hbar)

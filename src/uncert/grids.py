@@ -28,8 +28,10 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.dx <= 0:
-            raise ValueError(f"grid step must be positive, got {self.dx}")
+        if not math.isfinite(self.x_min):
+            raise ValueError(f"grid start must be finite, got {self.x_min}")
+        if not 0 < self.dx < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got {self.dx}")
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n}")
 

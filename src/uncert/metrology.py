@@ -14,8 +14,10 @@ center) (:class:`_CenteredWindows`), in one vectorized bisection over all
 probes; a covariant kernel's resolution is its smearing measure's overall
 width.  So no probe measure, probe state or outcome is built.
 :func:`_axis_pass` is the one route to these widths, for any number of eps
-values, and :func:`verify_scenarios` runs it once per distinct kernel of a
-generator's rows.
+values, on the calibration block that :meth:`CalibrationConfig._on_axis`
+places on the kernel's axis.  :func:`verify_scenarios`, the one verify
+entry, checks that each kernel's measure lies on that axis' grid and runs
+the pass once per distinct kernel of a generator's rows.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from .grids import RENORM_TOL, GridMeasure, GridSpec, _normalize_weights, _sum_grid, \
     _target, overall_width
-from .observables import Kernel, _warp_cells, marginal_measures
-from .states import MixedState, momentum_grid
+from .observables import Kernel, _warp_cells
+from .states import momentum_grid
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +57,8 @@ class ConfidencePair:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Delta ladder and probe centers, in position units on both axes; a
-    momentum kernel's pass scales them by dp/dx (:func:`_axis_pass`).  The
+    """Delta ladder and probe centers, in position units on both axes;
+    :meth:`_on_axis` scales them by dp/dx onto the momentum axis.  The
     checks here are every rule the passes rely on: the ladder decreases,
     each rung is at least 2 dx and below n dx, and on both axes the smallest
     rung about each center and about x = 0, and on q the 2 dx resolution box
@@ -92,17 +94,23 @@ class CalibrationConfig:
             raise ValueError("grid: no point within delta_ladder[-1] / 2 of x = 0, where "
                              "covariant kernels are calibrated")
         for axis, step, name in (("q", "dx", "grid"), ("p", "dp", "momentum grid")):
-            axis_grid = _axis_grid(axis, grid, self.hbar)
-            scale = axis_grid.dx / grid.dx
-            sizes = (ladder[-1] * scale,) + ((2 * axis_grid.dx,) if axis == "q" else ())
-            for i, c in enumerate(centers):
-                x = c * scale
+            axis_grid, deltas, xs = self._on_axis(axis)
+            sizes = (deltas[-1],) + ((2 * axis_grid.dx,) if axis == "q" else ())
+            for i, (c, x) in enumerate(zip(centers, xs)):
                 if all(axis_grid.cells_within(x - 0.5 * d, x + 0.5 * d) for d in sizes):
                     continue
                 scaled = "" if axis == "q" else f", scaled by dp/dx to {x},"
                 raise ValueError(f"probe_centers[{i}]: {c}{scaled} is more than one cell "
                                  f"({step} = {axis_grid.dx}) outside the {name} "
                                  f"[{axis_grid.x_min}, {axis_grid.x_max}]")
+
+    def _on_axis(self, axis: str) -> tuple:
+        """The `axis` grid, and the ladder and probe centers in its units:
+        on p, the momentum grid and both times scale = dp/dx (1.0 on q)."""
+        axis_grid = self.grid if axis == "q" else momentum_grid(self.grid, self.hbar)
+        scale = axis_grid.dx / self.grid.dx
+        return (axis_grid, [d * scale for d in self.delta_ladder],
+                [c * scale for c in self.probe_centers])
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,6 @@ def bound_uffink(eps: ConfidencePair, hbar: float) -> float:
 # ---------------------------------------------------------------------------
 # Width functionals
 # ---------------------------------------------------------------------------
-
-def _axis_grid(axis: str, grid: GridSpec, hbar: float) -> GridSpec:
-    return grid if axis == "q" else momentum_grid(grid, hbar)
-
 
 def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
     """First and last axis-grid cell of the calibration rung [center +- delta/2];
@@ -293,8 +297,8 @@ class _CenteredWindows:
 def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
     """Per eps in `eps_values`, the pair (resolution width, calibration
     error at each rung of the ladder): the one route to a kernel's widths.
-    The rungs and probe centers of a momentum kernel are cfg's times
-    scale = dp/dx (1.0 on q).
+    The rungs and probe centers are cfg's on the kernel's axis
+    (:meth:`CalibrationConfig._on_axis`).
 
     The calibration error at a rung delta is the smallest output window,
     centered on the nominal value x, that holds the outcome with confidence
@@ -333,16 +337,14 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
     """
     eps_values = tuple(eps_values)
     targets = np.array([_target(eps) for eps in eps_values])
-    axis_grid = _axis_grid(kernel.axis, cfg.grid, cfg.hbar)
-    scale = axis_grid.dx / cfg.grid.dx
-    deltas = [d * scale for d in cfg.delta_ladder]
+    axis_grid, deltas, probe_centers = cfg._on_axis(kernel.axis)
     ladders = [[0.0] * len(deltas) for _ in eps_values]
     centers, points = (0.0,), []
     if kernel.covariant:
         resolutions = [0.0 if kernel.measure is None else overall_width(kernel.measure, eps)
                        for eps in eps_values]
     else:
-        resolutions, centers = [0.0] * len(eps_values), [c * scale for c in cfg.probe_centers]
+        resolutions, centers = [0.0] * len(eps_values), probe_centers
         points = [axis_grid.nearest_index(c) for c in centers]
         # a box, the cells within one step of c, is the rung of delta = 2 dx about c
         boxes = [] if kernel.axis == "p" else [
@@ -417,25 +419,13 @@ def tent(center: float, height: float):
 # Joint verification driver
 # ---------------------------------------------------------------------------
 
-def verify_joint_ur(gen: MixedState, eps: ConfidencePair, cfg: CalibrationConfig,
-                    scenario_id: str = "scenario", kernels=None) -> WidthReport:
-    """Width report for the joint observable generated by gen (or for an
-    explicitly supplied kernel pair, e.g. warped marginals): the one-row
-    case of :func:`verify_scenarios`.
-    """
-    if cfg.grid != gen.grid or cfg.hbar != gen.hbar:
-        raise ValueError(f"calibration grid {cfg.grid} and hbar {cfg.hbar} differ from "
-                         f"the generator's grid {gen.grid} and hbar {gen.hbar}")
-    if kernels is None:
-        kernels = tuple(map(Kernel, "qp", marginal_measures(gen)))
-    return verify_scenarios(cfg, [(scenario_id, eps, kernels)])[0]
-
-
 def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
     """Width reports of `scenarios`, (scenario_id, eps, (kq, kp)) triples of
     kernel pairs observed on cfg's grid and hbar, in their order.  The
     kernels carry all a row reads of a generator, its marginal measures,
-    so the generator's states need not be held while they run.
+    so the generator's states need not be held while they run.  A kernel's
+    measure must lie on cfg's grid for its axis, the momentum grid on p,
+    which also pins hbar; a sharp kernel takes cfg's.
 
     Each row checks that both the error-bar product and the resolution
     product clear the simple lower bound, up to the per-axis one-cell width
@@ -448,12 +438,16 @@ def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
     is read off a covariant kernel's pass when one has run and taken once
     otherwise; the Werner distance is taken once per measure.
     """
-    grid, hbar = cfg.grid, cfg.hbar
-    dp = momentum_grid(grid, hbar).dx
+    dx, dp = (cfg._on_axis(axis)[0].dx for axis in "qp")
     eps_of = {}      # kernel -> {eps: None}, the eps values it needs in order
-    for _, eps, (kq, kp) in scenarios:
-        eps_of.setdefault(kq, {})[eps.eps1] = None
-        eps_of.setdefault(kp, {})[eps.eps2] = None
+    for scenario_id, eps, (kq, kp) in scenarios:
+        for kernel, e in ((kq, eps.eps1), (kp, eps.eps2)):
+            mu, axis = kernel.measure, kernel.axis
+            if kernel not in eps_of and mu is not None and mu.grid != cfg._on_axis(axis)[0]:
+                raise ValueError(f"{scenario_id}: the {axis} kernel's measure lies on "
+                                 f"{mu.grid}, not on the calibration's {axis} grid "
+                                 f"{cfg._on_axis(axis)[0]}")
+            eps_of.setdefault(kernel, {})[e] = None
     passes, overall, werner = {}, {}, {}
 
     def axis_widths(kernel, e):
@@ -476,10 +470,10 @@ def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
         overall_p, res_p, eb_p, spread_p, werner_p = axis_widths(kp, eps.eps2)
         prod_eb = eb_q * eb_p
         prod_res = res_q * res_p
-        bs = bound_simple(eps, hbar)
-        bu = bound_uffink(eps, hbar)
+        bs = bound_simple(eps, cfg.hbar)
+        bu = bound_uffink(eps, cfg.hbar)
         # one grid cell per interval endpoint, per axis, propagated to the product
-        slack = 2.0 * (grid.dx * eb_p + dp * eb_q) + 2.0 * (grid.dx * res_p + dp * res_q)
+        slack = 2.0 * (dx * eb_p + dp * eb_q) + 2.0 * (dx * res_p + dp * res_q)
         if not eps.valid_bound:
             scenario_id += "(no positive bound)"
         passed = (prod_eb >= bs - slack) and (prod_res >= bs - slack)

@@ -38,6 +38,19 @@ def test_grid_spec_validation():
         GridSpec(0.0, 0.1, 1)
 
 
+@pytest.mark.parametrize("x_min, dx, message", [
+    (0.0, math.nan, "grid step must be positive and finite, got nan"),
+    (0.0, math.inf, "grid step must be positive and finite, got inf"),
+    (math.inf, 1.0, "grid start must be finite, got inf"),
+    (-math.inf, 1.0, "grid start must be finite, got -inf"),
+    (math.nan, 1.0, "grid start must be finite, got nan"),
+], ids=["nan-step", "inf-step", "inf-start", "minus-inf-start", "nan-start"])
+def test_grid_spec_rejects_non_finite_start_and_step(x_min, dx, message):
+    # nan <= 0 is false, so a nan step once built a grid of nan points
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridSpec(x_min, dx, 8)
+
+
 def test_grid_measure_rejects_bad_weights():
     with pytest.raises(ValueError):
         GridMeasure(GRID, np.full(GRID.n, -1.0))

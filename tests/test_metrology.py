@@ -28,7 +28,7 @@ from uncert.metrology import (
     bound_uffink,
     clipped_identity,
     tent,
-    verify_joint_ur,
+    verify_scenarios,
     werner_distance_covariant,
     werner_distance_lower_bound,
 )
@@ -73,6 +73,11 @@ def vacuum(sigma=1.0):
 def marginal_kernel(gen, axis, gmap=None):
     """The kernel on gen's reflected `axis` marginal, pushed through gmap."""
     return Kernel(axis, marginal_measures(gen)["qp".index(axis)], gmap)
+
+
+def marginal_kernels(gen):
+    """The unwarped kernel pair on gen's reflected marginals, as verify builds it."""
+    return tuple(map(Kernel, "qp", marginal_measures(gen)))
 
 
 def axis_pass(kernel, eps, cfg):
@@ -487,9 +492,9 @@ class TestCenteredWindows:
         monkeypatch.setattr(metrology, "_CenteredWindows", Counted)
         gen = vacuum()
         cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0, 3.37 * DX), GRID, HBAR)
-        rep = verify_joint_ur(gen, ConfidencePair(0.05, 0.05), cfg,
-                              kernels=(marginal_kernel(gen, "q", WIGGLE),
-                                       marginal_kernel(gen, "p")))
+        rep, = verify_scenarios(cfg, [("row", ConfidencePair(0.05, 0.05),
+                                       (marginal_kernel(gen, "q", WIGGLE),
+                                        marginal_kernel(gen, "p")))])
         assert rep.passed
         assert sorted(built) == [("p", 0.0), ("q", 0.0), ("q", 3.37 * DX)]
 
@@ -783,7 +788,8 @@ class TestWernerDistance:
 
 class TestVerifyJointUR:
     def test_vacuum_generator_passes(self):
-        rep = verify_joint_ur(vacuum(), ConfidencePair(0.05, 0.05), CFG, "vac")
+        rep, = verify_scenarios(CFG, [("vac", ConfidencePair(0.05, 0.05),
+                                       marginal_kernels(vacuum()))])
         assert rep.passed
         assert rep.product_errorbar >= rep.bound_simple - 1e-9
         assert rep.product_resolution >= rep.bound_simple - 1e-9
@@ -791,13 +797,14 @@ class TestVerifyJointUR:
         assert rep.errorbar_q_spread >= 0.0
 
     def test_squeezed_generator_passes(self):
-        rep = verify_joint_ur(vacuum(0.6), ConfidencePair(0.1, 0.2), CFG, "sq")
+        rep, = verify_scenarios(CFG, [("sq", ConfidencePair(0.1, 0.2),
+                                       marginal_kernels(vacuum(0.6)))])
         assert rep.passed
 
     def test_scenarios_take_grid_and_hbar_from_the_config(self):
         # sharp kernels carry no generator, so only cfg says that hbar is 2
         cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), GRID, 2.0)
-        rep, = metrology.verify_scenarios(
+        rep, = verify_scenarios(
             cfg, [("sharp", ConfidencePair(0.05, 0.1), (Kernel("q"), Kernel("p")))])
         assert rep.bound_simple == 4 * math.pi * (1 - 0.05 - 0.1) ** 2
         # the smallest rung, 0.1 = 4 dx, holds the point masses within two
@@ -810,32 +817,34 @@ class TestVerifyJointUR:
         assert rep.resolution_q == rep.resolution_p == 0.0
 
     def test_exhausted_confidence_notes_no_bound(self):
-        rep = verify_joint_ur(vacuum(), ConfidencePair(0.6, 0.6), CFG, "wide")
+        rep, = verify_scenarios(CFG, [("wide", ConfidencePair(0.6, 0.6),
+                                       marginal_kernels(vacuum()))])
         assert rep.passed
         assert rep.scenario_id == "wide(no positive bound)"
         assert rep.bound_simple == 0.0
 
-    @pytest.mark.parametrize("cfg_n, cfg_hbar, kernels", [
-        # sharp kernels read a p ladder rescaled with the wrong hbar: 0.982
-        # for the error bar of 0.491
-        (256, 2.0, "sharp"),
-        # the generator's marginals failed on "grid steps differ" instead
-        (256, 2.0, "marginals"),
-        # the q axis was judged on the calibration grid
-        (512, 1.0, "sharp"),
-    ], ids=["hbar-sharp", "hbar-marginals", "grid"])
-    def test_calibration_on_another_grid_or_hbar_rejected(self, cfg_n, cfg_hbar, kernels):
-        grid = GridSpec.symmetric(12.8, 256)
-        gen = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR))
-        cfg = CalibrationConfig((0.4, 0.2), (0.0,), GridSpec.symmetric(12.8, cfg_n), cfg_hbar)
-        pair = (Kernel("q"), Kernel("p")) if kernels == "sharp" else \
-            tuple(map(Kernel, "qp", marginal_measures(gen)))
+    @pytest.mark.parametrize("gen_grid, gen_hbar, cfg_hbar, axis", [
+        # the p measure's momentum step is half the config's
+        (GridSpec.symmetric(12.8, 256), 1.0, 2.0, "p"),
+        # same dx, twice the length: judged on the config's grid, this row
+        # passed with errorbar_q 3.999999999999986, where its own grid gives 4.0
+        (GridSpec.symmetric(25.6, 512), 1.0, 1.0, "q"),
+        (GridSpec.symmetric(12.8, 256), 2.0, 1.0, "p"),
+    ], ids=["hbar-marginals", "q-grid-same-dx", "p-generator-hbar-2"])
+    def test_calibration_on_another_grid_or_hbar_rejected(self, gen_grid, gen_hbar,
+                                                          cfg_hbar, axis):
+        gen = MixedState.pure(gaussian_state(0.0, 0.0, 1.0, gen_grid, gen_hbar))
+        cfg = CalibrationConfig((0.4, 0.2), (0.0,), GridSpec.symmetric(12.8, 256), cfg_hbar)
+        kq, kp = marginal_kernels(gen)
+        # a sharp p kernel leaves the q measure the only one off its grid
+        pair = (kq, Kernel("p")) if axis == "q" else (kq, kp)
+        measure_grid, cfg_grid = (gen_grid, cfg.grid) if axis == "q" else \
+            (momentum_grid(gen_grid, gen_hbar), momentum_grid(cfg.grid, cfg_hbar))
         with pytest.raises(ValueError) as exc:
-            verify_joint_ur(gen, ConfidencePair(0.05, 0.05), cfg, "row", kernels=pair)
+            verify_scenarios(cfg, [("row", ConfidencePair(0.05, 0.05), pair)])
         assert str(exc.value) == (
-            f"calibration grid GridSpec(x_min=-12.8, dx={25.6 / cfg_n}, n={cfg_n}) and hbar "
-            f"{cfg_hbar} differ from the generator's grid GridSpec(x_min=-12.8, dx=0.1, "
-            f"n=256) and hbar 1.0")
+            f"row: the {axis} kernel's measure lies on {measure_grid}, not on the "
+            f"calibration's {axis} grid {cfg_grid}")
 
 
 def gaussian_rows(n, sigma):
@@ -843,11 +852,11 @@ def gaussian_rows(n, sigma):
     grid of the verify benchmarks (+-20, hbar = 1), one (report, axis, eps,
     axis spread, axis cell) per axis of each eps pair."""
     grid = GridSpec.symmetric(20.0, n)
-    gen = MixedState.pure(gaussian_state(0.0, 0.0, sigma, grid, HBAR))
+    kernels = marginal_kernels(MixedState.pure(gaussian_state(0.0, 0.0, sigma, grid, HBAR)))
     cfg = CalibrationConfig((0.4, 0.2, 0.1), (0.0,), grid, HBAR)
     dp = momentum_grid(grid, HBAR).dx
     for eps in (ConfidencePair(0.05, 0.05), ConfidencePair(0.1, 0.2), ConfidencePair(0.2, 0.1)):
-        rep = verify_joint_ur(gen, eps, cfg)
+        rep, = verify_scenarios(cfg, [("row", eps, kernels)])
         yield rep, "q", eps.eps1, sigma, grid.dx
         yield rep, "p", eps.eps2, HBAR / (2 * sigma), dp
 
