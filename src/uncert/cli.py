@@ -83,8 +83,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.5e}"
     return str(x)
 

@@ -16,8 +16,8 @@ width.  So no probe measure, probe state or outcome is built.
 :func:`_axis_pass` is the one route to these widths, for any number of eps
 values, on the calibration block that :meth:`CalibrationConfig._on_axis`
 places on the kernel's axis.  :func:`verify_scenarios`, the one verify
-entry, checks that each kernel's measure lies on that axis' grid and runs
-the pass once per distinct kernel of a generator's rows.
+entry, checks that each kernel observes its place's axis on that axis'
+grid, then runs the pass once per distinct kernel, up front.
 """
 
 from __future__ import annotations
@@ -421,49 +421,50 @@ def tent(center: float, height: float):
 
 def verify_scenarios(cfg: CalibrationConfig, scenarios) -> list:
     """Width reports of `scenarios`, (scenario_id, eps, (kq, kp)) triples of
-    kernel pairs observed on cfg's grid and hbar, in their order.  The
-    kernels carry all a row reads of a generator, its marginal measures,
-    so the generator's states need not be held while they run.  A kernel's
-    measure must lie on cfg's grid for its axis, the momentum grid on p,
-    which also pins hbar; a sharp kernel takes cfg's.
+    kernel pairs observed on cfg's grid and hbar, in their order.  A pair's
+    places name its axes: a kernel in the q place must observe q, one in the
+    p place p.  The kernels carry all a row reads of a generator, its
+    marginal measures, so the generator's states need not be held while
+    they run.  A kernel's measure must lie on cfg's grid for its axis, the
+    momentum grid on p, which also pins hbar; a sharp kernel takes cfg's.
 
     Each row checks that both the error-bar product and the resolution
     product clear the simple lower bound, up to the per-axis one-cell width
     slack; a row whose eps pair leaves no positive bound has
     ``(no positive bound)`` appended to its scenario_id.  Every distinct
     kernel (kernels compare by axis, measure object and map) gets one
-    :func:`_axis_pass`, at the first row that uses it, over every eps the
-    scenarios need on its axis, so a warp that leaves an axis unwarped
-    reuses the plain kernel's pass.  The overall width of a measure at eps
-    is read off a covariant kernel's pass when one has run and taken once
-    otherwise; the Werner distance is taken once per measure.
+    :func:`_axis_pass`, up front, after every scenario is checked, over
+    every eps the scenarios need on its axis, so a warp that leaves an axis
+    unwarped reuses the plain kernel's pass.  The overall width of a measure
+    at eps is read off a covariant kernel's pass and taken once otherwise;
+    the Werner distance is taken once per measure.
     """
-    dx, dp = (cfg._on_axis(axis)[0].dx for axis in "qp")
+    axis_grids = {axis: cfg._on_axis(axis)[0] for axis in "qp"}
     eps_of = {}      # kernel -> {eps: None}, the eps values it needs in order
-    for scenario_id, eps, (kq, kp) in scenarios:
-        for kernel, e in ((kq, eps.eps1), (kp, eps.eps2)):
-            mu, axis = kernel.measure, kernel.axis
-            if kernel not in eps_of and mu is not None and mu.grid != cfg._on_axis(axis)[0]:
+    for scenario_id, eps, pair in scenarios:
+        for axis, kernel, e in zip("qp", pair, (eps.eps1, eps.eps2)):
+            mu, grid = kernel.measure, axis_grids[axis]
+            if kernel.axis != axis:
+                raise ValueError(f"{scenario_id}: the {axis} place holds a {kernel.axis} kernel")
+            if kernel not in eps_of and mu is not None and mu.grid != grid:
                 raise ValueError(f"{scenario_id}: the {axis} kernel's measure lies on "
-                                 f"{mu.grid}, not on the calibration's {axis} grid "
-                                 f"{cfg._on_axis(axis)[0]}")
+                                 f"{mu.grid}, not on the calibration's {axis} grid {grid}")
             eps_of.setdefault(kernel, {})[e] = None
-    passes, overall, werner = {}, {}, {}
+    passes = {kernel: dict(zip(es, _axis_pass(kernel, es, cfg))) for kernel, es in eps_of.items()}
+    # a covariant kernel's resolution is its measure's overall width
+    overall = {(kernel.measure, e): res for kernel, widths in passes.items()
+               if kernel.covariant for e, (res, _) in widths.items()}
+    werner = {mu: 0.0 if mu is None else werner_distance_covariant(mu)
+              for mu in dict.fromkeys(kernel.measure for kernel in eps_of)}
 
     def axis_widths(kernel, e):
-        mu = kernel.measure
-        if kernel not in passes:
-            passes[kernel] = dict(zip(eps_of[kernel],
-                                      _axis_pass(kernel, eps_of[kernel], cfg)))
-            if kernel.covariant:     # its resolution is the measure's overall width
-                overall.update(((mu, x), res) for x, (res, _) in passes[kernel].items())
         res, vals = passes[kernel][e]
+        mu = kernel.measure
         if (mu, e) not in overall:
             overall[mu, e] = 0.0 if mu is None else overall_width(mu, e)
-        if mu not in werner:
-            werner[mu] = 0.0 if mu is None else werner_distance_covariant(mu)
         return overall[mu, e], res, vals[-1], max(vals) - min(vals), werner[mu]
 
+    dx, dp = axis_grids["q"].dx, axis_grids["p"].dx
     reports = []
     for scenario_id, eps, (kq, kp) in scenarios:
         overall_q, res_q, eb_q, spread_q, werner_q = axis_widths(kq, eps.eps1)

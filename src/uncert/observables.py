@@ -217,7 +217,6 @@ class JointDistribution:
     q_grid: GridSpec
     p_grid: GridSpec
     density: np.ndarray  # shape (n_q, n_p), probability per unit area
-    hbar: float
 
     @property
     def cell_area(self) -> float:
@@ -345,7 +344,7 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
             _component_overlap_sq(psi.amps, phi.amps, grid.dx, q_shifts, cols, wa * vb, dens)
     dens /= 2.0 * math.pi * hbar
 
-    jd = JointDistribution(G.q_grid, G.p_grid, dens, hbar)
+    jd = JointDistribution(G.q_grid, G.p_grid, dens)
     if warp_map is not None:
         _warp_density(jd, warp_map)
     if jd.total_mass < 1.0 - 1e-3:

@@ -846,6 +846,52 @@ class TestVerifyJointUR:
             f"row: the {axis} kernel's measure lies on {measure_grid}, not on the "
             f"calibration's {axis} grid {cfg_grid}")
 
+    @pytest.mark.parametrize("rows, message", [
+        # read as an ordered pair, the sharp one reported the momentum width
+        # 0.49087 as errorbar_q and flipped `passed`
+        (lambda kq, kp: [("swapped", (Kernel("p"), Kernel("q")))],
+         "swapped: the q place holds a p kernel"),
+        (lambda kq, kp: [("swapped", (kp, kq))], "swapped: the q place holds a p kernel"),
+        (lambda kq, kp: [("first", (kq, kp)), ("second", (kq, kq))],
+         "second: the p place holds a q kernel"),
+    ], ids=["sharp", "marginals", "q-kernel-of-one-row-p-kernel-of-the-next"])
+    def test_kernel_in_the_other_axis_place_rejected_before_any_pass(self, rows, message,
+                                                                     monkeypatch):
+        grid = GridSpec.symmetric(12.8, 256)
+        cfg = CalibrationConfig((0.4, 0.2), (0.0,), grid, HBAR)
+        kq, kp = marginal_kernels(MixedState.pure(gaussian_state(0.0, 0.0, 1.0, grid, HBAR)))
+        passes = []
+        monkeypatch.setattr(metrology, "_axis_pass", lambda *args: passes.append(args))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_scenarios(cfg, [(scenario_id, ConfidencePair(0.05, 0.05), pair)
+                                   for scenario_id, pair in rows(kq, kp)])
+        assert passes == []
+
+    def test_axis_grids_looked_up_once(self, monkeypatch):
+        # two lookups per call, whatever the number of rows and kernels; the
+        # passes, stubbed here, look up their own axis
+        calls = []
+        on_axis = CalibrationConfig._on_axis
+
+        def counted(cfg, axis):
+            calls.append(axis)
+            return on_axis(cfg, axis)
+
+        def axis_pass(kernel, eps_values, cfg):
+            return [(1.0, [2.0, 1.0])] * len(eps_values)
+
+        monkeypatch.setattr(CalibrationConfig, "_on_axis", counted)
+        monkeypatch.setattr(metrology, "_axis_pass", axis_pass)
+        gen = vacuum()
+        bent = marginal_kernel(gen, "q", PiecewiseLinearMap((-12.8, 0.0, 12.8),
+                                                            (-12.8, 1.0, 12.8)))
+        kq, kp = marginal_kernels(gen)
+        reports = verify_scenarios(CFG, [
+            ("row", eps, pair) for eps in (ConfidencePair(0.05, 0.05), ConfidencePair(0.1, 0.2))
+            for pair in ((kq, kp), (bent, kp), (Kernel("q"), Kernel("p")))])
+        assert calls == ["q", "p"]
+        assert [rep.errorbar_q for rep in reports] == [1.0] * 6
+
 
 def gaussian_rows(n, sigma):
     """Verify rows of an unwarped Gaussian generator of spread sigma on the

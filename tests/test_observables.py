@@ -417,7 +417,7 @@ class TestWarpScatter:
         qw = aligned_window(grid, 8.0, 8)
         pw = aligned_window(momentum_grid(grid, 1.0), 8.0, 1)
         density = np.random.default_rng(0).random((qw.n, pw.n))
-        jd = JointDistribution(qw, pw, density, 1.0)
+        jd = JointDistribution(qw, pw, density)
         w = WarpMap(BENT, BENT)
         tracemalloc.start()
         try:
