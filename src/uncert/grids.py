@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,13 @@ class GridSpec:
             raise ValueError(f"grid step must be positive and finite, got {self.dx}")
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n}")
+        # the last point x_min + (n - 1)*dx, halved so that a grid whose last
+        # point is finite passes even where that sum's second term overflows;
+        # Python floats, which overflow to inf without a warning
+        half_end = float(self.x_min) / 2 + float(self.n - 1) * (float(self.dx) / 2)
+        if not half_end <= sys.float_info.max / 2:
+            raise ValueError(f"grid end x_min + (n - 1)*dx overflows: x_min = {self.x_min}, "
+                             f"dx = {self.dx}, n = {self.n}")
 
     @property
     def x_max(self) -> float:

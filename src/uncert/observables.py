@@ -11,6 +11,7 @@ check follow.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,7 +239,12 @@ def aligned_window(grid: GridSpec, half_width: float, stride: int = 1) -> GridSp
 
     A half-width that lands on a window point up to 1e-9 of a window step
     keeps that point, so float rounding never drops the edge points.
+    `stride` must be an integer >= 1 and `half_width` finite and >= 0.
     """
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    if not 0.0 <= half_width < math.inf:
+        raise ValueError(f"half_width must be finite and >= 0, got {half_width}")
     center = grid.nearest_index(0.0)
     k = math.floor(half_width / (grid.dx * stride) + 1e-9)
     lo = center - k * stride
@@ -257,11 +263,15 @@ def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols, weight:
     amp(s, k) = dx * sum_j conj(psi_j) w^(jk) phi_(j-s), w = exp(2*pi*i/n),
     and column c of the centered conjugate grid is k = (c - n/2) mod n.
     For fixed k this is a circular cross-correlation over s with spectrum
-    roll(A, k) * B, A = fft(conj psi), B = fft(y), y_t = phi_(-t mod n).
-    The shifts s = s0 + stride*i need only that spectrum folded into
-    L = n / gcd(stride, n) bins (after a phase w^(m*s0)) and one L-point
+    roll(A, k) * B, A = fft(conj psi), B = fft(y), y_t = phi_(-(t + s0) mod n),
+    the reversed phi rolled by 1 - s0.  By the shift theorem that B is the
+    spectrum of phi_(-t mod n) times w^(m*s0), the first shift's phase, with
+    no phase ramp computed.  The shifts s = s0 + stride*i need only that
+    spectrum folded into L = n / gcd(stride, n) bins and one L-point
     inverse FFT, read at every (stride/g)-th sample.  `q_shifts` must be
-    that arithmetic progression.
+    that arithmetic progression.  `cols` may be any run of columns, with
+    dens the matching columns: :func:`joint_distribution` passes a pair of
+    real components only the run :func:`_mirror_split` names, as views.
 
     Cost: O(n log n) once, then O(n + L log L) per kept column, the inverse
     FFTs batched over blocks of g columns; memory O(n) besides dens.  A
@@ -282,8 +292,7 @@ def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols, weight:
     # complex128 copy but takes about 1.5x as long at n = 16384; each copy
     # lives only for its own FFT
     A = np.fft.fft(np.conj(np.asarray(psi_amps, dtype=complex)))
-    B = np.fft.fft(np.roll(np.asarray(phi_amps, dtype=complex)[::-1], 1))
-    B *= np.exp(2j * math.pi * (np.arange(n) * int(q_shifts[0]) % n) / n)
+    B = np.fft.fft(np.roll(np.asarray(phi_amps, dtype=complex)[::-1], 1 - int(q_shifts[0]), 0))
     scale = ((L / n) * dx) ** 2
     spectrum = np.empty(n, dtype=complex)
     folded = spectrum.reshape(g, L)
@@ -303,6 +312,32 @@ def _component_overlap_sq(psi_amps, phi_amps, dx: float, q_shifts, cols, weight:
         dens[:, b0:b0 + len(rows)] += sq
 
 
+def _mirror_split(cols: np.ndarray, n: int) -> tuple:
+    """Slices (computed, copied, source) of the window's column positions for
+    a density even in p: with the columns at `computed` filled, setting
+    dens[:, copied] = dens[:, source] fills every column.
+
+    The window's columns are c0 + t*i, i < N, t >= 1.  The mirror of
+    column c, at -p, is column n - c, which is position S - i for
+    S = (n - 2*c0)/t when t divides n - 2*c0; positions i and S - i pair
+    about S/2, the position of p = 0 when S is even.  `computed` is the
+    run on the side of p = 0 that reaches farther, with p = 0 itself;
+    `copied` is the rest, each position of which has its partner in
+    `computed`.  Column 0 (k = n/2) is its own mirror, never copied.  With
+    no pair in the window, every position is computed.
+    """
+    N = cols.size
+    t = int(cols[1] - cols[0])
+    S, r = divmod(n - 2 * int(cols[0]), t)
+    if r or not 1 <= S <= 2 * N - 3:
+        return slice(0, N), slice(0, 0), slice(0, 0)
+    if S < N:  # as far or farther above p = 0: the upper run
+        m = (S + 1) // 2
+        return slice(m, N), slice(0, m), slice(S, S - m, -1)
+    m = S // 2 + 1
+    return slice(0, m), slice(m, N), slice(S - m, S - N, -1)
+
+
 def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
                        warp_map: WarpMap | None = None) -> JointDistribution:
     """Outcome density of G in state rho over the observable's 2-D window.
@@ -315,6 +350,15 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
     density, which every component pair adds into and a warp moves in
     place.  Raises MassDeficitError when the window misses more than 1e-3
     of the mass.
+
+    A pair of real components (both amplitude arrays float64, as
+    WaveFunction keeps real states) has |amp(s, -k)| = |amp(s, k)|, so its
+    density is even in p.  Such a pair computes only the run of columns
+    that :func:`_mirror_split` names, about half of a window symmetric
+    about p = 0.  The real pairs are added first, in component order; then
+    each column they skipped is copied once from its mirror column, so the
+    two hold the same bits; then the complex pairs are added over every
+    column, in component order.
     """
     grid = rho.grid
     hbar = rho.hbar
@@ -322,26 +366,37 @@ def joint_distribution(G: PhaseSpaceObservable, rho: MixedState,
         raise ValueError("generator and state must share grid and hbar")
     pg = momentum_grid(grid, hbar)
 
-    q_pts = G.q_grid.points()
-    q_shift_f = q_pts / grid.dx
+    q_shift_f = G.q_grid.points()
+    q_shift_f /= grid.dx
     q_shifts = np.rint(q_shift_f).astype(int)
     if np.max(np.abs(q_shift_f - q_shifts)) > 1e-6:
         raise ValueError("q outcome points must be multiples of the state grid step")
     if not (grid.contains(G.q_grid.x_min) and grid.contains(G.q_grid.x_max)):
         # q shifts are circular: a row past the grid would repeat another row
         raise ValueError("q outcome window exceeds the state grid")
-    p_pts = G.p_grid.points()
-    col_f = (p_pts - pg.x_min) / pg.dx
+    col_f = G.p_grid.points()
+    col_f -= pg.x_min
+    col_f /= pg.dx
     cols = np.rint(col_f).astype(int)
     if np.max(np.abs(col_f - cols)) > 1e-6:
         raise ValueError("p outcome points must lie on the conjugate grid")
+    if cols[1] == cols[0]:
+        # a step of a few millionths of a cell passes the check above, every point on one cell
+        raise ValueError("p outcome points must be distinct conjugate-grid points")
     if cols.min() < 0 or cols.max() >= pg.n:
         raise ValueError("p outcome window exceeds the conjugate grid")
 
+    pairs = [(wa * vb, psi.amps, phi.amps) for wa, psi in rho.components
+             for vb, phi in G.gen.components]
+    computed, copied, source = _mirror_split(cols, pg.n)
     dens = np.zeros((G.q_grid.n, G.p_grid.n))
-    for wa, psi in rho.components:
-        for vb, phi in G.gen.components:
-            _component_overlap_sq(psi.amps, phi.amps, grid.dx, q_shifts, cols, wa * vb, dens)
+    for w, a, b in pairs:
+        if a.dtype == b.dtype == np.float64:
+            _component_overlap_sq(a, b, grid.dx, q_shifts, cols[computed], w, dens[:, computed])
+    dens[:, copied] = dens[:, source]
+    for w, a, b in pairs:
+        if not a.dtype == b.dtype == np.float64:
+            _component_overlap_sq(a, b, grid.dx, q_shifts, cols, w, dens)
     dens /= 2.0 * math.pi * hbar
 
     jd = JointDistribution(G.q_grid, G.p_grid, dens)
@@ -373,6 +428,9 @@ def _warp_density(jd: JointDistribution, warp_map: WarpMap) -> None:
 def covariance_residual(G: PhaseSpaceObservable, rho: MixedState, q: float, p: float,
                         warp_map: WarpMap | None = None) -> float:
     """Max-abs density mismatch between displacing the state and shifting outcomes."""
+    for name, value in (("q", q), ("p", p)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     kq_f = q / G.q_grid.dx
     kp_f = p / G.p_grid.dx
     kq, kp = int(round(kq_f)), int(round(kp_f))

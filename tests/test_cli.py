@@ -1102,6 +1102,11 @@ class TestWidths:
           "--eps", "0.05,0.1", "--window", "16"],
          ["3.12500e+00", "1.96350e+00", "6.13592e+00", "4.53960e+00", "4.58191e+00",
           "1.33916e+00", "true"]),
+        # the momentum grid's x_min + 255*dp overflows; its true last point does not
+        (["--hbar", "3e306", "--grid-n", "256", "widths", "--state", "gaussian:sigma=1",
+          "--eps", "0.05", "--window", "12.8"],
+         ["3.90000e+00", "5.89049e+306", "2.29729e+307", "1.52681e+307", "1.52681e+307",
+          "1.50463e+00", "true"]),
     ])
     def test_stdout_pinned(self, capsys, argv, want):
         assert main(argv) == 0

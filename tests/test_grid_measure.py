@@ -51,6 +51,18 @@ def test_grid_spec_rejects_non_finite_start_and_step(x_min, dx, message):
         GridSpec(x_min, dx, 8)
 
 
+def test_grid_spec_rejects_an_overflowing_last_point():
+    # x_min + 7*dx is 7e308; the grid built before, and points() read inf
+    with pytest.raises(ValueError, match="^grid end x_min \\+ \\(n - 1\\)\\*dx overflows"):
+        GridSpec(0.0, 1e308, 8)
+
+
+def test_grid_spec_keeps_a_grid_whose_last_point_is_finite():
+    # (n - 1)*dx overflows, but x_min + (n - 1)*dx = 1.5e308 is a float
+    g = GridSpec(-1.5e308, 1e308, 4)
+    assert g.n == 4
+
+
 def test_grid_measure_rejects_bad_weights():
     with pytest.raises(ValueError):
         GridMeasure(GRID, np.full(GRID.n, -1.0))

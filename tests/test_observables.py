@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -293,6 +294,12 @@ class TestJointDistribution:
             joint_distribution(PhaseSpaceObservable(vacuum(), bad_q, PW), vacuum())
 
 
+    def test_p_window_of_one_repeated_column_rejected(self):
+        # each point lies within 1e-6 of a cell of the conjugate grid, all of the same cell
+        p_grid = GridSpec(PGRID.x_min + 512 * DP, 1e-8 * DP, 5)
+        with pytest.raises(ValueError, match="^p outcome points must be distinct"):
+            joint_distribution(PhaseSpaceObservable(vacuum(), QW, p_grid), vacuum())
+
     @pytest.mark.parametrize("x_min, n", [(-20.0, 101), (-8.0, 300)])
     def test_q_window_past_the_state_grid_rejected(self, x_min, n):
         # q shifts are circular, so rows past the grid would repeat others
@@ -345,6 +352,15 @@ class TestCovariance:
         got = covariance_residual(G, rho, kq * QW.dx, kp * PW.dx, warp_map=w)
         assert got == out_of_place_residual(G, rho, kq, kp, w)
         assert (got > 1e-3) == warped
+
+    @pytest.mark.parametrize("q, p, name", [
+        (math.inf, PW.dx, "q"), (math.nan, PW.dx, "q"),
+        (QW.dx, -math.inf, "p"), (QW.dx, math.nan, "p"),
+    ], ids=["inf-q", "nan-q", "minus-inf-p", "nan-p"])
+    def test_non_finite_shift_names_the_argument(self, q, p, name):
+        # inf raised OverflowError and nan "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            covariance_residual(joint_setup(), vacuum(), q, p)
 
 
 def out_of_place_residual(G, rho, kq, kp, warp_map):
@@ -586,8 +602,7 @@ def column_loop_overlap_sq(psi_amps, phi_amps, dx, q_shifts, cols):
     take = (stride // g) * np.arange(q_shifts.size) % L
     A = np.fft.fft(np.conj(psi_amps))
     AA = np.concatenate([A, A])          # AA[n - k : 2n - k] == roll(A, k)
-    B = np.fft.fft(np.roll(phi_amps[::-1], 1))
-    B *= np.exp(2j * math.pi * (np.arange(n) * int(q_shifts[0]) % n) / n)
+    B = np.fft.fft(np.roll(phi_amps[::-1], 1 - int(q_shifts[0])))
     out = np.empty((q_shifts.size, len(cols)))
     for i, c in enumerate(cols):
         k = (int(c) - n // 2) % n
@@ -616,7 +631,73 @@ def witness_setup():
     return G, rho
 
 
+def p_window(c0, stride, count):
+    """`count` columns of SMALL_P from column c0 on, every `stride`-th."""
+    return GridSpec(SMALL_P.x_min + c0 * SMALL_P.dx, stride * SMALL_P.dx, count)
+
+
+# p = 0 is column 128 of SMALL_P
+MIRROR_WINDOWS = {
+    "symmetric": aligned_window(SMALL_P, 6.0, 1),    # columns 104..152
+    "stride-2": aligned_window(SMALL_P, 6.0, 2),     # columns 104..152, every 2nd
+    "across-p0": p_window(100, 1, 45),               # 28 columns below p = 0, 16 above
+    "above-p0": p_window(131, 1, 20),                # no column's mirror is kept
+    "stride-3-off-centre": p_window(110, 3, 20),     # 6 columns below p = 0, 13 above
+}
+REAL_PAIR = (MixedState.pure(small_state(0.3, 0.0, 0.9)),
+             MixedState.pure(small_state(-0.2, 0.0, 1.1)))
+# one real and one complex component each: real and complex pairs mix
+MIXED_PAIRS = (MixedState([(0.4, small_state(0.3, 0.0, 0.9)), (0.6, SKEWED)]),
+               MixedState([(0.7, small_state(-0.2, 0.0, 1.1)), (0.3, small_state(0.4, 0.5, 1.0))]))
+
+
+@pytest.fixture
+def no_mass_check(monkeypatch):
+    # a window on one side of p = 0 misses most of the mass; these tests
+    # compare its density cell by cell
+    monkeypatch.setattr(JointDistribution, "total_mass", 1.0)
+
+
 class TestColumnRoute:
+    @pytest.mark.parametrize("window", MIRROR_WINDOWS.values(), ids=MIRROR_WINDOWS.keys())
+    @pytest.mark.parametrize("states", [REAL_PAIR, MIXED_PAIRS], ids=["real", "mixed"])
+    def test_real_pairs_match_direct_sum_on_any_window(self, states, window, no_mass_check):
+        rho, gen = states
+        dtypes = {psi.amps.dtype for _, psi in rho.components + gen.components}
+        assert np.dtype(float) in dtypes
+        qw = aligned_window(SMALL, 6.0, 4)
+        jd = joint_distribution(PhaseSpaceObservable(gen, qw, window), rho)
+        assert np.max(np.abs(jd.density - direct_density(rho, gen, qw, window))) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["symmetric", "stride-2", "across-p0",
+                                      "stride-3-off-centre"])
+    def test_mirror_columns_of_a_real_density_are_equal(self, name, no_mass_check):
+        rho, gen = REAL_PAIR
+        window = MIRROR_WINDOWS[name]
+        jd = joint_distribution(PhaseSpaceObservable(gen, aligned_window(SMALL, 6.0, 4), window),
+                                rho)
+        cols = np.rint((window.points() - SMALL_P.x_min) / SMALL_P.dx).astype(int)
+        position = {c: i for i, c in enumerate(cols)}
+        pairs = [(i, position[SMALL.n - c]) for i, c in enumerate(cols)
+                 if SMALL.n - c in position and SMALL.n - c != c]
+        assert pairs
+        for i, j in pairs:
+            assert np.array_equal(jd.density[:, i], jd.density[:, j])
+
+    def test_real_pairs_ask_for_one_side_of_the_witness_window(self, monkeypatch):
+        # the base state and generator are real, the moved state complex
+        asked = []
+
+        def spy(psi_amps, phi_amps, dx, q_shifts, cols, weight, dens):
+            asked.append((psi_amps.dtype.kind + phi_amps.dtype.kind, len(cols)))
+            _component_overlap_sq(psi_amps, phi_amps, dx, q_shifts, cols, weight, dens)
+
+        monkeypatch.setattr("uncert.observables._component_overlap_sq", spy)
+        G, rho = witness_setup()
+        assert G.p_grid.n == 203
+        covariance_residual(G, rho, G.q_grid.dx, G.p_grid.dx)
+        assert asked == [("ff", 102)] * 2 + [("cf", 203)] * 2
+
     @pytest.mark.parametrize("q_stride, p_stride",
                              [(1, 1), (3, 1), (4, 1), (4, 2), (8, 1), (1, 2)])
     def test_density_matches_direct_sum(self, q_stride, p_stride):
@@ -750,3 +831,15 @@ class TestAlignedWindow:
     ])
     def test_window_keeps_edge_points(self, grid, half_width, stride, n):
         assert aligned_window(grid, half_width, stride).n == n
+
+    @pytest.mark.parametrize("half_width, stride, message", [
+        (4.0, 0, "stride must be an integer >= 1, got 0"),      # was ZeroDivisionError
+        (4.0, 2.5, "stride must be an integer >= 1, got 2.5"),  # was a window off the grid
+        (4.0, -2, "stride must be an integer >= 1, got -2"),
+        (math.inf, 1, "half_width must be finite and >= 0, got inf"),  # was OverflowError
+        (math.nan, 1, "half_width must be finite and >= 0, got nan"),
+        (-1.0, 1, "half_width must be finite and >= 0, got -1.0"),
+    ], ids=["stride-0", "stride-2.5", "stride-minus-2", "inf", "nan", "negative"])
+    def test_bad_argument_is_named(self, half_width, stride, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aligned_window(SMALL, half_width, stride)

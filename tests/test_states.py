@@ -46,6 +46,12 @@ class TestConstruction:
         assert PGRID.dx * GRID.dx * GRID.n == pytest.approx(2 * math.pi * HBAR, rel=1e-14)
         assert PGRID.nearest_index(0.0) == GRID.n // 2
 
+    def test_momentum_grid_whose_last_point_is_near_float_max_builds(self):
+        # 255*dp overflows, yet the last point, 127*dp = 9.35e307, is finite
+        pg = momentum_grid(GridSpec.symmetric(12.8, 256), 3e306)
+        assert pg.nearest_index(0.0) == 128
+        assert math.isfinite(pg.x_min + 127 * pg.dx)
+
     def test_momentum_grid_rejects_odd_n(self):
         with pytest.raises(ValueError):
             momentum_grid(GridSpec(-1.0, 0.01, 201), HBAR)
