@@ -12,7 +12,10 @@ The ladder and a non-covariant kernel's resolution are read off one table
 of prefix sums of the kernel's reflected smearing measure per (kernel,
 center) (:class:`_CenteredWindows`), in one vectorized bisection over all
 probes; a covariant kernel's resolution is its smearing measure's overall
-width.  So no probe measure, probe state or outcome is built.
+width.  So no probe measure, probe state or outcome is built.  A table's
+distances and warp cells end at the widest window its probes can need, a
+reach confirmed against every probe's goal before the bisection, so its
+answers are those of a table over the whole out grid.
 :func:`_axis_pass` is the one route to these widths, for any number of eps
 values, on the calibration block that :meth:`CalibrationConfig._on_axis`
 places on the kernel's axis.  :func:`verify_scenarios`, the one verify
@@ -188,19 +191,37 @@ class _CenteredWindows:
     summed in another order than the outcome's, and the 1e-12 margin on the
     target absorbs the rounding.
 
-    Cost: O(n_out) time and memory to build; O(m k log n_out) vectorized
-    for m probes of k cells each.  The table holds ``cr`` (n_R + 1 floats),
-    ``right`` and ``left`` (n_out floats between them) and, for a warped
-    kernel, ``cells`` (n_out int64), and the build allocates nothing else
-    of full length: R's weights are written reversed straight into
+    The distances ``right`` (x_j - x for j >= k, k the first out cell at or
+    right of x) and ``left`` (x - x_j for j = k - 1 down to 0) and the warp
+    cell map are tabulated only out to a reach: the out cells [k - reach,
+    k + reach) of the grid.  :meth:`widths` takes a first reach from the
+    band of R that holds the largest goal, placed at the probe cells, and
+    confirms it once, before bisecting: the window within the smaller of
+    the two last tabulated distances (the sentinels) must reach every
+    probe's goal.  Otherwise the reach doubles, up to the whole grid.  A
+    truncated side holds every distance up to its sentinel, so at any
+    distance up to the smaller one both sides count as the whole table
+    counts, and at any larger one the window already reaches the goal in
+    both.  Each bisection step therefore decides as on the whole table,
+    and its answer, read off the distances themselves, is the whole
+    table's, bit for bit.  The warp cells are tabulated over the out cells
+    [j0, j1) whose images cover [k - reach, k + reach], with one image past
+    each end, so each of their counts is the whole map's, less j0; the
+    probe cells are counted from j0 to match.
+
+    Cost: O(n_R) to build the prefix sums and O(reach) per table, in time
+    and memory; O(m k log reach) vectorized for m probes of k cells each.
+    The table holds ``cr`` (n_R + 1 floats), ``right`` and ``left`` (2 reach
+    floats between them) and, for a warped kernel, ``cells`` (about 2 reach
+    int64 plus twice the map's displacement in cells), and the build allocates nothing
+    else of full length: R's weights are written reversed straight into
     ``cr[1:]``, normalized and summed there (the steps of reflect() and
     GridMeasure, so ``cr`` has their bits), ``cells`` is filled block by
-    block (:func:`observables._warp_cells`), the two distance arrays are
-    the out points of :meth:`GridSpec.points`, shifted in place, and k is
-    bisected on x_min + dx * j.  :meth:`widths` reads the distances by
-    index, with no padded copy.  A table depends on the kernel and x alone,
-    so :func:`_axis_pass` builds one per (kernel, center), one at a time,
-    and bisects the probes of every eps in one call.
+    block (:func:`observables._warp_cells` over the span), the two distance
+    arrays are out points of :meth:`GridSpec.points`, shifted in place, and
+    k is bisected on x_min + dx * j.  A table depends on the kernel and x
+    alone, so :func:`_axis_pass` builds one per (kernel, center), one at a
+    time, and bisects the probes of every eps in one call.
     """
 
     def __init__(self, kernel: Kernel, axis_grid: GridSpec, x: float):
@@ -218,20 +239,57 @@ class _CenteredWindows:
             r[...] = mu.weights[::-1]
             _normalize_weights(r)
             np.cumsum(r, out=r)
-        self.n_out = out.n
-        self.cells = None if kernel.gmap is None else _warp_cells(out, kernel.gmap)
-        # k is the first out cell at or right of x, right holds x_j - x for
-        # j >= k and left x - x_j for j = k - 1 down to 0, both nondecreasing
+        self.out, self.gmap, self.x = out, kernel.gmap, x
         x0, dx = out.x_min, out.dx
-        self.k = k = bisect.bisect_left(range(out.n), True, key=lambda j: x0 + dx * j >= x)
-        self.right = out.points(k, out.n)
+        self.k = bisect.bisect_left(range(out.n), True, key=lambda j: x0 + dx * j >= x)
+        self.reach = 0      # nothing tabulated yet
+
+    def _tabulate(self, reach: int):
+        """Tables out to `reach` out cells on each side of k, clipped to the grid."""
+        out, x, k, n = self.out, self.x, self.k, self.out.n
+        lo, hi = max(k - reach, 0), min(k + reach, n)
+        self.reach = reach
+        # right holds x_j - x for k <= j < hi, left x - x_j for j = k - 1 down
+        # to lo, both nondecreasing
+        self.right = out.points(k, hi)
         self.right -= x
-        self.left = out.points(k - 1, -1, -1)
+        self.left = out.points(k - 1, lo - 1, -1)
         np.subtract(x, self.left, out=self.left)
+        # the smaller sentinel, the last entry of a truncated side: up to it,
+        # both sides count as the whole table does (inf if neither is cut)
+        ends = [t[-1] for t, cut in ((self.right, hi < n), (self.left, lo > 0)) if cut]
+        self.sure = min(ends, default=math.inf)
+        self.j0, self.cells = 0, None
+        if self.gmap is not None:
+            # out cells [j0, j1) whose images cover [lo, hi], one past each end:
+            # padded by the map's displacement, in cells, at lo and hi - 1, and
+            # widened until both ends hold
+            c = _warp_cells(out, self.gmap, lo, hi, max(hi - 1 - lo, 1))
+            pad = max(int(c[0]) - lo, hi - 1 - int(c[-1]), 0) + 2
+            while True:
+                j0, j1 = max(lo - pad, 0), min(hi + pad, n)
+                cells = _warp_cells(out, self.gmap, j0, j1)
+                if (j0 == 0 or cells[0] < lo) and (j1 == n or cells[-1] >= hi):
+                    break
+                pad *= 2
+            self.j0, self.cells = j0, cells
+
+    def _first_reach(self, cells, goal) -> int:
+        """Out cells from k to the images of the band of R that holds the
+        largest goal, a third of the rest cut from each tail, placed at the
+        lowest and highest probe cells: a guess that :meth:`widths` confirms."""
+        cr = self.cr
+        tail = (cr[-1] - goal.max()) / 3
+        ends = [int(cells.min()) + int(cr.searchsorted(tail, "right")) - 1,
+                int(cells.max()) + int(cr.searchsorted(cr[-1] - tail)) - 1]
+        if self.gmap is not None:
+            ends = [int(_warp_cells(self.out, self.gmap, j, j + 1)[0]) for j in ends]
+        return max(self.k - ends[0], ends[1] + 1 - self.k, 1) + 1
 
     def _run(self, d):
-        """Bounds [ja, jb) of the out cells, before the warp, that the warp
-        sends within distance d of x (elementwise for an array d)."""
+        """Bounds [ja, jb) of the out cells, before the warp and counted from
+        j0, that the warp sends within distance d of x (elementwise for an
+        array d)."""
         L = self.k - self.left.searchsorted(d, "right")
         H = self.k + self.right.searchsorted(d, "right")
         if self.cells is None:
@@ -248,23 +306,36 @@ class _CenteredWindows:
         `targets` is one target mass (:func:`grids._target`) for every
         probe or an array of one per probe; a probe's goal, target times
         total, is the same float either way, so the probes of several eps
-        can share one bisection, O(log n_out) steps for all of them."""
+        can share one bisection, O(log reach) steps for all of them.  The
+        table is tabulated, or grown, here, before the bisections, until
+        its reach holds every probe's goal."""
         cells = np.asarray(cells)
         weights = np.asarray(weights, dtype=float)
         cr = self.cr
+        m = len(cells)
+        probes = np.arange(m)
 
         def mass(rows, ja, jb):
-            """Outcome mass of probes `rows` on the out cells [ja, jb) before the warp."""
+            """Outcome mass of probes `rows` on the out cells [ja, jb) before the
+            warp, both counted, as the probe cells are, from j0."""
             c = cells[rows]
             return (cr.take(jb[:, None] - c, mode="clip") -
                     cr.take(ja[:, None] - c, mode="clip")) @ weights
 
-        m = len(cells)
-        total = mass(np.arange(m), np.zeros(m, int), np.full(m, self.n_out))
+        total = mass(probes, np.zeros(m, int), np.full(m, self.out.n))
         off = np.abs(total - 1.0) > RENORM_TOL
         if off.any():
             raise ValueError(f"total mass {total[off][0]:.9f} deviates from 1 beyond {RENORM_TOL}")
         goal = targets * total
+
+        reach, axis_cells = self.reach or self._first_reach(cells, goal), cells
+        while True:
+            if reach != self.reach:
+                self._tabulate(reach)
+            cells = axis_cells - self.j0
+            if self.sure == math.inf or (mass(probes, *self._run(np.full(m, self.sure))) >= goal).all():
+                break
+            reach = min(2 * reach, max(self.k, self.out.n - self.k))
 
         def first_reaching(dist, i, j):
             """Per probe, the first index in [i, j) whose window reaches the goal, else j."""

@@ -119,21 +119,25 @@ def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
 WARP_BLOCK = 8192
 
 
-def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap) -> np.ndarray:
-    """Index of the cell of g nearest to gmap's image of each point of g,
-    clipped to the grid before the integer cast, so an image far past the
-    grid, even an overflowing one, lands on the edge cell; nondecreasing
-    because gmap is increasing.
+def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap, *span) -> np.ndarray:
+    """Index of the cell of g nearest to gmap's image of each point j of g in
+    range(*span), all n points by default (the span of
+    :meth:`GridSpec.points`), clipped to the grid before the integer cast,
+    so an image far past the grid, even an overflowing one, lands on the
+    edge cell; nondecreasing in j because gmap is increasing.
 
     The int64 result is filled block by block of WARP_BLOCK points: each
     block's points come from :meth:`GridSpec.points`, and their image is
     shifted, scaled, rounded and clipped in place, then cast into the
     result.  Every step is elementwise, so the cells are those of the
     whole-array form, which holds n floats of points, their n-float image
-    and its masks besides the result."""
-    cells = np.empty(g.n, dtype=int)
-    for start in range(0, g.n, WARP_BLOCK):
-        x = g.points(start, min(start + WARP_BLOCK, g.n))
+    and its masks besides the result, and a span's cells are the matching
+    slice of the whole map's."""
+    js = range(*span) if span else range(g.n)
+    cells = np.empty(len(js), dtype=int)
+    for start in range(0, len(js), WARP_BLOCK):
+        block = js[start:start + WARP_BLOCK]
+        x = g.points(block.start, block.stop, block.step)
         with np.errstate(over="ignore"):
             y = gmap(x)
             y -= g.x_min
@@ -189,10 +193,11 @@ def marginal_measures(gen: MixedState):
     position and momentum distributions reflected, each on its own axis grid.
     With m = parity_offset, -x_j = x_{(m - j) mod n}, and on the centered
     conjugate grid -p_c = p_{(n - c) mod n} whatever m is."""
-    P, Q = position_distribution(gen), momentum_distribution(gen)
-    m = parity_offset(gen.grid)
-    return (GridMeasure(P.grid, np.roll(P.weights[::-1], m + 1, axis=0)),
-            GridMeasure(Q.grid, np.roll(Q.weights[::-1], 1, axis=0)))
+    P = position_distribution(gen)
+    mu = GridMeasure(P.grid, np.roll(P.weights[::-1], parity_offset(gen.grid) + 1, axis=0))
+    del P       # not held while the momentum FFT runs
+    Q = momentum_distribution(gen)
+    return mu, GridMeasure(Q.grid, np.roll(Q.weights[::-1], 1, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,9 @@ class TestVerify:
         seen = []
         warp_cells = observables._warp_cells
 
-        def counted_warp_cells(g, gmap):
+        def counted_warp_cells(g, gmap, *span):
             seen.append(("warp_cells", gmap))
-            return warp_cells(g, gmap)
+            return warp_cells(g, gmap, *span)
 
         for module in (metrology, observables):
             monkeypatch.setattr(module, "_warp_cells", counted_warp_cells)
@@ -889,6 +889,23 @@ def test_knots_far_past_the_grid_pile_the_outcome_at_its_edges(tmp_path):
     assert float(warped["resolution_q"]) == float(warped["errorbar_q"]) == 51.0
 
 
+def test_knot_at_float_max_overflows_only_past_the_grid(tmp_path):
+    # slope 3.9e306: the map's images overflow to inf right of x = -12.8 and
+    # land on the last outcome cell, so the window tables' warp cells, which
+    # end at a reach, must widen from clipped cells alone (51.0 as above);
+    # the p column and the unwarped row are those of the plain kernel
+    cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
+                        warps=[{"q_knots": [[-12.8, -12.8], [12.8, 1e308]]}])
+    assert main(["--out", str(tmp_path / "out"), "verify", write_config(tmp_path, cfg)]) == 0
+    rows = (tmp_path / "out" / "report.csv").read_text().splitlines()[2:]
+    plain, warped = (dict(zip(REPORT_COLUMNS, row.split(","))) for row in rows)
+    assert warped["scenario_id"] == "gen0-warp0-eps0"
+    assert float(warped["resolution_q"]) == float(warped["errorbar_q"]) == 51.0
+    assert (plain["resolution_q"], plain["errorbar_q"]) == ("3.90000e+00", "4.00000e+00")
+    for col in ("resolution_p", "errorbar_p", "errorbar_p_spread"):
+        assert warped[col] == plain[col]
+
+
 KNOT_VALUES = st.one_of(st.floats(-14.0, 14.0), st.floats(),
                         st.sampled_from([1e300, -1e300, 1e308, "nan"]), JSON_SCALARS)
 # increasing knots over either axis' range; slope 1 is a covariant shift
@@ -920,6 +937,7 @@ WARPS = st.one_of(st.lists(WARP, min_size=1, max_size=2), NOT_A_LIST)
 
 @settings(max_examples=60, deadline=None)
 @given(warps=WARPS)
+@example(warps=[{"q_knots": [[-12.8, -12.8], [12.8, 1e308]]}])
 def test_warps_fuzz_exits_with_a_documented_code(warps):
     cfg = verify_config(grid={"n": 256, "x_min": -12.8, "x_max": 12.8},
                         calibration={"delta_ladder": [0.4, 0.2], "probe_centers": [0.0, 1.5]},

@@ -706,44 +706,151 @@ TABLE_KERNELS = {axis: table_kernels(axis) for axis in ("q", "p")}
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["q", "p"]), st.integers(0, 4),
        st.integers(-8, 520) | st.sampled_from([-10**6, 10**6]),
-       st.sampled_from([0.0, 1e-9, 0.37, 0.5, 0.999]) | st.floats(-0.5, 0.5))
-def test_window_tables_equal_the_points_form(axis, which, j, frac):
+       st.sampled_from([0.0, 1e-9, 0.37, 0.5, 0.999]) | st.floats(-0.5, 0.5),
+       st.integers(1, 600) | st.sampled_from([10**6]))
+def test_window_tables_equal_the_points_form(axis, which, j, frac, reach):
     # a center on an out point (frac 0, j inside), between two or outside
-    # the out grid (out has 256 cells sharp, 511 smeared)
+    # the out grid (out has 256 cells sharp, 511 smeared); each tabulated
+    # array is the matching slice of the points form
     axis_grid, kernels = TABLE_KERNELS[axis]
     kernel = kernels[which]
     out, _ = points_tables(kernel, axis_grid, 0.0)
     x = out.x_min + out.dx * j + frac * out.dx
-    want = points_tables(kernel, axis_grid, x)[1]
+    k, cr, right, left, cells = points_tables(kernel, axis_grid, x)[1]
     w = metrology._CenteredWindows(kernel, axis_grid, x)
-    assert type(w.k) is int and w.k == want[0]
-    for got, ref in zip((w.cr, w.right, w.left, w.cells), want[1:]):
-        if ref is None:
-            assert got is None
-        else:
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            assert np.array_equal(got, ref)
+    assert type(w.k) is int and w.k == k
+    assert w.cr.dtype == cr.dtype and np.array_equal(w.cr, cr)
+    w._tabulate(reach)
+    lo, hi = max(k - reach, 0), min(k + reach, out.n)
+    assert (w.sure == math.inf) == (lo == 0 and hi == out.n)
+    for got, ref in ((w.right, right[:hi - k]), (w.left, left[:k - lo])):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    if cells is None:
+        assert w.cells is None and w.j0 == 0
+        return
+    j1 = w.j0 + w.cells.size
+    assert w.cells.dtype == cells.dtype and np.array_equal(w.cells, cells[w.j0:j1])
+    # one image below the tabulated out cells and one at or past their end,
+    # unless the span reaches that end of the out grid
+    assert w.j0 == 0 or cells[w.j0] < lo
+    assert j1 == out.n or cells[j1 - 1] >= hi
+
+
+def whole_table(kernel, axis_grid, x):
+    """A window table holding the whole points form, so :meth:`widths`
+    bisects the full arrays: the reference for tables that end at a reach."""
+    w = metrology._CenteredWindows(kernel, axis_grid, x)
+    out, (_, _, w.right, w.left, w.cells) = points_tables(kernel, axis_grid, x)
+    w.reach, w.sure, w.j0 = out.n, math.inf, 0
+    return w
+
+
+def two_bumps(axis_grid, far):
+    """Mass 0.95 spread over the middle cells and 0.05 at `far` cells from
+    them: a goal above 0.95 needs the far bump, a lower one does not."""
+    w = np.zeros(axis_grid.n)
+    w[axis_grid.n // 2 - 2:axis_grid.n // 2 + 3] = 0.19
+    w[axis_grid.n // 2 + far] = 0.05
+    return GridMeasure(axis_grid, w)
+
+
+def reach_kernels(axis):
+    """TABLE_KERNELS' kernels on one axis and a bent marginal (bend on q,
+    its p form on p), a two-bump measure, plain and bent, a marginal under
+    a map that doubles distances from 0, whose displacement grows past its
+    knots, and, on q, the +30 shift that piles every outcome onto the edge
+    cell."""
+    axis_grid, kernels = TABLE_KERNELS[axis]
+    bent, bump, s = bend(axis_grid), two_bumps(axis_grid, 90), axis_grid.dx
+    kernels = [*kernels, Kernel(axis, kernels[2].measure, bent),
+               Kernel(axis, bump), Kernel(axis, bump, bent),
+               Kernel(axis, kernels[2].measure, PiecewiseLinearMap((-s, s), (-2 * s, 2 * s)))]
+    if axis == "q":
+        kernels.append(Kernel("q", kernels[2].measure,
+                              PiecewiseLinearMap.shift(axis_grid.x_min, axis_grid.x_max, 30.0)))
+    return axis_grid, kernels
+
+
+REACH_KERNELS = {axis: reach_kernels(axis) for axis in ("q", "p")}
+# one widths call on a table: probe cells, as offsets from the center's
+# cell, a box width (1 for point masses) and the eps of the call
+REACH_CALLS = st.lists(
+    st.tuples(st.lists(st.integers(-40, 40), min_size=1, max_size=12), st.sampled_from([1, 3]),
+              st.lists(st.sampled_from([1e-6, 0.01, 0.05, 0.3, 0.7]) | st.floats(0.001, 0.95),
+                       min_size=1, max_size=3)),
+    min_size=1, max_size=3)
+
+
+def reach_case(axis, which, j, frac, calls, start=None):
+    """The widths of each call on one table, first tabulated out to `start`
+    if given, against the whole table's; and whether the table grew after
+    the first call."""
+    axis_grid, kernels = REACH_KERNELS[axis]
+    kernel = kernels[which % len(kernels)]
+    x = axis_grid.x_min + axis_grid.dx * (j + frac)
+    w, reaches = metrology._CenteredWindows(kernel, axis_grid, x), []
+    if start is not None:
+        w._tabulate(start)
+    for offsets, width, eps_values in calls:
+        c = np.clip(axis_grid.nearest_index(x) + np.array(offsets), 0, axis_grid.n - width)
+        rows = (c[:, None] + np.arange(width)).repeat(len(eps_values), axis=0)
+        weights = np.full(width, 1.0 / width)
+        targets = np.tile([_target(eps) for eps in eps_values], c.size)
+        got = w.widths(rows, weights, targets)
+        want = whole_table(kernel, axis_grid, x).widths(rows, weights, targets)
+        assert got.tolist() == want.tolist()
+        reaches.append(w.reach)
+    return reaches[-1] > reaches[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["q", "p"]), st.integers(0, 9), st.integers(-8, 264),
+       st.sampled_from([0.0, 0.37, 0.5]) | st.floats(-0.5, 0.5), REACH_CALLS,
+       st.none() | st.integers(1, 80))
+@example("q", 6, 128, 0.0, [([0], 1, [0.3]), ([0, 5], 1, [1e-6])], None)
+@example("q", 8, 240, 0.0, [([-40], 1, [0.3])], None)
+@example("p", 8, 240, 0.0, [([-40], 1, [0.3])], None)
+def test_widths_equal_the_whole_table_bisection(axis, which, j, frac, calls, start):
+    # widths on tables that end at a confirmed reach, from the first guess
+    # or from a drawn start, grown as a call's goals need, give bit for bit
+    # the answers of the same bisection on the whole points form.  In the
+    # last two examples the doubling map sends the outcome of a probe 40
+    # cells left of the center out past it, so the warp cells' first span
+    # misses the table's left end and is widened
+    reach_case(axis, which, j, frac, calls, start)
+
+
+@pytest.mark.parametrize("axis", ["q", "p"])
+def test_a_far_bump_grows_the_reach(axis):
+    # a first call at eps 0.3 does not reach the bump 90 cells out; a second
+    # at eps 1e-6 does, so its table doubles until the bump is inside
+    for which in (6, 7):    # the two-bump kernel, plain and bent
+        assert reach_case(axis, which, 128, 0.0, [([0], 1, [0.3]), ([0, 5], 1, [1e-6])])
 
 
 def test_warped_window_table_peak_memory_at_the_verify_large_shape():
     # the verify-large wiggle on the q marginal of a two-Gaussian mixture,
-    # n = 65536, 131,071 out cells.  The points() form traced 4.63 MiB, the
-    # in-place form over reflect(mu) and whole-array warp cells 3.25 MiB;
-    # this one 2.50 MiB, the table alone: cr, the int64 cell map and the
-    # two distance arrays.  The reflected measure's copy or a full
-    # out.points() array next to them would fail the bound.
+    # n = 65536, 131,071 out cells, and the point masses of the widest rung
+    # (0.4) at eps 0.05, as _axis_pass bisects them.  A table over the whole
+    # out grid traced 2.50 MiB (cr, the int64 cell map and the two distance
+    # arrays); this one reaches 5,205 cells a side and traces 0.84 MiB: the
+    # prefix sums (0.5 MiB), 21,694 cells of distances and cell map, and the
+    # cell map's block transients.
     grid = GridSpec(-20.0, 40.0 / 65536, 65536)
     gen = MixedState([(0.5, gaussian_state(0.0, 0.0, 0.8, grid, HBAR)),
                       (0.5, gaussian_state(0.5, 0.0, 1.2, grid, HBAR))])
     wiggle = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
     kernel = marginal_kernel(gen, "q", wiggle)
+    first, last = metrology._rung(grid, 0.0, 0.4)
+    cells = np.arange(first, last + 1)[:, None]
     tracemalloc.start()
     try:
-        metrology._CenteredWindows(kernel, grid, 0.0)
+        metrology._CenteredWindows(kernel, grid, 0.0).widths(cells, (1.0,), _target(0.05))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.75 * 2**20
+    assert peak < 1.0 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -766,9 +766,9 @@ class TestColumnRoute:
 
     def test_peak_memory_bounded_at_n_16384(self):
         # the joint-witness observable, unwarped.  Kept: the density (0.63
-        # MiB) next to the kernel's A, B, the complex copies of the real
-        # inputs and the roll temporary, 1.91 MiB traced; 2.69 MiB when each
-        # pair's contribution was a density-sized array of its own.
+        # MiB) next to the kernel's A, B and the arrays of its column loop,
+        # 1.75 MiB traced; 2.69 MiB when each pair's contribution was a
+        # density-sized array of its own.
         G, rho = witness_setup()
         tracemalloc.start()
         try:
