@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -33,6 +34,8 @@ class GridSpec:
             raise ValueError(f"grid start must be finite, got {self.x_min}")
         if not 0 < self.dx < math.inf:
             raise ValueError(f"grid step must be positive and finite, got {self.dx}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"grid point count n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n}")
         # the last point x_min + (n - 1)*dx, halved so that a grid whose last
@@ -101,27 +104,25 @@ class Interval:
         return self.center + 0.5 * self.width
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class GridMeasure:
     """Normalized nonnegative weights on a :class:`GridSpec`.
 
     Construction clamps negative roundoff (below 1e-9 in magnitude) to zero
     and renormalizes total mass, provided the deviation from 1 is within
-    RENORM_TOL; anything larger raises.
+    RENORM_TOL; anything larger raises.  Equality is identity.
     """
 
-    __slots__ = ("grid", "weights")
+    grid: GridSpec
+    weights: np.ndarray
 
-    def __init__(self, grid: GridSpec, weights):
-        w = np.array(weights, dtype=float)
-        if w.shape != (grid.n,):
-            raise ValueError(f"expected {grid.n} weights, got shape {w.shape}")
+    def __post_init__(self):
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (self.grid.n,):
+            raise ValueError(f"expected {self.grid.n} weights, got shape {w.shape}")
         _normalize_weights(w)
         w.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridMeasure is immutable")
 
     @property
     def total_mass(self) -> float:

@@ -165,13 +165,6 @@ def bound_uffink(eps: ConfidencePair, hbar: float) -> float:
 # Width functionals
 # ---------------------------------------------------------------------------
 
-def _rung(axis_grid: GridSpec, center: float, delta: float) -> tuple:
-    """First and last axis-grid cell of the calibration rung [center +- delta/2];
-    :class:`CalibrationConfig` guarantees the rungs of a pass hold one."""
-    cells = axis_grid.cells_within(center - 0.5 * delta, center + 0.5 * delta)
-    return cells[0], cells[-1]
-
-
 class _CenteredWindows:
     """Centered outcome windows of one kernel about one center x.
 
@@ -419,21 +412,21 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
         points = [axis_grid.nearest_index(c) for c in centers]
         # a box, the cells within one step of c, is the rung of delta = 2 dx about c
         boxes = [] if kernel.axis == "p" else [
-            np.arange(first, last + 1)
-            for first, last in (_rung(axis_grid, c, 2 * axis_grid.dx) for c in centers)]
+            np.array(axis_grid.cells_within(c - axis_grid.dx, c + axis_grid.dx))
+            for c in centers]
     for x in centers:
         windows = _CenteredWindows(kernel, axis_grid, x)
-        rungs = [_rung(axis_grid, x, delta) for delta in deltas]
-        lo, hi = min(r[0] for r in rungs), max(r[1] for r in rungs)
-        cells = np.concatenate((np.arange(lo, hi + 1), np.array(points, dtype=int)))
+        rungs = [axis_grid.cells_within(x - 0.5 * delta, x + 0.5 * delta) for delta in deltas]
+        lo = rungs[0].start   # the ladder decreases, so its first rung holds the others
+        cells = np.concatenate((np.arange(lo, rungs[0].stop), np.array(points, dtype=int)))
         # row e * cells.size + i is the point mass at cells[i] under eps_values[e]
         w = windows.widths(np.tile(cells, len(eps_values))[:, None], (1.0,),
                            targets.repeat(cells.size)).reshape(len(eps_values), cells.size)
         for ladder, we in zip(ladders, w):
-            for i, (first, last) in enumerate(rungs):
-                ladder[i] = max(ladder[i], float(we[first - lo:last - lo + 1].max()))
+            for i, r in enumerate(rungs):
+                ladder[i] = max(ladder[i], float(we[r.start - lo:r.stop - lo].max()))
         if points:
-            best = w[:, hi - lo + 1:].min(axis=1)
+            best = w[:, len(rungs[0]):].min(axis=1)
             for box in boxes:
                 rows = np.broadcast_to(box, (len(eps_values), box.size))
                 best = np.minimum(best, windows.widths(rows, np.full(box.size, 1.0 / box.size),
@@ -449,8 +442,12 @@ def _axis_pass(kernel: Kernel, eps_values, cfg: CalibrationConfig) -> list:
 
 def werner_distance_covariant(mu: GridMeasure) -> float:
     """Closed-form distance of a shift-covariant smearing from the sharp
-    observable: the first absolute moment of the smearing measure."""
-    return float(np.dot(np.abs(mu.grid.points()), mu.weights))
+    observable: the first absolute moment of the smearing measure, summed
+    in one n-float array with no BLAS call."""
+    x = mu.grid.points()
+    np.abs(x, out=x)
+    x *= mu.weights
+    return float(x.sum())
 
 
 def _check_lipschitz(h, grid: GridSpec):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ def momentum_grid(grid: GridSpec, hbar: float) -> GridSpec:
     return GridSpec(-(grid.n // 2) * dp, dp, grid.n)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class WaveFunction:
     """Amplitudes psi(x_j) with L2 normalization sum |psi|^2 dx = 1.
 
@@ -39,23 +41,21 @@ class WaveFunction:
     step.
     """
 
-    __slots__ = ("grid", "amps", "hbar")
+    grid: GridSpec
+    amps: np.ndarray
+    hbar: float = 1.0
 
-    def __init__(self, grid: GridSpec, amps, hbar: float = 1.0):
-        if hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {hbar}")
-        a = np.asarray(amps)
+    def __post_init__(self):
+        if not 0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        a = np.asarray(self.amps)
         a = a.astype(complex if np.iscomplexobj(a) else float)
-        if a.shape != (grid.n,):
-            raise ValueError(f"expected {grid.n} amplitudes, got shape {a.shape}")
-        _unit_norm(a, grid.dx, np.empty(grid.n))
+        if a.shape != (self.grid.n,):
+            raise ValueError(f"expected {self.grid.n} amplitudes, got shape {a.shape}")
+        _unit_norm(a, self.grid.dx, np.empty(self.grid.n))
         a.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amps", a)
-        object.__setattr__(self, "hbar", float(hbar))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WaveFunction is immutable")
+        object.__setattr__(self, "hbar", float(self.hbar))
 
 
 def _abs_sq(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -88,22 +88,20 @@ def _unit_norm(a: np.ndarray, dx: float, scratch: np.ndarray) -> None:
         a *= scale
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class MixedState:
     """Convex mixture of pure components, all sharing grid and hbar."""
 
-    __slots__ = ("components",)
+    components: tuple
 
-    def __init__(self, components):
-        comps = [(float(w), psi) for w, psi in components]
+    def __post_init__(self):
+        comps = [(float(w), psi) for w, psi in self.components]
         total = _mixture_total([w for w, _ in comps])
         g0, h0 = comps[0][1].grid, comps[0][1].hbar
         for _, psi in comps:
             if psi.grid != g0 or psi.hbar != h0:
                 raise ValueError("all components must share grid and hbar")
         object.__setattr__(self, "components", tuple((w / total, psi) for w, psi in comps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedState is immutable")
 
     @classmethod
     def pure(cls, psi: WaveFunction) -> "MixedState":
@@ -155,8 +153,8 @@ def _check_gaussian(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: fl
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not math.isfinite(4.0 * (sigma * sigma)):
         raise ValueError(f"4 sigma^2 must be finite, got sigma={sigma}")
-    if not hbar > 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     if grid.x_min > x0 - 8 * sigma or grid.x_max < x0 + 8 * sigma:
         raise ValueError(
             f"grid [{grid.x_min}, {grid.x_max}] does not cover "

@@ -51,6 +51,20 @@ def test_grid_spec_rejects_non_finite_start_and_step(x_min, dx, message):
         GridSpec(x_min, dx, 8)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, True, "4", None], ids=repr)
+def test_grid_spec_rejects_a_point_count_that_is_not_an_integer(n):
+    # n = 2.5 once built a grid whose points() held 3 points and whose
+    # cells_within raised TypeError
+    with pytest.raises(ValueError, match=f"^grid point count n must be an integer, got {n!r}$"):
+        GridSpec(0.0, 1.0, n)
+
+
+def test_grid_spec_takes_a_numpy_integer_point_count():
+    g = GridSpec(0.0, 1.0, np.int64(4))
+    assert g.points().tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert g.cells_within(0.5, 2.5) == range(1, 3)
+
+
 def test_grid_spec_rejects_an_overflowing_last_point():
     # x_min + 7*dx is 7e308; the grid built before, and points() read inf
     with pytest.raises(ValueError, match="^grid end x_min \\+ \\(n - 1\\)\\*dx overflows"):

@@ -187,8 +187,7 @@ class TestCalibrationConfig:
             for d in cfg.delta_ladder:
                 # at least two cells about the middle of the grid, and one
                 # about every center
-                first, last = metrology._rung(axis_grid, 0.0, d * scale)
-                assert last > first
+                assert len(axis_grid.cells_within(-0.5 * d * scale, 0.5 * d * scale)) > 1
                 assert all(axis_grid.cells_within(c * scale - 0.5 * d * scale,
                                                   c * scale + 0.5 * d * scale) for c in centers)
             mu = random_atoms(axis_grid, np.random.default_rng(n), 20)
@@ -593,8 +592,8 @@ class TestExactCalibration:
                 for c in (0.0, 3.37 * grid.dx, -10.5 * grid.dx):
                     x = c * scale
                     windows = metrology._CenteredWindows(kernel, axis_grid, x)
-                    first, last = metrology._rung(axis_grid, x, delta * scale)
-                    cells = np.arange(first, last + 1)
+                    cells = np.array(axis_grid.cells_within(x - 0.5 * delta * scale,
+                                                            x + 0.5 * delta * scale))
                     cfg = CalibrationConfig((delta,), (c,), grid, HBAR)
                     for eps in (0.05, 0.2, 0.5):
                         want = point_mass_widths(kernel, axis_grid, x, cells, eps)
@@ -614,8 +613,8 @@ class TestExactCalibration:
         kernel = Kernel("q", GridMeasure(grid, w / w.sum()))
         cfg = CalibrationConfig((80 * dx, 40 * dx, 20 * dx), (0.0,), grid)
         delta = 40 * dx
-        first, last = metrology._rung(grid, 0.0, delta)
-        exact = max(point_mass_widths(kernel, grid, 0.0, range(first, last + 1), 0.3))
+        cells = grid.cells_within(-0.5 * delta, 0.5 * delta)
+        exact = max(point_mass_widths(kernel, grid, 0.0, cells, 0.3))
         sample = max(centered_width(kernel.smear(P), 0.0, 0.3)
                      for P in rung_probes("q", 0.0, delta, grid))
         assert rung_error(kernel, 0.3, delta, cfg) == exact
@@ -842,8 +841,7 @@ def test_warped_window_table_peak_memory_at_the_verify_large_shape():
                       (0.5, gaussian_state(0.5, 0.0, 1.2, grid, HBAR))])
     wiggle = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
     kernel = marginal_kernel(gen, "q", wiggle)
-    first, last = metrology._rung(grid, 0.0, 0.4)
-    cells = np.arange(first, last + 1)[:, None]
+    cells = np.array(grid.cells_within(-0.2, 0.2))[:, None]
     tracemalloc.start()
     try:
         metrology._CenteredWindows(kernel, grid, 0.0).widths(cells, (1.0,), _target(0.05))

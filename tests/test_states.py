@@ -64,6 +64,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WaveFunction(GRID, a)
 
+    @pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        # a nan or infinite hbar once built a state: at nan, MixedState.pure
+        # then failed as if its components disagreed, and at inf a Gaussian
+        # passed its checks
+        grid = GridSpec.symmetric(12.8, 256)
+        a = gaussian_state(0.0, 0.0, 1.0, grid).amps
+        message = f"^hbar must be positive and finite, got {hbar}$"
+        with pytest.raises(ValueError, match=message):
+            WaveFunction(grid, a, hbar=hbar)
+        with pytest.raises(ValueError, match=message):
+            gaussian_state(0.0, 0.0, 1.0, grid, hbar=hbar)
+
     def test_gaussian_needs_eight_sigma(self):
         with pytest.raises(ValueError):
             gaussian_state(14.0, 0.0, 1.0, GRID)
