@@ -20,6 +20,11 @@ import numpy as np
 # pushforward) before construction renormalizes them; more is treated as a bug.
 RENORM_TOL = 1e-6
 
+# elements per block of the package's blockwise passes, 64 KiB of floats:
+# observables._warp_cells (its float transients stay near 0.3 MiB), the
+# further components of a mixture's marginals and a marginal's reflection
+BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -46,20 +51,38 @@ class GridSpec:
             raise ValueError(f"grid end x_min + (n - 1)*dx overflows: x_min = {self.x_min}, "
                              f"dx = {self.dx}, n = {self.n}")
 
+    def _terms(self) -> tuple:
+        """(a, b, s) with x_j evaluated as s*(a + j*b): (x_min, dx, 1.0), or,
+        where (n - 1)*dx overflows though the last point is finite,
+        (x_min/2, dx/2, 2.0).  Halving and doubling are exact away from
+        overflow and underflow, so the halved form changes no point that
+        the plain form gives finite; it is chosen for the whole grid, so a
+        span's points are the matching slice of all n.  Python floats,
+        which overflow to inf without a warning."""
+        if float(self.n - 1) * float(self.dx) < math.inf:
+            return self.x_min, self.dx, 1.0
+        return self.x_min / 2, self.dx / 2, 2.0
+
     @property
     def x_max(self) -> float:
-        return self.x_min + (self.n - 1) * self.dx
+        a, b, s = self._terms()
+        return s * (a + (self.n - 1) * b)
 
     def points(self, *span) -> np.ndarray:
         """x_min + dx * j for j in range(*span), all n points by default: the
-        floats of that expression on an integer arange, built in place."""
+        floats of that expression (in :meth:`_terms`'s form) on an integer
+        arange, built in place."""
+        a, b, s = self._terms()
         x = np.arange(*(span or (self.n,)), dtype=float)
-        x *= self.dx
-        x += self.x_min
+        x *= b
+        x += a
+        if s != 1.0:
+            x *= s
         return x
 
     def nearest_index(self, x: float) -> int:
-        j = int(round((x - self.x_min) / self.dx))
+        a, b, s = self._terms()
+        j = int(round((x / s - a) / b))
         return min(max(j, 0), self.n - 1)
 
     def cells_within(self, lo: float, hi: float) -> range:
@@ -68,10 +91,11 @@ class GridSpec:
         with j, so both ends are bisected on x_min + dx*j, the float expression
         :meth:`points` evaluates: exact and O(log n), with no array built.
         """
-        x0, dx = self.x_min, self.dx
-        lo, hi = lo - 1e-9 * dx, hi + 1e-9 * dx
-        start = bisect.bisect_left(range(self.n), True, key=lambda j: x0 + dx * j >= lo)
-        stop = bisect.bisect_left(range(self.n), True, start, key=lambda j: not x0 + dx * j <= hi)
+        x0, dx, s = self._terms()
+        lo, hi = lo - 1e-9 * self.dx, hi + 1e-9 * self.dx
+        start = bisect.bisect_left(range(self.n), True, key=lambda j: s * (x0 + dx * j) >= lo)
+        stop = bisect.bisect_left(range(self.n), True, start,
+                                  key=lambda j: not s * (x0 + dx * j) <= hi)
         return range(start, stop)
 
     def contains(self, x: float) -> bool:
@@ -104,6 +128,18 @@ class Interval:
         return self.center + 0.5 * self.width
 
 
+class _Handed:
+    """An array handed to :class:`GridMeasure` or ``states.WaveFunction``
+    for it to own: the constructor checks and normalizes that array in
+    place and makes it read-only, with no copy.  Only the builders of this
+    package hand over arrays, each one it has just built for the value."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class GridMeasure:
     """Normalized nonnegative weights on a :class:`GridSpec`.
@@ -111,13 +147,19 @@ class GridMeasure:
     Construction clamps negative roundoff (below 1e-9 in magnitude) to zero
     and renormalizes total mass, provided the deviation from 1 is within
     RENORM_TOL; anything larger raises.  Equality is identity.
+
+    The measure owns its weights, a read-only float64 array.  Given any
+    array, it normalizes a copy, so the caller's array is never touched;
+    the builders in this package hand over the array they built
+    (:class:`_Handed`), which is normalized and frozen in place.
     """
 
     grid: GridSpec
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = self.weights
+        w = np.asarray(w.array, dtype=float) if type(w) is _Handed else np.array(w, dtype=float)
         if w.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} weights, got shape {w.shape}")
         _normalize_weights(w)
@@ -163,7 +205,7 @@ def point_mass(x: float, grid: GridSpec) -> GridMeasure:
     """Unit mass at the grid point nearest to x."""
     w = np.zeros(grid.n)
     w[grid.nearest_index(x)] = 1.0
-    return GridMeasure(grid, w)
+    return GridMeasure(grid, _Handed(w))
 
 
 def uniform_measure(a: float, b: float, grid: GridSpec) -> GridMeasure:
@@ -175,7 +217,7 @@ def uniform_measure(a: float, b: float, grid: GridSpec) -> GridMeasure:
         raise ValueError(f"interval [{a}, {b}] contains no grid point")
     w = np.zeros(grid.n)
     w[cells.start:cells.stop] = 1.0 / len(cells)
-    return GridMeasure(grid, w)
+    return GridMeasure(grid, _Handed(w))
 
 
 def gaussian_measure(mean: float, sigma: float, grid: GridSpec) -> GridMeasure:
@@ -187,7 +229,8 @@ def gaussian_measure(mean: float, sigma: float, grid: GridSpec) -> GridMeasure:
     s = w.sum()
     if s <= 0:
         raise ValueError("gaussian has no support on the grid")
-    return GridMeasure(grid, w / s)
+    w /= s
+    return GridMeasure(grid, _Handed(w))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +349,7 @@ def convolve(P: GridMeasure, Q: GridMeasure) -> GridMeasure:
     out = _sum_grid(P.grid, Q.grid)
     size = 1 << (out.n - 1).bit_length()
     spec = np.fft.rfft(P.weights, size) * np.fft.rfft(Q.weights, size)
-    return GridMeasure(out, np.fft.irfft(spec, size)[:out.n])
+    return GridMeasure(out, _Handed(np.fft.irfft(spec, size)[:out.n]))
 
 
 def _sum_grid(a: GridSpec, b: GridSpec) -> GridSpec:
@@ -319,4 +362,4 @@ def _sum_grid(a: GridSpec, b: GridSpec) -> GridSpec:
 def reflect(P: GridMeasure) -> GridMeasure:
     """Reflection x -> -x; weight at x_j moves to -x_j."""
     out = GridSpec(-P.grid.x_max, P.grid.dx, P.grid.n)
-    return GridMeasure(out, P.weights[::-1])
+    return GridMeasure(out, _Handed(P.weights[::-1].copy()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridMeasure, GridSpec, convolve, reflect
+from .grids import BLOCK, GridMeasure, GridSpec, _Handed, convolve, reflect
 from .states import (
     MixedState,
     displace_mixed,
@@ -112,11 +112,7 @@ def pushforward(P: GridMeasure, gmap: PiecewiseLinearMap) -> GridMeasure:
     mass is conserved exactly; images beyond the grid pile up at the edges.
     """
     g = P.grid
-    return GridMeasure(g, np.bincount(_warp_cells(g, gmap), P.weights, g.n))
-
-
-# points per block of _warp_cells: its float transients stay near 0.3 MiB
-WARP_BLOCK = 8192
+    return GridMeasure(g, _Handed(np.bincount(_warp_cells(g, gmap), P.weights, g.n)))
 
 
 def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap, *span) -> np.ndarray:
@@ -126,7 +122,7 @@ def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap, *span) -> np.ndarray:
     so an image far past the grid, even an overflowing one, lands on the
     edge cell; nondecreasing in j because gmap is increasing.
 
-    The int64 result is filled block by block of WARP_BLOCK points: each
+    The int64 result is filled block by block of BLOCK points: each
     block's points come from :meth:`GridSpec.points`, and their image is
     shifted, scaled, rounded and clipped in place, then cast into the
     result.  Every step is elementwise, so the cells are those of the
@@ -135,8 +131,8 @@ def _warp_cells(g: GridSpec, gmap: PiecewiseLinearMap, *span) -> np.ndarray:
     slice of the whole map's."""
     js = range(*span) if span else range(g.n)
     cells = np.empty(len(js), dtype=int)
-    for start in range(0, len(js), WARP_BLOCK):
-        block = js[start:start + WARP_BLOCK]
+    for start in range(0, len(js), BLOCK):
+        block = js[start:start + BLOCK]
         x = g.points(block.start, block.stop, block.step)
         with np.errstate(over="ignore"):
             y = gmap(x)
@@ -192,12 +188,37 @@ def marginal_measures(gen: MixedState):
     """Smearing measures (mu_m, nu_m) of the observable generated by gen: its
     position and momentum distributions reflected, each on its own axis grid.
     With m = parity_offset, -x_j = x_{(m - j) mod n}, and on the centered
-    conjugate grid -p_c = p_{(n - c) mod n} whatever m is."""
-    P = position_distribution(gen)
-    mu = GridMeasure(P.grid, np.roll(P.weights[::-1], parity_offset(gen.grid) + 1, axis=0))
-    del P       # not held while the momentum FFT runs
-    Q = momentum_distribution(gen)
-    return mu, GridMeasure(Q.grid, np.roll(Q.weights[::-1], 1, axis=0))
+    conjugate grid -p_c = p_{(n - c) mod n} whatever m is.  nu is built
+    first, and each distribution is reflected in place by :func:`_reflected`,
+    so one n-float array is held per measure, and the momentum FFT's
+    spectrum is freed before mu's array is made."""
+    m = parity_offset(gen.grid)
+    nu = _reflected(momentum_distribution(gen), 0)
+    return _reflected(position_distribution(gen), m), nu
+
+
+def _reflected(P: GridMeasure, m: int) -> GridMeasure:
+    """The measure of P reflected, P.weights[(m - j) mod n] at j, in P's own
+    weights: P must be a distribution just built and held nowhere else,
+    since its array is reflected in place and handed to the new measure,
+    which normalizes it again, as a measure built from a copy would.  With
+    m' = m mod n the reflection is reverse(w[:m' + 1]) ++ reverse(w[m' + 1:]);
+    each run is reversed by swapping blocks of at most BLOCK floats
+    from its two ends inward, which only moves elements."""
+    w = P.weights
+    w.flags.writeable = True
+    m %= w.size
+    block = np.empty(min(BLOCK, w.size))
+    for run in (w[:m + 1], w[m + 1:]):
+        i, j = 0, run.size
+        while j - i > 1:
+            k = min(block.size, (j - i) // 2)
+            t = block[:k]
+            t[...] = run[i:i + k]
+            run[i:i + k] = run[j - k:j][::-1]
+            run[j - k:j] = t[::-1]
+            i, j = i + k, j - k
+    return GridMeasure(P.grid, _Handed(w))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +254,10 @@ class JointDistribution:
         return float(self.density.sum() * self.cell_area)
 
     def marginal_q(self) -> GridMeasure:
-        return GridMeasure(self.q_grid, self.density.sum(axis=1) * self.cell_area)
+        return GridMeasure(self.q_grid, _Handed(self.density.sum(axis=1) * self.cell_area))
 
     def marginal_p(self) -> GridMeasure:
-        return GridMeasure(self.p_grid, self.density.sum(axis=0) * self.cell_area)
+        return GridMeasure(self.p_grid, _Handed(self.density.sum(axis=0) * self.cell_area))
 
 
 def aligned_window(grid: GridSpec, half_width: float, stride: int = 1) -> GridSpec:

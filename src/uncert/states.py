@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridMeasure, GridSpec
+from .grids import BLOCK, GridMeasure, GridSpec, _Handed
 
 NORM_TOL = 1e-6
 
@@ -39,6 +39,11 @@ class WaveFunction:
     the real parts its complex128 form would hold, bit for bit, where x / s
     differs in the last bit on many of them.  :func:`_unit_norm` is that
     step.
+
+    The state owns its amplitudes, a read-only array.  Given any array, it
+    scales a copy, so the caller's array is never touched; the builders in
+    this package hand over the float64 or complex128 array they built
+    (``grids._Handed``), which is scaled and frozen in place.
     """
 
     grid: GridSpec
@@ -48,8 +53,10 @@ class WaveFunction:
     def __post_init__(self):
         if not 0 < self.hbar < math.inf:
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
-        a = np.asarray(self.amps)
-        a = a.astype(complex if np.iscomplexobj(a) else float)
+        a = self.amps
+        handed = type(a) is _Handed
+        a = np.asarray(a.array if handed else a)
+        a = a.astype(complex if np.iscomplexobj(a) else float, copy=not handed)
         if a.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} amplitudes, got shape {a.shape}")
         _unit_norm(a, self.grid.dx, np.empty(self.grid.n))
@@ -137,8 +144,8 @@ def gaussian_state(x0: float, p0: float, sigma: float, grid: GridSpec,
                    hbar: float = 1.0) -> WaveFunction:
     """Minimal-uncertainty Gaussian centered at (x0, p0), position spread sigma."""
     x = grid.points()
-    return WaveFunction(grid, _gaussian_amps(x0, p0, sigma, grid, hbar, x, x,
-                                             np.empty(grid.n)), hbar)
+    return WaveFunction(grid, _Handed(_gaussian_amps(x0, p0, sigma, grid, hbar, x, x,
+                                                     np.empty(grid.n))), hbar)
 
 
 def _check_gaussian(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: float) -> None:
@@ -221,7 +228,7 @@ def _gaussian_amps(x0: float, p0: float, sigma: float, grid: GridSpec, hbar: flo
 def box_state(center: float, width: float, grid: GridSpec,
               hbar: float = 1.0) -> WaveFunction:
     """Constant amplitude on the closed interval [center - width/2, center + width/2]."""
-    return WaveFunction(grid, _box_amps(center, width, grid, np.empty(grid.n)), hbar)
+    return WaveFunction(grid, _Handed(_box_amps(center, width, grid, np.empty(grid.n))), hbar)
 
 
 def _box_cells(center: float, width: float, grid: GridSpec) -> range:
@@ -250,7 +257,7 @@ def point_state(x: float, grid: GridSpec, hbar: float = 1.0) -> WaveFunction:
     """All mass on the single grid point nearest x (sharpest state the grid holds)."""
     a = np.zeros(grid.n)
     a[grid.nearest_index(x)] = 1.0 / math.sqrt(grid.dx)
-    return WaveFunction(grid, a, hbar)
+    return WaveFunction(grid, _Handed(a), hbar)
 
 
 def momentum_box_state(center: float, width: float, grid: GridSpec,
@@ -281,7 +288,8 @@ def superpose(c1: complex, psi1: WaveFunction, c2: complex,
     if nrm <= 0:
         raise ValueError("superposition vanishes")
     # scaled as WaveFunction scales, so a real sum keeps its complex form's bits
-    return WaveFunction(psi1.grid, a * (1.0 / math.sqrt(nrm)), psi1.hbar)
+    a *= 1.0 / math.sqrt(nrm)
+    return WaveFunction(psi1.grid, _Handed(a), psi1.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +306,48 @@ def _from_momentum_amps(phi: np.ndarray, grid: GridSpec, hbar: float) -> WaveFun
     pg = momentum_grid(grid, hbar)
     phase = np.exp(1j * pg.points() * grid.x_min / hbar)
     F = phi * phase * math.sqrt(2.0 * math.pi * hbar) / grid.dx
-    a = np.fft.ifft(np.fft.ifftshift(F))
-    return WaveFunction(grid, a, hbar)
+    return WaveFunction(grid, _Handed(np.fft.ifft(np.fft.ifftshift(F))), hbar)
 
 
 def position_distribution(rho: MixedState) -> GridMeasure:
     """rho^Q: mixture-weighted |psi|^2 dx per grid cell."""
     w = np.empty(rho.grid.n)
     _position_weights([(wk, psi.amps) for wk, psi in rho.components], rho.grid.dx, w)
-    return GridMeasure(rho.grid, w)
+    return GridMeasure(rho.grid, _Handed(w))
+
+
+def _add_abs_sq(dst: np.ndarray, src: np.ndarray, wk: float, block: np.ndarray | None,
+                add: bool) -> None:
+    """dst = wk |src|^2, or dst += wk |src|^2 when add; a weight of exactly
+    1.0 is not multiplied.  A written dst that runs forward takes the terms
+    in place; otherwise they are formed block by block in block and then
+    written or added, so dst may run backward.  numpy's complex abs gives
+    other last bits where its input or output runs backward, so a complex
+    src must run forward; a float one is only squared, which is exact on
+    any strides.  Every step is elementwise, so the result has the bits of
+    the whole-array terms."""
+    if not add and dst.strides[0] > 0:
+        _abs_sq(src, dst)
+        if wk != 1.0:
+            dst *= wk
+        return
+    for i in range(0, dst.size, block.size):
+        b = _abs_sq(src[i:i + block.size], block[:min(block.size, dst.size - i)])
+        if wk != 1.0:
+            b *= wk
+        if add:
+            dst[i:i + b.size] += b
+        else:
+            dst[i:i + b.size] = b
 
 
 def _position_weights(components, dx: float, out: np.ndarray) -> None:
     """rho^Q's weights, written to out, from (weight, amplitudes) pairs:
-    component 0's wk |a|^2 is formed in out (0 + wk |a|^2), not multiplied
-    when wk is 1.0, each further one in scratch and added; then times dx."""
-    scratch = np.empty(out.size) if len(components) > 1 else None
+    component 0's wk |a|^2 is formed in out (0 + wk |a|^2), each further
+    one added through a block of BLOCK floats; then times dx."""
+    block = np.empty(min(BLOCK, out.size)) if len(components) > 1 else None
     for k, (wk, a) in enumerate(components):
-        if k == 0:
-            _abs_sq(a, out)
-            if wk != 1.0:
-                out *= wk
-        else:
-            s = _abs_sq(a, scratch)
-            s *= wk
-            out += s
+        _add_abs_sq(out, a, wk, block, k > 0)
     out *= dx
 
 
@@ -333,15 +358,14 @@ def momentum_distribution(rho: MixedState) -> GridMeasure:
     exp(-i p x_min / hbar) that ties F to phi has modulus one, so it is
     never formed.  :func:`_momentum_weights` computes the weights.
     """
-    h = rho.grid.n // 2
     w = np.empty(rho.grid.n)
     _momentum_weights([(wk, psi.amps) for wk, psi in rho.components], rho.grid, rho.hbar,
-                      w, np.empty(h + 1, dtype=complex), np.empty(h + 1))
-    return GridMeasure(momentum_grid(rho.grid, rho.hbar), w)
+                      w, np.empty(rho.grid.n // 2 + 1, dtype=complex))
+    return GridMeasure(momentum_grid(rho.grid, rho.hbar), _Handed(w))
 
 
 def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
-                      spectrum: np.ndarray, scratch: np.ndarray) -> None:
+                      spectrum: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """rho^P's weights on the centered conjugate grid, written to out, from
     (weight, amplitudes) pairs: each component's wk |F(p)|^2, then the
     factor dp dx^2 / (2 pi hbar).
@@ -352,33 +376,35 @@ def _momentum_weights(components, grid: GridSpec, hbar: float, out: np.ndarray,
     the dtype: float64 amplitudes (a Gaussian at p0 = 0, a box, a point,
     the parity image of any of them) take the real FFT at once; complex128
     ones are scanned for a nonzero imaginary part and take the full complex
-    FFT, shifted to the centered grid, in new arrays, if they have one,
-    else the real FFT of their real part.  The real FFT goes to spectrum
-    (n/2 + 1 complex) and its squared moduli to scratch (n/2 + 1 floats or
-    more), which may hold the amplitudes of the last component.  Component
-    0 is written to out and the others added, which gives the bits of
-    adding them all to zeros; a weight of exactly 1.0 is not multiplied.
+    FFT, in a new array, if they have one, its halves swapped onto the
+    centered grid, else the real FFT of their real part.  The real FFT goes
+    to spectrum (n/2 + 1 complex).  Given scratch (n/2 + 1 floats or
+    more), which may hold the amplitudes of the last component, the
+    spectrum's moduli are read into it first, so spectrum may share memory
+    with out; without it, |F|^2 is formed from the spectrum.  Component 0
+    is written to out and the others added through a block of BLOCK
+    floats (:func:`_add_abs_sq`), which gives the bits of adding them all
+    to zeros; a weight of exactly 1.0 is not multiplied.
 
     Cost per component: one n-point real FFT, or an O(n) scan and one
     n-point complex FFT, and O(n) real arithmetic.
     """
     h = out.size // 2
+    block = np.empty(min(BLOCK, out.size)) if len(components) > 1 or scratch is None \
+        else None
     for k, (wk, a) in enumerate(components):
         if np.iscomplexobj(a) and a.imag.any():
-            s = np.fft.fftshift(np.abs(np.fft.fft(a)) ** 2)
-            parts = ((out, s),)
+            F = np.fft.fft(a)
+            halves = ((out[h:], F[:h]), (out[:h], F[h:]))
+        elif scratch is None:
+            np.fft.rfft(a.real, out=spectrum)
+            halves = ((out[h:], spectrum[:h]), (out[h - 1::-1], spectrum[1:]))
         else:
             np.fft.rfft(a.real, out=spectrum)
-            s = np.abs(spectrum, out=scratch[:h + 1])
-            np.square(s, out=s)
-            parts = ((out[h:], s[:h]), (out[:h], s[h:0:-1]))
-        if wk != 1.0:
-            s *= wk
-        for dst, src in parts:
-            if k == 0:
-                dst[...] = src
-            else:
-                dst += src
+            F = np.abs(spectrum, out=scratch[:h + 1])
+            halves = ((out[h:], F[:h]), (out[:h], F[h:0:-1]))
+        for dst, src in halves:
+            _add_abs_sq(dst, src, wk, block, k > 0)
     out *= momentum_grid(grid, hbar).dx * grid.dx ** 2 / (2.0 * math.pi * hbar)
 
 
@@ -399,7 +425,7 @@ def weyl_displace(psi: WaveFunction, q: float, p: float) -> WaveFunction:
         raise ValueError(f"position shift {q} is not a multiple of dx = {grid.dx}")
     a = np.roll(psi.amps, k)
     a = a * np.exp(1j * p * grid.points() / hbar)
-    return WaveFunction(grid, a, hbar)
+    return WaveFunction(grid, _Handed(a), hbar)
 
 
 def parity_offset(grid: GridSpec) -> int:
@@ -419,7 +445,7 @@ def parity(psi: WaveFunction) -> WaveFunction:
     amps[(m - j) mod n] at j is the reversed array rolled by m + 1; with an
     axis, np.roll does not first copy the reversed view."""
     amps = np.roll(psi.amps[::-1], parity_offset(psi.grid) + 1, axis=0)
-    return WaveFunction(psi.grid, amps, psi.hbar)
+    return WaveFunction(psi.grid, _Handed(amps), psi.hbar)
 
 
 def displace_mixed(rho: MixedState, q: float, p: float) -> MixedState:

@@ -11,6 +11,7 @@ from uncert.grids import (
     GridMeasure,
     GridSpec,
     Interval,
+    _Handed,
     _shortest_run,
     centered_width,
     convolve,
@@ -97,6 +98,40 @@ def test_grid_measure_normalizes_a_copy():
     assert np.array_equal(w, kept)
     assert P.weights[1] == 0.0 and P.weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(P.weights, np.clip(kept, 0.0, None) / np.clip(kept, 0.0, None).sum())
+
+
+def test_grid_measure_owns_a_handed_array():
+    small = GridSpec(0.0, 1.0, 4)
+    w = np.array([0.5, -1e-12, 0.25, 0.25 + 1e-9])
+    want = GridMeasure(small, w).weights
+    P = GridMeasure(small, _Handed(w))
+    assert P.weights is w and not w.flags.writeable
+    assert w.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_grid_points_keep_their_bits_where_nothing_overflows():
+    # the halved form 2*(x_min/2 + j*(dx/2)) is taken only where (n - 1)*dx
+    # overflows; every ordinary grid keeps the plain x_min + j*dx
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        g = GridSpec(float(rng.uniform(-50, 50)), float(rng.uniform(1e-3, 1.0)),
+                     int(rng.integers(2, 5000)))
+        x = np.arange(g.n, dtype=float)
+        x *= g.dx
+        x += g.x_min
+        assert g.points().tobytes() == x.tobytes()
+        assert g.x_max == g.x_min + (g.n - 1) * g.dx
+
+
+def test_grid_points_near_float_max_are_finite():
+    # (n - 1)*dx = 3e308 overflows; the points run from -1.5e308 to 1.5e308
+    g = GridSpec(-1.5e308, 1e308, 4)
+    assert g.points().tolist() == [-1.5e308, -0.5e308, 0.5e308, 1.5e308]
+    assert g.x_max == 1.5e308
+    assert g.cells_within(0.0, math.inf) == range(2, 4)
+    assert g.nearest_index(0.6e308) == 2
 
 
 class TestMass:

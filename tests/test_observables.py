@@ -16,6 +16,7 @@ from uncert.observables import (
     PiecewiseLinearMap,
     WarpMap,
     _component_overlap_sq,
+    _reflected,
     _warp_cells,
     _warp_density,
     aligned_window,
@@ -31,6 +32,7 @@ from uncert.states import (
     momentum_distribution,
     momentum_grid,
     parity_mixed,
+    parity_offset,
     point_state,
     position_distribution,
     superpose,
@@ -108,6 +110,12 @@ class TestMarginalMeasures:
         for g, want in zip(got, wants):
             assert g.grid == want.grid
             assert np.max(np.abs(g.weights - want.weights)) <= 1e-13 * want.weights.max()
+        # bit for bit the measures of the marginals' rolled reversals
+        P, Q = position_distribution(gen), momentum_distribution(gen)
+        m = parity_offset(gen.grid)
+        for g, D, shift in zip(got, (P, Q), (m + 1, 1)):
+            assert g.weights.tobytes() == \
+                GridMeasure(D.grid, np.roll(D.weights[::-1], shift)).weights.tobytes()
         return got
 
     @pytest.mark.parametrize("gen", [
@@ -139,6 +147,37 @@ class TestMarginalMeasures:
         self.assert_reflected_marginals(
             MixedState([(w / total, gaussian_state(x0, p0, sigma, grid, HBAR))
                         for w, x0, p0, sigma in comps]))
+
+    @pytest.mark.parametrize("n", [2, 3, 8192 * 2 + 1, 8192 * 3 + 6])
+    def test_reflection_in_place_is_the_rolled_reversal(self, n):
+        # runs longer than one block of BLOCK floats, of odd and even length
+        grid = GridSpec(0.0, 1.0, n)
+        rng = np.random.default_rng(n)
+        for m in sorted({0, 1, n // 3, n // 2, n - 2, n - 1, n, 2 * n + 5}):
+            w = rng.random(n)
+            w /= w.sum()
+            want = GridMeasure(grid, np.roll(GridMeasure(grid, w).weights[::-1], m + 1))
+            got = _reflected(GridMeasure(grid, w), m)
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert not got.weights.flags.writeable
+
+    def test_marginal_measures_hold_one_array_per_measure(self):
+        # the seed-0 verify mixture at n = 65536: nu's weights and the real
+        # FFT's spectrum (0.5 MiB each), then nu's and mu's weights, each
+        # with a 64 KiB block.  Traced above the states, after a warm-up
+        # call that plans the FFT: 1.07 MiB; the marginals' constructor
+        # copies and np.roll reflections made it 2.00 MiB
+        grid = GridSpec.symmetric(20.0, 65536)
+        gen = MixedState([(0.5, gaussian_state(0.0, 0.0, 0.8, grid, HBAR)),
+                          (0.5, gaussian_state(0.5, 0.0, 1.2, grid, HBAR))])
+        marginal_measures(gen)
+        tracemalloc.start()
+        try:
+            marginal_measures(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 2**20
 
     def test_marginal_outcome_variances(self):
         sg, ss = 0.8, 1.2
@@ -533,7 +572,7 @@ WIGGLE = PiecewiseLinearMap((-20.0, -1.0, 1.0, 20.0), (-20.0, -0.7, 1.3, 20.0))
 ], ids=["shift", "shift-past-the-grid", "wiggle", "bend-past-the-grid", "overflowing"])
 @pytest.mark.parametrize("n_out", [256, 8191, 8192, 8193, 16384, 50001, 131071])
 def test_blockwise_warp_cells_equal_the_whole_array_form(gmap, n_out):
-    # out grids over +-40 from one block of WARP_BLOCK = 8192 points to 16,
+    # out grids over +-40 from one block of BLOCK = 8192 points to 16,
     # ending inside a block and on a block edge; points past the knots,
     # past the grid and overflowing images included
     dx = 80.0 / (n_out + 1)

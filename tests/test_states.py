@@ -1,12 +1,13 @@
 import math
 import re
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uncert.grids import GridMeasure, GridSpec, Interval, mass, overall_width
+from uncert.grids import GridMeasure, GridSpec, Interval, _Handed, mass, overall_width
 from uncert.states import (
     MixedState,
     WaveFunction,
@@ -47,10 +48,17 @@ class TestConstruction:
         assert PGRID.nearest_index(0.0) == GRID.n // 2
 
     def test_momentum_grid_whose_last_point_is_near_float_max_builds(self):
-        # 255*dp overflows, yet the last point, 127*dp = 9.35e307, is finite
+        # 255*dp overflows, yet the last point, 127*dp = 9.35e307, is finite;
+        # x_max and points() read inf when they evaluated x_min + 255*dp
         pg = momentum_grid(GridSpec.symmetric(12.8, 256), 3e306)
         assert pg.nearest_index(0.0) == 128
-        assert math.isfinite(pg.x_min + 127 * pg.dx)
+        p = pg.points()
+        assert np.isfinite(p).all()
+        assert p[-1] == pg.x_max == 127 * pg.dx
+        assert p[128] == 0.0 and p[0] == pg.x_min
+        assert np.array_equal(pg.points(250, 256), p[250:])
+        assert pg.nearest_index(p[-2]) == 254 and pg.contains(p[-1])
+        assert pg.cells_within(p[-3], math.inf) == range(253, 256)
 
     def test_momentum_grid_rejects_odd_n(self):
         with pytest.raises(ValueError):
@@ -592,6 +600,67 @@ def test_marginal_weights_equal_the_reference(name, rho):
     _momentum_weights(comps, GRID, HBAR, got, np.empty(h + 1, complex), np.empty(h + 1))
     _ref_momentum_weights(comps, GRID, HBAR, want, np.empty(h + 1, complex), np.empty(h + 1))
     assert np.array_equal(got, want)
+    # without scratch, |F|^2 is formed from the spectrum itself
+    got.fill(np.nan)
+    _momentum_weights(comps, GRID, HBAR, got, np.empty(h + 1, complex))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [8, 8192 * 2 + 10])
+def test_marginal_weights_add_further_components_blockwise(n):
+    # more points than one BLOCK, and a last block that is partly filled
+    grid = GridSpec.symmetric(0.01 * n, n)
+    rng = np.random.default_rng(n)
+    comps = [(0.3, rng.normal(size=n)), (0.5, rng.normal(size=n) + 1j * rng.normal(size=n)),
+             (0.2, rng.normal(size=n))]
+    got, want = np.empty(n), np.empty(n)
+    _position_weights(comps, grid.dx, got)
+    _ref_position_weights(comps, grid.dx, want)
+    assert np.array_equal(got, want)
+    h = n // 2
+    got.fill(np.nan)
+    _momentum_weights(comps, grid, HBAR, got, np.empty(h + 1, complex))
+    _ref_momentum_weights(comps, grid, HBAR, want, np.empty(h + 1, complex), np.empty(h + 1))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_wavefunction_scales_a_copy_of_a_callers_array(dtype):
+    a = np.zeros(GRID.n, dtype=dtype)
+    a[10:20] = 1.0 / math.sqrt(10 * GRID.dx)
+    kept = a.copy()
+    psi = WaveFunction(GRID, a)
+    assert np.array_equal(a, kept) and a.flags.writeable
+    assert psi.amps is not a and not psi.amps.flags.writeable
+    assert psi.amps.tobytes() == WaveFunction(GRID, _Handed(kept)).amps.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_wavefunction_owns_a_handed_array(dtype):
+    a = np.zeros(GRID.n, dtype=dtype)
+    a[10:20] = 1.0 / math.sqrt(10 * GRID.dx)
+    psi = WaveFunction(GRID, _Handed(a))
+    assert psi.amps is a and not a.flags.writeable
+    assert np.sum(np.abs(a) ** 2) * GRID.dx == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        a[0] = 1.0
+
+
+def test_parity_of_a_complex_state_holds_one_array_besides_its_result():
+    # n = 65536: the rolled amplitudes (1 MiB) become the result, and the
+    # norm's |a|^2 scratch takes 0.5 MiB; a constructor copy of the rolled
+    # array made it 2.50 MiB
+    grid = GridSpec.symmetric(20.0, 65536)
+    psi = gaussian_state(0.3, 0.5, 1.0, grid)
+    assert psi.amps.dtype == complex
+    parity(psi)
+    tracemalloc.start()
+    try:
+        parity(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20
 
 
 def test_complex_amplitudes_are_scaled_even_by_exactly_1():
